@@ -11,8 +11,8 @@ from .chain import (AmplitudeState, CorrelationSeries, LanczosChain,
                     PropagationError, SpectralFunction, dense_correlation,
                     dense_generator, propagate, spectral_function,
                     spectral_width_sum)
-from .design import (ContinuationResult, DesignParams, edo_chain,
-                     exponential_chain, gaussian_chain, linear_continuation,
+from .design import (ContinuationResult, edo_chain, exponential_chain,
+                     gaussian_chain, linear_continuation, oscillating_pair,
                      q_ratio)
 from .experiment import (EnsembleSummary, Histogram, Scenario, ScenarioConfig,
                          TrialRecord, histogram, run_scenario, summarize)
@@ -30,8 +30,8 @@ __all__ = [
     "AmplitudeState", "CorrelationSeries", "LanczosChain", "PropagationError",
     "SpectralFunction", "dense_correlation", "dense_generator", "propagate",
     "spectral_function", "spectral_width_sum",
-    "ContinuationResult", "DesignParams", "edo_chain", "exponential_chain",
-    "gaussian_chain", "linear_continuation", "q_ratio",
+    "ContinuationResult", "edo_chain", "exponential_chain", "gaussian_chain",
+    "linear_continuation", "oscillating_pair", "q_ratio",
     "EnsembleSummary", "Histogram", "Scenario", "ScenarioConfig", "TrialRecord",
     "histogram", "run_scenario", "summarize",
     "FitModel", "FitResult", "ModelClass", "detect_equilibration", "epsilon",

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .chain import CorrelationSeries, LanczosChain, PropagationError, propagate
-from .design import edo_chain, exponential_chain, gaussian_chain, linear_continuation
-from .experiment import (EnsembleSummary, Scenario, ScenarioConfig, TrialRecord,
-                         build_families, histogram_to_csv, records_from_csv,
+from .design import (exponential_chain, gaussian_chain, linear_continuation,
+                     oscillating_pair)
+from .experiment import (Scenario, ScenarioConfig, histogram_to_csv,
                          records_to_csv, run_scenario, scatter_to_csv)
 from .fitting import FitModel, ModelClass, detect_equilibration, fit
 from .perturb import apply_draw, draw_noise
@@ -286,41 +286,29 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _exemplary_trials(records: list[TrialRecord], summary: EnsembleSummary,
-                      family: str, count: int = 3) -> list[TrialRecord]:
-    """Valid trials closest to the family mean deviation (figure-selection rule)."""
-    fam = summary.families.get(family)
-    if fam is None:
-        return []
-    pool = [r for r in records if r.family == family and r.valid]
-    pool.sort(key=lambda r: (abs(r.epsilon - fam.mean_epsilon), r.trial))
-    return pool[:count]
-
-
-def _write_curves_csv(config: ScenarioConfig, records, summary, path) -> None:
-    """Replay the exemplary trials (deterministic seeds) and dump C + fit."""
-    families = {f.name: f for f in build_families(config)}
+def _write_curves_csv(config: ScenarioConfig, summary, path) -> None:
+    """Dump the exemplary trials' C(t), as the ensemble propagated it, + fit."""
     with open(path, "w", newline="") as fh:
         fh.write("family,trial,t,C,fit\n")
-        for name, fam in families.items():
-            for rec in _exemplary_trials(records, summary, name):
-                draw = draw_noise(config.d, config.n_f, rec.seed)
-                pert = apply_draw(fam.chain, config.strength, draw,
-                                  floor=config.floor)
-                series = propagate(pert.chain, dt=config.dt, t_max=config.t_max)
+        for name, exemplars in summary.exemplars.items():
+            for rec, values in exemplars:
                 params = (rec.a, rec.mu) if rec.omega is None \
                     else (rec.a, rec.mu, rec.omega, rec.phi)
                 model = FitModel(ModelClass(rec.model), params)
-                fit_vals = model(series.t)
-                stride = max(1, len(series) // 1500)
-                for n in range(0, len(series), stride):
+                fit_vals = model(np.arange(values.size) * config.dt)
+                stride = max(1, values.size // 1500)
+                for n in range(0, values.size, stride):
                     fh.write(f"{name},{rec.trial},{n * config.dt:.17g},"
-                             f"{series.values[n]:.17g},{fit_vals[n]:.17g}\n")
+                             f"{values[n]:.17g},{fit_vals[n]:.17g}\n")
 
 
 def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
                      duration: float) -> dict:
-    """Write every CSV/SVG/manifest artifact for a finished scenario run."""
+    """Write every CSV/SVG/manifest artifact for a finished scenario run.
+
+    Writes only what `run_scenario` handed over: the records and the
+    summary with its family baselines and exemplar trials.
+    """
     os.makedirs(out_dir, exist_ok=True)
     path = lambda name: os.path.join(out_dir, name)
     emitted = []
@@ -332,19 +320,15 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
     scatter_to_csv(records, path("scatter.csv"))
     emitted.append("scatter.csv")
 
-    families = build_families(config)
     unperturbed = {}
-    for fam in families:
-        fam.chain.to_csv(path(f"chain_{fam.name}.csv"))
-        emitted.append(f"chain_{fam.name}.csv")
-        series = propagate(fam.chain, dt=config.dt, t_max=config.t_max)
-        series.to_csv(path(f"unperturbed_{fam.name}.csv"))
-        emitted.append(f"unperturbed_{fam.name}.csv")
-        n_eq0, eq0 = detect_equilibration(series, config.eq_threshold,
-                                          config.eq_window)
-        f0 = fit(series, fam.model_class, n_eq0)
-        unperturbed[fam.name] = {**f0.to_json_dict(), "equilibrated": eq0,
-                                 "tail_flagged": series.tail_flagged}
+    for name, run in summary.runs.items():
+        run.chain.to_csv(path(f"chain_{name}.csv"))
+        emitted.append(f"chain_{name}.csv")
+        run.baseline.to_csv(path(f"unperturbed_{name}.csv"))
+        emitted.append(f"unperturbed_{name}.csv")
+        unperturbed[name] = {**run.baseline_fit.to_json_dict(),
+                             "equilibrated": run.equilibrated,
+                             "tail_flagged": run.baseline.tail_flagged}
 
     summary_doc = {**summary.to_json_dict(), "config": config.to_json_dict(),
                    "unperturbed": unperturbed}
@@ -352,7 +336,7 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
         json.dump(summary_doc, fh, indent=1, sort_keys=True)
     emitted.append("summary.json")
 
-    _write_curves_csv(config, records, summary, path("curves.csv"))
+    _write_curves_csv(config, summary, path("curves.csv"))
     emitted.append("curves.csv")
 
     emitted.extend(render_all(out_dir))
@@ -415,14 +399,8 @@ def _cmd_design(args) -> int:
     elif args.family == "exponential":
         chain = exponential_chain(args.a, args.nstar, d)
     else:
-        target = AnalyticCorrelation(gauss_rate=-0.125, cos_freq=2.0)
-        prefix = lanczos_from_spectrum(fourier_of_correlation(target, n_max=args.nmax),
-                                       args.nmax)
-        cont = linear_continuation(prefix.b, d, label="gdo")
-        if args.family == "gdo":
-            chain = cont.chain
-        else:
-            chain = edo_chain(args.b1, args.b2, (cont.slope, cont.intercept), d)
+        gdo, edo = oscillating_pair(args.nmax, d, args.b1, args.b2)
+        chain = gdo if args.family == "gdo" else edo
     chain.to_csv(args.out)
     if args.json:
         chain.to_json(args.json)

@@ -9,24 +9,30 @@ variant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .chain import LanczosChain
+from .reverse import (AnalyticCorrelation, fourier_of_correlation,
+                      lanczos_from_spectrum)
 
 __all__ = [
-    "DesignParams",
+    "GDO_TARGET",
     "gaussian_chain",
     "exponential_chain",
     "edo_chain",
+    "oscillating_pair",
     "linear_continuation",
     "ContinuationResult",
     "q_ratio",
     "tangent_slope",
     "tangent_intercept",
 ]
+
+
+# exp(-t^2/8) * cos(2t): the Gaussian-damped oscillation the gdo chain generates
+GDO_TARGET = AnalyticCorrelation(gauss_rate=-0.125, cos_freq=2.0)
 
 
 def tangent_slope(n_star: int) -> float:
@@ -37,33 +43,6 @@ def tangent_slope(n_star: int) -> float:
 def tangent_intercept(n_star: int) -> float:
     """Intercept of the same tangent line, sqrt(n_star)/2."""
     return np.sqrt(n_star) / 2.0
-
-
-@dataclass(frozen=True)
-class DesignParams:
-    """Knobs shared by the designed families."""
-
-    n_star: int = 10
-    a: float = 1.2
-    b1: float = 2.0
-    b2: float = 1.6
-    d: int = 2000
-
-    def __post_init__(self):
-        if self.n_star < 1:
-            raise ValueError("n_star must be >= 1")
-        if self.a <= 0 or self.b1 <= 0 or self.b2 <= 0:
-            raise ValueError("head coefficients must be positive")
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-
-    @property
-    def alpha(self) -> float:
-        return tangent_slope(self.n_star)
-
-    @property
-    def gamma(self) -> float:
-        return tangent_intercept(self.n_star)
 
 
 def gaussian_chain(n_star: int = 10, d: int = 2000) -> LanczosChain:
@@ -119,6 +98,19 @@ def edo_chain(b1: float = 2.0, b2: float = 1.6,
     b = slope * n + intercept
     b[0], b[1] = b1, b2
     return LanczosChain(b, label="edo")
+
+
+def oscillating_pair(n_max: int, d: int, b1: float,
+                     b2: float) -> tuple[LanczosChain, LanczosChain]:
+    """The gdo and edo chains of the damped-oscillation scenarios.
+
+    gdo is the reverse recursion of GDO_TARGET to n_max coefficients,
+    continued linearly to d sites; edo's ramp is that fitted tail.
+    """
+    density = fourier_of_correlation(GDO_TARGET, n_max=n_max)
+    prefix = lanczos_from_spectrum(density, n_max)
+    cont = linear_continuation(prefix.b, d, label="gdo")
+    return cont.chain, edo_chain(b1, b2, (cont.slope, cont.intercept), d)
 
 
 class ContinuationResult(NamedTuple):

@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .chain import CorrelationSeries, LanczosChain, propagate
-from .design import edo_chain, exponential_chain, gaussian_chain, linear_continuation
-from .fitting import (FitModel, ModelClass, detect_equilibration, epsilon,
+from .design import exponential_chain, gaussian_chain, oscillating_pair
+from .fitting import (FitResult, ModelClass, detect_equilibration, epsilon,
                       fit, sigma)
 from .perturb import POSITIVITY_FLOOR, apply_draw, draw_noise
-from .reverse import AnalyticCorrelation, fourier_of_correlation, lanczos_from_spectrum
 
 __all__ = [
     "Scenario",
@@ -32,7 +30,10 @@ __all__ = [
     "Histogram",
     "FamilySummary",
     "EnsembleSummary",
+    "FamilyRun",
+    "Exemplar",
     "run_scenario",
+    "exemplary_trials",
     "histogram",
     "summarize",
     "build_families",
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 ENV_THREADS = "MORILAB_THREADS"
+N_EXEMPLARS = 3  # perturbed trials per family kept for the curves figure
 
 
 class Scenario(enum.Enum):
@@ -195,6 +197,10 @@ class EnsembleSummary:
     families: dict[str, FamilySummary]
     n_trials: int
     bin_width: float
+    # filled in by run_scenario: every family's baseline and exemplar trials
+    runs: dict[str, "FamilyRun"] = field(default_factory=dict, init=False)
+    exemplars: dict[str, list["Exemplar"]] = field(default_factory=dict,
+                                                   init=False)
 
     def scatter(self, records: Sequence[TrialRecord], family: str) -> np.ndarray:
         pairs = [(r.sigma, r.epsilon) for r in records if r.family == family]
@@ -241,13 +247,9 @@ class Family(NamedTuple):
 def build_families(config: ScenarioConfig) -> list[Family]:
     """The two competing chain designs for the configured scenario."""
     if config.scenario.oscillating:
-        target = AnalyticCorrelation(gauss_rate=-0.125, cos_freq=2.0)
-        density = fourier_of_correlation(target, n_max=config.reverse_n_max)
-        prefix = lanczos_from_spectrum(density, config.reverse_n_max)
-        cont = linear_continuation(prefix.b, config.d, label="gdo")
-        edo = edo_chain(config.b1, config.b2, (cont.slope, cont.intercept),
-                        config.d)
-        return [Family("gdo", cont.chain, ModelClass.GAUSS_COS),
+        gdo, edo = oscillating_pair(config.reverse_n_max, config.d,
+                                    config.b1, config.b2)
+        return [Family("gdo", gdo, ModelClass.GAUSS_COS),
                 Family("edo", edo, ModelClass.EXP_COS)]
     return [Family("g", gaussian_chain(config.n_star, config.d), ModelClass.GAUSS),
             Family("e", exponential_chain(config.a, config.n_star, config.d),
@@ -262,42 +264,53 @@ def trial_seed(base_seed: int, family_index: int, trial: int) -> int:
 
 
 @dataclass(frozen=True)
-class _FamilyContext:
-    """Everything a worker needs: immutable and cheap to pickle."""
+class FamilyRun:
+    """A family's chain, its unperturbed C0(t) and the fit to it.
+
+    Everything a worker needs: immutable and cheap to pickle.
+    """
 
     name: str
     index: int
-    base_b: np.ndarray
+    chain: LanczosChain
     model_class: ModelClass
-    c0: np.ndarray
-    f0_params: tuple
+    baseline: CorrelationSeries
+    baseline_fit: FitResult
+    equilibrated: bool
     config: ScenarioConfig
 
 
-def _run_one_trial(ctx: _FamilyContext, trial: int) -> TrialRecord:
+class Exemplar(NamedTuple):
+    """A trial drawn in the curves figure, with the C(t_n) it propagated."""
+
+    record: TrialRecord
+    values: np.ndarray
+
+
+def _run_one_trial(ctx: FamilyRun, trial: int) -> tuple[TrialRecord, np.ndarray]:
     cfg = ctx.config
     seed = trial_seed(cfg.base_seed, ctx.index, trial)
-    base = LanczosChain(ctx.base_b, label=ctx.name)
     draw = draw_noise(cfg.d, cfg.n_f, seed)
-    pert = apply_draw(base, cfg.strength, draw, floor=cfg.floor)
+    pert = apply_draw(ctx.chain, cfg.strength, draw, floor=cfg.floor)
     series = propagate(pert.chain, dt=cfg.dt, t_max=cfg.t_max)
     n_eq, equilibrated = detect_equilibration(series, cfg.eq_threshold,
                                               cfg.eq_window)
-    result = fit(series, ctx.model_class, n_eq, warm_starts=[ctx.f0_params])
-    c0_series = CorrelationSeries(cfg.dt, ctx.c0, label=ctx.name)
-    sig = sigma(series, c0_series, n_eq)
-    eps0 = epsilon(c0_series, FitModel(ctx.model_class, ctx.f0_params), n_eq)
+    f0 = ctx.baseline_fit.model
+    result = fit(series, ctx.model_class, n_eq, warm_starts=[f0.params])
+    sig = sigma(series, ctx.baseline, n_eq)
+    eps0 = epsilon(ctx.baseline, f0, n_eq)
     m = result.model
-    return TrialRecord(
+    record = TrialRecord(
         trial=trial, family=ctx.name, seed=seed, model=m.kind.value,
         a=m.a, mu=m.mu, omega=m.omega, phi=m.phi,
         epsilon=result.epsilon, sigma=sig, eps0=eps0, n_eq=n_eq,
         equilibrated=equilibrated, clamp_count=pert.clamp_count,
         converged=result.converged,
         valid=not pert.invalid and result.converged)
+    return record, series.values
 
 
-def _run_block(args) -> list[TrialRecord]:
+def _run_block(args) -> list[tuple[TrialRecord, np.ndarray]]:
     ctx, trials = args
     return [_run_one_trial(ctx, t) for t in trials]
 
@@ -320,40 +333,60 @@ def run_scenario(config: ScenarioConfig,
     is invariant under execution order and worker count).  Trials whose
     draw overwhelms the chain (clamp overflow) or whose fit never converged
     are recorded with valid = False and excluded from the means.
-    """
-    families = build_families(config)
-    contexts = []
-    for idx, fam in enumerate(families):
-        c0 = propagate(fam.chain, dt=config.dt, t_max=config.t_max)
-        n_eq0, _ = detect_equilibration(c0, config.eq_threshold, config.eq_window)
-        f0 = fit(c0, fam.model_class, n_eq0)
-        contexts.append(_FamilyContext(
-            name=fam.name, index=idx, base_b=fam.chain.b,
-            model_class=fam.model_class, c0=c0.values,
-            f0_params=tuple(f0.model.params), config=config))
 
-    jobs: list[tuple[_FamilyContext, list[int]]] = []
+    The summary also carries each family's baseline (`runs`) and the C(t)
+    of its exemplary trials (`exemplars`); every other trial's series is
+    dropped here.
+    """
+    runs = []
+    for idx, fam in enumerate(build_families(config)):
+        c0 = propagate(fam.chain, dt=config.dt, t_max=config.t_max)
+        n_eq0, eq0 = detect_equilibration(c0, config.eq_threshold,
+                                          config.eq_window)
+        runs.append(FamilyRun(fam.name, idx, fam.chain, fam.model_class, c0,
+                              fit(c0, fam.model_class, n_eq0), eq0, config))
+
+    jobs: list[tuple[FamilyRun, list[int]]] = []
     n_workers = worker_count(config)
     block = max(1, config.n_trials // max(1, n_workers * 4))
-    for ctx in contexts:
+    for run in runs:
         for lo in range(0, config.n_trials, block):
-            jobs.append((ctx, list(range(lo, min(lo + block, config.n_trials)))))
+            jobs.append((run, list(range(lo, min(lo + block, config.n_trials)))))
 
-    records: list[TrialRecord] = []
+    results: list[tuple[TrialRecord, np.ndarray]] = []
     if n_workers == 1 or len(jobs) == 1:
         for job in jobs:
-            records.extend(_run_block(job))
+            results.extend(_run_block(job))
             if progress:
-                progress(len(records), config.n_trials * len(contexts))
+                progress(len(results), config.n_trials * len(runs))
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             for part in pool.map(_run_block, jobs):
-                records.extend(part)
+                results.extend(part)
                 if progress:
-                    progress(len(records), config.n_trials * len(contexts))
+                    progress(len(results), config.n_trials * len(runs))
 
-    records.sort(key=lambda r: (r.trial, r.family))
-    return records, summarize(records, config.bin_width)
+    records = sorted((rec for rec, _ in results),
+                     key=lambda r: (r.trial, r.family))
+    series = {(rec.family, rec.trial): values for rec, values in results}
+    summary = summarize(records, config.bin_width)
+    summary.runs = {run.name: run for run in runs}
+    summary.exemplars = {
+        run.name: [Exemplar(rec, series[rec.family, rec.trial])
+                   for rec in exemplary_trials(records, summary, run.name)]
+        for run in runs}
+    return records, summary
+
+
+def exemplary_trials(records: Sequence[TrialRecord], summary: EnsembleSummary,
+                     family: str) -> list[TrialRecord]:
+    """Valid trials closest to the family mean deviation, ties by trial."""
+    fam = summary.families.get(family)
+    if fam is None:
+        return []
+    pool = [r for r in records if r.family == family and r.valid]
+    pool.sort(key=lambda r: (abs(r.epsilon - fam.mean_epsilon), r.trial))
+    return pool[:N_EXEMPLARS]
 
 
 # ---------------------------------------------------------------------------

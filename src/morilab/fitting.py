@@ -9,7 +9,6 @@ dynamics.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ __all__ = [
     "fit",
     "epsilon",
     "sigma",
-    "results_to_csv",
 ]
 
 EQ_THRESHOLD = 0.01  # |C| must stay below this ...
@@ -255,18 +253,3 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
     return FitResult(model, best[0], n_eq, converged, len(objectives),
                      tuple(objectives))
 
-
-def results_to_csv(rows: Sequence[tuple], path) -> None:
-    """Batch export: (trial, seed, FitResult, sigma) tuples to flat CSV."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "seed", "model", "A", "mu", "omega", "phi",
-                    "epsilon", "sigma", "n_eq", "converged"])
-        for trial, seed, result, sig in rows:
-            m = result.model
-            w.writerow([
-                trial, seed, m.kind.value, repr(m.a), repr(m.mu),
-                "" if m.omega is None else repr(m.omega),
-                "" if m.phi is None else repr(m.phi),
-                repr(result.epsilon), repr(float(sig)), result.n_eq,
-                int(result.converged)])

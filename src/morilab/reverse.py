@@ -144,14 +144,6 @@ class SpectralDensityInput:
         total = np.trapezoid(self.values, self.omega)
         self.values = self.values * (2 * np.pi / total)
 
-    def quad_weights(self) -> np.ndarray:
-        w = np.empty_like(self.omega)
-        dx = np.diff(self.omega)
-        w[0] = dx[0] / 2
-        w[-1] = dx[-1] / 2
-        w[1:-1] = (dx[:-1] + dx[1:]) / 2
-        return w
-
     def second_moment(self) -> float:
         """Second moment of the normalized measure (equals b_1^2)."""
         return float(np.trapezoid(self.omega**2 * self.values, self.omega)

@@ -1,13 +1,16 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from morilab import cli
+from morilab import chain, cli, experiment
 from morilab.chain import CorrelationSeries, LanczosChain, PropagationError
 from morilab.cli import ConfigError, main, parse_config, parse_target
-from morilab.experiment import Scenario
+from morilab.experiment import (Scenario, ScenarioConfig, build_families,
+                                exemplary_trials, records_from_csv, summarize)
+from morilab.perturb import apply_draw, draw_noise
 
 
 class TestParseTarget:
@@ -113,6 +116,17 @@ class TestSubcommands:
         assert chain.b[3] == 2.0
         assert chain.b[4] == 2.25
 
+    @pytest.mark.parametrize("index, family", [(0, "gdo"), (1, "edo")])
+    def test_design_oscillating_matches_build_families(self, tmp_path, index,
+                                                       family):
+        out, ref = tmp_path / "design.csv", tmp_path / "families.csv"
+        assert main(["design", "--family", family, "--d", "300",
+                     "--out", str(out)]) == 0
+        built = build_families(ScenarioConfig(Scenario.OSCILLATION, d=300))[index]
+        assert built.name == family
+        built.chain.to_csv(ref)
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_reverse_with_continuation(self, tmp_path):
         coeffs = tmp_path / "b.csv"
         chain_out = tmp_path / "chain.csv"
@@ -157,14 +171,66 @@ class TestSubcommands:
         assert code == 3
 
 
+TINY_TRIALS = 4
+TINY_RUN = ["run", "--scenario", "decay", "--d", "150", "--trials",
+            str(TINY_TRIALS), "--dt", "0.05", "--tmax", "10", "--nstar", "8",
+            "--workers", "1"]
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    code = main(["run", "--scenario", "decay", "--d", "150", "--trials", "4",
-                 "--dt", "0.05", "--tmax", "10", "--nstar", "8",
-                 "--workers", "1", "--out", str(out)])
+    code = main(TINY_RUN + ["--out", str(out)])
     assert code == 0
     return out
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap fn at every name a morilab module binds it under; log each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "morilab" or name.startswith("morilab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestOnePass:
+    def test_families_built_and_chains_propagated_once(self, monkeypatch,
+                                                       tmp_path):
+        builds = count_calls(monkeypatch, experiment.build_families)
+        propagations = count_calls(monkeypatch, chain.propagate)
+        assert main(TINY_RUN + ["--out", str(tmp_path)]) == 0
+        assert len(builds) == 1
+        # two baselines plus one chain per trial and family
+        assert len(propagations) == 2 * TINY_TRIALS + 2
+
+    def test_exemplar_curves_match_fresh_propagation(self, tiny_run):
+        config = parse_config(str(tiny_run / "manifest.json"), {})
+        records = records_from_csv(tiny_run / "records.csv")
+        summary = summarize(records, config.bin_width)
+        _, rows = cli._read_csv_rows(tiny_run / "curves.csv")
+        for family in build_families(config):
+            exemplars = exemplary_trials(records, summary, family.name)
+            assert exemplars
+            shown = [r for r in rows if r[0] == family.name]
+            assert list(dict.fromkeys(int(r[1]) for r in shown)) == \
+                [rec.trial for rec in exemplars]
+            for rec in exemplars:
+                draw = draw_noise(config.d, config.n_f, rec.seed)
+                pert = apply_draw(family.chain, config.strength, draw,
+                                  floor=config.floor)
+                series = chain.propagate(pert.chain, dt=config.dt,
+                                         t_max=config.t_max)
+                stride = max(1, len(series) // 1500)
+                assert [r[3] for r in shown if int(r[1]) == rec.trial] == \
+                    [f"{c:.17g}" for c in series.values[::stride]]
 
 
 class TestRunCommand:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morilab.chain import LanczosChain, dense_correlation, propagate
-from morilab.design import (ContinuationResult, DesignParams, edo_chain,
+from morilab.design import (ContinuationResult, edo_chain,
                             exponential_chain, gaussian_chain,
                             linear_continuation, q_ratio, tangent_intercept,
                             tangent_slope)
@@ -163,16 +163,3 @@ class TestTimescaleParity:
         e = propagate(exponential_chain(1.2, 10, 2000), dt=0.02, t_max=12.0)
         ratio = e.first_passage() / g.first_passage()
         assert 0.5 <= ratio <= 2.0
-
-
-class TestDesignParams:
-    def test_derived_tangent(self):
-        p = DesignParams(n_star=4)
-        assert p.alpha == 0.25
-        assert p.gamma == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DesignParams(n_star=0)
-        with pytest.raises(ValueError):
-            DesignParams(a=-1.0)

@@ -3,7 +3,7 @@ import pytest
 
 from morilab.chain import CorrelationSeries
 from morilab.fitting import (FitModel, ModelClass, detect_equilibration,
-                             epsilon, fit, results_to_csv, sigma)
+                             epsilon, fit, sigma)
 
 
 def series_from(func, dt=0.01, t_max=30.0):
@@ -191,17 +191,3 @@ class TestFitModel:
         assert np.allclose(exp(t), 1.1 * np.exp(-0.4 * t))
         gc = FitModel(ModelClass.GAUSS_COS, (0.9, 0.2, 1.5, 0.3))
         assert np.allclose(gc(t), 0.9 * np.exp(-0.2 * t**2) * np.cos(1.5 * t - 0.3))
-
-
-class TestBatchExport:
-    def test_csv_columns(self, tmp_path):
-        series = series_from(lambda t: np.exp(-0.3 * t), dt=0.05, t_max=15.0)
-        result = fit(series, ModelClass.EXP, 250)
-        path = tmp_path / "fits.csv"
-        results_to_csv([(0, 12345, result, 0.01)], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "trial,seed,model,A,mu,omega,phi,epsilon,sigma,n_eq,converged"
-        assert len(lines) == 2
-        cells = lines[1].split(",")
-        assert cells[2] == "exp"
-        assert cells[5] == cells[6] == ""  # no oscillation parameters
