@@ -261,6 +261,96 @@ def _chebyshev_step(bs: np.ndarray, phi: np.ndarray, J: np.ndarray) -> np.ndarra
     return acc
 
 
+# Miller's backward recurrence starts every column at this tiny value: the
+# Bessel values grow downward by at most top!*(2/z)^top, which stays below
+# the float range for any z > 1e-15.
+_MILLER_SEED = 1e-300
+
+
+def _even_moments(b: np.ndarray, lam: float, count: int,
+                  norm_tol: float = NORM_TOL) -> tuple[np.ndarray, float]:
+    """mu_2k = <e0|T_2k(L/lam)|e0> for k = 0..count, and their drift bound.
+
+    Doubling: T_2k = 2 T_k^2 - 1, so mu_2k = 2 v_k.v_k - 1 with
+    v_k = T_k(H) e0 from v_{k+1} = 2 H v_k - v_{k-1}, H = L/lam.  v_k lives
+    on sites 0..k, so step k touches min(k+2, d) sites.  With the spectrum
+    of H inside [-1, 1], |mu_2k| <= 1 exactly; the drift is how far the
+    computed moments exceed that bound.
+    """
+    bs2 = 2.0 * b / lam
+    d = b.size + 1
+    mu = np.empty(count + 1)
+    mu[0] = 1.0
+    # zeroed once: each step writes only the light-cone slice, so the sites
+    # beyond it must already hold the zeros of v_k
+    prev, cur, tmp = np.zeros(d), np.zeros(d), np.zeros(d - 1)
+    cur[0] = 1.0
+    drift = 0.0
+    for k in range(count):
+        n = min(k + 2, d)
+        if k == 0:
+            prev[1] = 0.5 * bs2[0]      # v_1 = H e0
+        else:                           # prev <- v_{k+1} = 2 H v_k - v_{k-1}
+            h, t = bs2[:n - 1], tmp[:n - 1]
+            np.multiply(h, cur[1:n], out=t)
+            np.subtract(t, prev[:n - 1], out=prev[:n - 1])
+            prev[n - 1] = -prev[n - 1]
+            np.multiply(h, cur[:n - 1], out=t)
+            prev[1:n] += t
+        prev, cur = cur, prev
+        mu[k + 1] = 2.0 * float(cur[:n] @ cur[:n]) - 1.0
+        if mu[k + 1] - 1.0 > drift:
+            drift = mu[k + 1] - 1.0
+            if drift > norm_tol:
+                raise PropagationError(
+                    f"Chebyshev moment mu_{2 * k + 2} = {mu[k + 1]:.3g} exceeds 1 "
+                    f"by more than {norm_tol:.0e}: the scale {lam:.6g} does not "
+                    f"bound the spectrum; use method='chebyshev'")
+    return mu, drift
+
+
+def _miller_order(z: np.ndarray) -> np.ndarray:
+    """Even Bessel order where the backward recurrence starts for argument z."""
+    top = np.ceil(z + 30.0 + 12.0 * np.cbrt(z)).astype(np.int64)
+    return top + top % 2
+
+
+def _cosine_series(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """C(z_n) = J_0(z_n) + 2 sum_k (-1)^k mu_2k J_2k(z_n) for nondecreasing z.
+
+    Miller's backward recurrence J_{m-1} = (2m/z) J_m - J_{m+1}, vectorised
+    over n, builds each column from its own start order down to J_0 and
+    normalises it by J_0 + 2 sum_k J_2k = 1.  The start order grows with z,
+    so the columns active at order m are a suffix of n.  z_n = 0 gives 1.
+    """
+    out = np.ones(z.size)
+    first = int(np.searchsorted(z, 0.0, side="right"))
+    z = z[first:]
+    if z.size == 0:
+        return out
+    top = _miller_order(z)
+    coef = 2.0 * mu[: top[-1] // 2 + 1]
+    coef[1::2] *= -1.0
+    inv2z = 2.0 / z
+    # first column whose recurrence is running at order m
+    starts = np.searchsorted(top, np.arange(top[-1] + 2)).tolist()
+    cur, nxt, tmp = np.zeros(z.size), np.zeros(z.size), np.empty(z.size)
+    acc, norm = np.zeros(z.size), np.zeros(z.size)
+    for m in range(int(top[-1]), 0, -1):
+        s = starts[m]
+        c, x = cur[s:], nxt[s:]
+        if m % 2 == 0:
+            cur[s:starts[m + 1]] = _MILLER_SEED   # columns starting at m
+            acc[s:] += coef[m // 2] * c
+            norm[s:] += c
+        np.multiply(c, inv2z[s:], out=tmp[s:])
+        tmp[s:] *= m
+        np.subtract(tmp[s:], x, out=x)            # x <- J_{m-1}
+        cur, nxt = nxt, cur
+    out[first:] = (acc + cur) / (cur + 2.0 * norm)
+    return out
+
+
 def _rk4_substep_count(dt: float, t_max: float, lam_max: float, tol: float) -> int:
     """Substeps per output step so the accumulated phase error stays below tol.
 
@@ -295,31 +385,42 @@ def propagate(
         Output time step.
     t_max : float
         Horizon; the grid is t_n = n*dt, n = 0..round(t_max/dt).
-    method : {"chebyshev", "rk4"}
+    method : {"chebyshev", "rk4", "moments"}
         "chebyshev" (default) is a scaled polynomial expansion of the matrix
         exponential, exact to round-off per step; "rk4" is a fixed-substep
-        classical integrator with an accuracy-derived substep.
+        classical integrator with an accuracy-derived substep.  "moments"
+        never holds the wavefunction: it computes the even Chebyshev moments
+        mu_2k of L/lambda at site 0 (about lambda*t_max/2 light-cone
+        truncated matvecs) and sums C(t_n) = cos(L t_n)_00 as a Bessel
+        series in them (the kernel-polynomial route).
     snapshots : bool
-        Keep the full wavefunction at every output step (memory d * steps).
+        Keep the full wavefunction at every output step (memory d * steps);
+        not available with "moments".
 
     Raises
     ------
     PropagationError
-        If the norm drifts beyond `norm_tol`; the message names the remedy.
+        If the norm drifts beyond `norm_tol` (for "moments": if some
+        |mu_2k| exceeds 1 by more than `norm_tol`, which the spectral
+        bound forbids); the message names the remedy.
 
     Notes
     -----
-    The result carries a boundary-reflection guard: `tail_flagged` is set
-    when the weight on the last 1% of sites ever exceeds 1e-6.  The guard is
-    conservative; site-0 contamination only begins after the round-trip
-    revival, but a flagged run's horizon should not be trusted blindly.
+    The stepping engines carry a boundary-reflection guard: `tail_flagged`
+    is set when the weight on the last 1% of sites ever exceeds 1e-6.  The
+    guard is conservative; site-0 contamination only begins after the
+    round-trip revival, but a flagged run's horizon should not be trusted
+    blindly.  "moments" does not measure the tail: its series carry
+    `tail_weight_max = nan` and `tail_flagged = False`.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    if method not in ("chebyshev", "rk4"):
+    if method not in ("chebyshev", "rk4", "moments"):
         raise ValueError(f"unknown propagator method {method!r}")
+    if snapshots and method == "moments":
+        raise ValueError("method='moments' keeps no wavefunction snapshots")
 
     d = chain.d
     n_steps = int(round(t_max / dt))
@@ -338,6 +439,14 @@ def propagate(
                                  snapshots=snaps)
 
     lam_max = _spectral_bound(chain.b) * (1.0 + 1e-7)
+    if method == "moments":
+        z = lam_max * dt * np.arange(n_steps + 1)
+        mu, drift_max = _even_moments(chain.b, lam_max,
+                                      int(_miller_order(z[-1])) // 2, norm_tol)
+        return CorrelationSeries(
+            dt, _cosine_series(mu, z), label=chain.label, method=method,
+            norm_drift_max=drift_max, tail_weight_max=np.nan)
+
     tail_sites = max(1, d // 100)
     drift_max = 0.0
     tail_max = 0.0

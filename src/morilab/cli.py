@@ -17,12 +17,13 @@ import time
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chain import CorrelationSeries, LanczosChain, PropagationError, propagate
 from .design import (exponential_chain, gaussian_chain, linear_continuation,
                      oscillating_pair)
-from .experiment import (Scenario, ScenarioConfig, histogram_to_csv,
+from .experiment import (ENGINE, Scenario, ScenarioConfig, histogram_to_csv,
                          records_to_csv, run_scenario, scatter_to_csv)
 from .fitting import FitModel, ModelClass, detect_equilibration, fit
 from .perturb import apply_draw, draw_noise
@@ -327,8 +328,7 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
         run.baseline.to_csv(path(f"unperturbed_{name}.csv"))
         emitted.append(f"unperturbed_{name}.csv")
         unperturbed[name] = {**run.baseline_fit.to_json_dict(),
-                             "equilibrated": run.equilibrated,
-                             "tail_flagged": run.baseline.tail_flagged}
+                             "equilibrated": run.equilibrated}
 
     summary_doc = {**summary.to_json_dict(), "config": config.to_json_dict(),
                    "unperturbed": unperturbed}
@@ -345,6 +345,8 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
         "tool": "morilab",
         "version": __version__,
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "engine": ENGINE,
         "rng": RNG_NOTE,
         "config": config.to_json_dict(),
         "duration_seconds": round(duration, 3),

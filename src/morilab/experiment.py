@@ -24,6 +24,7 @@ from .fitting import (FitResult, ModelClass, detect_equilibration, epsilon,
 from .perturb import POSITIVITY_FLOOR, apply_draw, draw_noise
 
 __all__ = [
+    "ENGINE",
     "Scenario",
     "ScenarioConfig",
     "TrialRecord",
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 ENV_THREADS = "MORILAB_THREADS"
+ENGINE = "moments"  # `propagate` method for every baseline and trial
 N_EXEMPLARS = 3  # perturbed trials per family kept for the curves figure
 
 
@@ -292,7 +294,7 @@ def _run_one_trial(ctx: FamilyRun, trial: int) -> tuple[TrialRecord, np.ndarray]
     seed = trial_seed(cfg.base_seed, ctx.index, trial)
     draw = draw_noise(cfg.d, cfg.n_f, seed)
     pert = apply_draw(ctx.chain, cfg.strength, draw, floor=cfg.floor)
-    series = propagate(pert.chain, dt=cfg.dt, t_max=cfg.t_max)
+    series = propagate(pert.chain, dt=cfg.dt, t_max=cfg.t_max, method=ENGINE)
     n_eq, equilibrated = detect_equilibration(series, cfg.eq_threshold,
                                               cfg.eq_window)
     f0 = ctx.baseline_fit.model
@@ -340,7 +342,8 @@ def run_scenario(config: ScenarioConfig,
     """
     runs = []
     for idx, fam in enumerate(build_families(config)):
-        c0 = propagate(fam.chain, dt=config.dt, t_max=config.t_max)
+        c0 = propagate(fam.chain, dt=config.dt, t_max=config.t_max,
+                       method=ENGINE)
         n_eq0, eq0 = detect_equilibration(c0, config.eq_threshold,
                                           config.eq_window)
         runs.append(FamilyRun(fam.name, idx, fam.chain, fam.model_class, c0,

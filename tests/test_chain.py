@@ -3,9 +3,11 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, expm
 
 from morilab.chain import (AmplitudeState, CorrelationSeries, LanczosChain,
-                           PropagationError, dense_correlation,
-                           dense_generator, propagate, spectral_function,
-                           spectral_width_sum)
+                           PropagationError, _even_moments, _spectral_bound,
+                           dense_correlation, dense_generator, propagate,
+                           spectral_function, spectral_width_sum)
+from morilab.design import exponential_chain
+from morilab.perturb import apply_draw, draw_noise
 
 
 def antisymmetric_generator(b):
@@ -93,7 +95,7 @@ class TestPropagate:
         series = propagate(LanczosChain(np.array([])), dt=0.1, t_max=5.0)
         assert np.array_equal(series.values, np.ones(51))
 
-    @pytest.mark.parametrize("method", ["chebyshev", "rk4"])
+    @pytest.mark.parametrize("method", ["chebyshev", "rk4", "moments"])
     def test_two_site_cosine(self, method):
         b1 = 1.3
         series = propagate(LanczosChain(np.array([b1])), dt=0.05, t_max=50.0,
@@ -106,7 +108,7 @@ class TestPropagate:
         series = propagate(ch, dt=0.05, t_max=8.0)
         assert np.abs(series.values - np.exp(-series.t**2 / 2)).max() < 1e-6
 
-    @pytest.mark.parametrize("method", ["chebyshev", "rk4"])
+    @pytest.mark.parametrize("method", ["chebyshev", "rk4", "moments"])
     def test_matches_expm_oracle(self, method):
         rng = np.random.default_rng(21)
         b = rng.uniform(0.5, 2.0, 39)
@@ -172,6 +174,70 @@ class TestPropagate:
             propagate(ch, dt=0.1, t_max=-1.0)
         with pytest.raises(ValueError):
             propagate(ch, dt=0.1, t_max=1.0, method="euler")
+        with pytest.raises(ValueError, match="snapshots"):
+            propagate(ch, dt=0.1, t_max=1.0, method="moments", snapshots=True)
+
+
+def desk_trial_chain(seed: int = 5) -> LanczosChain:
+    """A perturbed desk-profile exponential-family chain (d=2000)."""
+    base = exponential_chain(1.2, 150, 2000)
+    return apply_draw(base, 0.5, draw_noise(2000, 666, seed)).chain
+
+
+class TestMomentsEngine:
+    def test_matches_dense_on_oracle_chains(self):
+        # the 20 random chains of acceptance criterion 02
+        worst = 0.0
+        for seed in range(20):
+            chain = LanczosChain(np.random.default_rng(seed).uniform(0.5, 2.0, 199))
+            series = propagate(chain, dt=0.1, t_max=20.0, method="moments")
+            assert series.method == "moments"
+            assert len(series) == 201
+            worst = max(worst, np.abs(
+                series.values - dense_correlation(chain, series.t)).max())
+        assert worst <= 1e-10     # measured 1.5e-14
+
+    def test_single_site_is_constant(self):
+        series = propagate(LanczosChain(np.array([])), dt=0.1, t_max=5.0,
+                           method="moments")
+        assert np.array_equal(series.values, np.ones(51))
+
+    def test_horizon_below_dt_gives_one_sample(self):
+        series = propagate(LanczosChain(np.array([1.0, 2.0])), dt=0.1,
+                           t_max=0.04, method="moments")
+        assert np.array_equal(series.values, [1.0])
+
+    def test_matches_stepping_on_perturbed_desk_chain(self):
+        chain = desk_trial_chain()
+        moments = propagate(chain, dt=0.02, t_max=40.0, method="moments")
+        stepping = propagate(chain, dt=0.02, t_max=40.0)
+        assert np.abs(moments.values - stepping.values).max() <= 1e-12
+
+    def test_tail_not_measured(self):
+        series = propagate(LanczosChain(np.ones(30)), dt=0.1, t_max=5.0,
+                           method="moments")
+        assert np.isnan(series.tail_weight_max)
+        assert not series.tail_flagged
+
+
+class TestMomentGuard:
+    def test_trips_when_scale_underestimates_spectrum(self):
+        # uniform-ish hopping: site 0 carries weight up to the band edge
+        chain = LanczosChain(np.random.default_rng(0).uniform(0.5, 2.0, 199))
+        radius = eigh_tridiagonal(np.zeros(chain.d), chain.b,
+                                  eigvals_only=True).max()
+        # spectrum of L/lam reaches 1/0.9: the moments grow like cosh
+        with pytest.raises(PropagationError, match="does not bound"):
+            _even_moments(chain.b, 0.9 * radius, 200)
+
+    def test_quiet_on_desk_chain(self):
+        chain = desk_trial_chain()
+        lam = _spectral_bound(chain.b) * (1.0 + 1e-7)
+        mu, drift = _even_moments(chain.b, lam, 2000)
+        assert np.abs(mu).max() <= 1.0 + 1e-12
+        assert drift <= 1e-12
+        series = propagate(chain, dt=0.02, t_max=40.0, method="moments")
+        assert series.norm_drift_max <= 1e-12
 
 
 class TestDenseCorrelation:

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from morilab import chain, cli, experiment
 from morilab.chain import CorrelationSeries, LanczosChain, PropagationError
@@ -227,7 +228,8 @@ class TestOnePass:
                 pert = apply_draw(family.chain, config.strength, draw,
                                   floor=config.floor)
                 series = chain.propagate(pert.chain, dt=config.dt,
-                                         t_max=config.t_max)
+                                         t_max=config.t_max,
+                                         method=experiment.ENGINE)
                 stride = max(1, len(series) // 1500)
                 assert [r[3] for r in shown if int(r[1]) == rec.trial] == \
                     [f"{c:.17g}" for c in series.values[::stride]]
@@ -246,6 +248,8 @@ class TestRunCommand:
     def test_manifest_digests_match(self, tiny_run):
         manifest = json.loads((tiny_run / "manifest.json").read_text())
         assert manifest["tool"] == "morilab"
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["engine"] == "moments"
         for name, digest in manifest["outputs"].items():
             assert cli._sha256(tiny_run / name) == digest
 
@@ -268,7 +272,19 @@ class TestRunCommand:
         summary = json.loads((tiny_run / "summary.json").read_text())
         assert set(summary["families"]) == {"g", "e"}
         assert summary["config"]["scenario"] == "decay"
-        assert "unperturbed" in summary
+        assert set(summary["unperturbed"]) == {"g", "e"}
+        # the moments engine does not measure the boundary tail
+        for baseline in summary["unperturbed"].values():
+            assert "tail_flagged" not in baseline
+
+    def test_baselines_use_moments_engine(self):
+        config = parse_config(None, {"scenario": "decay", "d": 150,
+                                     "n_trials": 2, "dt": 0.05, "t_max": 10,
+                                     "n_star": 8, "workers": 1})
+        _, summary = experiment.run_scenario(config)
+        assert set(summary.runs) == {"g", "e"}
+        for run in summary.runs.values():
+            assert run.baseline.method == "moments"
 
     def test_flat_file_headers(self, tiny_run):
         hist = (tiny_run / "histogram.csv").read_text().splitlines()
