@@ -13,6 +13,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9          # allowed |sum phi^2 - 1| over the full horizon
+CUT_TOL = 1e-13          # largest certified |C - C_cut| a causal cut may carry
+WKB_FACTOR = 2.0         # cut where sum 1/b_m reaches this multiple of t_max
 TAIL_WEIGHT_LIMIT = 1e-6  # boundary-reflection guard threshold
 
 
@@ -121,6 +124,12 @@ class CorrelationSeries:
     norm_drift_max: float = 0.0
     tail_weight_max: float = 0.0
     tail_flagged: bool = False
+    # set by the "moments" engine only: its scale, the even moments it
+    # computed, the sites it expanded (d when uncut) and the cut's bound
+    lam: float = 0.0
+    moments: int = 0
+    sites: int = 0
+    cut_bound: float = 0.0
     snapshots: list[AmplitudeState] | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -268,8 +277,9 @@ _MILLER_SEED = 1e-300
 
 
 def _even_moments(b: np.ndarray, lam: float, count: int,
-                  norm_tol: float = NORM_TOL) -> tuple[np.ndarray, float]:
-    """mu_2k = <e0|T_2k(L/lam)|e0> for k = 0..count, and their drift bound.
+                  norm_tol: float = NORM_TOL) -> tuple[np.ndarray, float, float]:
+    """mu_2k = <e0|T_2k(L/lam)|e0> for k = 0..count, their drift bound, and
+    max_k |v_k[d-1]|, the largest Chebyshev amplitude on the last site.
 
     Doubling: T_2k = 2 T_k^2 - 1, so mu_2k = 2 v_k.v_k - 1 with
     v_k = T_k(H) e0 from v_{k+1} = 2 H v_k - v_{k-1}, H = L/lam.  v_k lives
@@ -286,6 +296,7 @@ def _even_moments(b: np.ndarray, lam: float, count: int,
     prev, cur, tmp = np.zeros(d), np.zeros(d), np.zeros(d - 1)
     cur[0] = 1.0
     drift = 0.0
+    edge = 0.0
     for k in range(count):
         n = min(k + 2, d)
         if k == 0:
@@ -299,6 +310,8 @@ def _even_moments(b: np.ndarray, lam: float, count: int,
             prev[1:n] += t
         prev, cur = cur, prev
         mu[k + 1] = 2.0 * float(cur[:n] @ cur[:n]) - 1.0
+        if n == d:                      # v_k[d-1] = 0 before the cone reaches it
+            edge = max(edge, abs(cur[d - 1]))
         if mu[k + 1] - 1.0 > drift:
             drift = mu[k + 1] - 1.0
             if drift > norm_tol:
@@ -306,7 +319,70 @@ def _even_moments(b: np.ndarray, lam: float, count: int,
                     f"Chebyshev moment mu_{2 * k + 2} = {mu[k + 1]:.3g} exceeds 1 "
                     f"by more than {norm_tol:.0e}: the scale {lam:.6g} does not "
                     f"bound the spectrum; use method='chebyshev'")
-    return mu, drift
+    return mu, drift, edge
+
+
+def _causal_cut(b: np.ndarray, horizon: float, factor: float) -> int:
+    """Smallest site count n_c with sum_{m=1}^{n_c-1} 1/b_m >= factor*horizon,
+    or d when no n_c < d has it.
+
+    sum 1/(2 b_m) is the WKB travel time of the front from site 0 to the
+    cut; at factor 2 it is at least the horizon, twice the t/2 that the
+    doubling identity needs the front for.
+    """
+    reach = np.cumsum(1.0 / b)
+    return min(int(np.searchsorted(reach, factor * horizon)) + 2, b.size + 1)
+
+
+def _bessel_tail(order: int, x: float) -> float:
+    """Bound on sum_{k > order} |J_k(y)| for every 0 <= y <= x < order + 1.
+
+    Kapteyn: |J_k(k sech a)| <= exp(-k (a - tanh a)), a bound that grows
+    with the argument.  The rate a - tanh a grows with k, so every term is
+    at most exp(-k r) with r the rate at k = order + 1.
+    """
+    if x == 0.0:
+        return 0.0
+    k = order + 1
+    a = np.arccosh(k / x)
+    r = a - np.tanh(a)
+    return float(np.exp(-k * r) / -np.expm1(-r))
+
+
+class _Expansion(NamedTuple):
+    lam: float          # the expanded chain's own Gershgorin bound
+    z: np.ndarray       # Bessel arguments lam * t_n
+    mu: np.ndarray      # even moments mu_0, mu_2, ...
+    drift: float        # max(0, max mu_2k - 1)
+    bound: float        # certified bound on |C - C_cut| over the grid
+
+
+def _prefix_moments(b: np.ndarray, n_c: int, dt: float, n_steps: int,
+                    norm_tol: float = NORM_TOL) -> _Expansion:
+    """The expansion of C(t_n), t_n = n*dt, on the first n_c sites.
+
+    The bound on |C - C_cut| is 0.0 when n_c = d.  For a cut, with
+    T = n_steps*dt, the doubling identity
+    C(t) = 2|cos(Lt/2)e0|^2 - 1 and Duhamel's formula give
+    |C - C_cut| <= 2 b_{n_c} T max_{s <= T/2} |psi_{n_c-1}(s)| for the
+    prefix wavefunction psi; Jacobi-Anger with H_c = L_c/lam_c and
+    Cauchy-Schwarz (sum_k J_k^2 <= 1) bound that amplitude by
+    2 (sqrt(K+1) max_{k<=K} |v_k[n_c-1]| + sum_{k>K} |J_k|) for any K.
+    K runs past the moment count to the Miller start order of lam_c*T/2,
+    where the Bessel tail is negligible.
+    """
+    b_c = b[:n_c - 1]
+    lam = _spectral_bound(b_c) * (1.0 + 1e-7)
+    z = lam * dt * np.arange(n_steps + 1)
+    count = int(_miller_order(z[-1])) // 2
+    if n_c == b.size + 1:
+        mu, drift, _ = _even_moments(b_c, lam, count, norm_tol)
+        return _Expansion(lam, z, mu, drift, 0.0)
+    order = max(count, int(_miller_order(z[-1] / 2)))
+    mu, drift, edge = _even_moments(b_c, lam, order, norm_tol)
+    bound = 4.0 * b[n_c - 1] * (n_steps * dt) * (
+        np.sqrt(order + 1) * edge + _bessel_tail(order, z[-1] / 2))
+    return _Expansion(lam, z, mu, drift, float(bound))
 
 
 def _miller_order(z: np.ndarray) -> np.ndarray:
@@ -392,7 +468,14 @@ def propagate(
         never holds the wavefunction: it computes the even Chebyshev moments
         mu_2k of L/lambda at site 0 (about lambda*t_max/2 light-cone
         truncated matvecs) and sums C(t_n) = cos(L t_n)_00 as a Bessel
-        series in them (the kernel-polynomial route).
+        series in them (the kernel-polynomial route).  It expands only the
+        causal prefix: the first n_c sites, where sum_{m<n_c} 1/b_m first
+        reaches 2*t_max (the front's WKB travel time to the cut is t_max,
+        twice the t/2 the doubling identity needs), with the prefix's own
+        lambda.  A Duhamel bound certifies the cut; above CUT_TOL the whole
+        chain is expanded instead.  The series records lambda, the moment
+        count, the sites expanded and the bound (`lam`, `moments`, `sites`,
+        `cut_bound`; `sites` = d and `cut_bound` = 0 when uncut).
     snapshots : bool
         Keep the full wavefunction at every output step (memory d * steps);
         not available with "moments".
@@ -438,14 +521,18 @@ def propagate(
         return CorrelationSeries(dt, values, label=chain.label, method=method,
                                  snapshots=snaps)
 
-    lam_max = _spectral_bound(chain.b) * (1.0 + 1e-7)
     if method == "moments":
-        z = lam_max * dt * np.arange(n_steps + 1)
-        mu, drift_max = _even_moments(chain.b, lam_max,
-                                      int(_miller_order(z[-1])) // 2, norm_tol)
+        n_c = _causal_cut(chain.b, n_steps * dt, WKB_FACTOR)
+        ex = _prefix_moments(chain.b, n_c, dt, n_steps, norm_tol)
+        if not ex.bound <= CUT_TOL:     # uncertified: expand the whole chain
+            n_c = d
+            ex = _prefix_moments(chain.b, d, dt, n_steps, norm_tol)
         return CorrelationSeries(
-            dt, _cosine_series(mu, z), label=chain.label, method=method,
-            norm_drift_max=drift_max, tail_weight_max=np.nan)
+            dt, _cosine_series(ex.mu, ex.z), label=chain.label, method=method,
+            norm_drift_max=ex.drift, tail_weight_max=np.nan, lam=ex.lam,
+            moments=ex.mu.size, sites=n_c, cut_bound=ex.bound)
+
+    lam_max = _spectral_bound(chain.b) * (1.0 + 1e-7)
 
     tail_sites = max(1, d // 100)
     drift_max = 0.0

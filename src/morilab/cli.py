@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import re
 import sys
@@ -24,7 +25,8 @@ from .chain import CorrelationSeries, LanczosChain, PropagationError, propagate
 from .design import (exponential_chain, gaussian_chain, linear_continuation,
                      oscillating_pair)
 from .experiment import (ENGINE, Scenario, ScenarioConfig, histogram_to_csv,
-                         records_to_csv, run_scenario, scatter_to_csv)
+                         records_to_csv, run_scenario, scatter_to_csv,
+                         worker_count)
 from .fitting import FitModel, ModelClass, detect_equilibration, fit
 from .perturb import apply_draw, draw_noise
 from .reverse import (AnalyticCorrelation, QuadratureError,
@@ -36,6 +38,8 @@ RNG_NOTE = ("numpy PCG64 via default_rng; per-trial seeds from "
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+log = logging.getLogger("morilab")
 
 
 class ConfigError(ValueError):
@@ -327,8 +331,11 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
         emitted.append(f"chain_{name}.csv")
         run.baseline.to_csv(path(f"unperturbed_{name}.csv"))
         emitted.append(f"unperturbed_{name}.csv")
+        c0 = run.baseline
         unperturbed[name] = {**run.baseline_fit.to_json_dict(),
-                             "equilibrated": run.equilibrated}
+                             "equilibrated": run.equilibrated,
+                             "lam": c0.lam, "moments": c0.moments,
+                             "sites": c0.sites, "cut_bound": c0.cut_bound}
 
     summary_doc = {**summary.to_json_dict(), "config": config.to_json_dict(),
                    "unperturbed": unperturbed}
@@ -347,6 +354,8 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "engine": ENGINE,
+        "nproc": len(os.sched_getaffinity(0)),
+        "workers": worker_count(config),
         "rng": RNG_NOTE,
         "config": config.to_json_dict(),
         "duration_seconds": round(duration, 3),
@@ -469,10 +478,9 @@ def _cmd_run(args) -> int:
     t0 = time.time()
 
     def progress(done, total):
-        print(f"\r  trials {done}/{total}", end="", file=sys.stderr, flush=True)
+        log.info("trials %d/%d", done, total)
 
     records, summary = run_scenario(config, progress=progress)
-    print(file=sys.stderr)
     manifest = emit_run_outputs(config, records, summary, args.out,
                                 time.time() - t0)
     for name, fam in summary.families.items():
@@ -575,6 +583,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # progress goes to stderr unless the caller set the logger's level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("  %(message)s"))
+    log.addHandler(handler)
+    level = log.level
+    if level == logging.NOTSET:
+        log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except (PropagationError, QuadratureError) as err:
@@ -586,6 +601,9 @@ def main(argv=None) -> int:
     except RuntimeError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

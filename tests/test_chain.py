@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.special import jv
 
-from morilab.chain import (AmplitudeState, CorrelationSeries, LanczosChain,
-                           PropagationError, _even_moments, _spectral_bound,
-                           dense_correlation, dense_generator, propagate,
-                           spectral_function, spectral_width_sum)
-from morilab.design import exponential_chain
+from morilab import chain as chain_module
+from morilab.chain import (CUT_TOL, WKB_FACTOR, AmplitudeState,
+                           CorrelationSeries, LanczosChain, PropagationError,
+                           _bessel_tail, _causal_cut, _cosine_series,
+                           _even_moments, _miller_order, _prefix_moments,
+                           _spectral_bound, dense_correlation, dense_generator,
+                           propagate, spectral_function, spectral_width_sum)
+from morilab.design import exponential_chain, gaussian_chain, oscillating_pair
 from morilab.perturb import apply_draw, draw_noise
 
 
@@ -233,11 +238,154 @@ class TestMomentGuard:
     def test_quiet_on_desk_chain(self):
         chain = desk_trial_chain()
         lam = _spectral_bound(chain.b) * (1.0 + 1e-7)
-        mu, drift = _even_moments(chain.b, lam, 2000)
+        mu, drift, _ = _even_moments(chain.b, lam, 2000)
         assert np.abs(mu).max() <= 1.0 + 1e-12
         assert drift <= 1e-12
         series = propagate(chain, dt=0.02, t_max=40.0, method="moments")
         assert series.norm_drift_max <= 1e-12
+
+
+def desk_oscillating_chains(seed: int | None = None) -> list[LanczosChain]:
+    """The desk gdo and edo chains (d=2000), perturbed by one draw if seeded."""
+    pair = oscillating_pair(50, 2000, 2.0, 1.6)
+    if seed is None:
+        return list(pair)
+    return [apply_draw(c, 0.1, draw_noise(2000, 666, seed)).chain for c in pair]
+
+
+def uncut_engine(chain: LanczosChain, dt: float, t_max: float) -> np.ndarray:
+    """The moments engine on the whole chain, as it ran before the cut."""
+    lam = _spectral_bound(chain.b) * (1.0 + 1e-7)
+    z = lam * dt * np.arange(int(round(t_max / dt)) + 1)
+    mu, _, _ = _even_moments(chain.b, lam, int(_miller_order(z[-1])) // 2)
+    return _cosine_series(mu, z)
+
+
+OSC_DT, OSC_STEPS = 0.02, 1500      # the desk oscillation grid, t_max = 30
+
+
+class TestCausalCut:
+    def test_cut_rule(self):
+        b = np.array([1.0, 2.0, 4.0, 0.5, 1.0])
+        # 1/b sums: 1, 1.5, 1.75, 3.75, 4.75
+        assert _causal_cut(b, 0.75, 2.0) == 3     # sum over m = 1..2 reaches 1.5
+        assert _causal_cut(b, 1.0, 2.0) == 5
+        assert _causal_cut(b, 2.5, 2.0) == 6      # 5 is never reached: d
+        assert _causal_cut(b, 0.0, 2.0) == 2
+
+    @pytest.mark.parametrize("x", [0.5, 10.0, 555.6])
+    def test_bessel_tail_bounds_the_sum(self, x):
+        ys = np.linspace(0.0, x, 201)
+        for order in (int(np.ceil(x)) + 2, int(_miller_order(x))):
+            k = np.arange(order + 1, order + 2000)
+            tail = np.abs(jv(k[:, None], ys[None, :])).sum(axis=0).max()
+            assert tail <= _bessel_tail(order, x)
+        assert _bessel_tail(order, x) <= 1e3 * tail     # measured 17-300x
+        assert _bessel_tail(5, 0.0) == 0.0
+
+    def test_tail_alone_bounds_a_cut_beyond_the_cone(self):
+        # the recursion stops before v_k reaches site n_c - 1: only the
+        # Bessel tail is left in the bound, and it must still be there
+        b = np.ones(399)
+        ex = _prefix_moments(b, 300, 0.1, 50)
+        assert ex.mu.size - 1 < 299
+        tail = _bessel_tail(ex.mu.size - 1, ex.z[-1] / 2)
+        assert ex.bound == 4.0 * 1.0 * (50 * 0.1) * tail > 0.0
+
+    def test_short_cut_is_refused_and_propagate_falls_back(self, monkeypatch):
+        gdo, _ = desk_oscillating_chains()
+        horizon = OSC_STEPS * OSC_DT
+        n_c = _causal_cut(gdo.b, horizon, 1.0)
+        assert 100 <= n_c <= 140          # measured 118
+        ex = _prefix_moments(gdo.b, n_c, OSC_DT, OSC_STEPS)
+        t = OSC_DT * np.arange(OSC_STEPS + 1)
+        err = np.abs(_cosine_series(ex.mu, ex.z) - dense_correlation(gdo, t)).max()
+        assert err >= 0.05                # measured 0.069: the cut is wrong
+        assert ex.bound >= 1e3            # measured 6.2e3: and not certified
+        monkeypatch.setattr(chain_module, "WKB_FACTOR", 1.0)
+        series = propagate(gdo, dt=OSC_DT, t_max=horizon, method="moments")
+        assert (series.sites, series.cut_bound) == (gdo.d, 0.0)
+        assert np.array_equal(series.values, uncut_engine(gdo, OSC_DT, horizon))
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_rule_cut_is_certified_and_exact(self, seed):
+        for chain in desk_oscillating_chains(seed):
+            series = propagate(chain, dt=OSC_DT, t_max=30.0, method="moments")
+            assert 400 <= series.sites <= 560         # measured 458-506
+            # Kapteyn's Bessel tail dominates; the edge term is below 1e-39
+            assert 0.0 < series.cut_bound <= 1e-18    # measured 3e-22..2e-21
+            assert series.lam < 0.5 * _spectral_bound(chain.b)
+            err = np.abs(series.values - dense_correlation(chain, series.t)).max()
+            assert err <= 1e-13                       # measured 6e-15
+
+    def test_weak_bond_inside_the_reach_falls_back(self):
+        # a floor-clamped hopping makes sum 1/b jump: the rule cuts right
+        # behind it, where the front arrives early and the bound refuses
+        gdo, _ = desk_oscillating_chains()
+        b = gdo.b.copy()
+        b[50] = 1e-6
+        weak = LanczosChain(b)
+        n_c = _causal_cut(b, 30.0, WKB_FACTOR)
+        assert n_c == 52
+        assert _prefix_moments(b, n_c, OSC_DT, OSC_STEPS).bound > CUT_TOL
+        series = propagate(weak, dt=OSC_DT, t_max=30.0, method="moments")
+        assert (series.sites, series.cut_bound) == (weak.d, 0.0)
+        assert np.array_equal(series.values, uncut_engine(weak, OSC_DT, 30.0))
+
+    @pytest.mark.parametrize("family", ["g", "e"])
+    def test_desk_decay_chains_are_not_cut(self, family):
+        base = gaussian_chain(150, 2000) if family == "g" \
+            else exponential_chain(1.2, 150, 2000)
+        for chain in (base, apply_draw(base, 0.5, draw_noise(2000, 666, 4)).chain):
+            # the whole chain's WKB travel time, 33-36, is below t_max = 40
+            assert _causal_cut(chain.b, 40.0, WKB_FACTOR) == chain.d
+            series = propagate(chain, dt=0.02, t_max=40.0, method="moments")
+            assert (series.sites, series.cut_bound) == (chain.d, 0.0)
+            assert series.lam == _spectral_bound(chain.b) * (1.0 + 1e-7)
+            z_end = series.lam * 0.02 * 2000
+            assert series.moments == int(_miller_order(z_end)) // 2 + 1
+            assert np.array_equal(series.values, uncut_engine(chain, 0.02, 40.0))
+
+
+def random_chain(seed: int, d: int, growing: bool) -> LanczosChain:
+    """Flat hopping in [0.5, 2], or hopping growing like n^0.75 up to ~4."""
+    rng = np.random.default_rng(seed)
+    if growing:
+        n = np.arange(1, d)
+        return LanczosChain(0.3 + 3.5 * (n / d) ** 0.75 * rng.uniform(0.8, 1.2, d - 1))
+    return LanczosChain(rng.uniform(0.5, 2.0, d - 1))
+
+
+class TestCutProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(20, 300),
+           growing=st.booleans(), t_max=st.floats(1.0, 15.0),
+           n_steps=st.integers(5, 150), factor=st.floats(0.25, 3.0))
+    def test_certificate_is_sound(self, seed, d, growing, t_max, n_steps,
+                                  factor):
+        chain = random_chain(seed, d, growing)
+        dt = t_max / n_steps
+        n_c = _causal_cut(chain.b, n_steps * dt, factor)
+        ex = _prefix_moments(chain.b, n_c, dt, n_steps)
+        t = dt * np.arange(n_steps + 1)
+        err = np.abs(_cosine_series(ex.mu, ex.z) - dense_correlation(chain, t)).max()
+        assert err <= ex.bound + 1e-13
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(20, 300),
+           growing=st.booleans(), t_max=st.floats(1.0, 15.0),
+           n_steps=st.integers(5, 150), power=st.integers(-3, 3))
+    def test_scale_covariance(self, seed, d, growing, t_max, n_steps, power):
+        # b -> s b with s a power of two scales every product exactly
+        chain = random_chain(seed, d, growing)
+        s, dt = 2.0**power, t_max / n_steps
+        one = propagate(chain, dt=dt, t_max=t_max, method="moments")
+        two = propagate(chain.scaled(s), dt=dt / s, t_max=t_max / s,
+                        method="moments")
+        assert np.array_equal(one.values, two.values)
+        assert (one.sites, one.moments, one.cut_bound) == \
+            (two.sites, two.moments, two.cut_bound)
+        assert two.lam == s * one.lam
 
 
 class TestDenseCorrelation:

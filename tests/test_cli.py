@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import sys
 
@@ -250,6 +251,8 @@ class TestRunCommand:
         assert manifest["tool"] == "morilab"
         assert manifest["scipy"] == scipy.__version__
         assert manifest["engine"] == "moments"
+        assert manifest["nproc"] == len(os.sched_getaffinity(0))
+        assert manifest["workers"] == 1
         for name, digest in manifest["outputs"].items():
             assert cli._sha256(tiny_run / name) == digest
 
@@ -276,6 +279,32 @@ class TestRunCommand:
         # the moments engine does not measure the boundary tail
         for baseline in summary["unperturbed"].values():
             assert "tail_flagged" not in baseline
+
+    def test_summary_reports_the_engine_of_each_baseline(self, tiny_run):
+        summary = json.loads((tiny_run / "summary.json").read_text())
+        config = parse_config(str(tiny_run / "manifest.json"), {})
+        for family in build_families(config):
+            c0 = chain.propagate(family.chain, dt=config.dt, t_max=config.t_max,
+                                 method=experiment.ENGINE)
+            got = summary["unperturbed"][family.name]
+            assert (got["lam"], got["moments"], got["sites"], got["cut_bound"]) \
+                == (c0.lam, c0.moments, c0.sites, c0.cut_bound)
+            assert got["lam"] > 0 and got["moments"] > 1
+            assert got["sites"] == config.d       # these chains are not cut
+
+    def test_progress_can_be_silenced(self, capsys, tmp_path):
+        logger = logging.getLogger("morilab")
+        logger.setLevel(logging.WARNING)
+        try:
+            assert main(TINY_RUN + ["--out", str(tmp_path)]) == 0
+        finally:
+            logger.setLevel(logging.NOTSET)
+        assert "trials" not in capsys.readouterr().err
+
+    def test_progress_shown_on_stderr(self, capsys, tmp_path):
+        assert main(TINY_RUN + ["--out", str(tmp_path)]) == 0
+        assert f"trials {2 * TINY_TRIALS}/{2 * TINY_TRIALS}" in \
+            capsys.readouterr().err
 
     def test_baselines_use_moments_engine(self):
         config = parse_config(None, {"scenario": "decay", "d": 150,
