@@ -7,10 +7,9 @@ perturbed dynamics leave their class.
 
 __version__ = "0.1.0"
 
-from .chain import (AmplitudeState, CorrelationSeries, LanczosChain,
-                    PropagationError, SpectralFunction, dense_correlation,
-                    dense_generator, propagate, spectral_function,
-                    spectral_width_sum)
+from .chain import (CorrelationSeries, LanczosChain, PropagationError,
+                    SpectralFunction, dense_correlation, dense_generator,
+                    propagate, spectral_function, spectral_width_sum)
 from .design import (ContinuationResult, edo_chain, exponential_chain,
                      gaussian_chain, linear_continuation, oscillating_pair,
                      q_ratio)
@@ -27,7 +26,7 @@ from .reverse import (AnalyticCorrelation, LanczosBreakdownError,
 
 __all__ = [
     "__version__",
-    "AmplitudeState", "CorrelationSeries", "LanczosChain", "PropagationError",
+    "CorrelationSeries", "LanczosChain", "PropagationError",
     "SpectralFunction", "dense_correlation", "dense_generator", "propagate",
     "spectral_function", "spectral_width_sum",
     "ContinuationResult", "edo_chain", "exponential_chain", "gaussian_chain",

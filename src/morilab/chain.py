@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +21,6 @@ from scipy.special import jv
 
 __all__ = [
     "LanczosChain",
-    "AmplitudeState",
     "CorrelationSeries",
     "SpectralFunction",
     "PropagationError",
@@ -34,6 +33,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9          # allowed |sum phi^2 - 1| over the full horizon
+RK4_TOL = 1e-9           # phase-error budget that sizes the rk4 substep
+C0_TOL = 1e-9            # largest |C(0) - 1| of a normalized series
 CUT_TOL = 1e-13          # largest certified |C - C_cut| a causal cut may carry
 WKB_FACTOR = 2.0         # cut where sum 1/b_m reaches this multiple of t_max
 TAIL_WEIGHT_LIMIT = 1e-6  # boundary-reflection guard threshold
@@ -101,17 +102,6 @@ class LanczosChain:
         return chain
 
 
-@dataclass(frozen=True)
-class AmplitudeState:
-    """Real site amplitudes of the chain wavefunction at one instant."""
-
-    phi: np.ndarray
-    t: float
-
-    def norm_error(self) -> float:
-        return abs(float(np.sum(self.phi**2)) - 1.0)
-
-
 @dataclass
 class CorrelationSeries:
     """C(t_n) on the uniform grid t_n = n*dt."""
@@ -130,13 +120,12 @@ class CorrelationSeries:
     moments: int = 0
     sites: int = 0
     cut_bound: float = 0.0
-    snapshots: list[AmplitudeState] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.normalized and self.values.size and abs(self.values[0] - 1.0) > 1e-12:
+        if self.normalized and self.values.size and abs(self.values[0] - 1.0) > C0_TOL:
             raise ValueError("normalized series must start at C(0)=1")
 
     @property
@@ -172,7 +161,8 @@ class CorrelationSeries:
         dt = t[1] - t[0]
         if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-9 * max(dt, 1.0)):
             raise ValueError("time grid is not uniform")
-        return cls(float(dt), c, normalized=abs(c[0] - 1.0) < 1e-9, label=label)
+        return cls(float(dt), c, normalized=abs(c[0] - 1.0) <= C0_TOL,
+                   label=label)
 
 
 @dataclass
@@ -276,8 +266,8 @@ def _chebyshev_step(bs: np.ndarray, phi: np.ndarray, J: np.ndarray) -> np.ndarra
 _MILLER_SEED = 1e-300
 
 
-def _even_moments(b: np.ndarray, lam: float, count: int,
-                  norm_tol: float = NORM_TOL) -> tuple[np.ndarray, float, float]:
+def _even_moments(b: np.ndarray, lam: float,
+                  count: int) -> tuple[np.ndarray, float, float]:
     """mu_2k = <e0|T_2k(L/lam)|e0> for k = 0..count, their drift bound, and
     max_k |v_k[d-1]|, the largest Chebyshev amplitude on the last site.
 
@@ -314,10 +304,10 @@ def _even_moments(b: np.ndarray, lam: float, count: int,
             edge = max(edge, abs(cur[d - 1]))
         if mu[k + 1] - 1.0 > drift:
             drift = mu[k + 1] - 1.0
-            if drift > norm_tol:
+            if drift > NORM_TOL:
                 raise PropagationError(
                     f"Chebyshev moment mu_{2 * k + 2} = {mu[k + 1]:.3g} exceeds 1 "
-                    f"by more than {norm_tol:.0e}: the scale {lam:.6g} does not "
+                    f"by more than {NORM_TOL:.0e}: the scale {lam:.6g} does not "
                     f"bound the spectrum; use method='chebyshev'")
     return mu, drift, edge
 
@@ -357,8 +347,8 @@ class _Expansion(NamedTuple):
     bound: float        # certified bound on |C - C_cut| over the grid
 
 
-def _prefix_moments(b: np.ndarray, n_c: int, dt: float, n_steps: int,
-                    norm_tol: float = NORM_TOL) -> _Expansion:
+def _prefix_moments(b: np.ndarray, n_c: int, dt: float,
+                    n_steps: int) -> _Expansion:
     """The expansion of C(t_n), t_n = n*dt, on the first n_c sites.
 
     The bound on |C - C_cut| is 0.0 when n_c = d.  For a cut, with
@@ -376,10 +366,10 @@ def _prefix_moments(b: np.ndarray, n_c: int, dt: float, n_steps: int,
     z = lam * dt * np.arange(n_steps + 1)
     count = int(_miller_order(z[-1])) // 2
     if n_c == b.size + 1:
-        mu, drift, _ = _even_moments(b_c, lam, count, norm_tol)
+        mu, drift, _ = _even_moments(b_c, lam, count)
         return _Expansion(lam, z, mu, drift, 0.0)
     order = max(count, int(_miller_order(z[-1] / 2)))
-    mu, drift, edge = _even_moments(b_c, lam, order, norm_tol)
+    mu, drift, edge = _even_moments(b_c, lam, order)
     bound = 4.0 * b[n_c - 1] * (n_steps * dt) * (
         np.sqrt(order + 1) * edge + _bessel_tail(order, z[-1] / 2))
     return _Expansion(lam, z, mu, drift, float(bound))
@@ -446,13 +436,9 @@ def propagate(
     chain: LanczosChain,
     dt: float = 0.01,
     t_max: float = 10.0,
-    method: str = "chebyshev",
-    *,
-    snapshots: bool = False,
-    norm_tol: float = NORM_TOL,
-    rk4_tol: float = 1e-9,
+    method: str = "moments",
 ) -> CorrelationSeries:
-    """Evolve phi from the delta start and record C(t_n) = phi_0(t_n).
+    """C(t_n) = <e0|cos(L t_n)|e0>, the site-0 amplitude from the delta start.
 
     Parameters
     ----------
@@ -461,31 +447,31 @@ def propagate(
         Output time step.
     t_max : float
         Horizon; the grid is t_n = n*dt, n = 0..round(t_max/dt).
-    method : {"chebyshev", "rk4", "moments"}
-        "chebyshev" (default) is a scaled polynomial expansion of the matrix
-        exponential, exact to round-off per step; "rk4" is a fixed-substep
-        classical integrator with an accuracy-derived substep.  "moments"
-        never holds the wavefunction: it computes the even Chebyshev moments
-        mu_2k of L/lambda at site 0 (about lambda*t_max/2 light-cone
-        truncated matvecs) and sums C(t_n) = cos(L t_n)_00 as a Bessel
-        series in them (the kernel-polynomial route).  It expands only the
-        causal prefix: the first n_c sites, where sum_{m<n_c} 1/b_m first
-        reaches 2*t_max (the front's WKB travel time to the cut is t_max,
-        twice the t/2 the doubling identity needs), with the prefix's own
-        lambda.  A Duhamel bound certifies the cut; above CUT_TOL the whole
-        chain is expanded instead.  The series records lambda, the moment
-        count, the sites expanded and the bound (`lam`, `moments`, `sites`,
-        `cut_bound`; `sites` = d and `cut_bound` = 0 when uncut).
-    snapshots : bool
-        Keep the full wavefunction at every output step (memory d * steps);
-        not available with "moments".
+    method : {"moments", "chebyshev", "rk4"}
+        "moments" (default) never holds the wavefunction: it computes the
+        even Chebyshev moments mu_2k of L/lambda at site 0 (about
+        lambda*t_max/2 light-cone truncated matvecs) and sums
+        C(t_n) = cos(L t_n)_00 as a Bessel series in them (the
+        kernel-polynomial route).  It expands only the causal prefix: the
+        first n_c sites, where sum_{m<n_c} 1/b_m first reaches 2*t_max (the
+        front's WKB travel time to the cut is t_max, twice the t/2 the
+        doubling identity needs), with the prefix's own lambda.  A Duhamel
+        bound certifies the cut; above CUT_TOL the whole chain is expanded
+        instead.  The series records lambda, the moment count, the sites
+        expanded and the bound (`lam`, `moments`, `sites`, `cut_bound`;
+        `sites` = d and `cut_bound` = 0 when uncut).
+        "chebyshev" and "rk4" are the stepping references; they evolve the
+        wavefunction.  "chebyshev" is a scaled polynomial expansion of the
+        matrix exponential, exact to round-off per step; "rk4" is a
+        fixed-substep classical integrator whose substep keeps the phase
+        error below RK4_TOL.
 
     Raises
     ------
     PropagationError
-        If the norm drifts beyond `norm_tol` (for "moments": if some
-        |mu_2k| exceeds 1 by more than `norm_tol`, which the spectral
-        bound forbids); the message names the remedy.
+        If the norm drifts beyond NORM_TOL (for "moments": if some |mu_2k|
+        exceeds 1 by more than NORM_TOL, which the spectral bound forbids);
+        the message names the remedy.
 
     Notes
     -----
@@ -502,36 +488,28 @@ def propagate(
         raise ValueError("t_max must be nonnegative")
     if method not in ("chebyshev", "rk4", "moments"):
         raise ValueError(f"unknown propagator method {method!r}")
-    if snapshots and method == "moments":
-        raise ValueError("method='moments' keeps no wavefunction snapshots")
 
     d = chain.d
     n_steps = int(round(t_max / dt))
-    values = np.empty(n_steps + 1)
-    values[0] = 1.0
-
-    phi = np.zeros(d)
-    phi[0] = 1.0
-    snaps = [AmplitudeState(phi.copy(), 0.0)] if snapshots else None
-
     if d == 1:
-        values[:] = 1.0
-        if snapshots:
-            snaps = [AmplitudeState(np.ones(1), n * dt) for n in range(n_steps + 1)]
-        return CorrelationSeries(dt, values, label=chain.label, method=method,
-                                 snapshots=snaps)
+        return CorrelationSeries(dt, np.ones(n_steps + 1), label=chain.label,
+                                 method=method)
 
     if method == "moments":
         n_c = _causal_cut(chain.b, n_steps * dt, WKB_FACTOR)
-        ex = _prefix_moments(chain.b, n_c, dt, n_steps, norm_tol)
+        ex = _prefix_moments(chain.b, n_c, dt, n_steps)
         if not ex.bound <= CUT_TOL:     # uncertified: expand the whole chain
             n_c = d
-            ex = _prefix_moments(chain.b, d, dt, n_steps, norm_tol)
+            ex = _prefix_moments(chain.b, d, dt, n_steps)
         return CorrelationSeries(
             dt, _cosine_series(ex.mu, ex.z), label=chain.label, method=method,
             norm_drift_max=ex.drift, tail_weight_max=np.nan, lam=ex.lam,
             moments=ex.mu.size, sites=n_c, cut_bound=ex.bound)
 
+    values = np.empty(n_steps + 1)
+    values[0] = 1.0
+    phi = np.zeros(d)
+    phi[0] = 1.0
     lam_max = _spectral_bound(chain.b) * (1.0 + 1e-7)
 
     tail_sites = max(1, d // 100)
@@ -544,7 +522,7 @@ def propagate(
         def step(x):
             return _chebyshev_step(bs, x, J)
     else:
-        n_sub = _rk4_substep_count(dt, t_max, lam_max, rk4_tol)
+        n_sub = _rk4_substep_count(dt, t_max, lam_max, RK4_TOL)
         h = dt / n_sub
         b = chain.b
         def step(x):
@@ -561,22 +539,20 @@ def propagate(
         values[n] = phi[0]
         drift = abs(float(phi @ phi) - 1.0)
         drift_max = max(drift_max, drift)
-        if drift > norm_tol:
+        if drift > NORM_TOL:
             if method == "rk4":
                 hint = (f"shrink dt below {0.5 / chain.b.max():.3g} "
                         f"or use method='chebyshev'")
             else:
                 hint = f"shrink dt below {dt / 2:.3g}"
             raise PropagationError(
-                f"norm drift {drift:.2e} beyond {norm_tol:.0e} at t={n * dt:.4g}; {hint}")
+                f"norm drift {drift:.2e} beyond {NORM_TOL:.0e} at t={n * dt:.4g}; {hint}")
         tail_max = max(tail_max, float(np.sum(phi[-tail_sites:] ** 2)))
-        if snapshots:
-            snaps.append(AmplitudeState(phi.copy(), n * dt))
 
     return CorrelationSeries(
         dt, values, label=chain.label, method=method,
         norm_drift_max=drift_max, tail_weight_max=tail_max,
-        tail_flagged=tail_max > TAIL_WEIGHT_LIMIT, snapshots=snaps)
+        tail_flagged=tail_max > TAIL_WEIGHT_LIMIT)
 
 
 def default_broadening(chain: LanczosChain, dt: float = 0.01) -> float:

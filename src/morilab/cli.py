@@ -24,7 +24,7 @@ from . import __version__
 from .chain import CorrelationSeries, LanczosChain, PropagationError, propagate
 from .design import (exponential_chain, gaussian_chain, linear_continuation,
                      oscillating_pair)
-from .experiment import (ENGINE, Scenario, ScenarioConfig, histogram_to_csv,
+from .experiment import (Scenario, ScenarioConfig, histogram_to_csv,
                          records_to_csv, run_scenario, scatter_to_csv,
                          worker_count)
 from .fitting import FitModel, ModelClass, detect_equilibration, fit
@@ -353,7 +353,8 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
         "version": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "engine": ENGINE,
+        "engine": "/".join(sorted({run.baseline.method
+                                   for run in summary.runs.values()})),
         "nproc": len(os.sched_getaffinity(0)),
         "workers": worker_count(config),
         "rng": RNG_NOTE,
@@ -421,11 +422,11 @@ def _cmd_design(args) -> int:
 
 def _cmd_propagate(args) -> int:
     chain = LanczosChain.from_csv(args.chain)
-    series = propagate(chain, dt=args.dt, t_max=args.tmax, method=args.method)
+    series = propagate(chain, dt=args.dt, t_max=args.tmax)
     series.to_csv(args.out)
-    flag = " [tail-weight flagged]" if series.tail_flagged else ""
     print(f"wrote {args.out} ({len(series)} samples, drift "
-          f"{series.norm_drift_max:.2e}){flag}")
+          f"{series.norm_drift_max:.2e}, {series.sites} sites, cut bound "
+          f"{series.cut_bound:.1e})")
     return 0
 
 
@@ -525,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", required=True)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--method", choices=["chebyshev", "rk4"], default="chebyshev")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_propagate)
 

@@ -24,7 +24,6 @@ from .fitting import (FitResult, ModelClass, detect_equilibration, epsilon,
 from .perturb import POSITIVITY_FLOOR, apply_draw, draw_noise
 
 __all__ = [
-    "ENGINE",
     "Scenario",
     "ScenarioConfig",
     "TrialRecord",
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 ENV_THREADS = "MORILAB_THREADS"
-ENGINE = "moments"  # `propagate` method for every baseline and trial
 N_EXEMPLARS = 3  # perturbed trials per family kept for the curves figure
 
 
@@ -294,7 +292,7 @@ def _run_one_trial(ctx: FamilyRun, trial: int) -> tuple[TrialRecord, np.ndarray]
     seed = trial_seed(cfg.base_seed, ctx.index, trial)
     draw = draw_noise(cfg.d, cfg.n_f, seed)
     pert = apply_draw(ctx.chain, cfg.strength, draw, floor=cfg.floor)
-    series = propagate(pert.chain, dt=cfg.dt, t_max=cfg.t_max, method=ENGINE)
+    series = propagate(pert.chain, dt=cfg.dt, t_max=cfg.t_max)
     n_eq, equilibrated = detect_equilibration(series, cfg.eq_threshold,
                                               cfg.eq_window)
     f0 = ctx.baseline_fit.model
@@ -318,12 +316,14 @@ def _run_block(args) -> list[tuple[TrialRecord, np.ndarray]]:
 
 
 def worker_count(config: ScenarioConfig) -> int:
+    """config.workers, else MORILAB_THREADS, else the CPUs this process may
+    run on (its affinity, not the host's count)."""
     if config.workers is not None:
         return max(1, config.workers)
     env = os.environ.get(ENV_THREADS)
     if env:
         return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    return len(os.sched_getaffinity(0))
 
 
 def run_scenario(config: ScenarioConfig,
@@ -342,8 +342,7 @@ def run_scenario(config: ScenarioConfig,
     """
     runs = []
     for idx, fam in enumerate(build_families(config)):
-        c0 = propagate(fam.chain, dt=config.dt, t_max=config.t_max,
-                       method=ENGINE)
+        c0 = propagate(fam.chain, dt=config.dt, t_max=config.t_max)
         n_eq0, eq0 = detect_equilibration(c0, config.eq_threshold,
                                           config.eq_window)
         runs.append(FamilyRun(fam.name, idx, fam.chain, fam.model_class, c0,

@@ -229,8 +229,7 @@ class TestOnePass:
                 pert = apply_draw(family.chain, config.strength, draw,
                                   floor=config.floor)
                 series = chain.propagate(pert.chain, dt=config.dt,
-                                         t_max=config.t_max,
-                                         method=experiment.ENGINE)
+                                         t_max=config.t_max)
                 stride = max(1, len(series) // 1500)
                 assert [r[3] for r in shown if int(r[1]) == rec.trial] == \
                     [f"{c:.17g}" for c in series.values[::stride]]
@@ -271,6 +270,22 @@ class TestRunCommand:
         for n in svgs:
             assert (tiny_run / n).read_bytes() == before[n]
 
+    @pytest.mark.parametrize("family", ["g", "e"])
+    def test_propagate_command_reproduces_the_baseline(self, tiny_run,
+                                                       tmp_path, capsys,
+                                                       family):
+        out = tmp_path / "C.csv"
+        assert main(["propagate", "--chain", str(tiny_run / f"chain_{family}.csv"),
+                     "--dt", "0.05", "--tmax", "10", "--out", str(out)]) == 0
+        assert out.read_bytes() == \
+            (tiny_run / f"unperturbed_{family}.csv").read_bytes()
+        summary = json.loads((tiny_run / "summary.json").read_text())
+        baseline = summary["unperturbed"][family]
+        printed = capsys.readouterr().out
+        assert f"{baseline['sites']} sites, cut bound " \
+            f"{baseline['cut_bound']:.1e}" in printed
+        assert "flagged" not in printed
+
     def test_summary_contents(self, tiny_run):
         summary = json.loads((tiny_run / "summary.json").read_text())
         assert set(summary["families"]) == {"g", "e"}
@@ -284,8 +299,7 @@ class TestRunCommand:
         summary = json.loads((tiny_run / "summary.json").read_text())
         config = parse_config(str(tiny_run / "manifest.json"), {})
         for family in build_families(config):
-            c0 = chain.propagate(family.chain, dt=config.dt, t_max=config.t_max,
-                                 method=experiment.ENGINE)
+            c0 = chain.propagate(family.chain, dt=config.dt, t_max=config.t_max)
             got = summary["unperturbed"][family.name]
             assert (got["lam"], got["moments"], got["sites"], got["cut_bound"]) \
                 == (c0.lam, c0.moments, c0.sites, c0.cut_bound)

@@ -1,9 +1,15 @@
+import os
+import struct
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from morilab.experiment import (Scenario, ScenarioConfig, build_families,
-                                histogram, records_from_csv, records_to_csv,
-                                run_scenario, summarize, trial_seed)
+from morilab.experiment import (Scenario, ScenarioConfig, TrialRecord,
+                                build_families, histogram, records_from_csv,
+                                records_to_csv, run_scenario, summarize,
+                                trial_seed, worker_count)
 from morilab.fitting import ModelClass
 
 FAST_DECAY = dict(scenario=Scenario.DECAY, d=200, n_trials=6, dt=0.05,
@@ -128,7 +134,6 @@ class TestTrialSeed:
 
 class TestWorkerCount:
     def test_env_caps_workers(self, monkeypatch):
-        from morilab.experiment import worker_count
         cfg = ScenarioConfig(**FAST_DECAY)
         monkeypatch.setattr(cfg, "workers", None)
         monkeypatch.setenv("MORILAB_THREADS", "3")
@@ -136,8 +141,14 @@ class TestWorkerCount:
         monkeypatch.delenv("MORILAB_THREADS")
         assert worker_count(cfg) >= 1
 
+    def test_default_is_the_affinity_not_the_host(self, monkeypatch):
+        monkeypatch.delenv("MORILAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = ScenarioConfig(**{**FAST_DECAY, "workers": None})
+        assert worker_count(cfg) == 2
+
     def test_explicit_workers_win(self, monkeypatch):
-        from morilab.experiment import worker_count
         monkeypatch.setenv("MORILAB_THREADS", "5")
         cfg = ScenarioConfig(**{**FAST_DECAY, "workers": 2})
         assert worker_count(cfg) == 2
@@ -224,3 +235,36 @@ class TestRecordsCsv:
         records_to_csv(records1, p1)
         records_to_csv(records2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def bits(value):
+    """A record field compared bit for bit: floats by their IEEE bytes."""
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# the optional oscillation parameters, with the edge cases always in reach
+OPTIONAL = st.one_of(st.none(), FINITE, st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]))
+
+RECORDS = st.lists(st.builds(
+    TrialRecord, trial=st.integers(0, 10**6),
+    family=st.sampled_from(["g", "e", "gdo", "edo"]),
+    seed=st.integers(0, 2**64 - 1),
+    model=st.sampled_from([m.value for m in ModelClass]),
+    a=FINITE, mu=FINITE, omega=OPTIONAL, phi=OPTIONAL, epsilon=FINITE,
+    sigma=FINITE, eps0=FINITE, n_eq=st.integers(0, 10**6),
+    equilibrated=st.booleans(), clamp_count=st.integers(0, 10**6),
+    converged=st.booleans(), valid=st.booleans()), max_size=8)
+
+
+class TestRecordsCsvProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=RECORDS)
+    def test_roundtrip_bit_exact(self, tmp_path, records):
+        path = tmp_path / "records.csv"
+        records_to_csv(records, path)
+        back = records_from_csv(path)
+        assert [tuple(map(bits, astuple(r))) for r in back] == \
+            [tuple(map(bits, astuple(r))) for r in records]
