@@ -8,8 +8,8 @@ perturbed dynamics leave their class.
 __version__ = "0.1.0"
 
 from .chain import (CorrelationSeries, LanczosChain, PropagationError,
-                    SpectralFunction, dense_correlation, dense_generator,
-                    propagate, spectral_function, spectral_width_sum)
+                    dense_correlation, dense_generator, propagate,
+                    propagate_many, spectral_width_sum)
 from .design import (ContinuationResult, edo_chain, exponential_chain,
                      gaussian_chain, linear_continuation, oscillating_pair,
                      q_ratio)
@@ -17,8 +17,7 @@ from .experiment import (EnsembleSummary, Histogram, Scenario, ScenarioConfig,
                          TrialRecord, histogram, run_scenario, summarize)
 from .fitting import (FitModel, FitResult, ModelClass, detect_equilibration,
                       epsilon, fit, sigma)
-from .perturb import (PerturbationDraw, PerturbedChain, apply_draw, draw_noise,
-                      scaling_check)
+from .perturb import PerturbationDraw, PerturbedChain, apply_draw, draw_noise
 from .reverse import (AnalyticCorrelation, LanczosBreakdownError,
                       QuadratureError, ReverseResult, SpectralDensityInput,
                       fourier_of_correlation, lanczos_from_spectrum,
@@ -27,8 +26,8 @@ from .reverse import (AnalyticCorrelation, LanczosBreakdownError,
 __all__ = [
     "__version__",
     "CorrelationSeries", "LanczosChain", "PropagationError",
-    "SpectralFunction", "dense_correlation", "dense_generator", "propagate",
-    "spectral_function", "spectral_width_sum",
+    "dense_correlation", "dense_generator", "propagate", "propagate_many",
+    "spectral_width_sum",
     "ContinuationResult", "edo_chain", "exponential_chain", "gaussian_chain",
     "linear_continuation", "oscillating_pair", "q_ratio",
     "EnsembleSummary", "Histogram", "Scenario", "ScenarioConfig", "TrialRecord",
@@ -36,7 +35,6 @@ __all__ = [
     "FitModel", "FitResult", "ModelClass", "detect_equilibration", "epsilon",
     "fit", "sigma",
     "PerturbationDraw", "PerturbedChain", "apply_draw", "draw_noise",
-    "scaling_check",
     "AnalyticCorrelation", "LanczosBreakdownError", "QuadratureError",
     "ReverseResult", "SpectralDensityInput", "fourier_of_correlation",
     "lanczos_from_spectrum", "tridiagonalize_dense",

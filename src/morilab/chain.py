@@ -1,19 +1,17 @@
-"""Finite Mori chain: hopping coefficients, time evolution, spectral function.
+"""Finite Mori chain: hopping coefficients and time evolution.
 
 The chain is the one-dimensional tight-binding model whose hopping
 amplitudes are the Lanczos coefficients b_1..b_{d-1}.  The site-0
 amplitude of the evolving wavefunction is the autocorrelation function
-C(t); its Fourier transform admits a continued-fraction expansion in
-the same coefficients.
+C(t).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -22,14 +20,12 @@ from scipy.special import jv
 __all__ = [
     "LanczosChain",
     "CorrelationSeries",
-    "SpectralFunction",
     "PropagationError",
     "propagate",
+    "propagate_many",
     "dense_generator",
     "dense_correlation",
-    "spectral_function",
     "spectral_width_sum",
-    "default_broadening",
 ]
 
 NORM_TOL = 1e-9          # allowed |sum phi^2 - 1| over the full horizon
@@ -92,15 +88,6 @@ class LanczosChain:
         with open(path, "w") as fh:
             json.dump({"label": self.label, "d": self.d, "b": [float(x) for x in self.b]}, fh)
 
-    @classmethod
-    def from_json(cls, path) -> "LanczosChain":
-        with open(path) as fh:
-            data = json.load(fh)
-        chain = cls(np.array(data["b"], dtype=float), data.get("label", ""))
-        if "d" in data and data["d"] != chain.d:
-            raise ValueError("stored d inconsistent with coefficient count")
-        return chain
-
 
 @dataclass
 class CorrelationSeries:
@@ -135,13 +122,6 @@ class CorrelationSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    def first_passage(self, level: float = 1.0 / np.e) -> float:
-        """Time of first passage of |C| below `level` (relaxation-time proxy)."""
-        idx = np.nonzero(np.abs(self.values) < level)[0]
-        if idx.size == 0:
-            return np.inf
-        return float(idx[0] * self.dt)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("t,C\n")
@@ -163,19 +143,6 @@ class CorrelationSeries:
             raise ValueError("time grid is not uniform")
         return cls(float(dt), c, normalized=abs(c[0] - 1.0) <= C0_TOL,
                    label=label)
-
-
-@dataclass
-class SpectralFunction:
-    """Nonnegative spectral density on a frequency grid, resolvent-broadened."""
-
-    omega: np.ndarray
-    values: np.ndarray
-    eta: float
-
-    def integral(self) -> float:
-        """(1/2pi) * trapezoid integral; equals 1 for a normalized source."""
-        return float(np.trapezoid(self.values, self.omega) / (2 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +306,22 @@ def _bessel_tail(order: int, x: float) -> float:
     return float(np.exp(-k * r) / -np.expm1(-r))
 
 
+# 2^(j/64 - 1), j = 0..64: the mantissas in [1/2, 1] of the grid 2^(j/64)
+# that spectral scales are rounded up to
+_LAM_GRID = np.exp2(np.arange(65) / 64 - 1.0)
+
+
+def _quantized(lam: float) -> float:
+    """The smallest 2^(j/64) >= lam > 0, for integer j.  Built from lam's
+    binary mantissa and exponent, so lam -> 2^p lam maps it exactly onto
+    2^p times it, and powers of two map to themselves."""
+    mantissa, exponent = np.frexp(lam)
+    return float(np.ldexp(_LAM_GRID[np.searchsorted(_LAM_GRID, mantissa)],
+                          exponent))
+
+
 class _Expansion(NamedTuple):
-    lam: float          # the expanded chain's own Gershgorin bound
+    lam: float          # the expanded prefix's Gershgorin bound, quantized
     z: np.ndarray       # Bessel arguments lam * t_n
     mu: np.ndarray      # even moments mu_0, mu_2, ...
     drift: float        # max(0, max mu_2k - 1)
@@ -355,14 +336,15 @@ def _prefix_moments(b: np.ndarray, n_c: int, dt: float,
     T = n_steps*dt, the doubling identity
     C(t) = 2|cos(Lt/2)e0|^2 - 1 and Duhamel's formula give
     |C - C_cut| <= 2 b_{n_c} T max_{s <= T/2} |psi_{n_c-1}(s)| for the
-    prefix wavefunction psi; Jacobi-Anger with H_c = L_c/lam_c and
+    prefix wavefunction psi; Jacobi-Anger with H_c = L_c/lam and
     Cauchy-Schwarz (sum_k J_k^2 <= 1) bound that amplitude by
     2 (sqrt(K+1) max_{k<=K} |v_k[n_c-1]| + sum_{k>K} |J_k|) for any K.
-    K runs past the moment count to the Miller start order of lam_c*T/2,
-    where the Bessel tail is negligible.
+    K runs past the moment count to the Miller start order of lam*T/2,
+    where the Bessel tail is negligible.  lam is the prefix's Gershgorin
+    bound rounded up to the grid 2^(j/64); any bound on the spectrum works.
     """
     b_c = b[:n_c - 1]
-    lam = _spectral_bound(b_c) * (1.0 + 1e-7)
+    lam = _quantized(_spectral_bound(b_c) * (1.0 + 1e-7))
     z = lam * dt * np.arange(n_steps + 1)
     count = int(_miller_order(z[-1])) // 2
     if n_c == b.size + 1:
@@ -381,39 +363,49 @@ def _miller_order(z: np.ndarray) -> np.ndarray:
     return top + top % 2
 
 
-def _cosine_series(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """C(z_n) = J_0(z_n) + 2 sum_k (-1)^k mu_2k J_2k(z_n) for nondecreasing z.
+def _cosine_series(mus: Sequence[np.ndarray], z: np.ndarray) -> np.ndarray:
+    """C_i(z_n) = J_0(z_n) + 2 sum_k (-1)^k mu_i,2k J_2k(z_n) for nondecreasing
+    z, one row per moment sequence mu_i.
 
     Miller's backward recurrence J_{m-1} = (2m/z) J_m - J_{m+1}, vectorised
     over n, builds each column from its own start order down to J_0 and
     normalises it by J_0 + 2 sum_k J_2k = 1.  The start order grows with z,
     so the columns active at order m are a suffix of n.  z_n = 0 gives 1.
+    The recurrence is shared by every row; each row accumulates its terms
+    by elementwise products, so a row's bits do not depend on the others.
     """
-    out = np.ones(z.size)
+    out = np.ones((len(mus), z.size))
     first = int(np.searchsorted(z, 0.0, side="right"))
     z = z[first:]
     if z.size == 0:
         return out
     top = _miller_order(z)
-    coef = 2.0 * mu[: top[-1] // 2 + 1]
+    # coefficient of J_2k per row, as a (rows, 1) column for each k
+    coef = np.array([mu[: top[-1] // 2 + 1] for mu in mus]).T[:, :, None]
+    coef *= 2.0
     coef[1::2] *= -1.0
     inv2z = 2.0 / z
     # first column whose recurrence is running at order m
     starts = np.searchsorted(top, np.arange(top[-1] + 2)).tolist()
     cur, nxt, tmp = np.zeros(z.size), np.zeros(z.size), np.empty(z.size)
-    acc, norm = np.zeros(z.size), np.zeros(z.size)
+    norm = np.zeros(z.size)
+    acc = out[:, first:]
+    acc[...] = 0.0
+    term = np.empty_like(acc)
     for m in range(int(top[-1]), 0, -1):
         s = starts[m]
         c, x = cur[s:], nxt[s:]
         if m % 2 == 0:
             cur[s:starts[m + 1]] = _MILLER_SEED   # columns starting at m
-            acc[s:] += coef[m // 2] * c
+            np.multiply(coef[m // 2], c, out=term[:, s:])
+            acc[:, s:] += term[:, s:]
             norm[s:] += c
         np.multiply(c, inv2z[s:], out=tmp[s:])
         tmp[s:] *= m
         np.subtract(tmp[s:], x, out=x)            # x <- J_{m-1}
         cur, nxt = nxt, cur
-    out[first:] = (acc + cur) / (cur + 2.0 * norm)
+    acc += cur
+    acc /= cur + 2.0 * norm
     return out
 
 
@@ -430,6 +422,51 @@ def _rk4_substep_count(dt: float, t_max: float, lam_max: float, tol: float) -> i
     h_acc = (120.0 * tol / (horizon * lam_max**5)) ** 0.25
     h = min(h_acc, 1.0 / lam_max, dt)
     return max(1, int(np.ceil(dt / h)))
+
+
+def _step_count(dt: float, t_max: float) -> int:
+    """The last index of the output grid t_n = n*dt: round(t_max/dt)."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
+    return int(round(t_max / dt))
+
+
+def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
+                   t_max: float = 10.0) -> list[CorrelationSeries]:
+    """`propagate(chain, dt, t_max)` for every chain, with the "moments"
+    engine: each chain's own causal prefix and even moments.
+
+    Chains whose scales lam (quantized) are equal share one Bessel sum, one
+    Miller pass over their stacked moments.  Its rows do not depend on
+    each other, so every series equals the one `propagate` gives for its
+    chain alone, to the bit, whatever the chains and their order.  Only a
+    chain's moments are kept, so `chains` may be a generator.
+    """
+    n_steps = _step_count(dt, t_max)
+    out: list[CorrelationSeries | None] = []
+    groups: dict[float, list[tuple[int, str, int, _Expansion]]] = {}
+    for chain in chains:
+        if chain.d == 1:
+            out.append(CorrelationSeries(dt, np.ones(n_steps + 1),
+                                         label=chain.label, method="moments"))
+            continue
+        n_c = _causal_cut(chain.b, n_steps * dt, WKB_FACTOR)
+        ex = _prefix_moments(chain.b, n_c, dt, n_steps)
+        if not ex.bound <= CUT_TOL:     # uncertified: expand the whole chain
+            n_c = chain.d
+            ex = _prefix_moments(chain.b, n_c, dt, n_steps)
+        groups.setdefault(ex.lam, []).append((len(out), chain.label, n_c, ex))
+        out.append(None)
+    for members in groups.values():
+        rows = _cosine_series([ex.mu for *_, ex in members], members[0][3].z)
+        for (i, label, n_c, ex), values in zip(members, rows):
+            out[i] = CorrelationSeries(
+                dt, values, label=label, method="moments",
+                norm_drift_max=ex.drift, tail_weight_max=np.nan, lam=ex.lam,
+                moments=ex.mu.size, sites=n_c, cut_bound=ex.bound)
+    return out
 
 
 def propagate(
@@ -455,8 +492,9 @@ def propagate(
         kernel-polynomial route).  It expands only the causal prefix: the
         first n_c sites, where sum_{m<n_c} 1/b_m first reaches 2*t_max (the
         front's WKB travel time to the cut is t_max, twice the t/2 the
-        doubling identity needs), with the prefix's own lambda.  A Duhamel
-        bound certifies the cut; above CUT_TOL the whole chain is expanded
+        doubling identity needs), with the prefix's own Gershgorin bound
+        rounded up to the grid 2^(j/64) as lambda.  A Duhamel bound
+        certifies the cut; above CUT_TOL the whole chain is expanded
         instead.  The series records lambda, the moment count, the sites
         expanded and the bound (`lam`, `moments`, `sites`, `cut_bound`;
         `sites` = d and `cut_bound` = 0 when uncut).
@@ -482,29 +520,16 @@ def propagate(
     blindly.  "moments" does not measure the tail: its series carry
     `tail_weight_max = nan` and `tail_flagged = False`.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
     if method not in ("chebyshev", "rk4", "moments"):
         raise ValueError(f"unknown propagator method {method!r}")
+    if method == "moments":
+        return propagate_many([chain], dt, t_max)[0]
 
     d = chain.d
-    n_steps = int(round(t_max / dt))
+    n_steps = _step_count(dt, t_max)
     if d == 1:
         return CorrelationSeries(dt, np.ones(n_steps + 1), label=chain.label,
                                  method=method)
-
-    if method == "moments":
-        n_c = _causal_cut(chain.b, n_steps * dt, WKB_FACTOR)
-        ex = _prefix_moments(chain.b, n_c, dt, n_steps)
-        if not ex.bound <= CUT_TOL:     # uncertified: expand the whole chain
-            n_c = d
-            ex = _prefix_moments(chain.b, d, dt, n_steps)
-        return CorrelationSeries(
-            dt, _cosine_series(ex.mu, ex.z), label=chain.label, method=method,
-            norm_drift_max=ex.drift, tail_weight_max=np.nan, lam=ex.lam,
-            moments=ex.mu.size, sites=n_c, cut_bound=ex.bound)
 
     values = np.empty(n_steps + 1)
     values[0] = 1.0
@@ -553,29 +578,3 @@ def propagate(
         dt, values, label=chain.label, method=method,
         norm_drift_max=drift_max, tail_weight_max=tail_max,
         tail_flagged=tail_max > TAIL_WEIGHT_LIMIT)
-
-
-def default_broadening(chain: LanczosChain, dt: float = 0.01) -> float:
-    """Plumbing default for the resolvent broadening of finite-chain spectra."""
-    return 4 * np.pi / (chain.d * dt)
-
-
-def spectral_function(chain: LanczosChain, omega: np.ndarray, eta: float) -> SpectralFunction:
-    """Continued-fraction spectral density, evaluated by backward recursion.
-
-    The finite fraction terminates at level d; the substitution
-    i*omega -> i*omega + eta regularizes the delta spectrum of the finite
-    chain, which is why eta = 0 is rejected.
-    """
-    if eta <= 0:
-        raise ValueError("a positive broadening eta is mandatory on a finite chain")
-    omega = np.asarray(omega, dtype=float)
-    z = eta + 1j * omega
-    f = z.copy()
-    for bn in chain.b[::-1]:
-        f = z + bn * bn / f
-    phi = 2.0 * np.real(1.0 / f)
-    if phi.min() < -1e-10:
-        warnings.warn("spectral function dipped below zero beyond round-off; clipping")
-    np.clip(phi, 0.0, None, out=phi)
-    return SpectralFunction(omega, phi, eta)

@@ -489,7 +489,10 @@ def _cmd_run(args) -> int:
               f"mean sigma = {fam.mean_sigma:.5g}, valid {fam.n_valid}, "
               f"non-equilibrated {fam.n_nonequilibrated}")
     print(f"wrote {len(manifest['outputs'])} files to {args.out}")
-    return 0
+    for failure in summary.failures:
+        print(f"numerical failure: {failure['family']} trial "
+              f"{failure['trial']}: {failure['error']}", file=sys.stderr)
+    return EXIT_NUMERIC if summary.failures else 0
 
 
 def _cmd_plot(args) -> int:

@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, asdict, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import CorrelationSeries, LanczosChain, propagate
+from .chain import (CorrelationSeries, LanczosChain, PropagationError,
+                    propagate, propagate_many)
 from .design import exponential_chain, gaussian_chain, oscillating_pair
 from .fitting import (FitResult, ModelClass, detect_equilibration, epsilon,
                       fit, sigma)
-from .perturb import POSITIVITY_FLOOR, apply_draw, draw_noise
+from .perturb import POSITIVITY_FLOOR, PerturbedChain, apply_draw, draw_noise
 
 __all__ = [
     "Scenario",
@@ -197,10 +200,11 @@ class EnsembleSummary:
     families: dict[str, FamilySummary]
     n_trials: int
     bin_width: float
-    # filled in by run_scenario: every family's baseline and exemplar trials
+    # filled in by run_scenario: baselines, exemplar trials, failed trials
     runs: dict[str, "FamilyRun"] = field(default_factory=dict, init=False)
     exemplars: dict[str, list["Exemplar"]] = field(default_factory=dict,
                                                    init=False)
+    failures: list[dict] = field(default_factory=list, init=False)
 
     def scatter(self, records: Sequence[TrialRecord], family: str) -> np.ndarray:
         pairs = [(r.sigma, r.epsilon) for r in records if r.family == family]
@@ -208,7 +212,8 @@ class EnsembleSummary:
 
     def to_json_dict(self) -> dict:
         return {"n_trials": self.n_trials, "bin_width": self.bin_width,
-                "families": {k: v.to_json_dict() for k, v in self.families.items()}}
+                "families": {k: v.to_json_dict() for k, v in self.families.items()},
+                "failures": self.failures}
 
 
 def summarize(records: Sequence[TrialRecord], bin_width: float) -> EnsembleSummary:
@@ -287,12 +292,9 @@ class Exemplar(NamedTuple):
     values: np.ndarray
 
 
-def _run_one_trial(ctx: FamilyRun, trial: int) -> tuple[TrialRecord, np.ndarray]:
+def _trial_record(ctx: FamilyRun, trial: int, seed: int, pert: PerturbedChain,
+                  series: CorrelationSeries) -> TrialRecord:
     cfg = ctx.config
-    seed = trial_seed(cfg.base_seed, ctx.index, trial)
-    draw = draw_noise(cfg.d, cfg.n_f, seed)
-    pert = apply_draw(ctx.chain, cfg.strength, draw, floor=cfg.floor)
-    series = propagate(pert.chain, dt=cfg.dt, t_max=cfg.t_max)
     n_eq, equilibrated = detect_equilibration(series, cfg.eq_threshold,
                                               cfg.eq_window)
     f0 = ctx.baseline_fit.model
@@ -300,19 +302,52 @@ def _run_one_trial(ctx: FamilyRun, trial: int) -> tuple[TrialRecord, np.ndarray]
     sig = sigma(series, ctx.baseline, n_eq)
     eps0 = epsilon(ctx.baseline, f0, n_eq)
     m = result.model
-    record = TrialRecord(
+    return TrialRecord(
         trial=trial, family=ctx.name, seed=seed, model=m.kind.value,
         a=m.a, mu=m.mu, omega=m.omega, phi=m.phi,
         epsilon=result.epsilon, sigma=sig, eps0=eps0, n_eq=n_eq,
         equilibrated=equilibrated, clamp_count=pert.clamp_count,
         converged=result.converged,
         valid=not pert.invalid and result.converged)
-    return record, series.values
 
 
-def _run_block(args) -> list[tuple[TrialRecord, np.ndarray]]:
+def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]:
+    """Perturb a block of one family's trials, propagate them in one call,
+    then fit each.  A trial whose propagation or fit raises is recorded as
+    invalid and unconverged, with NaN quantifiers and n_eq 0, and reported;
+    if the block's propagation raises, each trial is propagated alone (the
+    same bits) to find the failing ones."""
     ctx, trials = args
-    return [_run_one_trial(ctx, t) for t in trials]
+    cfg = ctx.config
+    seeds = [trial_seed(cfg.base_seed, ctx.index, t) for t in trials]
+
+    def perturbed(seed: int) -> PerturbedChain:
+        return apply_draw(ctx.chain, cfg.strength,
+                          draw_noise(cfg.d, cfg.n_f, seed), floor=cfg.floor)
+
+    # each chain is drawn once for its moments and once more for its
+    # record: holding a block's draws would cost ~100 MB at the paper profile
+    try:
+        batch = propagate_many((perturbed(seed).chain for seed in seeds),
+                               cfg.dt, cfg.t_max)
+    except PropagationError:
+        batch = None
+    out = []
+    for i, (trial, seed) in enumerate(zip(trials, seeds)):
+        pert = perturbed(seed)
+        try:
+            series = batch[i] if batch is not None else \
+                propagate(pert.chain, dt=cfg.dt, t_max=cfg.t_max)
+            out.append((_trial_record(ctx, trial, seed, pert, series),
+                        series.values, None))
+        except RuntimeError as err:     # a PropagationError or a failed fit
+            nan = float("nan")
+            record = TrialRecord(trial, ctx.name, seed, ctx.model_class.value,
+                                 nan, nan, None, None, nan, nan, nan, 0, False,
+                                 pert.clamp_count, False, False)
+            out.append((record, None, {"family": ctx.name, "trial": trial,
+                                       "error": f"{type(err).__name__}: {err}"}))
+    return out
 
 
 def worker_count(config: ScenarioConfig) -> int:
@@ -334,11 +369,12 @@ def run_scenario(config: ScenarioConfig,
     derived from (base_seed, family index, trial index), so the record set
     is invariant under execution order and worker count).  Trials whose
     draw overwhelms the chain (clamp overflow) or whose fit never converged
-    are recorded with valid = False and excluded from the means.
+    are recorded with valid = False and excluded from the means, and so are
+    trials whose propagation or fit raised (listed in `failures`).
 
-    The summary also carries each family's baseline (`runs`) and the C(t)
-    of its exemplary trials (`exemplars`); every other trial's series is
-    dropped here.
+    Each worker gets one block of each family's trials.  The summary also
+    carries each family's baseline (`runs`) and the C(t) of its exemplary
+    trials (`exemplars`); every other trial's series is dropped here.
     """
     runs = []
     for idx, fam in enumerate(build_families(config)):
@@ -348,31 +384,25 @@ def run_scenario(config: ScenarioConfig,
         runs.append(FamilyRun(fam.name, idx, fam.chain, fam.model_class, c0,
                               fit(c0, fam.model_class, n_eq0), eq0, config))
 
-    jobs: list[tuple[FamilyRun, list[int]]] = []
     n_workers = worker_count(config)
-    block = max(1, config.n_trials // max(1, n_workers * 4))
-    for run in runs:
-        for lo in range(0, config.n_trials, block):
-            jobs.append((run, list(range(lo, min(lo + block, config.n_trials)))))
+    block = math.ceil(config.n_trials / n_workers)
+    jobs = [(run, range(lo, min(lo + block, config.n_trials)))
+            for run in runs for lo in range(0, config.n_trials, block)]
 
-    results: list[tuple[TrialRecord, np.ndarray]] = []
-    if n_workers == 1 or len(jobs) == 1:
-        for job in jobs:
-            results.extend(_run_block(job))
+    results = []
+    with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() \
+            as pool:
+        for part in (pool.map if pool else map)(_run_block, jobs):
+            results.extend(part)
             if progress:
                 progress(len(results), config.n_trials * len(runs))
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for part in pool.map(_run_block, jobs):
-                results.extend(part)
-                if progress:
-                    progress(len(results), config.n_trials * len(runs))
 
-    records = sorted((rec for rec, _ in results),
+    records = sorted((rec for rec, _, _ in results),
                      key=lambda r: (r.trial, r.family))
-    series = {(rec.family, rec.trial): values for rec, values in results}
+    series = {(rec.family, rec.trial): values for rec, values, _ in results}
     summary = summarize(records, config.bin_width)
     summary.runs = {run.name: run for run in runs}
+    summary.failures = [f for _, _, f in results if f is not None]
     summary.exemplars = {
         run.name: [Exemplar(rec, series[rec.family, rec.trial])
                    for rec in exemplary_trials(records, summary, run.name)]

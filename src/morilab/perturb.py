@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,10 +18,8 @@ from .chain import LanczosChain
 __all__ = [
     "PerturbationDraw",
     "PerturbedChain",
-    "ScalingReport",
     "draw_noise",
     "apply_draw",
-    "scaling_check",
     "POSITIVITY_FLOOR",
 ]
 
@@ -71,15 +68,6 @@ class PerturbationDraw:
             json.dump({"d": self.d, "n_f": self.n_f, "seed": self.seed,
                        "x": [float(a) for a in self.x],
                        "y": [float(a) for a in self.y]}, fh)
-
-    @classmethod
-    def from_json(cls, path) -> "PerturbationDraw":
-        with open(path) as fh:
-            data = json.load(fh)
-        x = np.array(data["x"], dtype=float)
-        y = np.array(data["y"], dtype=float)
-        v = _assemble(data["d"], data["n_f"], x, y)
-        return cls(data["d"], data["n_f"], data["seed"], x, y, v)
 
 
 def _assemble(d: int, n_f: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -150,24 +138,3 @@ def apply_draw(base: LanczosChain, strength: float, draw: PerturbationDraw,
     label = f"{base.label}~{strength:g}" if base.label else f"~{strength:g}"
     return PerturbedChain(base, float(strength), draw,
                           LanczosChain(b, label=label), int(clamped.sum()))
-
-
-class ScalingReport(NamedTuple):
-    relative_cross_term: float
-    cross_term: float
-
-
-def scaling_check(base: LanczosChain, perturbed: PerturbedChain) -> ScalingReport:
-    """Decompose sum(b~^2) - sum(b^2) against the lambda^2 * sum(v^2) law.
-
-    Returns the cross-term 2*lambda*sum(b v) and its size relative to the
-    quadratic term; the additive noise design makes the relative part small
-    for a single draw and zero on ensemble average.
-    """
-    lam = perturbed.strength
-    sum_b2 = float(np.sum(base.b**2))
-    sum_bt2 = float(np.sum(perturbed.chain.b**2))
-    quad = lam**2 * perturbed.draw.sum_v2
-    cross = 2.0 * lam * float(np.sum(base.b * perturbed.draw.v))
-    rel = 0.0 if quad == 0.0 else (sum_bt2 - sum_b2 - quad) / quad
-    return ScalingReport(rel, cross)

@@ -1,3 +1,6 @@
+import json
+import random
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,8 +12,9 @@ from morilab.chain import (C0_TOL, CUT_TOL, NORM_TOL, WKB_FACTOR,
                            CorrelationSeries, LanczosChain, PropagationError,
                            _bessel_tail, _causal_cut, _cosine_series,
                            _even_moments, _miller_order, _prefix_moments,
-                           _spectral_bound, dense_correlation, dense_generator,
-                           propagate, spectral_function, spectral_width_sum)
+                           _quantized, _spectral_bound, dense_correlation,
+                           dense_generator, propagate, propagate_many,
+                           spectral_width_sum)
 from morilab.design import exponential_chain, gaussian_chain, oscillating_pair
 from morilab.perturb import apply_draw, draw_noise
 
@@ -71,9 +75,9 @@ class TestLanczosChain:
         ch = LanczosChain(rng.uniform(0.1, 3.0, 33), label="j")
         path = tmp_path / "chain.json"
         ch.to_json(path)
-        back = LanczosChain.from_json(path)
-        assert np.array_equal(back.b, ch.b)
-        assert back.label == "j"
+        data = json.loads(path.read_text())
+        assert np.array(data["b"]).tobytes() == ch.b.tobytes()
+        assert (data["label"], data["d"]) == ("j", 34)
 
 
 class TestDenseGenerator:
@@ -276,10 +280,10 @@ def desk_oscillating_chains(seed: int | None = None) -> list[LanczosChain]:
 
 def uncut_engine(chain: LanczosChain, dt: float, t_max: float) -> np.ndarray:
     """The moments engine on the whole chain, as it ran before the cut."""
-    lam = _spectral_bound(chain.b) * (1.0 + 1e-7)
+    lam = _quantized(_spectral_bound(chain.b) * (1.0 + 1e-7))
     z = lam * dt * np.arange(int(round(t_max / dt)) + 1)
     mu, _, _ = _even_moments(chain.b, lam, int(_miller_order(z[-1])) // 2)
-    return _cosine_series(mu, z)
+    return _cosine_series([mu], z)[0]
 
 
 OSC_DT, OSC_STEPS = 0.02, 1500      # the desk oscillation grid, t_max = 30
@@ -320,7 +324,8 @@ class TestCausalCut:
         assert 100 <= n_c <= 140          # measured 118
         ex = _prefix_moments(gdo.b, n_c, OSC_DT, OSC_STEPS)
         t = OSC_DT * np.arange(OSC_STEPS + 1)
-        err = np.abs(_cosine_series(ex.mu, ex.z) - dense_correlation(gdo, t)).max()
+        err = np.abs(_cosine_series([ex.mu], ex.z)[0]
+                     - dense_correlation(gdo, t)).max()
         assert err >= 0.05                # measured 0.069: the cut is wrong
         assert ex.bound >= 1e3            # measured 6.2e3: and not certified
         monkeypatch.setattr(chain_module, "WKB_FACTOR", 1.0)
@@ -362,7 +367,7 @@ class TestCausalCut:
             assert _causal_cut(chain.b, 40.0, WKB_FACTOR) == chain.d
             series = propagate(chain, dt=0.02, t_max=40.0, method="moments")
             assert (series.sites, series.cut_bound) == (chain.d, 0.0)
-            assert series.lam == _spectral_bound(chain.b) * (1.0 + 1e-7)
+            assert series.lam == _quantized(_spectral_bound(chain.b) * (1.0 + 1e-7))
             z_end = series.lam * 0.02 * 2000
             assert series.moments == int(_miller_order(z_end)) // 2 + 1
             assert np.array_equal(series.values, uncut_engine(chain, 0.02, 40.0))
@@ -389,7 +394,8 @@ class TestCutProperties:
         n_c = _causal_cut(chain.b, n_steps * dt, factor)
         ex = _prefix_moments(chain.b, n_c, dt, n_steps)
         t = dt * np.arange(n_steps + 1)
-        err = np.abs(_cosine_series(ex.mu, ex.z) - dense_correlation(chain, t)).max()
+        err = np.abs(_cosine_series([ex.mu], ex.z)[0]
+                     - dense_correlation(chain, t)).max()
         assert err <= ex.bound + 1e-13
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -407,6 +413,81 @@ class TestCutProperties:
         assert (one.sites, one.moments, one.cut_bound) == \
             (two.sites, two.moments, two.cut_bound)
         assert two.lam == s * one.lam
+
+
+class TestQuantizedScale:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lam=st.floats(1e-300, 1e300))
+    def test_rounds_up_by_less_than_one_step(self, lam):
+        q = _quantized(lam)
+        assert lam <= q < 2 ** (1 / 64) * lam * (1 + 1e-15)
+        j = 64 * np.log2(q)
+        assert abs(j - round(j)) < 1e-9
+
+    def test_powers_of_two_are_fixed(self):
+        for p in range(-1000, 1001):
+            assert _quantized(2.0**p) == 2.0**p
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lam=st.floats(1e-100, 1e100), power=st.integers(-100, 100))
+    def test_scales_exactly_under_powers_of_two(self, lam, power):
+        assert _quantized(lam * 2.0**power) == _quantized(lam) * 2.0**power
+
+
+def same_series(a: CorrelationSeries, b: CorrelationSeries) -> bool:
+    """Equal to the bit in values and in what the engine reports."""
+    return (a.values.tobytes() == b.values.tobytes()
+            and (a.lam, a.moments, a.sites, a.cut_bound, a.norm_drift_max)
+            == (b.lam, b.moments, b.sites, b.cut_bound, b.norm_drift_max))
+
+
+class TestPropagateMany:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(specs=st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                                    st.integers(1, 250), st.booleans(),
+                                    st.sampled_from([1.0, 1.004, 1.5])),
+                          min_size=1, max_size=7),
+           t_max=st.floats(1.0, 15.0), n_steps=st.integers(5, 150),
+           shuffle=st.randoms(use_true_random=False))
+    def test_each_series_is_its_single_propagation(self, specs, t_max,
+                                                   n_steps, shuffle):
+        # flat chains of one scale share a Bessel sum; growing ones are cut
+        # at short horizons and carry their prefix's scale
+        chains = [random_chain(seed, d, growing).scaled(scale)
+                  for seed, d, growing, scale in specs]
+        shuffle.shuffle(chains)
+        dt = t_max / n_steps
+        many = propagate_many(chains, dt=dt, t_max=t_max)
+        assert len(many) == len(chains)
+        for chain, series in zip(chains, many):
+            assert same_series(series, propagate(chain, dt=dt, t_max=t_max))
+
+    def test_one_bessel_sum_per_scale(self, monkeypatch):
+        # Gershgorin bounds in [1.98, 2), of the whole chain or of a prefix:
+        # all round up to 2
+        def flat(seed, d):
+            rng = np.random.default_rng(seed)
+            return LanczosChain(rng.uniform(0.99, 1.0, d - 1))
+
+        chains = [flat(seed, 400) for seed in range(4)] + [flat(4, 50)]
+        chains += [chains[0].scaled(2.0), LanczosChain(np.array([]))]
+        passes = []
+
+        def counted(mus, z):
+            passes.append(len(mus))
+            return _cosine_series(mus, z)
+
+        monkeypatch.setattr(chain_module, "_cosine_series", counted)
+        many = propagate_many((c for c in chains), dt=2.0, t_max=100.0)
+        assert [s.sites < 400 for s in many[:4]] == [True] * 4   # cut
+        assert many[4].sites == 50                                # uncut
+        assert [s.lam for s in many[:5]] == [2.0] * 5
+        assert many[5].lam == 4.0
+        assert sorted(passes) == [1, 5]     # the single site needs none
+        assert np.array_equal(many[6].values, np.ones(51))
+
+    def test_empty_list(self):
+        assert propagate_many([], dt=0.1, t_max=1.0) == []
 
 
 class TestDenseCorrelation:
@@ -457,58 +538,3 @@ class TestCorrelationSeries:
     def test_normalized_start_enforced(self):
         with pytest.raises(ValueError):
             CorrelationSeries(0.1, np.array([0.9, 0.8]), normalized=True)
-
-    def test_first_passage(self):
-        t = np.arange(0, 500) * 0.01
-        series = CorrelationSeries(0.01, np.exp(-t))
-        assert abs(series.first_passage(1 / np.e) - 1.0) < 0.011
-
-
-class TestSpectralFunction:
-    def test_eta_zero_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_function(LanczosChain(np.array([1.0])), np.linspace(-2, 2, 9), 0.0)
-
-    def test_default_broadening_positive(self):
-        from morilab.chain import default_broadening
-        ch = LanczosChain(np.ones(99))
-        assert default_broadening(ch, 0.01) == pytest.approx(4 * np.pi / 1.0)
-        assert default_broadening(ch) > 0
-
-    def test_matches_dense_lorentzian_oracle(self):
-        # smeared transform of C(t) = sum w_k cos(lambda_k t), exact identity
-        rng = np.random.default_rng(3)
-        b = rng.uniform(0.5, 2.0, 11)
-        omega = np.linspace(-6, 6, 401)
-        eta = 0.07
-        got = spectral_function(LanczosChain(b), omega, eta)
-        lam, V = eigh_tridiagonal(np.zeros(12), b)
-        oracle = np.zeros_like(omega)
-        for ev, w in zip(lam, V[0] ** 2):
-            oracle += w * 2 * eta / (eta**2 + (omega - ev) ** 2)
-        assert np.abs(got.values - oracle).max() < 1e-10
-
-    def test_two_site_lorentzian_peaks(self):
-        b1 = 1.3
-        omega = np.linspace(-3, 3, 2401)
-        sf = spectral_function(LanczosChain(np.array([b1])), omega, 1e-3)
-        peak = omega[np.argmax(sf.values * (omega > 0))]
-        assert abs(peak - b1) < 2.5e-3
-        assert abs(sf.values.max() * 1e-3 - 1.0) < 1e-3  # half-weight Lorentzian: 1/eta
-
-    def test_sqrt_chain_gaussian_shape(self):
-        # Richardson in eta removes the O(eta) smearing of the broadened fraction
-        ch = LanczosChain(np.sqrt(np.arange(1, 5000)))
-        omega = np.linspace(-4, 4, 161)
-        f_eta = spectral_function(ch, omega, 0.1).values
-        f_2eta = spectral_function(ch, omega, 0.2).values
-        target = np.sqrt(2 * np.pi) * np.exp(-(omega**2) / 2)
-        assert np.abs(f_eta - target).max() < 0.25       # measured 0.188
-        assert np.abs(2 * f_eta - f_2eta - target).max() < 0.05  # measured 0.021
-
-    def test_normalization_integral(self):
-        ch = LanczosChain(np.sqrt(np.arange(1, 300)))
-        omega = np.linspace(-40, 40, 4001)
-        sf = spectral_function(ch, omega, 0.05)
-        assert abs(sf.integral() - 1.0) < 5e-3
-        assert sf.values.min() >= 0.0

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -188,10 +189,12 @@ def tiny_run(tmp_path_factory):
 
 
 def count_calls(monkeypatch, fn) -> list:
-    """Wrap fn at every name a morilab module binds it under; log each call."""
+    """Wrap fn at every name a morilab module binds it under; log each
+    call's arguments, an iterator as the list of what it yields."""
     calls = []
 
     def counted(*args, **kwargs):
+        args = tuple(list(a) if isinstance(a, Iterator) else a for a in args)
         calls.append(args)
         return fn(*args, **kwargs)
 
@@ -207,11 +210,13 @@ class TestOnePass:
     def test_families_built_and_chains_propagated_once(self, monkeypatch,
                                                        tmp_path):
         builds = count_calls(monkeypatch, experiment.build_families)
-        propagations = count_calls(monkeypatch, chain.propagate)
+        propagations = count_calls(monkeypatch, chain.propagate_many)
         assert main(TINY_RUN + ["--out", str(tmp_path)]) == 0
         assert len(builds) == 1
-        # two baselines plus one chain per trial and family
-        assert len(propagations) == 2 * TINY_TRIALS + 2
+        # each baseline, then one call per family: with one worker, each
+        # family's trials form a single block
+        assert [len(chains) for chains, *_ in propagations] == \
+            [1, 1, TINY_TRIALS, TINY_TRIALS]
 
     def test_exemplar_curves_match_fresh_propagation(self, tiny_run):
         config = parse_config(str(tiny_run / "manifest.json"), {})
@@ -233,6 +238,72 @@ class TestOnePass:
                 stride = max(1, len(series) // 1500)
                 assert [r[3] for r in shown if int(r[1]) == rec.trial] == \
                     [f"{c:.17g}" for c in series.values[::stride]]
+
+
+def failing_where(fn, condition, error):
+    """fn, raising error instead where condition(first argument) holds; an
+    iterator argument is read into a list first."""
+    def wrapped(first, *args, **kwargs):
+        if isinstance(first, Iterator):
+            first = list(first)
+        if condition(first):
+            raise error
+        return fn(first, *args, **kwargs)
+    return wrapped
+
+
+class TestFailureLocality:
+    def test_failed_trials_are_recorded_and_the_run_finishes(
+            self, monkeypatch, tiny_run, tmp_path, capsys):
+        # trial 1 of g fails to propagate, trial 2 of e fails to fit
+        config = parse_config(None, {"scenario": "decay", "d": 150,
+                                     "n_trials": TINY_TRIALS, "dt": 0.05,
+                                     "t_max": 10, "n_star": 8, "workers": 1})
+        g, e = build_families(config)
+
+        def trial_chain(family, index, trial):
+            seed = experiment.trial_seed(config.base_seed, index, trial)
+            return apply_draw(family.chain, config.strength,
+                              draw_noise(config.d, config.n_f, seed),
+                              floor=config.floor).chain
+
+        bad_chain = trial_chain(g, 0, 1).b.tobytes()
+        bad_fit = chain.propagate(trial_chain(e, 1, 2), dt=config.dt,
+                                  t_max=config.t_max).values.tobytes()
+        monkeypatch.setattr(experiment, "propagate_many", failing_where(
+            chain.propagate_many,
+            lambda chains: any(c.b.tobytes() == bad_chain for c in chains),
+            PropagationError("moment guard tripped")))
+        monkeypatch.setattr(experiment, "propagate", failing_where(
+            chain.propagate, lambda c: c.b.tobytes() == bad_chain,
+            PropagationError("moment guard tripped")))
+        monkeypatch.setattr(experiment, "fit", failing_where(
+            experiment.fit, lambda s: s.values.tobytes() == bad_fit,
+            RuntimeError("no fit restart could be evaluated")))
+
+        assert main(TINY_RUN + ["--out", str(tmp_path)]) == 3
+        assert "g trial 1: PropagationError" in capsys.readouterr().err
+        assert set(os.listdir(tiny_run)) == set(os.listdir(tmp_path))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["failures"] == [
+            {"family": "g", "trial": 1,
+             "error": "PropagationError: moment guard tripped"},
+            {"family": "e", "trial": 2,
+             "error": "RuntimeError: no fit restart could be evaluated"}]
+        assert summary["families"]["g"]["n_invalid"] == 1
+        records = records_from_csv(tmp_path / "records.csv")
+        failed = [r for r in records if (r.family, r.trial) in
+                  {("g", 1), ("e", 2)}]
+        assert len(failed) == 2
+        for r in failed:
+            assert not r.valid and not r.converged
+            assert np.isnan([r.a, r.mu, r.epsilon, r.sigma, r.eps0]).all()
+        # every other trial's row is the healthy run's, byte for byte;
+        # g's other trials were propagated one at a time
+        ok_rows = lambda path: [row for row in path.read_text().splitlines()
+                                if not row.startswith(("1,g,", "2,e,"))]
+        assert ok_rows(tmp_path / "records.csv") == \
+            ok_rows(tiny_run / "records.csv")
 
 
 class TestRunCommand:

@@ -161,5 +161,8 @@ class TestTimescaleParity:
         # requirement: paired designs decay on comparable time scales
         g = propagate(gaussian_chain(10, 2000), dt=0.02, t_max=12.0)
         e = propagate(exponential_chain(1.2, 10, 2000), dt=0.02, t_max=12.0)
-        ratio = e.first_passage() / g.first_passage()
+        # first passage of |C| below 1/e, the relaxation-time proxy
+        first = [np.argmax(np.abs(c.values) < 1 / np.e) for c in (g, e)]
+        assert min(first) > 0
+        ratio = first[1] / first[0]
         assert 0.5 <= ratio <= 2.0

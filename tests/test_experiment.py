@@ -196,6 +196,20 @@ class TestRunScenario:
         for i in range(3):
             assert means[i + 1] >= means[i] - 3 * (errs[i] + errs[i + 1])
 
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(base_seed=st.integers(0, 2**32 - 1))
+    def test_seed_and_worker_count_invariance(self, base_seed):
+        # blocks of 5, 3 and 2 trials group the chains differently, and a
+        # longer run only adds trials: no record depends on either
+        tiny = dict(FAST_DECAY, d=120, dt=0.1, t_max=8.0, base_seed=base_seed)
+        runs = [run_scenario(ScenarioConfig(**{**tiny, "workers": w,
+                                               "n_trials": 5}))[0]
+                for w in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+        assert all(r.valid for r in runs[0])
+        longer, _ = run_scenario(ScenarioConfig(**{**tiny, "n_trials": 7}))
+        assert [r for r in longer if r.trial < 5] == runs[0]
+
     def test_summary_consistency(self):
         cfg = ScenarioConfig(**FAST_DECAY)
         records, summary = run_scenario(cfg)

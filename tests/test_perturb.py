@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from morilab.chain import LanczosChain
 from morilab.design import gaussian_chain
-from morilab.perturb import (PerturbationDraw, apply_draw, draw_noise,
-                             scaling_check)
+from morilab.perturb import apply_draw, draw_noise
 
 
 def literal_noise(d, x, y):
@@ -66,10 +67,10 @@ class TestDrawNoise:
         draw = draw_noise(128, 42, 7)
         path = tmp_path / "draw.json"
         draw.to_json(path)
-        back = PerturbationDraw.from_json(path)
-        assert back.seed == 7
-        assert np.allclose(back.v, draw.v, atol=1e-15)
-        assert np.array_equal(back.x, draw.x)
+        data = json.loads(path.read_text())
+        assert (data["d"], data["n_f"], data["seed"]) == (128, 42, 7)
+        assert np.array(data["x"]).tobytes() == draw.x.tobytes()
+        assert np.array(data["y"]).tobytes() == draw.y.tobytes()
 
 
 class TestApplyDraw:
@@ -106,13 +107,24 @@ class TestApplyDraw:
             apply_draw(gaussian_chain(5, 100), -0.1, draw_noise(100, 33, 1))
 
 
+def scaling_terms(base, pert):
+    """(relative, cross): the cross term 2*lambda*sum(b v) of
+    sum(b~^2) - sum(b^2), and how far that difference departs from the
+    lambda^2 * sum(v^2) law, relative to it."""
+    lam = pert.strength
+    quad = lam**2 * pert.draw.sum_v2
+    cross = 2.0 * lam * float(np.sum(base.b * pert.draw.v))
+    excess = float(np.sum(pert.chain.b**2)) - float(np.sum(base.b**2)) - quad
+    return (0.0 if quad == 0.0 else excess / quad), cross
+
+
 class TestScalingCheck:
     def test_zero_strength_exact_zero(self):
         chain = gaussian_chain(5, 300)
         pert = apply_draw(chain, 0.0, draw_noise(300, 100, 4))
-        report = scaling_check(chain, pert)
-        assert report.relative_cross_term == 0.0
-        assert report.cross_term == 0.0
+        relative, cross = scaling_terms(chain, pert)
+        assert relative == 0.0
+        assert cross == 0.0
 
     def test_identity_without_clamps(self):
         # sum(b~^2) decomposes exactly into base + cross + quadratic
@@ -120,9 +132,9 @@ class TestScalingCheck:
         draw = draw_noise(300, 100, 5)
         pert = apply_draw(chain, 0.5, draw)
         assert pert.clamp_count == 0
-        report = scaling_check(chain, pert)
+        _, cross = scaling_terms(chain, pert)
         lhs = np.sum(pert.chain.b**2) - np.sum(chain.b**2)
-        rhs = report.cross_term + 0.25 * draw.sum_v2
+        rhs = cross + 0.25 * draw.sum_v2
         assert abs(lhs - rhs) < 1e-8 * np.sum(chain.b**2)
 
     def test_cross_term_zero_mean_over_ensemble(self):
@@ -130,7 +142,7 @@ class TestScalingCheck:
         crosses = []
         for seed in range(120):
             pert = apply_draw(chain, 0.5, draw_noise(1000, 333, seed))
-            crosses.append(scaling_check(chain, pert).cross_term)
+            crosses.append(scaling_terms(chain, pert)[1])
         crosses = np.array(crosses)
         se = crosses.std(ddof=1) / np.sqrt(crosses.size)
         assert abs(crosses.mean()) <= 3 * se
@@ -143,7 +155,7 @@ class TestScalingCheck:
         rels = []
         for seed in range(40):
             pert = apply_draw(chain, 0.5, draw_noise(2000, 666, seed))
-            rels.append(abs(scaling_check(chain, pert).cross_term) / total)
+            rels.append(abs(scaling_terms(chain, pert)[1]) / total)
         assert max(rels) < 1e-2
         assert np.median(rels) < 1e-3
 
@@ -154,5 +166,5 @@ class TestScalingCheck:
         rels = []
         for seed in range(40):
             pert = apply_draw(flat, 0.5, draw_noise(2000, 666, seed))
-            rels.append(abs(scaling_check(flat, pert).relative_cross_term))
+            rels.append(abs(scaling_terms(flat, pert)[0]))
         assert np.median(rels) < 0.05
