@@ -33,7 +33,6 @@ RK4_TOL = 1e-9           # phase-error budget that sizes the rk4 substep
 C0_TOL = 1e-9            # largest |C(0) - 1| of a normalized series
 CUT_TOL = 1e-13          # largest certified |C - C_cut| a causal cut may carry
 WKB_FACTOR = 2.0         # cut where sum 1/b_m reaches this multiple of t_max
-TAIL_WEIGHT_LIMIT = 1e-6  # boundary-reflection guard threshold
 
 
 class PropagationError(RuntimeError):
@@ -99,10 +98,9 @@ class CorrelationSeries:
     label: str = ""
     method: str = ""
     norm_drift_max: float = 0.0
-    tail_weight_max: float = 0.0
-    tail_flagged: bool = False
     # set by the "moments" engine only: its scale, the even moments it
-    # computed, the sites it expanded (d when uncut) and the cut's bound
+    # computed, the sites it expanded (d when uncut) and the certified bound
+    # on |C - C_continued| over the grid (see `_prefix_moments`)
     lam: float = 0.0
     moments: int = 0
     sites: int = 0
@@ -325,18 +323,27 @@ class _Expansion(NamedTuple):
     z: np.ndarray       # Bessel arguments lam * t_n
     mu: np.ndarray      # even moments mu_0, mu_2, ...
     drift: float        # max(0, max mu_2k - 1)
-    bound: float        # certified bound on |C - C_cut| over the grid
+    bound: float        # certified bound on |C - C_continued| over the grid
+
+
+def _continued_coupling(b: np.ndarray) -> float:
+    """b_d, the coupling that continues the chain b_1..b_{d-1} past its end:
+    b_{d-1} + max(b_{d-1} - b_{d-2}, 0), or b_{d-1} when d = 2.  On an
+    affine tail it is the tail's own next coefficient."""
+    step = b[-1] - b[-2] if b.size > 1 else 0.0
+    return float(b[-1] + max(step, 0.0))
 
 
 def _prefix_moments(b: np.ndarray, n_c: int, dt: float,
                     n_steps: int) -> _Expansion:
     """The expansion of C(t_n), t_n = n*dt, on the first n_c sites.
 
-    The bound on |C - C_cut| is 0.0 when n_c = d.  For a cut, with
-    T = n_steps*dt, the doubling identity
-    C(t) = 2|cos(Lt/2)e0|^2 - 1 and Duhamel's formula give
-    |C - C_cut| <= 2 b_{n_c} T max_{s <= T/2} |psi_{n_c-1}(s)| for the
-    prefix wavefunction psi; Jacobi-Anger with H_c = L_c/lam and
+    The bound compares it with the continued chain: b_1..b_{d-1}, then
+    `_continued_coupling(b)` as b_d, then any couplings at all.  The end of
+    the prefix is a cut, at n_c = d too.  With T = n_steps*dt, the doubling
+    identity C(t) = 2|cos(Lt/2)e0|^2 - 1 and Duhamel's formula give
+    |C - C_continued| <= 2 b_{n_c} T max_{s <= T/2} |psi_{n_c-1}(s)| for
+    the prefix wavefunction psi; Jacobi-Anger with H_c = L_c/lam and
     Cauchy-Schwarz (sum_k J_k^2 <= 1) bound that amplitude by
     2 (sqrt(K+1) max_{k<=K} |v_k[n_c-1]| + sum_{k>K} |J_k|) for any K.
     K runs past the moment count to the Miller start order of lam*T/2,
@@ -346,13 +353,10 @@ def _prefix_moments(b: np.ndarray, n_c: int, dt: float,
     b_c = b[:n_c - 1]
     lam = _quantized(_spectral_bound(b_c) * (1.0 + 1e-7))
     z = lam * dt * np.arange(n_steps + 1)
-    count = int(_miller_order(z[-1])) // 2
-    if n_c == b.size + 1:
-        mu, drift, _ = _even_moments(b_c, lam, count)
-        return _Expansion(lam, z, mu, drift, 0.0)
-    order = max(count, int(_miller_order(z[-1] / 2)))
+    order = max(int(_miller_order(z[-1])) // 2, int(_miller_order(z[-1] / 2)))
     mu, drift, edge = _even_moments(b_c, lam, order)
-    bound = 4.0 * b[n_c - 1] * (n_steps * dt) * (
+    b_cut = b[n_c - 1] if n_c <= b.size else _continued_coupling(b)
+    bound = 4.0 * b_cut * (n_steps * dt) * (
         np.sqrt(order + 1) * edge + _bessel_tail(order, z[-1] / 2))
     return _Expansion(lam, z, mu, drift, float(bound))
 
@@ -454,7 +458,8 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
             continue
         n_c = _causal_cut(chain.b, n_steps * dt, WKB_FACTOR)
         ex = _prefix_moments(chain.b, n_c, dt, n_steps)
-        if not ex.bound <= CUT_TOL:     # uncertified: expand the whole chain
+        if n_c < chain.d and not ex.bound <= CUT_TOL:
+            # the cut is not certified: expand the whole chain
             n_c = chain.d
             ex = _prefix_moments(chain.b, n_c, dt, n_steps)
         groups.setdefault(ex.lam, []).append((len(out), chain.label, n_c, ex))
@@ -464,7 +469,7 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
         for (i, label, n_c, ex), values in zip(members, rows):
             out[i] = CorrelationSeries(
                 dt, values, label=label, method="moments",
-                norm_drift_max=ex.drift, tail_weight_max=np.nan, lam=ex.lam,
+                norm_drift_max=ex.drift, lam=ex.lam,
                 moments=ex.mu.size, sites=n_c, cut_bound=ex.bound)
     return out
 
@@ -497,7 +502,10 @@ def propagate(
         certifies the cut; above CUT_TOL the whole chain is expanded
         instead.  The series records lambda, the moment count, the sites
         expanded and the bound (`lam`, `moments`, `sites`, `cut_bound`;
-        `sites` = d and `cut_bound` = 0 when uncut).
+        `sites` = d when uncut).  `cut_bound` always bounds |C - C'| on
+        the grid, for C' of any longer chain that goes on past site d-1
+        with b_d = b_{d-1} + max(b_{d-1} - b_{d-2}, 0): for an uncut chain
+        it is the finite-size bound, its end treated as a cut.
         "chebyshev" and "rk4" are the stepping references; they evolve the
         wavefunction.  "chebyshev" is a scaled polynomial expansion of the
         matrix exponential, exact to round-off per step; "rk4" is a
@@ -510,15 +518,6 @@ def propagate(
         If the norm drifts beyond NORM_TOL (for "moments": if some |mu_2k|
         exceeds 1 by more than NORM_TOL, which the spectral bound forbids);
         the message names the remedy.
-
-    Notes
-    -----
-    The stepping engines carry a boundary-reflection guard: `tail_flagged`
-    is set when the weight on the last 1% of sites ever exceeds 1e-6.  The
-    guard is conservative; site-0 contamination only begins after the
-    round-trip revival, but a flagged run's horizon should not be trusted
-    blindly.  "moments" does not measure the tail: its series carry
-    `tail_weight_max = nan` and `tail_flagged = False`.
     """
     if method not in ("chebyshev", "rk4", "moments"):
         raise ValueError(f"unknown propagator method {method!r}")
@@ -536,10 +535,7 @@ def propagate(
     phi = np.zeros(d)
     phi[0] = 1.0
     lam_max = _spectral_bound(chain.b) * (1.0 + 1e-7)
-
-    tail_sites = max(1, d // 100)
     drift_max = 0.0
-    tail_max = 0.0
 
     if method == "chebyshev":
         bs = chain.b / lam_max
@@ -572,9 +568,6 @@ def propagate(
                 hint = f"shrink dt below {dt / 2:.3g}"
             raise PropagationError(
                 f"norm drift {drift:.2e} beyond {NORM_TOL:.0e} at t={n * dt:.4g}; {hint}")
-        tail_max = max(tail_max, float(np.sum(phi[-tail_sites:] ** 2)))
 
-    return CorrelationSeries(
-        dt, values, label=chain.label, method=method,
-        norm_drift_max=drift_max, tail_weight_max=tail_max,
-        tail_flagged=tail_max > TAIL_WEIGHT_LIMIT)
+    return CorrelationSeries(dt, values, label=chain.label, method=method,
+                             norm_drift_max=drift_max)

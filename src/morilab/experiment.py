@@ -206,10 +206,6 @@ class EnsembleSummary:
                                                    init=False)
     failures: list[dict] = field(default_factory=list, init=False)
 
-    def scatter(self, records: Sequence[TrialRecord], family: str) -> np.ndarray:
-        pairs = [(r.sigma, r.epsilon) for r in records if r.family == family]
-        return np.array(pairs) if pairs else np.empty((0, 2))
-
     def to_json_dict(self) -> dict:
         return {"n_trials": self.n_trials, "bin_width": self.bin_width,
                 "families": {k: v.to_json_dict() for k, v in self.families.items()},

@@ -10,11 +10,11 @@ from scipy.special import jv
 from morilab import chain as chain_module
 from morilab.chain import (C0_TOL, CUT_TOL, NORM_TOL, WKB_FACTOR,
                            CorrelationSeries, LanczosChain, PropagationError,
-                           _bessel_tail, _causal_cut, _cosine_series,
-                           _even_moments, _miller_order, _prefix_moments,
-                           _quantized, _spectral_bound, dense_correlation,
-                           dense_generator, propagate, propagate_many,
-                           spectral_width_sum)
+                           _bessel_tail, _causal_cut, _continued_coupling,
+                           _cosine_series, _even_moments, _miller_order,
+                           _prefix_moments, _quantized, _spectral_bound,
+                           dense_correlation, dense_generator, propagate,
+                           propagate_many, spectral_width_sum)
 from morilab.design import exponential_chain, gaussian_chain, oscillating_pair
 from morilab.perturb import apply_draw, draw_noise
 
@@ -174,13 +174,18 @@ class TestPropagate:
         assert np.abs(series.values).max() <= 1.0 + 1e-9
 
     def test_boundary_guard_flags_long_horizon(self):
-        # linear tail: front reaches the end well inside this horizon
-        n = np.arange(1, 120)
-        ch = LanczosChain(0.5 * n + 1.0)
-        flagged = propagate(ch, dt=0.05, t_max=12.0, method="chebyshev")
-        assert flagged.tail_flagged
-        clean = propagate(ch, dt=0.05, t_max=0.5, method="chebyshev")
-        assert not clean.tail_flagged
+        # linear tail: the front reaches the end well inside this horizon,
+        # and the finite-size bound against the continued chain says so
+        ch = LanczosChain(0.5 * np.arange(1, 120) + 1.0)
+        longer = LanczosChain(0.5 * np.arange(1, 240) + 1.0)
+        flagged = propagate(ch, dt=0.05, t_max=12.0)
+        assert flagged.sites == ch.d
+        gap = np.abs(dense_correlation(ch, flagged.t)
+                     - dense_correlation(longer, flagged.t)).max()
+        assert 0.5 <= gap <= flagged.cut_bound    # measured 0.96 and 1.7e4
+        clean = propagate(ch, dt=0.05, t_max=0.5)
+        assert clean.sites == ch.d
+        assert clean.cut_bound <= 1e-30           # measured 4e-37
 
     def test_rk4_instability_reported(self, monkeypatch):
         # a phase budget this loose leaves only the stability cap on the
@@ -204,6 +209,13 @@ def desk_trial_chain(seed: int = 5) -> LanczosChain:
     """A perturbed desk-profile exponential-family chain (d=2000)."""
     base = exponential_chain(1.2, 150, 2000)
     return apply_draw(base, 0.5, draw_noise(2000, 666, seed)).chain
+
+
+def desk_design(family: str, d: int) -> LanczosChain:
+    """The unperturbed desk decay design of family g or e, at d sites."""
+    if family == "g":
+        return gaussian_chain(150, d)
+    return exponential_chain(1.2, 150, d)
 
 
 class TestMomentsEngine:
@@ -242,12 +254,6 @@ class TestMomentsEngine:
         moments = propagate(chain, dt=0.02, t_max=40.0, method="moments")
         stepping = propagate(chain, dt=0.02, t_max=40.0, method="chebyshev")
         assert np.abs(moments.values - stepping.values).max() <= 1e-12
-
-    def test_tail_not_measured(self):
-        series = propagate(LanczosChain(np.ones(30)), dt=0.1, t_max=5.0,
-                           method="moments")
-        assert np.isnan(series.tail_weight_max)
-        assert not series.tail_flagged
 
 
 class TestMomentGuard:
@@ -330,7 +336,8 @@ class TestCausalCut:
         assert ex.bound >= 1e3            # measured 6.2e3: and not certified
         monkeypatch.setattr(chain_module, "WKB_FACTOR", 1.0)
         series = propagate(gdo, dt=OSC_DT, t_max=horizon, method="moments")
-        assert (series.sites, series.cut_bound) == (gdo.d, 0.0)
+        assert series.sites == gdo.d
+        assert 0.0 < series.cut_bound <= 1e-15   # the chain's end: Kapteyn tail
         assert np.array_equal(series.values, uncut_engine(gdo, OSC_DT, horizon))
 
     @pytest.mark.parametrize("seed", [3, 8])
@@ -355,22 +362,47 @@ class TestCausalCut:
         assert n_c == 52
         assert _prefix_moments(b, n_c, OSC_DT, OSC_STEPS).bound > CUT_TOL
         series = propagate(weak, dt=OSC_DT, t_max=30.0, method="moments")
-        assert (series.sites, series.cut_bound) == (weak.d, 0.0)
+        assert series.sites == weak.d
+        assert 0.0 < series.cut_bound <= 1e-15
         assert np.array_equal(series.values, uncut_engine(weak, OSC_DT, 30.0))
 
     @pytest.mark.parametrize("family", ["g", "e"])
     def test_desk_decay_chains_are_not_cut(self, family):
-        base = gaussian_chain(150, 2000) if family == "g" \
-            else exponential_chain(1.2, 150, 2000)
+        base = desk_design(family, 2000)
         for chain in (base, apply_draw(base, 0.5, draw_noise(2000, 666, 4)).chain):
             # the whole chain's WKB travel time, 33-36, is below t_max = 40
             assert _causal_cut(chain.b, 40.0, WKB_FACTOR) == chain.d
             series = propagate(chain, dt=0.02, t_max=40.0, method="moments")
-            assert (series.sites, series.cut_bound) == (chain.d, 0.0)
+            assert series.sites == chain.d
+            # the finite-size bound: the edge term is about 1e-133, and
+            # the Kapteyn tail sets it
+            assert 0.0 < series.cut_bound <= 1e-15   # measured 3.4e-16
             assert series.lam == _quantized(_spectral_bound(chain.b) * (1.0 + 1e-7))
             z_end = series.lam * 0.02 * 2000
-            assert series.moments == int(_miller_order(z_end)) // 2 + 1
+            assert series.moments == max(int(_miller_order(z_end)) // 2,
+                                         int(_miller_order(z_end / 2))) + 1
             assert np.array_equal(series.values, uncut_engine(chain, 0.02, 40.0))
+
+
+class TestFiniteSizeBound:
+    @pytest.mark.parametrize("d", [250, 400, 600, 1200, 2000])
+    @pytest.mark.parametrize("family", ["g", "e"])
+    def test_two_sided_against_the_design_at_2d(self, family, d):
+        # the designs end in an affine tail, so the design at 2d is the
+        # chain continued past d; at T = 40 the front reaches site 600
+        # but not site 1200
+        short = propagate(desk_design(family, d), dt=0.02, t_max=40.0)
+        long = propagate(desk_design(family, 2 * d), dt=0.02, t_max=40.0)
+        assert short.sites == d
+        gap = np.abs(short.values - long.values).max()
+        assert gap <= short.cut_bound + 1e-13
+        if d <= 600:
+            assert short.cut_bound >= 1e3         # measured 2e4-4e4
+            if (family, d) != ("g", 600):         # that one is 7.6e-12
+                assert gap >= 0.2                 # measured 0.24-1.0
+        else:
+            assert short.cut_bound <= 1e-15       # measured 1.3e-17, 3.4e-16
+            assert gap <= 1e-14                   # measured 2e-15-4e-15
 
 
 def random_chain(seed: int, d: int, growing: bool) -> LanczosChain:
@@ -382,21 +414,33 @@ def random_chain(seed: int, d: int, growing: bool) -> LanczosChain:
     return LanczosChain(rng.uniform(0.5, 2.0, d - 1))
 
 
+def continued(chain: LanczosChain, d: int) -> LanczosChain:
+    """The chain extended to d sites by the engine's continuation rule."""
+    b = list(chain.b)
+    while len(b) < d - 1:
+        b.append(_continued_coupling(np.array(b[-2:])))
+    return LanczosChain(np.array(b))
+
+
 class TestCutProperties:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(20, 300),
            growing=st.booleans(), t_max=st.floats(1.0, 15.0),
-           n_steps=st.integers(5, 150), factor=st.floats(0.25, 3.0))
+           n_steps=st.integers(5, 150),
+           factor=st.just(np.inf) | st.floats(0.25, 3.0))
     def test_certificate_is_sound(self, seed, d, growing, t_max, n_steps,
                                   factor):
+        # factor = inf never cuts: the bound is then the finite-size one,
+        # and the chain at 2d is an extension past the cut either way
         chain = random_chain(seed, d, growing)
         dt = t_max / n_steps
         n_c = _causal_cut(chain.b, n_steps * dt, factor)
         ex = _prefix_moments(chain.b, n_c, dt, n_steps)
         t = dt * np.arange(n_steps + 1)
-        err = np.abs(_cosine_series([ex.mu], ex.z)[0]
-                     - dense_correlation(chain, t)).max()
-        assert err <= ex.bound + 1e-13
+        series = _cosine_series([ex.mu], ex.z)[0]
+        for extension in (chain, continued(chain, 2 * d)):
+            err = np.abs(series - dense_correlation(extension, t)).max()
+            assert err <= ex.bound + 1e-13
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(20, 300),
@@ -413,6 +457,23 @@ class TestCutProperties:
         assert (one.sites, one.moments, one.cut_bound) == \
             (two.sites, two.moments, two.cut_bound)
         assert two.lam == s * one.lam
+
+
+class TestSteppingProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 150),
+           growing=st.booleans(), t_max=st.floats(0.5, 4.0),
+           n_steps=st.integers(2, 40),
+           method=st.sampled_from(["chebyshev", "rk4"]))
+    def test_norm_is_kept_and_values_match_dense(self, seed, d, growing,
+                                                 t_max, n_steps, method):
+        # the norm guard is the one the stepping references keep
+        chain = random_chain(seed, d, growing)
+        dt = t_max / n_steps
+        series = propagate(chain, dt=dt, t_max=t_max, method=method)
+        assert 0.0 <= series.norm_drift_max <= NORM_TOL
+        err = np.abs(series.values - dense_correlation(chain, series.t)).max()
+        assert err <= 1e-8
 
 
 class TestQuantizedScale:

@@ -362,9 +362,10 @@ class TestRunCommand:
         assert set(summary["families"]) == {"g", "e"}
         assert summary["config"]["scenario"] == "decay"
         assert set(summary["unperturbed"]) == {"g", "e"}
-        # the moments engine does not measure the boundary tail
+        # the baselines are not cut, and the chain's end is a cut: each
+        # carries its finite-size bound
         for baseline in summary["unperturbed"].values():
-            assert "tail_flagged" not in baseline
+            assert baseline["sites"] == 150 and baseline["cut_bound"] > 0.0
 
     def test_summary_reports_the_engine_of_each_baseline(self, tiny_run):
         summary = json.loads((tiny_run / "summary.json").read_text())

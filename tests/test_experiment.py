@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from morilab.experiment import (Scenario, ScenarioConfig, TrialRecord,
                                 build_families, histogram, records_from_csv,
-                                records_to_csv, run_scenario, summarize,
-                                trial_seed, worker_count)
+                                records_to_csv, run_scenario,
+                                scatter_to_csv, summarize, trial_seed,
+                                worker_count)
 from morilab.fitting import ModelClass
 
 FAST_DECAY = dict(scenario=Scenario.DECAY, d=200, n_trials=6, dt=0.05,
@@ -227,11 +228,15 @@ class TestSummarize:
         summary = summarize(only_e, 5e-4)
         assert set(summary.families) == {"e"}
 
-    def test_scatter_pairs(self):
+    def test_scatter_pairs(self, tmp_path):
         cfg = ScenarioConfig(**FAST_DECAY)
-        records, summary = run_scenario(cfg)
-        pairs = summary.scatter(records, "g")
-        assert pairs.shape == (cfg.n_trials, 2)
+        records, _ = run_scenario(cfg)
+        scatter_to_csv(records, tmp_path / "scatter.csv")
+        rows = (tmp_path / "scatter.csv").read_text().splitlines()[1:]
+        pairs = [row.split(",")[1:] for row in rows if row.startswith("g,")]
+        assert pairs == [[repr(r.sigma), repr(r.epsilon)]
+                         for r in records if r.family == "g"]
+        assert len(pairs) == cfg.n_trials
 
 
 class TestRecordsCsv:
