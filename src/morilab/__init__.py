@@ -18,10 +18,9 @@ from .experiment import (EnsembleSummary, Histogram, Scenario, ScenarioConfig,
 from .fitting import (FitModel, FitResult, ModelClass, detect_equilibration,
                       epsilon, fit, sigma)
 from .perturb import PerturbationDraw, PerturbedChain, apply_draw, draw_noise
-from .reverse import (AnalyticCorrelation, LanczosBreakdownError,
-                      QuadratureError, ReverseResult, SpectralDensityInput,
-                      fourier_of_correlation, lanczos_from_spectrum,
-                      tridiagonalize_dense)
+from .reverse import (AnalyticCorrelation, QuadratureError, ReverseResult,
+                      SpectralDensityInput, fourier_of_correlation,
+                      lanczos_from_spectrum)
 
 __all__ = [
     "__version__",
@@ -35,7 +34,6 @@ __all__ = [
     "FitModel", "FitResult", "ModelClass", "detect_equilibration", "epsilon",
     "fit", "sigma",
     "PerturbationDraw", "PerturbedChain", "apply_draw", "draw_noise",
-    "AnalyticCorrelation", "LanczosBreakdownError", "QuadratureError",
-    "ReverseResult", "SpectralDensityInput", "fourier_of_correlation",
-    "lanczos_from_spectrum", "tridiagonalize_dense",
+    "AnalyticCorrelation", "QuadratureError", "ReverseResult",
+    "SpectralDensityInput", "fourier_of_correlation", "lanczos_from_spectrum",
 ]

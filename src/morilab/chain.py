@@ -320,7 +320,6 @@ def _quantized(lam: float) -> float:
 
 class _Expansion(NamedTuple):
     lam: float          # the expanded prefix's Gershgorin bound, quantized
-    z: np.ndarray       # Bessel arguments lam * t_n
     mu: np.ndarray      # even moments mu_0, mu_2, ...
     drift: float        # max(0, max mu_2k - 1)
     bound: float        # certified bound on |C - C_continued| over the grid
@@ -352,13 +351,13 @@ def _prefix_moments(b: np.ndarray, n_c: int, dt: float,
     """
     b_c = b[:n_c - 1]
     lam = _quantized(_spectral_bound(b_c) * (1.0 + 1e-7))
-    z = lam * dt * np.arange(n_steps + 1)
-    order = max(int(_miller_order(z[-1])) // 2, int(_miller_order(z[-1] / 2)))
+    z_end = lam * dt * n_steps
+    order = max(int(_miller_order(z_end)) // 2, int(_miller_order(z_end / 2)))
     mu, drift, edge = _even_moments(b_c, lam, order)
     b_cut = b[n_c - 1] if n_c <= b.size else _continued_coupling(b)
     bound = 4.0 * b_cut * (n_steps * dt) * (
-        np.sqrt(order + 1) * edge + _bessel_tail(order, z[-1] / 2))
-    return _Expansion(lam, z, mu, drift, float(bound))
+        np.sqrt(order + 1) * edge + _bessel_tail(order, z_end / 2))
+    return _Expansion(lam, mu, drift, float(bound))
 
 
 def _miller_order(z: np.ndarray) -> np.ndarray:
@@ -438,34 +437,43 @@ def _step_count(dt: float, t_max: float) -> int:
 
 
 def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
-                   t_max: float = 10.0) -> list[CorrelationSeries]:
+                   t_max: float = 10.0
+                   ) -> list[CorrelationSeries | PropagationError]:
     """`propagate(chain, dt, t_max)` for every chain, with the "moments"
     engine: each chain's own causal prefix and even moments.
 
     Chains whose scales lam (quantized) are equal share one Bessel sum, one
     Miller pass over their stacked moments.  Its rows do not depend on
     each other, so every series equals the one `propagate` gives for its
-    chain alone, to the bit, whatever the chains and their order.  Only a
-    chain's moments are kept, so `chains` may be a generator.
+    chain alone, to the bit, whatever the chains and their order.  A chain
+    whose expansion raises PropagationError gets that error in its slot
+    instead of a series and joins no pass.  Only a chain's moments are
+    kept, so `chains` may be a generator.
     """
     n_steps = _step_count(dt, t_max)
-    out: list[CorrelationSeries | None] = []
+    out: list[CorrelationSeries | PropagationError | None] = []
     groups: dict[float, list[tuple[int, str, int, _Expansion]]] = {}
     for chain in chains:
         if chain.d == 1:
             out.append(CorrelationSeries(dt, np.ones(n_steps + 1),
                                          label=chain.label, method="moments"))
             continue
-        n_c = _causal_cut(chain.b, n_steps * dt, WKB_FACTOR)
-        ex = _prefix_moments(chain.b, n_c, dt, n_steps)
-        if n_c < chain.d and not ex.bound <= CUT_TOL:
-            # the cut is not certified: expand the whole chain
-            n_c = chain.d
+        try:
+            n_c = _causal_cut(chain.b, n_steps * dt, WKB_FACTOR)
             ex = _prefix_moments(chain.b, n_c, dt, n_steps)
+            if n_c < chain.d and not ex.bound <= CUT_TOL:
+                # the cut is not certified: expand the whole chain
+                n_c = chain.d
+                ex = _prefix_moments(chain.b, n_c, dt, n_steps)
+        except PropagationError as err:
+            # without its traceback, which would hold this frame's moments
+            out.append(err.with_traceback(None))
+            continue
         groups.setdefault(ex.lam, []).append((len(out), chain.label, n_c, ex))
         out.append(None)
-    for members in groups.values():
-        rows = _cosine_series([ex.mu for *_, ex in members], members[0][3].z)
+    for lam, members in groups.items():
+        rows = _cosine_series([ex.mu for *_, ex in members],
+                              lam * dt * np.arange(n_steps + 1))
         for (i, label, n_c, ex), values in zip(members, rows):
             out[i] = CorrelationSeries(
                 dt, values, label=label, method="moments",
@@ -522,7 +530,10 @@ def propagate(
     if method not in ("chebyshev", "rk4", "moments"):
         raise ValueError(f"unknown propagator method {method!r}")
     if method == "moments":
-        return propagate_many([chain], dt, t_max)[0]
+        series = propagate_many([chain], dt, t_max)[0]
+        if isinstance(series, PropagationError):
+            raise series
+        return series
 
     d = chain.d
     n_steps = _step_count(dt, t_max)

@@ -21,7 +21,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .chain import CorrelationSeries, LanczosChain, PropagationError, propagate
+from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, PropagationError,
+                    propagate)
 from .design import (exponential_chain, gaussian_chain, linear_continuation,
                      oscillating_pair)
 from .experiment import (Scenario, ScenarioConfig, histogram_to_csv,
@@ -482,6 +483,12 @@ def _cmd_run(args) -> int:
         log.info("trials %d/%d", done, total)
 
     records, summary = run_scenario(config, progress=progress)
+    for name, run in summary.runs.items():
+        if not run.baseline.cut_bound <= CUT_TOL:
+            log.warning("baseline %s: cut bound %.3g exceeds %.0e, so C(t) is "
+                        "not certified on [0, t_max]; the chain may be too "
+                        "short for the horizon", name, run.baseline.cut_bound,
+                        CUT_TOL)
     manifest = emit_run_outputs(config, records, summary, args.out,
                                 time.time() - t0)
     for name, fam in summary.families.items():

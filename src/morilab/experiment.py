@@ -24,7 +24,7 @@ from .chain import (CorrelationSeries, LanczosChain, PropagationError,
 from .design import exponential_chain, gaussian_chain, oscillating_pair
 from .fitting import (FitResult, ModelClass, detect_equilibration, epsilon,
                       fit, sigma)
-from .perturb import POSITIVITY_FLOOR, PerturbedChain, apply_draw, draw_noise
+from .perturb import POSITIVITY_FLOOR, apply_draw, draw_noise
 
 __all__ = [
     "Scenario",
@@ -45,7 +45,6 @@ __all__ = [
     "worker_count",
 ]
 
-ENV_THREADS = "MORILAB_THREADS"
 N_EXEMPLARS = 3  # perturbed trials per family kept for the curves figure
 
 
@@ -288,8 +287,8 @@ class Exemplar(NamedTuple):
     values: np.ndarray
 
 
-def _trial_record(ctx: FamilyRun, trial: int, seed: int, pert: PerturbedChain,
-                  series: CorrelationSeries) -> TrialRecord:
+def _trial_record(ctx: FamilyRun, trial: int, seed: int, clamp_count: int,
+                  invalid: bool, series: CorrelationSeries) -> TrialRecord:
     cfg = ctx.config
     n_eq, equilibrated = detect_equilibration(series, cfg.eq_threshold,
                                               cfg.eq_window)
@@ -302,58 +301,52 @@ def _trial_record(ctx: FamilyRun, trial: int, seed: int, pert: PerturbedChain,
         trial=trial, family=ctx.name, seed=seed, model=m.kind.value,
         a=m.a, mu=m.mu, omega=m.omega, phi=m.phi,
         epsilon=result.epsilon, sigma=sig, eps0=eps0, n_eq=n_eq,
-        equilibrated=equilibrated, clamp_count=pert.clamp_count,
+        equilibrated=equilibrated, clamp_count=clamp_count,
         converged=result.converged,
-        valid=not pert.invalid and result.converged)
+        valid=not invalid and result.converged)
 
 
 def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]:
     """Perturb a block of one family's trials, propagate them in one call,
-    then fit each.  A trial whose propagation or fit raises is recorded as
-    invalid and unconverged, with NaN quantifiers and n_eq 0, and reported;
-    if the block's propagation raises, each trial is propagated alone (the
-    same bits) to find the failing ones."""
+    then fit each.  Each trial is drawn once, as the call reads its chain.
+    A trial whose propagation or fit raises is recorded as invalid and
+    unconverged, with NaN quantifiers and n_eq 0, and reported."""
     ctx, trials = args
     cfg = ctx.config
     seeds = [trial_seed(cfg.base_seed, ctx.index, t) for t in trials]
+    draws = []         # (clamp_count, invalid) of each trial's draw
 
-    def perturbed(seed: int) -> PerturbedChain:
-        return apply_draw(ctx.chain, cfg.strength,
-                          draw_noise(cfg.d, cfg.n_f, seed), floor=cfg.floor)
+    def chains():
+        for seed in seeds:
+            pert = apply_draw(ctx.chain, cfg.strength,
+                              draw_noise(cfg.d, cfg.n_f, seed), floor=cfg.floor)
+            draws.append((pert.clamp_count, pert.invalid))
+            yield pert.chain
 
-    # each chain is drawn once for its moments and once more for its
-    # record: holding a block's draws would cost ~100 MB at the paper profile
-    try:
-        batch = propagate_many((perturbed(seed).chain for seed in seeds),
-                               cfg.dt, cfg.t_max)
-    except PropagationError:
-        batch = None
+    batch = propagate_many(chains(), cfg.dt, cfg.t_max)
     out = []
-    for i, (trial, seed) in enumerate(zip(trials, seeds)):
-        pert = perturbed(seed)
+    for trial, seed, (clamps, invalid), series in zip(trials, seeds, draws,
+                                                      batch):
         try:
-            series = batch[i] if batch is not None else \
-                propagate(pert.chain, dt=cfg.dt, t_max=cfg.t_max)
-            out.append((_trial_record(ctx, trial, seed, pert, series),
-                        series.values, None))
+            if isinstance(series, PropagationError):
+                raise series
+            out.append((_trial_record(ctx, trial, seed, clamps, invalid,
+                                      series), series.values, None))
         except RuntimeError as err:     # a PropagationError or a failed fit
             nan = float("nan")
             record = TrialRecord(trial, ctx.name, seed, ctx.model_class.value,
                                  nan, nan, None, None, nan, nan, nan, 0, False,
-                                 pert.clamp_count, False, False)
+                                 clamps, False, False)
             out.append((record, None, {"family": ctx.name, "trial": trial,
                                        "error": f"{type(err).__name__}: {err}"}))
     return out
 
 
 def worker_count(config: ScenarioConfig) -> int:
-    """config.workers, else MORILAB_THREADS, else the CPUs this process may
-    run on (its affinity, not the host's count)."""
+    """config.workers, else the CPUs this process may run on (its affinity,
+    not the host's count)."""
     if config.workers is not None:
         return max(1, config.workers)
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        return max(1, int(env))
     return len(os.sched_getaffinity(0))
 
 

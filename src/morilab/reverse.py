@@ -3,8 +3,7 @@
 The route is spectral: Fourier-transform C(t), seed the three-term
 recursion with the normalized square root of the density, and apply the
 frequency-multiplication operator.  The recursion coefficients are the
-chain's hopping amplitudes.  A dense-matrix tridiagonalization doubles as
-the round-trip oracle.
+chain's hopping amplitudes.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ __all__ = [
     "SpectralDensityInput",
     "ReverseResult",
     "QuadratureError",
-    "LanczosBreakdownError",
     "fourier_of_correlation",
     "spectral_grid_for",
     "lanczos_from_spectrum",
-    "tridiagonalize_dense",
 ]
 
 GRID_DENSITY = 40          # grid points per unit frequency
@@ -38,15 +35,6 @@ ORTHO_RESIDUAL_MAX = 1e-6  # loss of basis orthogonality ends the recursion
 
 class QuadratureError(ValueError):
     """Raised when the frequency grid cannot support the computation."""
-
-
-class LanczosBreakdownError(RuntimeError):
-    """Early termination of the dense recursion (invariant subspace hit)."""
-
-    def __init__(self, index: int, coefficients: np.ndarray):
-        self.index = index
-        self.coefficients = coefficients
-        super().__init__(f"recursion broke down at step {index}")
 
 
 @dataclass(frozen=True)
@@ -322,46 +310,3 @@ def lanczos_from_spectrum(spec: SpectralDensityInput, n_max: int) -> ReverseResu
                     "density": float((spec.omega.size - 1)
                                      / (spec.omega[-1] - spec.omega[0])),
                     "source": spec.source})
-
-
-def tridiagonalize_dense(matrix: np.ndarray, seed: np.ndarray,
-                         k: int | None = None) -> np.ndarray:
-    """Dense Lanczos with full reorthogonalization; returns the off-diagonals.
-
-    Oracle contract: feeding the dense generator of a chain with the e_0 seed
-    returns the chain's coefficients.  Breakdown (vanishing b_n before k
-    steps) raises LanczosBreakdownError carrying the index and the partial
-    coefficients.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(matrix, matrix.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    d = matrix.shape[0]
-    seed = np.asarray(seed, dtype=float)
-    nrm = np.linalg.norm(seed)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError("seed must be normalized")
-    if k is None:
-        k = d - 1
-    if k >= d:
-        raise ValueError("at most d-1 coefficients exist")
-
-    Q = np.empty((k + 1, d))
-    Q[0] = seed / nrm
-    b = np.zeros(k)
-    q_prev = np.zeros(d)
-    q = Q[0]
-    for n in range(1, k + 1):
-        r = matrix @ q - (b[n - 2] if n > 1 else 0.0) * q_prev
-        r -= (q @ r) * q  # diagonal term: zero for bipartite L, kept for generality
-        for _ in range(2):
-            r -= Q[:n].T @ (Q[:n] @ r)
-        bn = np.linalg.norm(r)
-        if bn < 1e-12:
-            raise LanczosBreakdownError(n, b[: n - 1].copy())
-        q_prev, q = q, r / bn
-        Q[n] = q
-        b[n - 1] = bn
-    return b

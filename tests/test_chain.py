@@ -320,7 +320,7 @@ class TestCausalCut:
         b = np.ones(399)
         ex = _prefix_moments(b, 300, 0.1, 50)
         assert ex.mu.size - 1 < 299
-        tail = _bessel_tail(ex.mu.size - 1, ex.z[-1] / 2)
+        tail = _bessel_tail(ex.mu.size - 1, ex.lam * 0.1 * 50 / 2)
         assert ex.bound == 4.0 * 1.0 * (50 * 0.1) * tail > 0.0
 
     def test_short_cut_is_refused_and_propagate_falls_back(self, monkeypatch):
@@ -330,7 +330,8 @@ class TestCausalCut:
         assert 100 <= n_c <= 140          # measured 118
         ex = _prefix_moments(gdo.b, n_c, OSC_DT, OSC_STEPS)
         t = OSC_DT * np.arange(OSC_STEPS + 1)
-        err = np.abs(_cosine_series([ex.mu], ex.z)[0]
+        z = ex.lam * OSC_DT * np.arange(OSC_STEPS + 1)
+        err = np.abs(_cosine_series([ex.mu], z)[0]
                      - dense_correlation(gdo, t)).max()
         assert err >= 0.05                # measured 0.069: the cut is wrong
         assert ex.bound >= 1e3            # measured 6.2e3: and not certified
@@ -437,7 +438,8 @@ class TestCutProperties:
         n_c = _causal_cut(chain.b, n_steps * dt, factor)
         ex = _prefix_moments(chain.b, n_c, dt, n_steps)
         t = dt * np.arange(n_steps + 1)
-        series = _cosine_series([ex.mu], ex.z)[0]
+        z = ex.lam * dt * np.arange(n_steps + 1)
+        series = _cosine_series([ex.mu], z)[0]
         for extension in (chain, continued(chain, 2 * d)):
             err = np.abs(series - dense_correlation(extension, t)).max()
             assert err <= ex.bound + 1e-13
@@ -549,6 +551,28 @@ class TestPropagateMany:
 
     def test_empty_list(self):
         assert propagate_many([], dt=0.1, t_max=1.0) == []
+
+    def test_a_failing_chain_keeps_its_slot(self, monkeypatch):
+        # the moment guard trips for the middle chain only: its slot holds
+        # the error, and the chains around it, of the same scale, are
+        # propagated as if alone
+        good = [random_chain(seed, 120, False) for seed in (1, 5)]
+        bad = random_chain(2, 120, False)
+        error = PropagationError("moment guard tripped")
+
+        def prefix_moments(b, *args):
+            if b.tobytes() == bad.b.tobytes():
+                raise error
+            return _prefix_moments(b, *args)
+
+        monkeypatch.setattr(chain_module, "_prefix_moments", prefix_moments)
+        many = propagate_many([good[0], bad, good[1]], dt=0.1, t_max=8.0)
+        assert many[1] is error
+        assert many[0].lam == many[2].lam
+        for chain, series in zip(good, many[::2]):
+            assert same_series(series, propagate(chain, dt=0.1, t_max=8.0))
+        with pytest.raises(PropagationError, match="moment guard tripped"):
+            propagate(bad, dt=0.1, t_max=8.0)
 
 
 class TestDenseCorrelation:

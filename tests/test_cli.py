@@ -210,13 +210,18 @@ class TestOnePass:
     def test_families_built_and_chains_propagated_once(self, monkeypatch,
                                                        tmp_path):
         builds = count_calls(monkeypatch, experiment.build_families)
+        singles = count_calls(monkeypatch, chain.propagate)
         propagations = count_calls(monkeypatch, chain.propagate_many)
+        draws = count_calls(monkeypatch, draw_noise)
         assert main(TINY_RUN + ["--out", str(tmp_path)]) == 0
         assert len(builds) == 1
         # each baseline, then one call per family: with one worker, each
         # family's trials form a single block
+        assert len(singles) == 2
         assert [len(chains) for chains, *_ in propagations] == \
             [1, 1, TINY_TRIALS, TINY_TRIALS]
+        # each trial is drawn once
+        assert len(draws) == 2 * TINY_TRIALS
 
     def test_exemplar_curves_match_fresh_propagation(self, tiny_run):
         config = parse_config(str(tiny_run / "manifest.json"), {})
@@ -241,11 +246,8 @@ class TestOnePass:
 
 
 def failing_where(fn, condition, error):
-    """fn, raising error instead where condition(first argument) holds; an
-    iterator argument is read into a list first."""
+    """fn, raising error instead where condition(first argument) holds."""
     def wrapped(first, *args, **kwargs):
-        if isinstance(first, Iterator):
-            first = list(first)
         if condition(first):
             raise error
         return fn(first, *args, **kwargs)
@@ -270,18 +272,16 @@ class TestFailureLocality:
         bad_chain = trial_chain(g, 0, 1).b.tobytes()
         bad_fit = chain.propagate(trial_chain(e, 1, 2), dt=config.dt,
                                   t_max=config.t_max).values.tobytes()
-        monkeypatch.setattr(experiment, "propagate_many", failing_where(
-            chain.propagate_many,
-            lambda chains: any(c.b.tobytes() == bad_chain for c in chains),
-            PropagationError("moment guard tripped")))
-        monkeypatch.setattr(experiment, "propagate", failing_where(
-            chain.propagate, lambda c: c.b.tobytes() == bad_chain,
+        monkeypatch.setattr(chain, "_prefix_moments", failing_where(
+            chain._prefix_moments, lambda b: b.tobytes() == bad_chain,
             PropagationError("moment guard tripped")))
         monkeypatch.setattr(experiment, "fit", failing_where(
             experiment.fit, lambda s: s.values.tobytes() == bad_fit,
             RuntimeError("no fit restart could be evaluated")))
+        singles = count_calls(monkeypatch, chain.propagate)
 
         assert main(TINY_RUN + ["--out", str(tmp_path)]) == 3
+        assert len(singles) == 2        # the baselines: no trial is retried
         assert "g trial 1: PropagationError" in capsys.readouterr().err
         assert set(os.listdir(tiny_run)) == set(os.listdir(tmp_path))
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -298,8 +298,7 @@ class TestFailureLocality:
         for r in failed:
             assert not r.valid and not r.converged
             assert np.isnan([r.a, r.mu, r.epsilon, r.sigma, r.eps0]).all()
-        # every other trial's row is the healthy run's, byte for byte;
-        # g's other trials were propagated one at a time
+        # every other trial's row is the healthy run's, byte for byte
         ok_rows = lambda path: [row for row in path.read_text().splitlines()
                                 if not row.startswith(("1,g,", "2,e,"))]
         assert ok_rows(tmp_path / "records.csv") == \
@@ -386,6 +385,26 @@ class TestRunCommand:
         finally:
             logger.setLevel(logging.NOTSET)
         assert "trials" not in capsys.readouterr().err
+
+    def test_uncertified_baselines_are_warned_about(self, capsys, tmp_path):
+        assert main(TINY_RUN + ["--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for family in ("g", "e"):
+            bound = summary["unperturbed"][family]["cut_bound"]
+            assert bound > chain.CUT_TOL        # measured 8.84 and 15.5
+            assert f"baseline {family}: cut bound {bound:.3g} exceeds" in err
+
+    def test_certified_baselines_are_not_warned_about(self, capsys, tmp_path):
+        # the criterion-12 config: d=400 is long enough for t_max=12
+        assert main(["run", "--scenario", "decay", "--d", "400", "--trials",
+                     "2", "--dt", "0.05", "--tmax", "12", "--nstar", "10",
+                     "--seed", "7", "--workers", "1",
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for baseline in summary["unperturbed"].values():
+            assert baseline["cut_bound"] <= chain.CUT_TOL  # 5e-19, 1.2e-18
+        assert "cut bound" not in capsys.readouterr().err
 
     def test_progress_shown_on_stderr(self, capsys, tmp_path):
         assert main(TINY_RUN + ["--out", str(tmp_path)]) == 0

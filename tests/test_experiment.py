@@ -134,23 +134,13 @@ class TestTrialSeed:
 
 
 class TestWorkerCount:
-    def test_env_caps_workers(self, monkeypatch):
-        cfg = ScenarioConfig(**FAST_DECAY)
-        monkeypatch.setattr(cfg, "workers", None)
-        monkeypatch.setenv("MORILAB_THREADS", "3")
-        assert worker_count(cfg) == 3
-        monkeypatch.delenv("MORILAB_THREADS")
-        assert worker_count(cfg) >= 1
-
     def test_default_is_the_affinity_not_the_host(self, monkeypatch):
-        monkeypatch.delenv("MORILAB_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = ScenarioConfig(**{**FAST_DECAY, "workers": None})
         assert worker_count(cfg) == 2
 
-    def test_explicit_workers_win(self, monkeypatch):
-        monkeypatch.setenv("MORILAB_THREADS", "5")
+    def test_explicit_workers_win(self):
         cfg = ScenarioConfig(**{**FAST_DECAY, "workers": 2})
         assert worker_count(cfg) == 2
 

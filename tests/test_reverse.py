@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from morilab.chain import LanczosChain, dense_generator, propagate
+from morilab.chain import LanczosChain, propagate
 from morilab.design import linear_continuation
 from morilab.fitting import detect_equilibration
-from morilab.reverse import (AnalyticCorrelation, LanczosBreakdownError,
-                             QuadratureError, SpectralDensityInput,
-                             fourier_of_correlation, lanczos_from_spectrum,
-                             spectral_grid_for, tridiagonalize_dense)
+from morilab.reverse import (AnalyticCorrelation, QuadratureError,
+                             SpectralDensityInput, fourier_of_correlation,
+                             lanczos_from_spectrum, spectral_grid_for)
 
 
 class TestAnalyticCorrelation:
@@ -197,52 +196,6 @@ class TestGdoPipeline:
         n_eq, _ = detect_equilibration(series)
         rms = np.sqrt(np.sum((series.values - target)[: n_eq + 1] ** 2) / n_eq)
         assert rms <= 0.01
-
-
-class TestTridiagonalizeDense:
-    def test_exact_roundtrip_small(self):
-        chain = LanczosChain(np.array([1.0, 2.0, 3.0]))
-        seed = np.eye(1, 4).ravel()
-        b = tridiagonalize_dense(dense_generator(chain), seed)
-        assert np.allclose(b, [1.0, 2.0, 3.0], atol=1e-12)
-
-    @pytest.mark.parametrize("seed_val", [0, 1, 2])
-    def test_roundtrip_random_chain(self, seed_val):
-        rng = np.random.default_rng(seed_val)
-        chain = LanczosChain(rng.uniform(0.2, 3.0, 99))
-        e0 = np.eye(1, 100).ravel()
-        b = tridiagonalize_dense(dense_generator(chain), e0)
-        assert np.abs(b - chain.b).max() < 1e-10
-
-    def test_roundtrip_d500(self):
-        rng = np.random.default_rng(12)
-        chain = LanczosChain(rng.uniform(0.2, 3.0, 499))
-        e0 = np.eye(1, 500).ravel()
-        b = tridiagonalize_dense(dense_generator(chain), e0)
-        assert np.abs(b - chain.b).max() < 1e-10
-
-    def test_breakdown_reported_with_index(self):
-        # block-diagonal matrix: e0 only explores the first 2x2 block
-        M = np.zeros((4, 4))
-        M[0, 1] = M[1, 0] = 1.5
-        M[2, 3] = M[3, 2] = 0.7
-        seed = np.eye(1, 4).ravel()
-        with pytest.raises(LanczosBreakdownError) as err:
-            tridiagonalize_dense(M, seed)
-        assert err.value.index == 2
-        assert np.allclose(err.value.coefficients, [1.5])
-
-    def test_seed_must_be_normalized(self):
-        M = np.zeros((3, 3))
-        M[0, 1] = M[1, 0] = 1.0
-        M[1, 2] = M[2, 1] = 1.0
-        with pytest.raises(ValueError, match="normalized"):
-            tridiagonalize_dense(M, np.array([2.0, 0.0, 0.0]))
-
-    def test_symmetry_required(self):
-        M = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            tridiagonalize_dense(M, np.array([1.0, 0.0]))
 
 
 class TestSpectralGrid:
