@@ -8,6 +8,7 @@ byte-identically for a given tool version.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -28,7 +29,8 @@ from .design import (exponential_chain, gaussian_chain, linear_continuation,
 from .experiment import (Scenario, ScenarioConfig, histogram_to_csv,
                          records_to_csv, run_scenario, scatter_to_csv,
                          worker_count)
-from .fitting import FitModel, ModelClass, detect_equilibration, fit
+from .fitting import (EQ_THRESHOLD, EQ_WINDOW, ModelClass,
+                      detect_equilibration, fit)
 from .perturb import apply_draw, draw_noise
 from .reverse import (AnalyticCorrelation, QuadratureError,
                       fourier_of_correlation, lanczos_from_spectrum)
@@ -39,6 +41,7 @@ RNG_NOTE = ("numpy PCG64 via default_rng; per-trial seeds from "
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+CHAIN_POINTS = 1200  # at most about this many coefficients drawn per chain
 
 log = logging.getLogger("morilab")
 
@@ -119,9 +122,6 @@ def parse_target(expr: str) -> AnalyticCorrelation:
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = {f.name for f in dataclass_fields(ScenarioConfig)}
-_FLAG_TO_KEY = {"d": "d", "nf": "n_f", "trials": "n_trials", "lam": "strength",
-                "dt": "dt", "tmax": "t_max", "seed": "base_seed",
-                "nstar": "n_star", "workers": "workers"}
 
 
 def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
@@ -152,23 +152,13 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
         raise ConfigError(str(err)) from err
 
 
-def _flag_overrides(args) -> dict:
-    out = {}
-    for flag, key in _FLAG_TO_KEY.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            out[key] = val
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rendering from flat files (shared by `run` and `plot`)
 # ---------------------------------------------------------------------------
 
 def _read_csv_rows(path):
-    import csv as _csv
     with open(path, newline="") as fh:
-        rows = list(_csv.reader(fh))
+        rows = list(csv.reader(fh))
     return rows[0], rows[1:]
 
 
@@ -211,7 +201,7 @@ def render_scatter_svg(scatter_csv, out_path) -> None:
     fig.save(out_path)
 
 
-def render_chains_svg(chain_csvs: dict, out_path, max_points: int = 1200) -> None:
+def render_chains_svg(chain_csvs: dict, out_path) -> None:
     fig = Figure(title="chain coefficients", xlabel="n", ylabel="b_n")
     xmax = ymax = 1.0
     data = {}
@@ -219,7 +209,7 @@ def render_chains_svg(chain_csvs: dict, out_path, max_points: int = 1200) -> Non
         _, rows = _read_csv_rows(path)
         n = np.array([int(r[0]) for r in rows])
         b = np.array([float(r[1]) for r in rows])
-        stride = max(1, n.size // max_points)
+        stride = max(1, n.size // CHAIN_POINTS)
         data[fam] = (n[::stride], b[::stride])
         xmax = max(xmax, n.max())
         ymax = max(ymax, b.max())
@@ -271,11 +261,10 @@ def render_unperturbed_svg(series_csvs: dict, out_path,
                      family_color(fam, i), label=fam)
         info = fits.get(fam)
         if info:
-            params = (info["A"], info["mu"]) if info["omega"] is None \
-                else (info["A"], info["mu"], info["omega"], info["phi"])
-            model = FitModel(ModelClass(info["model"]), params)
             t = series.t[::stride]
-            fig.polyline(t, model(t), COLORS["fit"], width=1.0, dash="5,3",
+            params = (info["A"], info["mu"], info["omega"], info["phi"])
+            fig.polyline(t, ModelClass(info["model"]).curve(params, t),
+                         COLORS["fit"], width=1.0, dash="5,3",
                          label=f"{fam} fit")
     fig.save(out_path)
 
@@ -298,10 +287,9 @@ def _write_curves_csv(config: ScenarioConfig, summary, path) -> None:
         fh.write("family,trial,t,C,fit\n")
         for name, exemplars in summary.exemplars.items():
             for rec, values in exemplars:
-                params = (rec.a, rec.mu) if rec.omega is None \
-                    else (rec.a, rec.mu, rec.omega, rec.phi)
-                model = FitModel(ModelClass(rec.model), params)
-                fit_vals = model(np.arange(values.size) * config.dt)
+                fit_vals = ModelClass(rec.model).curve(
+                    (rec.a, rec.mu, rec.omega, rec.phi),
+                    np.arange(values.size) * config.dt)
                 stride = max(1, values.size // 1500)
                 for n in range(0, values.size, stride):
                     fh.write(f"{name},{rec.trial},{n * config.dt:.17g},"
@@ -438,7 +426,7 @@ def _cmd_reverse(args) -> int:
         density = fourier_of_correlation(CorrelationSeries.from_csv(args.series),
                                          n_max=args.nmax)
     result = lanczos_from_spectrum(density, args.nmax)
-    result.to_csv(args.out)
+    LanczosChain(result.b).to_csv(args.out)
     result.sidecar(args.out + ".meta.json")
     print(f"wrote {args.out} ({result.achieved}/{result.requested} coefficients; "
           f"{result.stop_reason})")
@@ -474,9 +462,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = parse_config(args.config, {"scenario": args.scenario,
-                                        "profile": args.profile,
-                                        **_flag_overrides(args)})
+    config = parse_config(args.config, {k: v for k, v in vars(args).items()
+                                        if k in _CONFIG_KEYS})
     t0 = time.time()
 
     def progress(done, total):
@@ -562,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
     p.add_argument("--model", required=True,
                    choices=[m.value for m in ModelClass])
-    p.add_argument("--threshold", type=float, default=0.01)
-    p.add_argument("--window", type=float, default=5.0)
+    p.add_argument("--threshold", type=float, default=EQ_THRESHOLD)
+    p.add_argument("--window", type=float, default=EQ_WINDOW)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
@@ -571,15 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=[s.value for s in Scenario])
     p.add_argument("--profile", choices=["desk", "paper"], default=None)
     p.add_argument("--config", default=None, help="JSON config or manifest")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--nf", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--lambda", type=float, default=None, dest="lam")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--nstar", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    # each flag's dest is the config key it overrides
+    p.add_argument("--d", type=int)
+    p.add_argument("--nf", type=int, dest="n_f")
+    p.add_argument("--trials", type=int, dest="n_trials")
+    p.add_argument("--lambda", type=float, dest="strength")
+    p.add_argument("--dt", type=float)
+    p.add_argument("--tmax", type=float, dest="t_max")
+    p.add_argument("--seed", type=int, dest="base_seed")
+    p.add_argument("--nstar", type=int, dest="n_star")
+    p.add_argument("--workers", type=int)
     p.add_argument("--out", default="morilab-run")
     p.set_defaults(func=_cmd_run)
 

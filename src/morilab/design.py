@@ -33,6 +33,8 @@ __all__ = [
 
 # exp(-t^2/8) * cos(2t): the Gaussian-damped oscillation the gdo chain generates
 GDO_TARGET = AnalyticCorrelation(gauss_rate=-0.125, cos_freq=2.0)
+FIT_POINTS = 10  # prefix entries the continued tail line is fitted to
+BLEND = 10       # indices over which the seam's residual offset is damped
 
 
 def tangent_slope(n_star: int) -> float:
@@ -119,13 +121,12 @@ class ContinuationResult(NamedTuple):
     intercept: float
 
 
-def linear_continuation(prefix, d: int, fit_points: int = 10,
-                        blend: int = 10, label: str = "") -> ContinuationResult:
+def linear_continuation(prefix, d: int, label: str = "") -> ContinuationResult:
     """Extend a coefficient prefix to length d-1 with a fitted affine tail.
 
-    The tail line is the least-squares fit to the last `fit_points` prefix
+    The tail line is the least-squares fit to the last FIT_POINTS prefix
     entries; the residual offset of the final prefix point is damped linearly
-    over `blend` indices so no jump is injected at the seam.
+    over BLEND indices so no jump is injected at the seam.
 
     Raises
     ------
@@ -140,7 +141,7 @@ def linear_continuation(prefix, d: int, fit_points: int = 10,
         raise ValueError("prefix coefficients must be positive")
     if d - 1 < prefix.size:
         raise ValueError("d too small for the given prefix")
-    m = min(fit_points, prefix.size)
+    m = min(FIT_POINTS, prefix.size)
     p = prefix.size
     idx = np.arange(p - m + 1, p + 1, dtype=float)
     slope, intercept = np.polyfit(idx, prefix[-m:], 1) if m > 1 else (0.0, prefix[-1])
@@ -150,7 +151,7 @@ def linear_continuation(prefix, d: int, fit_points: int = 10,
     tail = slope * n_tail + intercept
     residual = prefix[-1] - (slope * p + intercept)
     j = np.arange(1, tail.size + 1, dtype=float)
-    tail += residual * np.clip(1.0 - j / (blend + 1.0), 0.0, None)
+    tail += residual * np.clip(1.0 - j / (BLEND + 1.0), 0.0, None)
     if tail.size and tail.min() <= 0:
         raise ValueError("continuation produced nonpositive coefficients")
     return ContinuationResult(

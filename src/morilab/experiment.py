@@ -14,16 +14,16 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, asdict, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, asdict, field, fields
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .chain import (CorrelationSeries, LanczosChain, PropagationError,
                     propagate, propagate_many)
 from .design import exponential_chain, gaussian_chain, oscillating_pair
-from .fitting import (FitResult, ModelClass, detect_equilibration, epsilon,
-                      fit, sigma)
+from .fitting import (EQ_THRESHOLD, EQ_WINDOW, FitResult, ModelClass,
+                      detect_equilibration, epsilon, fit, sigma)
 from .perturb import POSITIVITY_FLOOR, apply_draw, draw_noise
 
 __all__ = [
@@ -86,8 +86,8 @@ class ScenarioConfig:
     b1: float = 2.0
     b2: float = 1.6
     bin_width: float | None = None  # None: 5e-4, or 5e-3 for pathological runs
-    eq_threshold: float = 0.01
-    eq_window: float = 5.0
+    eq_threshold: float = EQ_THRESHOLD
+    eq_window: float = EQ_WINDOW
     floor: float = POSITIVITY_FLOOR
     reverse_n_max: int = 50
     workers: int | None = None
@@ -118,6 +118,10 @@ class ScenarioConfig:
             raise ValueError("bin_width must be positive")
         if not 1 <= self.n_star < self.d:
             raise ValueError("require 1 <= n_star < d")
+        if self.floor <= 0:
+            raise ValueError("floor must be positive")
+        if self.eq_window < 0:
+            raise ValueError("eq_window must be nonnegative")
 
     @classmethod
     def preset(cls, scenario, profile: str = "desk", **overrides) -> "ScenarioConfig":
@@ -293,7 +297,7 @@ def _trial_record(ctx: FamilyRun, trial: int, seed: int, clamp_count: int,
     n_eq, equilibrated = detect_equilibration(series, cfg.eq_threshold,
                                               cfg.eq_window)
     f0 = ctx.baseline_fit.model
-    result = fit(series, ctx.model_class, n_eq, warm_starts=[f0.params])
+    result = fit(series, ctx.model_class, n_eq, warm_start=f0)
     sig = sigma(series, ctx.baseline, n_eq)
     eps0 = epsilon(ctx.baseline, f0, n_eq)
     m = result.model
@@ -333,10 +337,9 @@ def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]
             out.append((_trial_record(ctx, trial, seed, clamps, invalid,
                                       series), series.values, None))
         except RuntimeError as err:     # a PropagationError or a failed fit
-            nan = float("nan")
-            record = TrialRecord(trial, ctx.name, seed, ctx.model_class.value,
-                                 nan, nan, None, None, nan, nan, nan, 0, False,
-                                 clamps, False, False)
+            record = _failed_record(trial=trial, family=ctx.name, seed=seed,
+                                    model=ctx.model_class.value,
+                                    clamp_count=clamps)
             out.append((record, None, {"family": ctx.name, "trial": trial,
                                        "error": f"{type(err).__name__}: {err}"}))
     return out
@@ -414,42 +417,54 @@ def exemplary_trials(records: Sequence[TrialRecord], summary: EnsembleSummary,
 # flat-file exports
 # ---------------------------------------------------------------------------
 
-_RECORD_FIELDS = ["trial", "family", "seed", "model", "A", "mu", "omega", "phi",
-                  "epsilon", "sigma", "eps0", "n_eq", "equilibrated",
-                  "clamp_count", "converged", "valid"]
+class _Cell(NamedTuple):
+    write: Callable       # field value -> csv cell
+    read: Callable        # csv cell -> field value
+    failed: object        # the field's value in a failed trial's record
+
+
+# TrialRecord's fields, in order, are the records.csv columns; a field's
+# annotation picks how its cells are written and read
+_CELLS = {
+    "int": _Cell(int, int, 0),
+    "str": _Cell(str, str, ""),
+    "bool": _Cell(int, lambda cell: bool(int(cell)), False),
+    "float": _Cell(lambda v: repr(float(v)), float, math.nan),
+    "float | None": _Cell(lambda v: "" if v is None else repr(float(v)),
+                          lambda cell: None if cell == "" else float(cell),
+                          None),
+}
+_SPELLING = {"a": "A"}  # columns not spelled as their field
+
+
+def _header() -> list[str]:
+    return [_SPELLING.get(f.name, f.name) for f in fields(TrialRecord)]
+
+
+def _failed_record(**known) -> TrialRecord:
+    """A trial that raised: NaN, None, 0 or False wherever not `known`."""
+    return TrialRecord(**{f.name: known.get(f.name, _CELLS[f.type].failed)
+                          for f in fields(TrialRecord)})
 
 
 def records_to_csv(records: Sequence[TrialRecord], path) -> None:
+    cols = fields(TrialRecord)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(_RECORD_FIELDS)
+        w.writerow(_header())
         for r in records:
-            w.writerow([
-                r.trial, r.family, r.seed, r.model, repr(r.a), repr(r.mu),
-                "" if r.omega is None else repr(r.omega),
-                "" if r.phi is None else repr(r.phi),
-                repr(r.epsilon), repr(r.sigma), repr(r.eps0), r.n_eq,
-                int(r.equilibrated), r.clamp_count, int(r.converged),
-                int(r.valid)])
+            w.writerow([_CELLS[f.type].write(getattr(r, f.name)) for f in cols])
 
 
 def records_from_csv(path) -> list[TrialRecord]:
+    cols = fields(TrialRecord)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] != _RECORD_FIELDS:
+    if not rows or rows[0] != _header():
         raise ValueError(f"{path}: unexpected records header")
-    out = []
-    for row in rows[1:]:
-        out.append(TrialRecord(
-            trial=int(row[0]), family=row[1], seed=int(row[2]), model=row[3],
-            a=float(row[4]), mu=float(row[5]),
-            omega=None if row[6] == "" else float(row[6]),
-            phi=None if row[7] == "" else float(row[7]),
-            epsilon=float(row[8]), sigma=float(row[9]), eps0=float(row[10]),
-            n_eq=int(row[11]), equilibrated=bool(int(row[12])),
-            clamp_count=int(row[13]), converged=bool(int(row[14])),
-            valid=bool(int(row[15]))))
-    return out
+    return [TrialRecord(**{f.name: _CELLS[f.type].read(cell)
+                           for f, cell in zip(cols, row)})
+            for row in rows[1:]]
 
 
 def histogram_to_csv(summary: EnsembleSummary, path) -> None:

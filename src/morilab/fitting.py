@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -46,8 +46,21 @@ class ModelClass(enum.Enum):
         return self in (ModelClass.EXP_COS, ModelClass.GAUSS_COS)
 
     @property
+    def squared(self) -> bool:
+        """Whether the envelope decays in t^2 (Gaussian) rather than t."""
+        return self in (ModelClass.GAUSS, ModelClass.GAUSS_COS)
+
+    @property
     def n_params(self) -> int:
         return 4 if self.oscillating else 2
+
+    def curve(self, params, t: np.ndarray) -> np.ndarray:
+        """The class's model at parameters (A, mu[, omega, phi]) on times t."""
+        t = np.asarray(t, dtype=float)
+        out = params[0] * np.exp(-params[1] * (t**2 if self.squared else t))
+        if self.oscillating:
+            out = out * np.cos(params[2] * t - params[3])
+        return out
 
 
 @dataclass(frozen=True)
@@ -64,17 +77,7 @@ class FitModel:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.kind.oscillating:
-            a, mu, om, ph = self.params
-        else:
-            a, mu = self.params
-        decay = np.exp(-mu * t) if self.kind in (ModelClass.EXP, ModelClass.EXP_COS) \
-            else np.exp(-mu * t**2)
-        out = a * decay
-        if self.kind.oscillating:
-            out = out * np.cos(om * t - ph)
-        return out
+        return self.kind.curve(self.params, t)
 
     @property
     def a(self) -> float:
@@ -132,13 +135,10 @@ def detect_equilibration(series: CorrelationSeries,
     c = series.values
     if c.size == 0:
         raise ValueError("empty series")
+    if window < 0:
+        raise ValueError("equilibration window must be nonnegative")
     below = np.abs(c) < threshold
     ws = int(round(window / series.dt))
-    if ws <= 0:
-        hits = np.nonzero(below)[0]
-        if hits.size:
-            return EquilibrationResult(int(hits[0]), True)
-        return EquilibrationResult(c.size - 1, False)
     if c.size > ws:
         # run-length trick: window [s, s+ws] is clean iff the running
         # minimum of `below` over ws+1 samples is True
@@ -192,24 +192,27 @@ def _fft_peak(t: np.ndarray, c: np.ndarray) -> float:
 
 
 def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
-        warm_starts: Sequence[tuple] = ()) -> FitResult:
+        warm_start: FitModel | None = None) -> FitResult:
     """Best within-class fit of the series up to n_eq, multi-start.
 
     Starts: the dominant Fourier peak for the frequency, a log-envelope
-    slope for the rate, phases at the four quadrants, plus any caller
-    `warm_starts` (e.g. the unperturbed fit's parameters, which also makes
-    the returned objective at most the distance to the unperturbed curve).
-    The amplitude is bounded to [0.5, 1.5]; rates to mu >= 0.  Returns the
-    best restart; converged = False if no restart terminated cleanly.
+    slope for the rate, phases at the four quadrants, plus the caller's
+    `warm_start` if given (e.g. the unperturbed fit, which also makes the
+    returned objective at most the distance to the unperturbed curve; it
+    must be of `model_class`).  The amplitude is bounded to [0.5, 1.5];
+    rates to mu >= 0.  Returns the best restart; converged = False if no
+    restart terminated cleanly.
     """
     if n_eq < 8:
         raise ValueError("need at least 8 samples up to n_eq")
     if n_eq >= len(series):
         raise ValueError("n_eq exceeds series length")
+    if warm_start is not None and warm_start.kind is not model_class:
+        raise ValueError(f"warm start of class {warm_start.kind.value} "
+                         f"for a {model_class.value} fit")
     t = series.t[: n_eq + 1]
     c = series.values[: n_eq + 1]
-    squared = model_class in (ModelClass.GAUSS, ModelClass.GAUSS_COS)
-    mu0 = _envelope_rate(t, c, squared)
+    mu0 = _envelope_rate(t, c, model_class.squared)
 
     starts: list[list[float]] = []
     if model_class.oscillating:
@@ -223,14 +226,12 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
             starts.append([1.0, m])
         lower = [A_BOUNDS[0], 0.0]
         upper = [A_BOUNDS[1], np.inf]
-    for wsrt in warm_starts:
-        if len(wsrt) == model_class.n_params:
-            p = [min(max(wsrt[0], lower[0]), upper[0]), max(wsrt[1], 0.0),
-                 *list(wsrt[2:])]
-            starts.insert(0, p)
+    if warm_start is not None:
+        a, mu, *rest = warm_start.params
+        starts.insert(0, [min(max(a, lower[0]), upper[0]), max(mu, 0.0), *rest])
 
     def residual(p):
-        return FitModel(model_class, tuple(p))(t) - c
+        return model_class.curve(p, t) - c
 
     best = None
     objectives = []

@@ -129,6 +129,8 @@ def apply_draw(base: LanczosChain, strength: float, draw: PerturbationDraw,
     """
     if strength < 0:
         raise ValueError("perturbation strength must be nonnegative")
+    if floor <= 0:
+        raise ValueError("positivity floor must be positive")
     if draw.d != base.d:
         raise ValueError(f"draw is for d={draw.d}, chain has d={base.d}")
     b = base.b + strength * draw.v

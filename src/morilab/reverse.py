@@ -8,10 +8,9 @@ chain's hopping amplitudes.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,7 +109,6 @@ class SpectralDensityInput:
     omega: np.ndarray
     values: np.ndarray
     source: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
@@ -138,8 +136,7 @@ class SpectralDensityInput:
                      / (2 * np.pi))
 
 
-def spectral_grid_for(corr: AnalyticCorrelation, n_max: int,
-                      density: int = GRID_DENSITY) -> np.ndarray:
+def spectral_grid_for(corr: AnalyticCorrelation, n_max: int) -> np.ndarray:
     """Symmetric uniform grid wide enough for n_max recursion steps.
 
     The window is the support rule (density below 1e-16 of its maximum)
@@ -157,7 +154,7 @@ def spectral_grid_for(corr: AnalyticCorrelation, n_max: int,
         half = min(half, 2000.0 * max(sigma, 1.0))
     w0 = abs(corr.cos_freq) + half
     w = w0 + np.sqrt(2.0 * (n_max + 5)) * sigma
-    n_pts = int(np.ceil(2 * w * density)) + 1
+    n_pts = int(np.ceil(2 * w * GRID_DENSITY)) + 1
     return np.linspace(-w, w, n_pts)
 
 
@@ -176,8 +173,7 @@ def fourier_of_correlation(source, omega: np.ndarray | None = None,
         grid = spectral_grid_for(source, n_max) if omega is None else np.asarray(omega, float)
         if source.has_closed_form:
             vals = source.spectral_values(grid)
-            return SpectralDensityInput(grid, vals, source="analytic",
-                                        meta={"n_max_hint": n_max})
+            return SpectralDensityInput(grid, vals, source="analytic")
         # sample until the product has decayed, then transform numerically
         scale = max(-source.gauss_rate, -source.exp_rate, 0.25)
         t_max = np.sqrt(np.log(1e18) / scale) if source.gauss_rate else np.log(1e18) / scale
@@ -204,8 +200,7 @@ def _cosine_transform(series: CorrelationSeries, omega: np.ndarray,
     t = series.t
     vals = 2.0 * np.trapezoid(np.cos(np.outer(omega, t)) * series.values,
                               t, axis=1)
-    return SpectralDensityInput(omega, vals, source=source,
-                                meta={"t_max": float(t[-1]), "dt": series.dt})
+    return SpectralDensityInput(omega, vals, source=source)
 
 
 @dataclass
@@ -217,13 +212,6 @@ class ReverseResult:
     requested: int
     stop_reason: str
     quadrature: dict
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "b", "achieved_flag"])
-            for n, bn in enumerate(self.b, start=1):
-                w.writerow([n, repr(float(bn)), 1])
 
     def sidecar(self, path) -> None:
         with open(path, "w") as fh:

@@ -138,11 +138,19 @@ class TestSubcommands:
                      "--continue-to", "400", "--chain-out", str(chain_out)])
         assert code == 0
         rows = coeffs.read_text().strip().splitlines()
-        assert rows[0] == "n,b,achieved_flag"
+        assert rows[0] == "n,b"
         assert len(rows) == 51  # 50 coefficients
         assert os.path.exists(str(coeffs) + ".meta.json")
         chain = LanczosChain.from_csv(chain_out)
         assert chain.d == 400
+
+    def test_reverse_output_feeds_propagate(self, tmp_path):
+        coeffs, series = tmp_path / "b.csv", tmp_path / "C.csv"
+        assert main(["reverse", "--target", "exp(-t^2/8)*cos(2t)",
+                     "--nmax", "20", "--out", str(coeffs)]) == 0
+        assert main(["propagate", "--chain", str(coeffs), "--dt", "0.05",
+                     "--tmax", "2", "--out", str(series)]) == 0
+        assert len(CorrelationSeries.from_csv(series)) == 41
 
     def test_perturb_deterministic(self, tmp_path):
         chain_csv = tmp_path / "chain.csv"
@@ -427,6 +435,20 @@ class TestRunCommand:
         assert scat[0] == "family,sigma,epsilon"
         curves = (tiny_run / "curves.csv").read_text().splitlines()
         assert curves[0] == "family,trial,t,C,fit"
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0])
+    def test_nonpositive_floor_refused_before_any_work(self, monkeypatch,
+                                                       tmp_path, capsys,
+                                                       floor):
+        builds = count_calls(monkeypatch, experiment.build_families)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scenario": "pathological_decay", "d": 200, "n_trials": 10,
+            "floor": floor, "n_star": 10, "workers": 1, "strength": 3.0}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "floor must be positive" in capsys.readouterr().err
+        assert builds == [] and not out.exists()
 
     def test_scenario_flag_required_without_config(self):
         assert main(["run", "--out", "/tmp/should-not-exist-xyz"]) == 2

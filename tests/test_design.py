@@ -113,7 +113,7 @@ class TestLinearContinuation:
         n = np.arange(1.0, 21.0)
         prefix = 0.3 * n + 1.1
         prefix[-1] += 0.5
-        result = linear_continuation(prefix, 60, blend=10)
+        result = linear_continuation(prefix, 60)
         line = result.slope * np.arange(21.0, 60.0) + result.intercept
         resid = result.chain.b[20:] - line
         assert resid[0] > resid[5] > resid[10] >= 0

@@ -1,17 +1,20 @@
+import math
 import os
 import struct
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from morilab import experiment
 from morilab.experiment import (Scenario, ScenarioConfig, TrialRecord,
                                 build_families, histogram, records_from_csv,
                                 records_to_csv, run_scenario,
                                 scatter_to_csv, summarize, trial_seed,
                                 worker_count)
 from morilab.fitting import ModelClass
+from morilab.perturb import POSITIVITY_FLOOR
 
 FAST_DECAY = dict(scenario=Scenario.DECAY, d=200, n_trials=6, dt=0.05,
                   t_max=12.0, n_star=10, workers=1, base_seed=3)
@@ -71,6 +74,23 @@ class TestScenarioConfig:
             ScenarioConfig(Scenario.DECAY, n_trials=0)
         with pytest.raises(ValueError):
             ScenarioConfig(Scenario.DECAY, d=100, n_f=200)
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0])
+    def test_nonpositive_floor_rejected(self, floor):
+        with pytest.raises(ValueError, match="floor"):
+            ScenarioConfig(Scenario.PATHOLOGICAL_DECAY, d=200, n_star=10,
+                           floor=floor)
+
+    def test_default_floor_accepted(self):
+        cfg = ScenarioConfig(Scenario.PATHOLOGICAL_DECAY, d=200, n_star=10,
+                             floor=POSITIVITY_FLOOR)
+        assert cfg.floor == POSITIVITY_FLOOR
+
+    def test_negative_eq_window_rejected(self):
+        with pytest.raises(ValueError, match="eq_window"):
+            ScenarioConfig(Scenario.DECAY, d=200, n_star=10, eq_window=-1.0)
+        assert ScenarioConfig(Scenario.DECAY, d=200, n_star=10,
+                              eq_window=0.0).eq_window == 0.0
 
     def test_scenario_from_string(self):
         cfg = ScenarioConfig(scenario="decay", d=100, n_star=5)
@@ -236,6 +256,39 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         records_to_csv(records, path)
         assert records_from_csv(path) == records
+
+    def test_header_follows_the_record_fields(self, tmp_path):
+        path = tmp_path / "records.csv"
+        records_to_csv([], path)
+        assert path.read_text().strip() == (
+            "trial,family,seed,model,A,mu,omega,phi,epsilon,sigma,eps0,n_eq,"
+            "equilibrated,clamp_count,converged,valid")
+
+    def test_a_new_field_is_a_new_column(self, tmp_path, monkeypatch):
+        # annotated as a string, as experiment.py's postponed annotations are
+        @dataclass(frozen=True)
+        class Wider(TrialRecord):
+            extra: "float" = 0.0
+
+        monkeypatch.setattr(experiment, "TrialRecord", Wider)
+        record = Wider(trial=1, family="g", seed=2, model="gauss", a=1.0,
+                       mu=0.5, omega=None, phi=None, epsilon=0.1, sigma=0.2,
+                       eps0=0.05, n_eq=9, equilibrated=True, clamp_count=0,
+                       converged=True, valid=True, extra=2.5)
+        path = tmp_path / "records.csv"
+        records_to_csv([record], path)
+        assert path.read_text().splitlines()[0].endswith(",valid,extra")
+        assert records_from_csv(path) == [record]
+
+    def test_failed_record(self):
+        record = experiment._failed_record(trial=4, family="e", seed=9,
+                                           model="exp", clamp_count=3)
+        assert (record.trial, record.family, record.seed, record.model,
+                record.clamp_count) == (4, "e", 9, "exp", 3)
+        assert all(math.isnan(x) for x in (record.a, record.mu, record.epsilon,
+                                           record.sigma, record.eps0))
+        assert (record.omega, record.phi, record.n_eq) == (None, None, 0)
+        assert not (record.equilibrated or record.converged or record.valid)
 
     def test_byte_identical_across_runs(self, tmp_path):
         records1, _ = run_scenario(ScenarioConfig(**FAST_DECAY))

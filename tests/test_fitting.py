@@ -45,6 +45,22 @@ class TestDetectEquilibration:
         assert not ok
         assert n_eq == len(series) - 1
 
+    def test_zero_window_is_the_first_sample_below(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            values = rng.uniform(-0.05, 0.05, 40)
+            values[0] = 1.0
+            below = np.nonzero(np.abs(values) < 0.01)[0]
+            expected = (int(below[0]), True) if below.size \
+                else (values.size - 1, False)
+            series = CorrelationSeries(0.1, values)
+            assert detect_equilibration(series, 0.01, 0.0) == expected
+
+    def test_negative_window_rejected(self):
+        series = CorrelationSeries(1.0, np.array([1.0, 0.5, 0.001, 0.5]))
+        with pytest.raises(ValueError, match="window"):
+            detect_equilibration(series, 0.01, -1.0)
+
 
 class TestEpsilon:
     def test_exact_model_zero(self):
@@ -153,11 +169,32 @@ class TestFit:
         noisy_values[0] = 1.0
         noisy = CorrelationSeries(base.dt, noisy_values)
         n_eq = 800
-        result = fit(noisy, ModelClass.EXP, n_eq,
-                     warm_starts=[f0.model.params])
+        result = fit(noisy, ModelClass.EXP, n_eq, warm_start=f0.model)
         sig = sigma(noisy, base, n_eq)
         eps0 = epsilon(base, f0.model, n_eq)
         assert result.epsilon <= sig + eps0 + 1e-12
+
+    def test_one_fit_model_per_call(self, monkeypatch):
+        built = []
+        post_init = FitModel.__post_init__
+
+        def counted(self):
+            built.append(self.kind)
+            post_init(self)
+
+        monkeypatch.setattr(FitModel, "__post_init__", counted)
+        series = series_from(
+            lambda t: np.exp(-0.2 * t**2) * np.cos(1.5 * t - 1.0), dt=0.02,
+            t_max=20.0)
+        result = fit(series, ModelClass.GAUSS_COS, 900)
+        assert built == [ModelClass.GAUSS_COS]
+        assert result.model.kind is ModelClass.GAUSS_COS
+
+    def test_warm_start_of_another_class_rejected(self):
+        series = series_from(lambda t: np.exp(-0.3 * t), dt=0.02, t_max=20.0)
+        wrong = FitModel(ModelClass.GAUSS, (1.0, 0.3))
+        with pytest.raises(ValueError, match="warm start"):
+            fit(series, ModelClass.EXP, 800, warm_start=wrong)
 
     def test_phase_reported_in_principal_range(self):
         series = series_from(
@@ -191,3 +228,16 @@ class TestFitModel:
         assert np.allclose(exp(t), 1.1 * np.exp(-0.4 * t))
         gc = FitModel(ModelClass.GAUSS_COS, (0.9, 0.2, 1.5, 0.3))
         assert np.allclose(gc(t), 0.9 * np.exp(-0.2 * t**2) * np.cos(1.5 * t - 0.3))
+
+    def test_squared_envelopes(self):
+        assert [m for m in ModelClass if m.squared] == \
+            [ModelClass.GAUSS, ModelClass.GAUSS_COS]
+
+    def test_model_evaluates_its_class_curve(self):
+        t = np.linspace(0, 3, 7)
+        for kind, params in [(ModelClass.EXP, (1.1, 0.4)),
+                             (ModelClass.GAUSS, (0.8, 0.3)),
+                             (ModelClass.EXP_COS, (1.0, 0.2, 2.0, 0.4)),
+                             (ModelClass.GAUSS_COS, (0.9, 0.2, 1.5, 0.3))]:
+            assert np.array_equal(FitModel(kind, params)(t),
+                                  kind.curve(params, t))

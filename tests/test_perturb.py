@@ -5,7 +5,7 @@ import pytest
 
 from morilab.chain import LanczosChain
 from morilab.design import gaussian_chain
-from morilab.perturb import apply_draw, draw_noise
+from morilab.perturb import POSITIVITY_FLOOR, apply_draw, draw_noise
 
 
 def literal_noise(d, x, y):
@@ -105,6 +105,18 @@ class TestApplyDraw:
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
             apply_draw(gaussian_chain(5, 100), -0.1, draw_noise(100, 33, 1))
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0])
+    def test_nonpositive_floor_rejected(self, floor):
+        with pytest.raises(ValueError, match="floor"):
+            apply_draw(gaussian_chain(5, 100), 3.0, draw_noise(100, 100, 1),
+                       floor=floor)
+
+    def test_default_floor_accepted(self):
+        pert = apply_draw(LanczosChain(np.full(99, 1e-4)), 1.0,
+                          draw_noise(100, 33, 11), floor=POSITIVITY_FLOOR)
+        assert pert.clamp_count > 0
+        assert pert.chain.b.min() == POSITIVITY_FLOOR
 
 
 def scaling_terms(base, pert):

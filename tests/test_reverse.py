@@ -166,10 +166,10 @@ class TestLanczosFromSpectrum:
         den = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.5),
                                      n_max=8)
         rr = lanczos_from_spectrum(den, 8)
-        rr.to_csv(tmp_path / "b.csv")
+        LanczosChain(rr.b).to_csv(tmp_path / "b.csv")
         rr.sidecar(tmp_path / "b.meta.json")
         rows = (tmp_path / "b.csv").read_text().strip().splitlines()
-        assert rows[0] == "n,b,achieved_flag"
+        assert rows[0] == "n,b"
         assert len(rows) == rr.achieved + 1
         assert (tmp_path / "b.meta.json").read_text().startswith("{")
 
