@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -42,6 +43,7 @@ RNG_NOTE = ("numpy PCG64 via default_rng; per-trial seeds from "
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 CHAIN_POINTS = 1200  # at most about this many coefficients drawn per chain
+CURVE_POINTS = 1500  # at most about this many samples per C(t), written or drawn
 
 log = logging.getLogger("morilab")
 
@@ -144,10 +146,8 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
     merged.update({k: v for k, v in overrides.items() if v is not None})
     if "scenario" not in merged:
         raise ConfigError("missing required key: scenario")
-    profile = merged.pop("profile", "desk")
-    scenario = merged.pop("scenario")
     try:
-        return ScenarioConfig.preset(scenario, profile, **merged)
+        return ScenarioConfig(**merged)
     except (ValueError, TypeError) as err:
         raise ConfigError(str(err)) from err
 
@@ -156,16 +156,13 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
 # rendering from flat files (shared by `run` and `plot`)
 # ---------------------------------------------------------------------------
 
-def _read_csv_rows(path):
+def _read_csv_rows(path) -> list[list[str]]:
+    """A CSV file's rows below its header."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
+        return list(csv.reader(fh))[1:]
 
 
-def render_histogram_svg(hist_csv, summary_json, out_path) -> None:
-    _, rows = _read_csv_rows(hist_csv)
-    with open(summary_json) as fh:
-        summary = json.load(fh)
+def render_histogram_svg(rows, summary: dict, out_path) -> None:
     fams = list(dict.fromkeys(r[2] for r in rows))
     xmax = max((float(r[1]) for r in rows if int(r[3]) > 0), default=1.0)
     ymax = max((int(r[3]) for r in rows), default=1)
@@ -183,45 +180,40 @@ def render_histogram_svg(hist_csv, summary_json, out_path) -> None:
     fig.save(out_path)
 
 
-def render_scatter_svg(scatter_csv, out_path) -> None:
-    _, rows = _read_csv_rows(scatter_csv)
-    fams = list(dict.fromkeys(r[0] for r in rows))
-    sig = [float(r[1]) for r in rows]
-    eps = [float(r[2]) for r in rows]
-    lim = max(sig + eps + [1e-4]) * 1.08
+def render_scatter_svg(rows, out_path) -> None:
+    """Failed trials (NaN sigma or epsilon) keep their rows but are not drawn."""
+    pts = [(r[0], float(r[1]), float(r[2])) for r in rows]
+    pts = [p for p in pts if math.isfinite(p[1]) and math.isfinite(p[2])]
+    fams = list(dict.fromkeys(p[0] for p in pts))
+    lim = max([p[1] for p in pts] + [p[2] for p in pts] + [1e-4]) * 1.08
     fig = Figure(title="alteration vs deviation", xlabel="sigma",
                  ylabel="epsilon")
     fig.set_limits((0.0, lim), (0.0, lim))
     fig.polyline([0.0, lim], [0.0, lim], COLORS["ref"], dash="4,4",
                  label="diagonal")
     for i, fam in enumerate(fams):
-        pts = [(float(r[1]), float(r[2])) for r in rows if r[0] == fam]
-        fig.scatter([p[0] for p in pts], [p[1] for p in pts],
+        sel = [p for p in pts if p[0] == fam]
+        fig.scatter([p[1] for p in sel], [p[2] for p in sel],
                     family_color(fam, i), label=fam)
     fig.save(out_path)
 
 
-def render_chains_svg(chain_csvs: dict, out_path) -> None:
+def render_chains_svg(chains: dict[str, LanczosChain], out_path) -> None:
     fig = Figure(title="chain coefficients", xlabel="n", ylabel="b_n")
     xmax = ymax = 1.0
-    data = {}
-    for fam, path in chain_csvs.items():
-        _, rows = _read_csv_rows(path)
-        n = np.array([int(r[0]) for r in rows])
-        b = np.array([float(r[1]) for r in rows])
-        stride = max(1, n.size // CHAIN_POINTS)
-        data[fam] = (n[::stride], b[::stride])
-        xmax = max(xmax, n.max())
-        ymax = max(ymax, b.max())
+    for chain in chains.values():
+        xmax = max(xmax, chain.d - 1)
+        ymax = max(ymax, chain.b.max())
     fig.set_limits((0.0, xmax * 1.02), (0.0, ymax * 1.05))
-    for i, (fam, (n, b)) in enumerate(data.items()):
-        fig.polyline(n, b, family_color(fam, i), label=fam)
+    for i, (fam, chain) in enumerate(chains.items()):
+        stride = max(1, chain.b.size // CHAIN_POINTS)
+        fig.polyline(np.arange(1, chain.d)[::stride], chain.b[::stride],
+                     family_color(fam, i), label=fam)
     fig.save(out_path)
 
 
-def render_curves_svg(curves_csv, family: str, out_path) -> None:
-    _, rows = _read_csv_rows(curves_csv)
-    rows = [r for r in rows if r[0] == family]
+def render_curves_svg(rows, family: str, out_path) -> None:
+    """One family's rows of curves.csv."""
     trials = list(dict.fromkeys(r[1] for r in rows))
     fig = Figure(title=f"exemplary perturbed dynamics ({family})",
                  xlabel="t", ylabel="C(t)")
@@ -240,28 +232,22 @@ def render_curves_svg(curves_csv, family: str, out_path) -> None:
     fig.save(out_path)
 
 
-def render_unperturbed_svg(series_csvs: dict, out_path,
-                           summary_json=None) -> None:
-    fits = {}
-    if summary_json is not None and os.path.exists(summary_json):
-        with open(summary_json) as fh:
-            fits = json.load(fh).get("unperturbed", {})
+def render_unperturbed_svg(series: dict[str, CorrelationSeries], fits: dict,
+                           out_path) -> None:
+    """Each baseline C(t), with its fit where `fits` (summary.json's
+    "unperturbed") has one."""
     fig = Figure(title="unperturbed dynamics", xlabel="t", ylabel="C(t)")
-    data = {}
     tmax, lo = 1.0, 0.0
-    for fam, path in series_csvs.items():
-        series = CorrelationSeries.from_csv(path)
-        data[fam] = series
-        tmax = max(tmax, float(series.t[-1]))
-        lo = min(lo, float(series.values.min()))
+    for c in series.values():
+        tmax = max(tmax, float(c.t[-1]))
+        lo = min(lo, float(c.values.min()))
     fig.set_limits((0.0, tmax), (lo * 1.1 - 0.02, 1.05))
-    for i, (fam, series) in enumerate(data.items()):
-        stride = max(1, len(series) // 1500)
-        fig.polyline(series.t[::stride], series.values[::stride],
-                     family_color(fam, i), label=fam)
+    for i, (fam, c) in enumerate(series.items()):
+        stride = max(1, len(c) // CURVE_POINTS)
+        t = c.t[::stride]
+        fig.polyline(t, c.values[::stride], family_color(fam, i), label=fam)
         info = fits.get(fam)
         if info:
-            t = series.t[::stride]
             params = (info["A"], info["mu"], info["omega"], info["phi"])
             fig.polyline(t, ModelClass(info["model"]).curve(params, t),
                          COLORS["fit"], width=1.0, dash="5,3",
@@ -290,7 +276,7 @@ def _write_curves_csv(config: ScenarioConfig, summary, path) -> None:
                 fit_vals = ModelClass(rec.model).curve(
                     (rec.a, rec.mu, rec.omega, rec.phi),
                     np.arange(values.size) * config.dt)
-                stride = max(1, values.size // 1500)
+                stride = max(1, values.size // CURVE_POINTS)
                 for n in range(0, values.size, stride):
                     fh.write(f"{name},{rec.trial},{n * config.dt:.17g},"
                              f"{values[n]:.17g},{fit_vals[n]:.17g}\n")
@@ -357,35 +343,40 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
 
 
 def render_all(out_dir) -> list[str]:
-    """(Re)draw every SVG a directory's CSVs support; returns filenames."""
+    """(Re)draw every SVG a directory's files support, reading each file
+    once; returns the SVG filenames."""
     path = lambda name: os.path.join(out_dir, name)
+    names = sorted(os.listdir(out_dir))
+    summary = {}
+    if "summary.json" in names:
+        with open(path("summary.json")) as fh:
+            summary = json.load(fh)
     made = []
-    if os.path.exists(path("histogram.csv")) and os.path.exists(path("summary.json")):
-        render_histogram_svg(path("histogram.csv"), path("summary.json"),
-                             path("histogram.svg"))
-        made.append("histogram.svg")
-    if os.path.exists(path("scatter.csv")):
-        render_scatter_svg(path("scatter.csv"), path("scatter.svg"))
-        made.append("scatter.svg")
-    chains = {}
-    series = {}
-    for name in sorted(os.listdir(out_dir)):
-        if name.startswith("chain_") and name.endswith(".csv"):
-            chains[name[6:-4]] = path(name)
-        if name.startswith("unperturbed_") and name.endswith(".csv"):
-            series[name[12:-4]] = path(name)
+
+    def draw(render, name, *data):
+        render(*data, path(name))
+        made.append(name)
+
+    if "histogram.csv" in names and "summary.json" in names:
+        draw(render_histogram_svg, "histogram.svg",
+             _read_csv_rows(path("histogram.csv")), summary)
+    if "scatter.csv" in names:
+        draw(render_scatter_svg, "scatter.svg", _read_csv_rows(path("scatter.csv")))
+    chains = {n[6:-4]: LanczosChain.from_csv(path(n)) for n in names
+              if n.startswith("chain_") and n.endswith(".csv")}
     if chains:
-        render_chains_svg(chains, path("chains.svg"))
-        made.append("chains.svg")
+        draw(render_chains_svg, "chains.svg", chains)
+    series = {n[12:-4]: CorrelationSeries.from_csv(path(n)) for n in names
+              if n.startswith("unperturbed_") and n.endswith(".csv")}
     if series:
-        render_unperturbed_svg(series, path("unperturbed.svg"),
-                               summary_json=path("summary.json"))
-        made.append("unperturbed.svg")
-    if os.path.exists(path("curves.csv")):
-        _, rows = _read_csv_rows(path("curves.csv"))
-        for fam in dict.fromkeys(r[0] for r in rows):
-            render_curves_svg(path("curves.csv"), fam, path(f"exemplar_{fam}.svg"))
-            made.append(f"exemplar_{fam}.svg")
+        draw(render_unperturbed_svg, "unperturbed.svg", series,
+             summary.get("unperturbed", {}))
+    if "curves.csv" in names:
+        curves: dict[str, list] = {}
+        for row in _read_csv_rows(path("curves.csv")):
+            curves.setdefault(row[0], []).append(row)
+        for fam, rows in curves.items():
+            draw(render_curves_svg, f"exemplar_{fam}.svg", rows, fam)
     return made
 
 

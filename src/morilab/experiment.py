@@ -65,8 +65,9 @@ class Scenario(enum.Enum):
                         Scenario.PATHOLOGICAL_OSCILLATION)
 
 
-# profile -> (d, n_trials, dt)
-_PROFILES = {"desk": (2000, 200, 0.02), "paper": (10000, 1000, 0.01)}
+# what each profile supplies where the config leaves it None
+_PROFILES = {"desk": dict(d=2000, n_trials=200, dt=0.02),
+             "paper": dict(d=10000, n_trials=1000, dt=0.01)}
 
 
 @dataclass
@@ -74,11 +75,11 @@ class ScenarioConfig:
     """Complete, reproducible description of one ensemble run."""
 
     scenario: Scenario
-    d: int = 2000
+    d: int | None = None            # None: d, n_trials and dt of the profile
     n_f: int | None = None          # None: d//3, or d for pathological runs
-    n_trials: int = 200
+    n_trials: int | None = None
     strength: float | None = None   # None: 0.5 decay-type, 0.1 oscillation-type
-    dt: float = 0.02
+    dt: float | None = None
     t_max: float | None = None      # None: 40 decay-type, 30 oscillation-type
     base_seed: int = 0
     n_star: int = 150
@@ -96,6 +97,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if isinstance(self.scenario, str):
             self.scenario = Scenario(self.scenario)
+        if self.profile not in _PROFILES:
+            raise ValueError(f"unknown profile {self.profile!r} (desk or paper)")
+        for key, value in _PROFILES[self.profile].items():
+            if getattr(self, key) is None:
+                setattr(self, key, value)
         if self.n_f is None:
             self.n_f = self.d if self.scenario.pathological else self.d // 3
         if self.strength is None:
@@ -122,15 +128,12 @@ class ScenarioConfig:
             raise ValueError("floor must be positive")
         if self.eq_window < 0:
             raise ValueError("eq_window must be nonnegative")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     @classmethod
     def preset(cls, scenario, profile: str = "desk", **overrides) -> "ScenarioConfig":
-        if profile not in _PROFILES:
-            raise ValueError(f"unknown profile {profile!r} (desk or paper)")
-        d, trials, dt = _PROFILES[profile]
-        base = dict(scenario=scenario, d=d, n_trials=trials, dt=dt, profile=profile)
-        base.update(overrides)
-        return cls(**base)
+        return cls(scenario, profile=profile, **overrides)
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
@@ -349,7 +352,7 @@ def worker_count(config: ScenarioConfig) -> int:
     """config.workers, else the CPUs this process may run on (its affinity,
     not the host's count)."""
     if config.workers is not None:
-        return max(1, config.workers)
+        return config.workers
     return len(os.sched_getaffinity(0))
 
 
@@ -381,9 +384,10 @@ def run_scenario(config: ScenarioConfig,
     jobs = [(run, range(lo, min(lo + block, config.n_trials)))
             for run in runs for lo in range(0, config.n_trials, block)]
 
+    # the pool forks all its processes at the first submit: no more than jobs
+    n_procs = min(n_workers, len(jobs))
     results = []
-    with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() \
-            as pool:
+    with ProcessPoolExecutor(n_procs) if n_procs > 1 else nullcontext() as pool:
         for part in (pool.map if pool else map)(_run_block, jobs):
             results.extend(part)
             if progress:

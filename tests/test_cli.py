@@ -63,6 +63,12 @@ class TestParseConfig:
         assert (cfg.d, cfg.n_f, cfg.n_trials) == (10000, 3333, 1000)
         assert cfg.strength == 0.5
 
+    def test_unknown_profile_in_config_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "decay", "profile": "bogus"}))
+        with pytest.raises(ConfigError, match="bogus"):
+            parse_config(str(path), {})
+
     def test_negative_strength_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(None, {"scenario": "decay", "strength": -1.0})
@@ -235,7 +241,7 @@ class TestOnePass:
         config = parse_config(str(tiny_run / "manifest.json"), {})
         records = records_from_csv(tiny_run / "records.csv")
         summary = summarize(records, config.bin_width)
-        _, rows = cli._read_csv_rows(tiny_run / "curves.csv")
+        rows = cli._read_csv_rows(tiny_run / "curves.csv")
         for family in build_families(config):
             exemplars = exemplary_trials(records, summary, family.name)
             assert exemplars
@@ -248,7 +254,7 @@ class TestOnePass:
                                   floor=config.floor)
                 series = chain.propagate(pert.chain, dt=config.dt,
                                          t_max=config.t_max)
-                stride = max(1, len(series) // 1500)
+                stride = max(1, len(series) // cli.CURVE_POINTS)
                 assert [r[3] for r in shown if int(r[1]) == rec.trial] == \
                     [f"{c:.17g}" for c in series.values[::stride]]
 
@@ -450,8 +456,55 @@ class TestRunCommand:
         assert "floor must be positive" in capsys.readouterr().err
         assert builds == [] and not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_refused_before_any_work(self, monkeypatch,
+                                                       tmp_path, capsys,
+                                                       workers):
+        builds = count_calls(monkeypatch, experiment.build_families)
+        out = tmp_path / "out"
+        assert main(TINY_RUN + ["--workers", workers, "--out", str(out)]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert builds == [] and not out.exists()
+
     def test_scenario_flag_required_without_config(self):
         assert main(["run", "--out", "/tmp/should-not-exist-xyz"]) == 2
+
+
+class TestRenderAll:
+    def test_each_input_is_read_once(self, tiny_run, monkeypatch):
+        reads = {}
+        real_open = open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and "w" not in mode \
+                    and os.path.dirname(file) == os.fspath(tiny_run):
+                reads[os.fspath(file)] = reads.get(os.fspath(file), 0) + 1
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        cli.render_all(tiny_run)
+        monkeypatch.undo()
+        inputs = ["summary.json", "histogram.csv", "scatter.csv", "curves.csv",
+                  "chain_e.csv", "chain_g.csv", "unperturbed_e.csv",
+                  "unperturbed_g.csv"]
+        assert reads == {os.path.join(tiny_run, name): 1 for name in inputs}
+
+    def test_scatter_omits_failed_trials(self, tmp_path):
+        rows = ["g,0.05,0.021", "e,0.08,0.0043", "g,0.061,0.03"]
+
+        def scatter_svg(name, lines):
+            run = tmp_path / name
+            run.mkdir()
+            (run / "scatter.csv").write_text(
+                "\n".join(["family,sigma,epsilon"] + lines) + "\n")
+            assert cli.render_all(run) == ["scatter.svg"]
+            return (run / "scatter.svg").read_bytes()
+
+        # a failed trial has NaN sigma and epsilon; records sort by trial,
+        # so trial 0's row comes first
+        with_failure = scatter_svg("failed", ["g,nan,nan"] + rows)
+        assert with_failure == scatter_svg("clean", rows)
+        assert b'"nan"' not in with_failure
 
 
 class TestPlotCommand:

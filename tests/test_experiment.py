@@ -92,6 +92,27 @@ class TestScenarioConfig:
         assert ScenarioConfig(Scenario.DECAY, d=200, n_star=10,
                               eq_window=0.0).eq_window == 0.0
 
+    def test_profile_on_direct_construction(self):
+        cfg = ScenarioConfig(Scenario.DECAY, profile="paper")
+        assert (cfg.d, cfg.n_f, cfg.n_trials, cfg.dt) == (10000, 3333, 1000, 0.01)
+        assert cfg == ScenarioConfig.preset(Scenario.DECAY, "paper")
+        desk = ScenarioConfig(Scenario.DECAY)
+        assert (desk.profile, desk.d, desk.n_trials, desk.dt) == \
+            ("desk", 2000, 200, 0.02)
+
+    def test_explicit_values_override_the_profile(self):
+        cfg = ScenarioConfig(Scenario.DECAY, profile="paper", d=3000)
+        assert (cfg.d, cfg.n_f, cfg.n_trials, cfg.dt) == (3000, 1000, 1000, 0.01)
+
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            ScenarioConfig(Scenario.DECAY, profile="bogus")
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            ScenarioConfig(**{**FAST_DECAY, "workers": workers})
+
     def test_scenario_from_string(self):
         cfg = ScenarioConfig(scenario="decay", d=100, n_star=5)
         assert cfg.scenario is Scenario.DECAY
@@ -166,6 +187,30 @@ class TestWorkerCount:
 
 
 class TestRunScenario:
+    def test_pool_has_no_more_processes_than_jobs(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        cfg = ScenarioConfig(**{**FAST_DECAY, "n_trials": 2, "workers": 64})
+        records, _ = run_scenario(cfg)
+        assert sizes == [4]         # 2 families x 2 one-trial blocks
+        assert worker_count(cfg) == 64
+        serial = ScenarioConfig(**{**FAST_DECAY, "n_trials": 2})
+        assert records == run_scenario(serial)[0]
+
     def test_zero_strength_degeneracy(self):
         cfg = ScenarioConfig(**{**FAST_DECAY, "strength": 0.0, "n_trials": 3})
         records, summary = run_scenario(cfg)
