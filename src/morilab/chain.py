@@ -33,6 +33,7 @@ RK4_TOL = 1e-9           # phase-error budget that sizes the rk4 substep
 C0_TOL = 1e-9            # largest |C(0) - 1| of a normalized series
 CUT_TOL = 1e-13          # largest certified |C - C_cut| a causal cut may carry
 WKB_FACTOR = 2.0         # cut where sum 1/b_m reaches this multiple of t_max
+GROUP_ROWS = 32          # most chains one moment recursion expands together
 
 
 class PropagationError(RuntimeError):
@@ -229,52 +230,106 @@ def _chebyshev_step(bs: np.ndarray, phi: np.ndarray, J: np.ndarray) -> np.ndarra
 # Bessel values grow downward by at most top!*(2/z)^top, which stays below
 # the float range for any z > 1e-15.
 _MILLER_SEED = 1e-300
+# steps between checks of the moment guard: a row past it runs at most this
+# many steps more, then leaves with the error its first excess names
+_GUARD_STRIDE = 16
 
 
-def _even_moments(b: np.ndarray, lam: float,
-                  count: int) -> tuple[np.ndarray, float, float]:
-    """mu_2k = <e0|T_2k(L/lam)|e0> for k = 0..count, their drift bound, and
-    max_k |v_k[d-1]|, the largest Chebyshev amplitude on the last site.
+def _even_moments(b: np.ndarray, lam: float, count: int
+                  ) -> list[tuple[np.ndarray, float, float] | PropagationError]:
+    """For each row b_i of b (rows, n-1): mu_2k = <e0|T_2k(L_i/lam)|e0> for
+    k = 0..count, their drift bound and max_k |v_k[n-1]|, the largest
+    Chebyshev amplitude on the last site; or, for a row whose moments
+    exceed 1, the PropagationError that names the first such moment.
 
     Doubling: T_2k = 2 T_k^2 - 1, so mu_2k = 2 v_k.v_k - 1 with
     v_k = T_k(H) e0 from v_{k+1} = 2 H v_k - v_{k-1}, H = L/lam.  v_k lives
-    on sites 0..k, so step k touches min(k+2, d) sites.  With the spectrum
-    of H inside [-1, 1], |mu_2k| <= 1 exactly; the drift is how far the
-    computed moments exceed that bound.
+    on the sites 0..k of parity k, since L has a zero diagonal, so the even
+    and the odd sites are held apart: step k writes v_{k+1} over v_{k-1} in
+    the array of parity k+1, on its light cone, from v_k in the other.
+    Each site takes (h_i v_{i+1} - v_{k-1,i}) + h_{i-1} v_{i-1}, h = 2b/lam,
+    and each norm is one reduction over its own row, so a row's moments do
+    not depend on the other rows.  With the spectrum of H inside [-1, 1],
+    |mu_2k| <= 1 exactly; the drift is how far the computed moments exceed
+    that bound.  A row that exceeds it by more than NORM_TOL leaves the
+    recursion.
     """
-    bs2 = 2.0 * b / lam
-    d = b.size + 1
-    mu = np.empty(count + 1)
-    mu[0] = 1.0
-    # zeroed once: each step writes only the light-cone slice, so the sites
-    # beyond it must already hold the zeros of v_k
-    prev, cur, tmp = np.zeros(d), np.zeros(d), np.zeros(d - 1)
-    cur[0] = 1.0
-    drift = 0.0
-    edge = 0.0
+    rows = np.arange(b.shape[0])
+    n = b.shape[1] + 1
+    ne, no = (n + 1) // 2, n // 2           # even and odd site counts
+    h = 2.0 * b / lam
+    # each array is padded with a zero where a site has no right neighbour
+    he, ho = np.zeros((rows.size, ne)), np.zeros((rows.size, no))
+    he[:, :no] = h[:, 0::2]                 # h_2j: site 2j to site 2j+1
+    ho[:, :ne - 1] = h[:, 1::2]             # h_2j+1: site 2j+1 to site 2j+2
+    even, odd = np.zeros((rows.size, no + 1)), np.zeros((rows.size, ne))
+    tmp = np.empty((rows.size, ne))
+    even[:, 0] = 1.0                        # v_0 = e0
+    norms = np.empty((count + 1, rows.size))   # v_k.v_k, one row per k
+    norms[0] = 1.0
+    edge = np.zeros(rows.size)
+    results: list = [None] * rows.size
+
+    def step_views(parity, c):
+        """The operands of a step that writes the first c sites of parity."""
+        if parity:
+            return (ho[:, :c], even[:, 1:c + 1], odd[:, :c],
+                    he[:, :c], even[:, :c], odd[:, :c], tmp[:, :c], tmp[:, :c])
+        return (he[:, :c], odd[:, :c], even[:, :c],
+                ho[:, :c - 1], odd[:, :c - 1], even[:, 1:c], tmp[:, :c],
+                tmp[:, :c - 1])
+
+    full = None           # the views of both parities once the cone is full
+    checked = 0           # norms[:checked] have passed the guard
     for k in range(count):
-        n = min(k + 2, d)
-        if k == 0:
-            prev[1] = 0.5 * bs2[0]      # v_1 = H e0
-        else:                           # prev <- v_{k+1} = 2 H v_k - v_{k-1}
-            h, t = bs2[:n - 1], tmp[:n - 1]
-            np.multiply(h, cur[1:n], out=t)
-            np.subtract(t, prev[:n - 1], out=prev[:n - 1])
-            prev[n - 1] = -prev[n - 1]
-            np.multiply(h, cur[:n - 1], out=t)
-            prev[1:n] += t
-        prev, cur = cur, prev
-        mu[k + 1] = 2.0 * float(cur[:n] @ cur[:n]) - 1.0
-        if n == d:                      # v_k[d-1] = 0 before the cone reaches it
-            edge = max(edge, abs(cur[d - 1]))
-        if mu[k + 1] - 1.0 > drift:
-            drift = mu[k + 1] - 1.0
-            if drift > NORM_TOL:
-                raise PropagationError(
-                    f"Chebyshev moment mu_{2 * k + 2} = {mu[k + 1]:.3g} exceeds 1 "
-                    f"by more than {NORM_TOL:.0e}: the scale {lam:.6g} does not "
-                    f"bound the spectrum; use method='chebyshev'")
-    return mu, drift, edge
+        parity = (k + 1) % 2
+        if k == 0:                      # v_1 = H e0
+            odd[:, 0] = 0.5 * he[:, 0]
+            x = odd[:, :1]
+        else:                           # v_{k+1} = 2 H v_k - v_{k-1}
+            if k + 1 < n - 1:
+                views = step_views(parity, (k + 1) // 2 + 1)
+            else:
+                if full is None:
+                    full = (step_views(0, ne), step_views(1, no))
+                views = full[parity]
+            rc, rs, x, lc, ls, lx, tr, tl = views
+            np.multiply(rc, rs, out=tr)
+            np.subtract(tr, x, out=x)
+            np.multiply(lc, ls, out=tl)
+            np.add(lx, tl, out=lx)
+        np.vecdot(x, x, out=norms[k + 1])
+        if k + 1 >= n - 1 and parity == (n - 1) % 2:
+            # v_k[n-1] = 0 before the cone reaches it, and off its parity
+            np.maximum(edge, np.abs(x[:, -1]), out=edge)
+        if (k + 1) % _GUARD_STRIDE and k + 1 < count:
+            continue
+        # the guard, on the moments since the last check
+        mu = 2.0 * norms[checked:k + 2] - 1.0
+        over = mu - 1.0 > NORM_TOL
+        if over.any():
+            keep = np.ones(rows.size, dtype=bool)
+            for r in np.nonzero(over.any(axis=0))[0]:
+                i = checked + int(np.argmax(over[:, r]))
+                results[rows[r]] = PropagationError(
+                    f"Chebyshev moment mu_{2 * i} = {mu[i - checked, r]:.3g} "
+                    f"exceeds 1 by more than {NORM_TOL:.0e}: the scale "
+                    f"{lam:.6g} does not bound the spectrum; use "
+                    f"method='chebyshev'")
+                keep[r] = False
+            rows, he, ho, even, odd, edge = (
+                a[keep] for a in (rows, he, ho, even, odd, edge))
+            norms = norms[:, keep]
+            tmp = np.empty((rows.size, ne))
+            full = None
+            if rows.size == 0:
+                break
+        checked = k + 2
+    mu = 2.0 * norms.T - 1.0
+    drift = (mu - 1.0).max(axis=1)
+    for r, row in enumerate(rows):
+        results[row] = (mu[r], float(drift[r]), float(edge[r]))
+    return results
 
 
 def _causal_cut(b: np.ndarray, horizon: float, factor: float) -> int:
@@ -333,9 +388,18 @@ def _continued_coupling(b: np.ndarray) -> float:
     return float(b[-1] + max(step, 0.0))
 
 
-def _prefix_moments(b: np.ndarray, n_c: int, dt: float,
-                    n_steps: int) -> _Expansion:
-    """The expansion of C(t_n), t_n = n*dt, on the first n_c sites.
+def _prefix_scale(b: np.ndarray, n_c: int) -> float:
+    """lam of the prefix b_1..b_{n_c-1}: its Gershgorin bound, rounded up
+    to the grid 2^(j/64)."""
+    return _quantized(_spectral_bound(b[:n_c - 1]) * (1.0 + 1e-7))
+
+
+def _prefix_moments(bs: Sequence[np.ndarray], n_c: int, lam: float,
+                    dt: float, n_steps: int
+                    ) -> list[_Expansion | PropagationError]:
+    """The expansion of C(t_n), t_n = n*dt, on the first n_c sites of each
+    chain b in bs, all at the scale lam; or the PropagationError of a chain
+    whose moments show that lam does not bound its prefix's spectrum.
 
     The bound compares it with the continued chain: b_1..b_{d-1}, then
     `_continued_coupling(b)` as b_d, then any couplings at all.  The end of
@@ -346,18 +410,23 @@ def _prefix_moments(b: np.ndarray, n_c: int, dt: float,
     Cauchy-Schwarz (sum_k J_k^2 <= 1) bound that amplitude by
     2 (sqrt(K+1) max_{k<=K} |v_k[n_c-1]| + sum_{k>K} |J_k|) for any K.
     K runs past the moment count to the Miller start order of lam*T/2,
-    where the Bessel tail is negligible.  lam is the prefix's Gershgorin
-    bound rounded up to the grid 2^(j/64); any bound on the spectrum works.
+    where the Bessel tail is negligible.  Any bound on the spectrum works
+    as lam; `propagate_many` uses `_prefix_scale`.
     """
-    b_c = b[:n_c - 1]
-    lam = _quantized(_spectral_bound(b_c) * (1.0 + 1e-7))
     z_end = lam * dt * n_steps
     order = max(int(_miller_order(z_end)) // 2, int(_miller_order(z_end / 2)))
-    mu, drift, edge = _even_moments(b_c, lam, order)
-    b_cut = b[n_c - 1] if n_c <= b.size else _continued_coupling(b)
-    bound = 4.0 * b_cut * (n_steps * dt) * (
-        np.sqrt(order + 1) * edge + _bessel_tail(order, z_end / 2))
-    return _Expansion(lam, mu, drift, float(bound))
+    tail = _bessel_tail(order, z_end / 2)
+    rows = _even_moments(np.array([b[:n_c - 1] for b in bs]), lam, order)
+    out: list[_Expansion | PropagationError] = []
+    for b, row in zip(bs, rows):
+        if isinstance(row, PropagationError):
+            out.append(row)
+            continue
+        mu, drift, edge = row
+        b_cut = b[n_c - 1] if n_c <= b.size else _continued_coupling(b)
+        bound = 4.0 * b_cut * (n_steps * dt) * (np.sqrt(order + 1) * edge + tail)
+        out.append(_Expansion(lam, mu, drift, float(bound)))
+    return out
 
 
 def _miller_order(z: np.ndarray) -> np.ndarray:
@@ -442,35 +511,50 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
     """`propagate(chain, dt, t_max)` for every chain, with the "moments"
     engine: each chain's own causal prefix and even moments.
 
-    Chains whose scales lam (quantized) are equal share one Bessel sum, one
-    Miller pass over their stacked moments.  Its rows do not depend on
-    each other, so every series equals the one `propagate` gives for its
-    chain alone, to the bit, whatever the chains and their order.  A chain
-    whose expansion raises PropagationError gets that error in its slot
-    instead of a series and joins no pass.  Only a chain's moments are
-    kept, so `chains` may be a generator.
+    Chains with equal cuts n_c and equal scales lam (quantized) share one
+    moment recursion, up to GROUP_ROWS of them at a time; a chain whose cut
+    is refused joins the uncut chains of its whole scale.  Chains of one
+    lam share one Bessel sum, one Miller pass over their stacked moments.
+    Neither pass mixes its rows, so every series equals the one `propagate`
+    gives for its chain alone, to the bit, whatever the chains and their
+    order.  A chain whose expansion raises PropagationError gets that error
+    in its slot instead of a series and joins no Bessel sum.  At most
+    GROUP_ROWS chains are held at once, and after their recursion only
+    their moments are kept, so `chains` may be a long generator.
     """
     n_steps = _step_count(dt, t_max)
     out: list[CorrelationSeries | PropagationError | None] = []
+    pending: dict[tuple[float, int], list[tuple[int, LanczosChain]]] = {}
     groups: dict[float, list[tuple[int, str, int, _Expansion]]] = {}
+
+    def hold(slot: int, chain: LanczosChain, n_c: int) -> None:
+        key = (_prefix_scale(chain.b, n_c), n_c)
+        pending.setdefault(key, []).append((slot, chain))
+
+    def expand_largest() -> None:
+        (lam, n_c), members = max(pending.items(), key=lambda kv: len(kv[1]))
+        del pending[lam, n_c]
+        results = _prefix_moments([c.b for _, c in members], n_c, lam, dt,
+                                  n_steps)
+        for (slot, chain), ex in zip(members, results):
+            if isinstance(ex, PropagationError):
+                out[slot] = ex
+            elif n_c < chain.d and not ex.bound <= CUT_TOL:
+                hold(slot, chain, chain.d)   # the cut is not certified
+            else:
+                groups.setdefault(lam, []).append((slot, chain.label, n_c, ex))
+
     for chain in chains:
         if chain.d == 1:
             out.append(CorrelationSeries(dt, np.ones(n_steps + 1),
                                          label=chain.label, method="moments"))
             continue
-        try:
-            n_c = _causal_cut(chain.b, n_steps * dt, WKB_FACTOR)
-            ex = _prefix_moments(chain.b, n_c, dt, n_steps)
-            if n_c < chain.d and not ex.bound <= CUT_TOL:
-                # the cut is not certified: expand the whole chain
-                n_c = chain.d
-                ex = _prefix_moments(chain.b, n_c, dt, n_steps)
-        except PropagationError as err:
-            # without its traceback, which would hold this frame's moments
-            out.append(err.with_traceback(None))
-            continue
-        groups.setdefault(ex.lam, []).append((len(out), chain.label, n_c, ex))
+        hold(len(out), chain, _causal_cut(chain.b, n_steps * dt, WKB_FACTOR))
         out.append(None)
+        while sum(map(len, pending.values())) >= GROUP_ROWS:
+            expand_largest()
+    while pending:
+        expand_largest()
     for lam, members in groups.items():
         rows = _cosine_series([ex.mu for *_, ex in members],
                               lam * dt * np.arange(n_steps + 1))

@@ -3,17 +3,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import jv
 
 from morilab import chain as chain_module
-from morilab.chain import (C0_TOL, CUT_TOL, NORM_TOL, WKB_FACTOR,
-                           CorrelationSeries, LanczosChain, PropagationError,
-                           _bessel_tail, _causal_cut, _continued_coupling,
-                           _cosine_series, _even_moments, _miller_order,
-                           _prefix_moments, _quantized, _spectral_bound,
-                           dense_correlation, dense_generator, propagate,
+from morilab.chain import (C0_TOL, CUT_TOL, GROUP_ROWS, NORM_TOL,
+                           WKB_FACTOR, CorrelationSeries, LanczosChain,
+                           PropagationError, _bessel_tail, _causal_cut,
+                           _continued_coupling, _cosine_series, _even_moments,
+                           _miller_order, _prefix_moments, _prefix_scale,
+                           _quantized, _spectral_bound, dense_correlation, dense_generator, propagate,
                            propagate_many, spectral_width_sum)
 from morilab.design import exponential_chain, gaussian_chain, oscillating_pair
 from morilab.perturb import apply_draw, draw_noise
@@ -256,20 +256,78 @@ class TestMomentsEngine:
         assert np.abs(moments.values - stepping.values).max() <= 1e-12
 
 
+def loop_moments(b: np.ndarray, lam: float,
+                 count: int) -> tuple[np.ndarray, float, float]:
+    """Reference for `_even_moments`: one chain, one step of the recursion
+    on the whole light cone at a time, the norm a BLAS dot; raises at the
+    first moment above 1 + NORM_TOL."""
+    bs2 = 2.0 * b / lam
+    d = b.size + 1
+    mu = np.empty(count + 1)
+    mu[0] = 1.0
+    prev, cur, tmp = np.zeros(d), np.zeros(d), np.zeros(d - 1)
+    cur[0] = 1.0
+    drift = edge = 0.0
+    for k in range(count):
+        n = min(k + 2, d)
+        if k == 0:
+            prev[1] = 0.5 * bs2[0]
+        else:
+            h, t = bs2[:n - 1], tmp[:n - 1]
+            np.multiply(h, cur[1:n], out=t)
+            np.subtract(t, prev[:n - 1], out=prev[:n - 1])
+            prev[n - 1] = -prev[n - 1]
+            np.multiply(h, cur[:n - 1], out=t)
+            prev[1:n] += t
+        prev, cur = cur, prev
+        mu[k + 1] = 2.0 * float(cur[:n] @ cur[:n]) - 1.0
+        if n == d:
+            edge = max(edge, abs(cur[d - 1]))
+        if mu[k + 1] - 1.0 > drift:
+            drift = mu[k + 1] - 1.0
+            if drift > NORM_TOL:
+                raise PropagationError(
+                    f"Chebyshev moment mu_{2 * k + 2} = {mu[k + 1]:.3g} exceeds 1 "
+                    f"by more than {NORM_TOL:.0e}: the scale {lam:.6g} does not "
+                    f"bound the spectrum; use method='chebyshev'")
+    return mu, drift, edge
+
+
 class TestMomentGuard:
+    @pytest.mark.parametrize("d", [2, 3, 60, 61])
+    @pytest.mark.parametrize("count", [1, 20, 100])
+    def test_rows_match_the_one_chain_loop(self, d, count):
+        # each site's update keeps the loop's operations in its order, so
+        # the amplitudes, and the edge, are the loop's to the bit; the norm
+        # sums the same squares in another order: at most n-1 roundings of
+        # a sum below 1 each, and mu doubles it
+        rng = np.random.default_rng(d)
+        b = rng.uniform(0.5, 2.0, (3, d - 1))
+        lam = max(_prefix_scale(row, d) for row in b)
+        tol = 2.0 * d * np.finfo(float).eps
+        for row, (mu, drift, edge) in zip(b, _even_moments(b, lam, count)):
+            ref_mu, ref_drift, ref_edge = loop_moments(row, lam, count)
+            assert np.abs(mu - ref_mu).max() <= tol
+            assert abs(drift - ref_drift) <= tol
+            assert edge == ref_edge
+
     def test_trips_when_scale_underestimates_spectrum(self):
         # uniform-ish hopping: site 0 carries weight up to the band edge
         chain = LanczosChain(np.random.default_rng(0).uniform(0.5, 2.0, 199))
         radius = eigh_tridiagonal(np.zeros(chain.d), chain.b,
                                   eigvals_only=True).max()
         # spectrum of L/lam reaches 1/0.9: the moments grow like cosh
-        with pytest.raises(PropagationError, match="does not bound"):
-            _even_moments(chain.b, 0.9 * radius, 200)
+        [row] = _even_moments(chain.b[None], 0.9 * radius, 200)
+        assert isinstance(row, PropagationError)
+        assert "does not bound" in str(row)
+        with pytest.raises(PropagationError) as ref:
+            loop_moments(chain.b, 0.9 * radius, 200)
+        assert str(row) == str(ref.value)
 
     def test_quiet_on_desk_chain(self):
         chain = desk_trial_chain()
         lam = _spectral_bound(chain.b) * (1.0 + 1e-7)
-        mu, drift, _ = _even_moments(chain.b, lam, 2000)
+        [(mu, drift, _)] = _even_moments(chain.b[None], lam, 2000)
         assert np.abs(mu).max() <= 1.0 + 1e-12
         assert drift <= 1e-12
         series = propagate(chain, dt=0.02, t_max=40.0, method="moments")
@@ -286,13 +344,20 @@ def desk_oscillating_chains(seed: int | None = None) -> list[LanczosChain]:
 
 def uncut_engine(chain: LanczosChain, dt: float, t_max: float) -> np.ndarray:
     """The moments engine on the whole chain, as it ran before the cut."""
-    lam = _quantized(_spectral_bound(chain.b) * (1.0 + 1e-7))
+    lam = _prefix_scale(chain.b, chain.d)
     z = lam * dt * np.arange(int(round(t_max / dt)) + 1)
-    mu, _, _ = _even_moments(chain.b, lam, int(_miller_order(z[-1])) // 2)
+    [(mu, _, _)] = _even_moments(chain.b[None], lam,
+                                 int(_miller_order(z[-1])) // 2)
     return _cosine_series([mu], z)[0]
 
 
 OSC_DT, OSC_STEPS = 0.02, 1500      # the desk oscillation grid, t_max = 30
+
+
+def prefix_moments(b: np.ndarray, n_c: int, dt: float, n_steps: int):
+    """The expansion of one chain's first n_c sites, at the prefix's scale."""
+    [ex] = _prefix_moments([b], n_c, _prefix_scale(b, n_c), dt, n_steps)
+    return ex
 
 
 class TestCausalCut:
@@ -318,7 +383,7 @@ class TestCausalCut:
         # the recursion stops before v_k reaches site n_c - 1: only the
         # Bessel tail is left in the bound, and it must still be there
         b = np.ones(399)
-        ex = _prefix_moments(b, 300, 0.1, 50)
+        ex = prefix_moments(b, 300, 0.1, 50)
         assert ex.mu.size - 1 < 299
         tail = _bessel_tail(ex.mu.size - 1, ex.lam * 0.1 * 50 / 2)
         assert ex.bound == 4.0 * 1.0 * (50 * 0.1) * tail > 0.0
@@ -328,7 +393,7 @@ class TestCausalCut:
         horizon = OSC_STEPS * OSC_DT
         n_c = _causal_cut(gdo.b, horizon, 1.0)
         assert 100 <= n_c <= 140          # measured 118
-        ex = _prefix_moments(gdo.b, n_c, OSC_DT, OSC_STEPS)
+        ex = prefix_moments(gdo.b, n_c, OSC_DT, OSC_STEPS)
         t = OSC_DT * np.arange(OSC_STEPS + 1)
         z = ex.lam * OSC_DT * np.arange(OSC_STEPS + 1)
         err = np.abs(_cosine_series([ex.mu], z)[0]
@@ -361,7 +426,7 @@ class TestCausalCut:
         weak = LanczosChain(b)
         n_c = _causal_cut(b, 30.0, WKB_FACTOR)
         assert n_c == 52
-        assert _prefix_moments(b, n_c, OSC_DT, OSC_STEPS).bound > CUT_TOL
+        assert prefix_moments(b, n_c, OSC_DT, OSC_STEPS).bound > CUT_TOL
         series = propagate(weak, dt=OSC_DT, t_max=30.0, method="moments")
         assert series.sites == weak.d
         assert 0.0 < series.cut_bound <= 1e-15
@@ -436,7 +501,7 @@ class TestCutProperties:
         chain = random_chain(seed, d, growing)
         dt = t_max / n_steps
         n_c = _causal_cut(chain.b, n_steps * dt, factor)
-        ex = _prefix_moments(chain.b, n_c, dt, n_steps)
+        ex = prefix_moments(chain.b, n_c, dt, n_steps)
         t = dt * np.arange(n_steps + 1)
         z = ex.lam * dt * np.arange(n_steps + 1)
         series = _cosine_series([ex.mu], z)[0]
@@ -504,25 +569,54 @@ def same_series(a: CorrelationSeries, b: CorrelationSeries) -> bool:
             == (b.lam, b.moments, b.sites, b.cut_bound, b.norm_drift_max))
 
 
+def nearly_flat_chain(seed: int, d: int) -> LanczosChain:
+    """Hopping in [1 - 1e-4, 1): every prefix of three or more sites has
+    the scale 2, and the cut of a horizon T falls at one site for all of
+    them unless 2T is within 1e-4 * 2T of an integer."""
+    return LanczosChain(np.random.default_rng(seed).uniform(1 - 1e-4, 1.0, d - 1))
+
+
+ROW_COUNTS = [1, 2, GROUP_ROWS - 1, GROUP_ROWS, GROUP_ROWS + 1]
+
+
 class TestPropagateMany:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(specs=st.lists(st.tuples(st.integers(0, 2**32 - 1),
                                     st.integers(1, 250), st.booleans(),
                                     st.sampled_from([1.0, 1.004, 1.5])),
                           min_size=1, max_size=7),
+           group=st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 250),
+                           st.sampled_from(ROW_COUNTS)),
            t_max=st.floats(1.0, 15.0), n_steps=st.integers(5, 150),
            shuffle=st.randoms(use_true_random=False))
-    def test_each_series_is_its_single_propagation(self, specs, t_max,
+    @example(specs=[(1, 40, True, 1.0)], group=(7, 2, GROUP_ROWS + 1),
+             t_max=4.0, n_steps=40, shuffle=random.Random(0))
+    @example(specs=[(2, 41, False, 1.5)], group=(8, 3, GROUP_ROWS),
+             t_max=4.0, n_steps=40, shuffle=random.Random(1))
+    @example(specs=[(3, 9, False, 1.0)], group=(9, 120, GROUP_ROWS - 1),
+             t_max=10.2, n_steps=51, shuffle=random.Random(2))
+    @example(specs=[(4, 9, True, 1.0)], group=(10, 121, 2),
+             t_max=10.7, n_steps=53, shuffle=random.Random(3))
+    def test_each_series_is_its_single_propagation(self, specs, group, t_max,
                                                    n_steps, shuffle):
         # flat chains of one scale share a Bessel sum; growing ones are cut
-        # at short horizons and carry their prefix's scale
-        chains = [random_chain(seed, d, growing).scaled(scale)
-                  for seed, d, growing, scale in specs]
-        shuffle.shuffle(chains)
+        # at short horizons and carry their prefix's scale.  The nearly
+        # flat chains share one (lam, n_c): alone, they are expanded in
+        # recursions of B = 1, 2, GROUP_ROWS - 1, GROUP_ROWS, or GROUP_ROWS
+        # and 1 rows; shuffled among the others, in groups of any size.
+        # Their n_c is about 2T + 1 when cut and d when not, of either
+        # parity; the moment count, about T + 30 + 12 T^(1/3), is above
+        # n_c - 2 when cut or d is small, below it when d is large.
+        flat_seed, flat_d, rows = group
+        flat = [nearly_flat_chain(flat_seed + i, flat_d) for i in range(rows)]
+        chains = flat + [random_chain(seed, d, growing).scaled(scale)
+                         for seed, d, growing, scale in specs]
         dt = t_max / n_steps
+        alone = propagate_many(flat, dt=dt, t_max=t_max)
+        shuffle.shuffle(chains)
         many = propagate_many(chains, dt=dt, t_max=t_max)
-        assert len(many) == len(chains)
-        for chain, series in zip(chains, many):
+        assert len(alone) == len(flat) and len(many) == len(chains)
+        for chain, series in zip(flat + chains, alone + many):
             assert same_series(series, propagate(chain, dt=dt, t_max=t_max))
 
     def test_one_bessel_sum_per_scale(self, monkeypatch):
@@ -552,6 +646,28 @@ class TestPropagateMany:
     def test_empty_list(self):
         assert propagate_many([], dt=0.1, t_max=1.0) == []
 
+    def test_a_real_trip_leaves_the_other_rows_unchanged(self):
+        # five chains expanded together at one scale, which one of them,
+        # scaled by 1.5, exceeds: that row alone trips, with the message of
+        # the one-chain loop, and every other row is its B = 1 expansion
+        rows = [random_chain(seed, 200, False).b for seed in range(5)]
+        lam = max(_prefix_scale(b, 200) for b in rows)
+        rows[3] = rows[3] * 1.5
+        dt, n_steps = 0.1, 80
+        batch = _prefix_moments(rows, 200, lam, dt, n_steps)
+        z_end = lam * dt * n_steps
+        count = max(int(_miller_order(z_end)) // 2,
+                    int(_miller_order(z_end / 2)))
+        with pytest.raises(PropagationError, match="does not bound") as ref:
+            loop_moments(rows[3], lam, count)
+        assert isinstance(batch[3], PropagationError)
+        assert str(batch[3]) == str(ref.value)
+        for i in (0, 1, 2, 4):
+            [alone] = _prefix_moments([rows[i]], 200, lam, dt, n_steps)
+            assert batch[i].mu.tobytes() == alone.mu.tobytes()
+            assert (batch[i].lam, batch[i].drift, batch[i].bound) == \
+                (alone.lam, alone.drift, alone.bound)
+
     def test_a_failing_chain_keeps_its_slot(self, monkeypatch):
         # the moment guard trips for the middle chain only: its slot holds
         # the error, and the chains around it, of the same scale, are
@@ -560,10 +676,9 @@ class TestPropagateMany:
         bad = random_chain(2, 120, False)
         error = PropagationError("moment guard tripped")
 
-        def prefix_moments(b, *args):
-            if b.tobytes() == bad.b.tobytes():
-                raise error
-            return _prefix_moments(b, *args)
+        def prefix_moments(bs, *args):
+            return [error if b.tobytes() == bad.b.tobytes() else ex
+                    for b, ex in zip(bs, _prefix_moments(bs, *args))]
 
         monkeypatch.setattr(chain_module, "_prefix_moments", prefix_moments)
         many = propagate_many([good[0], bad, good[1]], dt=0.1, t_max=8.0)

@@ -286,9 +286,11 @@ class TestFailureLocality:
         bad_chain = trial_chain(g, 0, 1).b.tobytes()
         bad_fit = chain.propagate(trial_chain(e, 1, 2), dt=config.dt,
                                   t_max=config.t_max).values.tobytes()
-        monkeypatch.setattr(chain, "_prefix_moments", failing_where(
-            chain._prefix_moments, lambda b: b.tobytes() == bad_chain,
-            PropagationError("moment guard tripped")))
+        prefix_moments = chain._prefix_moments
+        monkeypatch.setattr(chain, "_prefix_moments", lambda bs, *args: [
+            PropagationError("moment guard tripped")
+            if b.tobytes() == bad_chain else ex
+            for b, ex in zip(bs, prefix_moments(bs, *args))])
         monkeypatch.setattr(experiment, "fit", failing_where(
             experiment.fit, lambda s: s.values.tobytes() == bad_fit,
             RuntimeError("no fit restart could be evaluated")))
