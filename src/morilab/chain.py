@@ -40,6 +40,23 @@ class PropagationError(RuntimeError):
     """Raised when a propagator backend loses unitarity."""
 
 
+def _read_csv(path, header: list[str]) -> np.ndarray:
+    """The columns of numbers under `header`; ValueError names a bad line."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != header:
+        raise ValueError(f"{path}: expected header {','.join(header)!r}")
+    out = np.empty((len(header), len(rows) - 1))
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, expected {len(header)}")
+            out[:, line - 2] = [float(cell) for cell in row]
+        except ValueError as err:
+            raise ValueError(f"{path}: line {line}: {err}") from None
+    return out
+
+
 @dataclass(frozen=True)
 class LanczosChain:
     """Ordered positive hopping amplitudes b_1..b_{d-1} of a d-site chain."""
@@ -77,12 +94,7 @@ class LanczosChain:
 
     @classmethod
     def from_csv(cls, path, label: str = "") -> "LanczosChain":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["n", "b"]:
-            raise ValueError(f"{path}: expected header 'n,b'")
-        b = np.array([float(r[1]) for r in rows[1:]])
-        return cls(b, label)
+        return cls(_read_csv(path, ["n", "b"])[1], label)
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -129,12 +141,7 @@ class CorrelationSeries:
 
     @classmethod
     def from_csv(cls, path, label: str = "") -> "CorrelationSeries":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["t", "C"]:
-            raise ValueError(f"{path}: expected header 't,C'")
-        t = np.array([float(r[0]) for r in rows[1:]])
-        c = np.array([float(r[1]) for r in rows[1:]])
+        t, c = _read_csv(path, ["t", "C"])
         if t.size < 2:
             raise ValueError("series needs at least two samples")
         dt = t[1] - t[0]
@@ -230,9 +237,6 @@ def _chebyshev_step(bs: np.ndarray, phi: np.ndarray, J: np.ndarray) -> np.ndarra
 # Bessel values grow downward by at most top!*(2/z)^top, which stays below
 # the float range for any z > 1e-15.
 _MILLER_SEED = 1e-300
-# steps between checks of the moment guard: a row past it runs at most this
-# many steps more, then leaves with the error its first excess names
-_GUARD_STRIDE = 16
 
 
 def _even_moments(b: np.ndarray, lam: float, count: int
@@ -249,26 +253,25 @@ def _even_moments(b: np.ndarray, lam: float, count: int
     the array of parity k+1, on its light cone, from v_k in the other.
     Each site takes (h_i v_{i+1} - v_{k-1,i}) + h_{i-1} v_{i-1}, h = 2b/lam,
     and each norm is one reduction over its own row, so a row's moments do
-    not depend on the other rows.  With the spectrum of H inside [-1, 1],
-    |mu_2k| <= 1 exactly; the drift is how far the computed moments exceed
-    that bound.  A row that exceeds it by more than NORM_TOL leaves the
-    recursion.
+    not depend on the other rows, even one that overflows.  With the
+    spectrum of H inside [-1, 1], |mu_2k| <= 1 exactly; the drift is how far
+    the computed moments exceed that bound.  After the recursion, a row with
+    a moment past it by more than NORM_TOL, or not finite, gets the error.
     """
-    rows = np.arange(b.shape[0])
+    rows = b.shape[0]
     n = b.shape[1] + 1
     ne, no = (n + 1) // 2, n // 2           # even and odd site counts
     h = 2.0 * b / lam
     # each array is padded with a zero where a site has no right neighbour
-    he, ho = np.zeros((rows.size, ne)), np.zeros((rows.size, no))
+    he, ho = np.zeros((rows, ne)), np.zeros((rows, no))
     he[:, :no] = h[:, 0::2]                 # h_2j: site 2j to site 2j+1
     ho[:, :ne - 1] = h[:, 1::2]             # h_2j+1: site 2j+1 to site 2j+2
-    even, odd = np.zeros((rows.size, no + 1)), np.zeros((rows.size, ne))
-    tmp = np.empty((rows.size, ne))
+    even, odd = np.zeros((rows, no + 1)), np.zeros((rows, ne))
+    tmp = np.empty((rows, ne))
     even[:, 0] = 1.0                        # v_0 = e0
-    norms = np.empty((count + 1, rows.size))   # v_k.v_k, one row per k
+    norms = np.empty((count + 1, rows))     # v_k.v_k, one row per k
     norms[0] = 1.0
-    edge = np.zeros(rows.size)
-    results: list = [None] * rows.size
+    edge = np.zeros(rows)
 
     def step_views(parity, c):
         """The operands of a step that writes the first c sites of parity."""
@@ -279,56 +282,35 @@ def _even_moments(b: np.ndarray, lam: float, count: int
                 ho[:, :c - 1], odd[:, :c - 1], even[:, 1:c], tmp[:, :c],
                 tmp[:, :c - 1])
 
-    full = None           # the views of both parities once the cone is full
-    checked = 0           # norms[:checked] have passed the guard
-    for k in range(count):
-        parity = (k + 1) % 2
-        if k == 0:                      # v_1 = H e0
-            odd[:, 0] = 0.5 * he[:, 0]
-            x = odd[:, :1]
-        else:                           # v_{k+1} = 2 H v_k - v_{k-1}
-            if k + 1 < n - 1:
-                views = step_views(parity, (k + 1) // 2 + 1)
-            else:
-                if full is None:
-                    full = (step_views(0, ne), step_views(1, no))
-                views = full[parity]
-            rc, rs, x, lc, ls, lx, tr, tl = views
-            np.multiply(rc, rs, out=tr)
-            np.subtract(tr, x, out=x)
-            np.multiply(lc, ls, out=tl)
-            np.add(lx, tl, out=lx)
-        np.vecdot(x, x, out=norms[k + 1])
-        if k + 1 >= n - 1 and parity == (n - 1) % 2:
-            # v_k[n-1] = 0 before the cone reaches it, and off its parity
-            np.maximum(edge, np.abs(x[:, -1]), out=edge)
-        if (k + 1) % _GUARD_STRIDE and k + 1 < count:
-            continue
-        # the guard, on the moments since the last check
-        mu = 2.0 * norms[checked:k + 2] - 1.0
-        over = mu - 1.0 > NORM_TOL
-        if over.any():
-            keep = np.ones(rows.size, dtype=bool)
-            for r in np.nonzero(over.any(axis=0))[0]:
-                i = checked + int(np.argmax(over[:, r]))
-                results[rows[r]] = PropagationError(
-                    f"Chebyshev moment mu_{2 * i} = {mu[i - checked, r]:.3g} "
-                    f"exceeds 1 by more than {NORM_TOL:.0e}: the scale "
-                    f"{lam:.6g} does not bound the spectrum; use "
-                    f"method='chebyshev'")
-                keep[r] = False
-            rows, he, ho, even, odd, edge = (
-                a[keep] for a in (rows, he, ho, even, odd, edge))
-            norms = norms[:, keep]
-            tmp = np.empty((rows.size, ne))
-            full = None
-            if rows.size == 0:
-                break
-        checked = k + 2
-    mu = 2.0 * norms.T - 1.0
-    drift = (mu - 1.0).max(axis=1)
-    for r, row in enumerate(rows):
-        results[row] = (mu[r], float(drift[r]), float(edge[r]))
+    full = (step_views(0, ne), step_views(1, no))   # once the cone is full
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(count):
+            parity = (k + 1) % 2
+            if k == 0:                      # v_1 = H e0
+                odd[:, 0] = 0.5 * he[:, 0]
+                x = odd[:, :1]
+            else:                           # v_{k+1} = 2 H v_k - v_{k-1}
+                rc, rs, x, lc, ls, lx, tr, tl = (
+                    step_views(parity, (k + 1) // 2 + 1) if k + 1 < n - 1
+                    else full[parity])
+                np.multiply(rc, rs, out=tr)
+                np.subtract(tr, x, out=x)
+                np.multiply(lc, ls, out=tl)
+                np.add(lx, tl, out=lx)
+            np.vecdot(x, x, out=norms[k + 1])
+            if k + 1 >= n - 1 and parity == (n - 1) % 2:
+                # v_k[n-1] = 0 before the cone reaches it, and off its parity
+                np.maximum(edge, np.abs(x[:, -1]), out=edge)
+        mu = 2.0 * norms.T - 1.0
+        drift = (mu - 1.0).max(axis=1)
+        over = ~(mu - 1.0 <= NORM_TOL)          # a NaN is an excess too
+    results: list = list(zip(mu, drift.tolist(), edge.tolist()))
+    for r in np.nonzero(over.any(axis=1))[0]:
+        i = int(np.argmax(over[r]))
+        results[r] = PropagationError(
+            f"Chebyshev moment mu_{2 * i} = {mu[r, i]:.3g} exceeds 1 by more "
+            f"than {NORM_TOL:.0e}: the scale {lam:.6g} does not bound the "
+            f"spectrum; use method='chebyshev'")
     return results
 
 

@@ -174,7 +174,7 @@ def render_histogram_svg(rows, summary: dict, out_path) -> None:
         fig.bars([float(r[0]) for r in sel], [float(r[1]) for r in sel],
                  [int(r[3]) for r in sel], family_color(fam, i), label=fam)
         mean = summary["families"].get(fam, {}).get("mean_epsilon")
-        if mean is not None:
+        if mean is not None and math.isfinite(mean):
             fig.vline(mean, family_color(fam, i),
                       label=f"mean {fam} = {mean:.4g}")
     fig.save(out_path)

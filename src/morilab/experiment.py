@@ -126,6 +126,8 @@ class ScenarioConfig:
             raise ValueError("require 1 <= n_star < d")
         if self.floor <= 0:
             raise ValueError("floor must be positive")
+        if not 0 < self.eq_threshold < 1:
+            raise ValueError("eq_threshold must lie in (0, 1)")
         if self.eq_window < 0:
             raise ValueError("eq_window must be nonnegative")
         if self.workers is not None and self.workers < 1:
@@ -219,20 +221,21 @@ class EnsembleSummary:
 
 
 def summarize(records: Sequence[TrialRecord], bin_width: float) -> EnsembleSummary:
-    """Per-family means and histograms; invalid trials counted but excluded."""
+    """Per-family means and histograms; invalid trials counted but excluded.
+    A family with no valid trial keeps its counts, with NaN means and the
+    empty histogram."""
     families: dict[str, FamilySummary] = {}
     names = list(dict.fromkeys(r.family for r in records))
     n_trials = len({r.trial for r in records})
     for name in names:
         fam = [r for r in records if r.family == name]
         valid = [r for r in fam if r.valid]
-        if not valid:
-            continue
         eps_arr = np.array([r.epsilon for r in valid])
         families[name] = FamilySummary(
             family=name,
-            mean_epsilon=float(eps_arr.mean()),
-            mean_sigma=float(np.mean([r.sigma for r in valid])),
+            mean_epsilon=float(eps_arr.mean()) if valid else math.nan,
+            mean_sigma=(float(np.mean([r.sigma for r in valid])) if valid
+                        else math.nan),
             n_valid=len(valid),
             n_invalid=len(fam) - len(valid),
             n_nonequilibrated=sum(not r.equilibrated for r in fam),
@@ -409,9 +412,7 @@ def run_scenario(config: ScenarioConfig,
 def exemplary_trials(records: Sequence[TrialRecord], summary: EnsembleSummary,
                      family: str) -> list[TrialRecord]:
     """Valid trials closest to the family mean deviation, ties by trial."""
-    fam = summary.families.get(family)
-    if fam is None:
-        return []
+    fam = summary.families[family]
     pool = [r for r in records if r.family == family and r.valid]
     pool.sort(key=lambda r: (abs(r.epsilon - fam.mean_epsilon), r.trial))
     return pool[:N_EXEMPLARS]

@@ -324,6 +324,25 @@ class TestMomentGuard:
             loop_moments(chain.b, 0.9 * radius, 200)
         assert str(row) == str(ref.value)
 
+    def test_an_overflowing_row_trips_alone(self):
+        # a row scaled 1e3 past the scale grows about 2e3-fold per step, so
+        # its amplitudes overflow to inf and then NaN long before step 3000;
+        # it names its first excess, mu_2, and the other rows are their
+        # B = 1 expansions to the bit
+        b = np.random.default_rng(3).uniform(0.5, 2.0, (3, 59))
+        lam = max(_prefix_scale(row, 60) for row in b)
+        b[1] *= 1e3
+        batch = _even_moments(b, lam, 3000)
+        assert isinstance(batch[1], PropagationError)
+        assert "mu_2 " in str(batch[1])
+        with pytest.raises(PropagationError) as ref:
+            loop_moments(b[1], lam, 3000)
+        assert str(batch[1]) == str(ref.value)
+        for i in (0, 2):
+            [(mu, drift, edge)] = _even_moments(b[i:i + 1], lam, 3000)
+            assert batch[i][0].tobytes() == mu.tobytes()
+            assert batch[i][1:] == (drift, edge)
+
     def test_quiet_on_desk_chain(self):
         chain = desk_trial_chain()
         lam = _spectral_bound(chain.b) * (1.0 + 1e-7)

@@ -176,6 +176,21 @@ class TestSubcommands:
                      "--tmax", "5", "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_blank_series_row_exit_2(self, tmp_path, capsys):
+        series = tmp_path / "C.csv"
+        CorrelationSeries(0.1, np.exp(-0.1 * np.arange(20))).to_csv(series)
+        series.write_text(series.read_text() + "\n")   # line 22 is blank
+        assert main(["fit", "--series", str(series), "--model", "exp",
+                     "--out", str(tmp_path / "fit.json")]) == 2
+        assert f"{series}: line 22: 0 cells" in capsys.readouterr().err
+
+    def test_short_chain_row_exit_2(self, tmp_path, capsys):
+        chain_csv = tmp_path / "chain.csv"
+        chain_csv.write_text("n,b\n1,1.5\n2\n3,1.5\n")
+        assert main(["propagate", "--chain", str(chain_csv), "--tmax", "5",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{chain_csv}: line 3: 1 cells" in capsys.readouterr().err
+
     def test_numeric_failure_exit_3(self, monkeypatch, tmp_path):
         chain_csv = tmp_path / "chain.csv"
         main(["design", "--family", "gaussian", "--nstar", "5", "--d", "60",
@@ -457,6 +472,38 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert "floor must be positive" in capsys.readouterr().err
         assert builds == [] and not out.exists()
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.01, 1.0, 1.5])
+    def test_eq_threshold_outside_unit_interval_refused_before_any_work(
+            self, monkeypatch, tmp_path, capsys, threshold):
+        builds = count_calls(monkeypatch, experiment.build_families)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scenario": "decay", "d": 200, "n_trials": 10, "n_star": 10,
+            "workers": 1, "eq_threshold": threshold}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "eq_threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert builds == [] and not out.exists()
+
+    def test_a_family_without_valid_trials_keeps_its_entry(self, tmp_path,
+                                                            capsys):
+        # at strength 8 every draw is invalid: both families are summarized
+        # with their counts, NaN means and the empty histogram
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", "decay", "--d", "400", "--trials",
+                     "4", "--dt", "0.05", "--tmax", "12", "--nstar", "10",
+                     "--seed", "7", "--workers", "1", "--lambda", "8",
+                     "--out", str(out)]) == 0
+        families = json.loads((out / "summary.json").read_text())["families"]
+        assert sorted(families) == ["e", "g"]
+        stdout = capsys.readouterr().out
+        for name, fam in families.items():
+            assert (fam["n_valid"], fam["n_invalid"]) == (0, 4)
+            assert np.isnan(fam["mean_epsilon"]) and np.isnan(fam["mean_sigma"])
+            assert fam["histogram"] == {"edges": [0.0, 5e-4], "counts": [0]}
+            assert f"{name}: mean epsilon = nan" in stdout
+        assert "mean " not in (out / "histogram.svg").read_text()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_refused_before_any_work(self, monkeypatch,
