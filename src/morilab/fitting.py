@@ -54,13 +54,42 @@ class ModelClass(enum.Enum):
     def n_params(self) -> int:
         return 4 if self.oscillating else 2
 
-    def curve(self, params, t: np.ndarray) -> np.ndarray:
-        """The class's model at parameters (A, mu[, omega, phi]) on times t."""
+    def envelope_variable(self, t: np.ndarray) -> np.ndarray:
+        """x in the envelope exp(-mu x): t**2 for Gaussian classes, else t."""
         t = np.asarray(t, dtype=float)
-        out = params[0] * np.exp(-params[1] * (t**2 if self.squared else t))
+        return t**2 if self.squared else t
+
+    def curve(self, params, t: np.ndarray, x: np.ndarray | None = None
+              ) -> np.ndarray:
+        """The class's model at parameters (A, mu[, omega, phi]) on times t;
+        `x` is `envelope_variable(t)`, if already at hand."""
+        t = np.asarray(t, dtype=float)
+        x = self.envelope_variable(t) if x is None else x
+        out = params[0] * np.exp(-params[1] * x)
         if self.oscillating:
             out = out * np.cos(params[2] * t - params[3])
         return out
+
+    def jacobian(self, params, t: np.ndarray, x: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """d curve / d params in closed form, shape (len(t), n_params).
+
+        With e = exp(-mu x), c = cos(omega t - phi), s = sin(omega t - phi)
+        the columns are (e, -A x e) and, oscillating,
+        (e c, -A x e c, -A t e s, A e s).
+        """
+        t = np.asarray(t, dtype=float)
+        x = self.envelope_variable(t) if x is None else x
+        a, e = params[0], np.exp(-params[1] * x)
+        jac = np.empty((t.size, self.n_params))
+        if self.oscillating:
+            arg = params[2] * t - params[3]
+            jac[:, 3] = a * e * np.sin(arg)
+            jac[:, 2] = -t * jac[:, 3]
+            e = e * np.cos(arg)
+        jac[:, 0] = e
+        jac[:, 1] = -a * x * e
+        return jac
 
 
 @dataclass(frozen=True)
@@ -94,7 +123,11 @@ class FitModel:
     @property
     def phi(self) -> float | None:
         """Phase reduced to [0, 2pi)."""
-        return self.params[3] % (2 * np.pi) if self.kind.oscillating else None
+        if not self.kind.oscillating:
+            return None
+        phi = self.params[3] % (2 * np.pi)
+        # a tiny negative phase rounds up to 2pi itself
+        return 0.0 if phi == 2 * np.pi else phi
 
 
 @dataclass
@@ -135,6 +168,8 @@ def detect_equilibration(series: CorrelationSeries,
     c = series.values
     if c.size == 0:
         raise ValueError("empty series")
+    if not 0 < threshold < 1:
+        raise ValueError("equilibration threshold must lie in (0, 1)")
     if window < 0:
         raise ValueError("equilibration window must be nonnegative")
     below = np.abs(c) < threshold
@@ -230,15 +265,21 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
         a, mu, *rest = warm_start.params
         starts.insert(0, [min(max(a, lower[0]), upper[0]), max(mu, 0.0), *rest])
 
+    x = model_class.envelope_variable(t)
+
     def residual(p):
-        return model_class.curve(p, t) - c
+        return model_class.curve(p, t, x) - c
+
+    def jacobian(p):
+        return model_class.jacobian(p, t, x)
 
     best = None
     objectives = []
     converged = False
     for p0 in starts:
         try:
-            res = least_squares(residual, p0, bounds=(lower, upper),
+            res = least_squares(residual, p0, jac=jacobian,
+                                bounds=(lower, upper),
                                 xtol=1e-14, ftol=1e-14, gtol=1e-14,
                                 max_nfev=400 * len(p0))
         except ValueError:

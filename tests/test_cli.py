@@ -191,6 +191,31 @@ class TestSubcommands:
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert f"{chain_csv}: line 3: 1 cells" in capsys.readouterr().err
 
+    @pytest.fixture
+    def exp_series(self, tmp_path):
+        series = tmp_path / "C.csv"
+        CorrelationSeries(0.05, np.exp(-0.3 * np.arange(600) * 0.05)).to_csv(
+            series)
+        return series
+
+    @pytest.mark.parametrize("threshold", ["0", "-0.01", "1.0", "1.5"])
+    def test_fit_threshold_outside_unit_interval_exit_2(
+            self, exp_series, tmp_path, capsys, threshold):
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--series", str(exp_series), "--model", "exp",
+                     "--threshold", threshold, "--out", str(out)]) == 2
+        assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_threshold_inside_unit_interval_runs(self, exp_series,
+                                                     tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--series", str(exp_series), "--model", "exp",
+                     "--threshold", "0.01", "--out", str(out)]) == 0
+        # |C| < 0.01 from t = ln(100)/0.3 = 15.35, plus the 5-unit window
+        assert json.loads(out.read_text())["n_eq"] == 408
+        assert "equilibrated=True" in capsys.readouterr().out
+
     def test_numeric_failure_exit_3(self, monkeypatch, tmp_path):
         chain_csv = tmp_path / "chain.csv"
         main(["design", "--family", "gaussian", "--nstar", "5", "--d", "60",
@@ -386,6 +411,20 @@ class TestRunCommand:
         assert f"{baseline['sites']} sites, cut bound " \
             f"{baseline['cut_bound']:.1e}" in printed
         assert "flagged" not in printed
+
+    @pytest.mark.parametrize("family, model", [("g", "gauss"), ("e", "exp")])
+    def test_fit_command_reproduces_the_baseline_fit(self, tiny_run, tmp_path,
+                                                     family, model):
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--series",
+                     str(tiny_run / f"unperturbed_{family}.csv"),
+                     "--model", model, "--out", str(out)]) == 0
+        summary = json.loads((tiny_run / "summary.json").read_text())
+        baseline = summary["unperturbed"][family]
+        assert json.loads(out.read_text()) == \
+            {key: baseline[key] for key in ("model", "A", "mu", "omega", "phi",
+                                            "epsilon", "n_eq", "converged",
+                                            "restarts_used")}
 
     def test_summary_contents(self, tiny_run):
         summary = json.loads((tiny_run / "summary.json").read_text())

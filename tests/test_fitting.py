@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import least_squares
 
+from morilab import fitting
 from morilab.chain import CorrelationSeries
 from morilab.fitting import (FitModel, ModelClass, detect_equilibration,
                              epsilon, fit, sigma)
@@ -56,6 +61,17 @@ class TestDetectEquilibration:
             series = CorrelationSeries(0.1, values)
             assert detect_equilibration(series, 0.01, 0.0) == expected
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.01, 1.0, 1.5, np.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        series = CorrelationSeries(1.0, np.array([1.0, 0.5, 0.001, 0.5]))
+        with pytest.raises(ValueError, match="threshold"):
+            detect_equilibration(series, threshold, 1.0)
+
+    def test_threshold_inside_unit_interval_accepted(self):
+        series = CorrelationSeries(1.0, np.array([1.0, 0.5, 0.001, 0.5]))
+        assert detect_equilibration(series, 0.01, 0.0) == (2, True)
+        assert detect_equilibration(series, 0.99, 0.0) == (1, True)
+
     def test_negative_window_rejected(self):
         series = CorrelationSeries(1.0, np.array([1.0, 0.5, 0.001, 0.5]))
         with pytest.raises(ValueError, match="window"):
@@ -106,37 +122,127 @@ class TestSigma:
         assert sigma(a, b, n_eq) == pytest.approx(manual, rel=1e-14)
 
 
+class TestJacobian:
+    T = np.arange(2001) * 0.02
+    # central-difference steps for (A, mu, omega, phi): the truncation error
+    # of mu is about (h x)^2 / 6 relative, x up to t^2 = 1600; the phase
+    # columns lose about 1e-14 / h absolute to the rounding of omega t - phi
+    STEPS = (1e-6, 5e-7, 4e-5, 1e-4)
+
+    def central_differences(self, kind, params):
+        out = np.empty((self.T.size, kind.n_params))
+        for i in range(kind.n_params):
+            up, down = list(params), list(params)
+            up[i] += self.STEPS[i]
+            down[i] -= self.STEPS[i]
+            out[:, i] = (kind.curve(up, self.T) - kind.curve(down, self.T)) \
+                / (up[i] - down[i])
+        return out
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(list(ModelClass)), a=st.floats(0.5, 1.5),
+           mu=st.floats(0.0, 2.0), omega=st.floats(0.0, 5.0),
+           phi=st.floats(-10.0, 10.0))
+    def test_matches_central_differences(self, kind, a, mu, omega, phi):
+        params = (a, mu, omega, phi)[: kind.n_params]
+        jac = kind.jacobian(params, self.T)
+        assert jac.shape == (self.T.size, kind.n_params)
+        # the floor covers entries that underflow at large mu t^2
+        np.testing.assert_allclose(
+            jac, self.central_differences(kind, params), rtol=1e-6, atol=1e-9)
+
+    def test_shares_the_envelope_variable(self):
+        for kind in ModelClass:
+            params = (0.9, 0.2, 1.5, 0.3)[: kind.n_params]
+            x = kind.envelope_variable(self.T)
+            assert np.array_equal(kind.jacobian(params, self.T, x),
+                                  kind.jacobian(params, self.T))
+            assert np.array_equal(kind.curve(params, self.T, x),
+                                  kind.curve(params, self.T))
+
+
+# TestFit's self-fit and multi-start series: (curve, dt, t_max, class, n_eq)
+SELF_FITS = {
+    "exp": (lambda t: 1.02 * np.exp(-0.24 * t), 0.01, 25.0, ModelClass.EXP,
+            2400),
+    "gauss": (lambda t: np.exp(-0.5 * t**2), 0.01, 8.0, ModelClass.GAUSS, 700),
+    "exp_cos": (lambda t: 1.04 * np.exp(-0.57 * t) * np.cos(2.19 * t - 0.32),
+                0.01, 20.0, ModelClass.EXP_COS, 1500),
+    "gauss_cos": (lambda t: np.exp(-0.125 * t**2) * np.cos(2.0 * t), 0.01,
+                  15.0, ModelClass.GAUSS_COS, 1200),
+    "multistart": (lambda t: np.exp(-0.2 * t) * np.cos(1.5 * t - 1.0), 0.02,
+                   20.0, ModelClass.EXP_COS, 900),
+}
+
+
+def fit_case(name):
+    """(series, class, n_eq, warm start) of a TestFit fit: a self-fit, or
+    the noisy series of the warm-start bound, with or without its start."""
+    if name not in SELF_FITS:
+        rng = np.random.default_rng(17)
+        base = series_from(lambda t: np.exp(-0.3 * t), dt=0.02, t_max=20.0)
+        noisy_values = base.values + 0.02 * rng.standard_normal(len(base))
+        noisy_values[0] = 1.0
+        warm = fit(base, ModelClass.EXP, 800).model if name == "warm_start" \
+            else None
+        return CorrelationSeries(base.dt, noisy_values), ModelClass.EXP, 800, \
+            warm
+    func, dt, t_max, kind, n_eq = SELF_FITS[name]
+    return series_from(func, dt=dt, t_max=t_max), kind, n_eq, None
+
+
 class TestFit:
+    def test_least_squares_gets_the_closed_form_jacobian(self, monkeypatch):
+        jacs = []
+
+        def spy(fun, x0, **kwargs):
+            jacs.append(kwargs.get("jac"))
+            return least_squares(fun, x0, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", spy)
+        series, kind, n_eq, _ = fit_case("gauss_cos")
+        result = fit(series, kind, n_eq)
+        assert len(jacs) == result.restarts_used == 4
+        for jac in jacs:
+            assert callable(jac)
+            p = np.array([0.9, 0.1, 2.0, 0.3])
+            assert np.array_equal(jac(p), kind.jacobian(p, series.t[:n_eq + 1]))
+
+    @pytest.mark.parametrize("case", [*SELF_FITS, "noisy", "warm_start"])
+    def test_same_minimum_as_the_two_point_jacobian(self, monkeypatch, case):
+        series, kind, n_eq, warm = fit_case(case)
+        result = fit(series, kind, n_eq, warm_start=warm)
+
+        def two_point(fun, x0, **kwargs):
+            return least_squares(fun, x0, **{**kwargs, "jac": "2-point"})
+
+        monkeypatch.setattr(fitting, "least_squares", two_point)
+        reference = fit(series, kind, n_eq, warm_start=warm)
+        assert result.converged == reference.converged
+        assert result.restarts_used == reference.restarts_used
+        assert abs(result.epsilon - reference.epsilon) <= 1e-10
+
     def test_exp_self_fit(self):
-        series = series_from(lambda t: 1.02 * np.exp(-0.24 * t),
-                             dt=0.01, t_max=25.0)
-        result = fit(series, ModelClass.EXP, 2400)
+        result = fit(*fit_case("exp"))
         assert result.converged
         assert result.model.a == pytest.approx(1.02, abs=1e-6)
         assert result.model.mu == pytest.approx(0.24, abs=1e-6)
         assert result.epsilon <= 1e-8
 
     def test_gauss_self_fit(self):
-        series = series_from(lambda t: np.exp(-0.5 * t**2), dt=0.01, t_max=8.0)
-        result = fit(series, ModelClass.GAUSS, 700)
+        result = fit(*fit_case("gauss"))
         assert result.model.mu == pytest.approx(0.5, abs=1e-8)
         assert result.epsilon <= 1e-9
 
     def test_exp_cos_self_fit(self):
-        series = series_from(
-            lambda t: 1.04 * np.exp(-0.57 * t) * np.cos(2.19 * t - 0.32),
-            dt=0.01, t_max=20.0)
-        result = fit(series, ModelClass.EXP_COS, 1500)
+        result = fit(*fit_case("exp_cos"))
         assert result.model.a == pytest.approx(1.04, abs=1e-5)
         assert result.model.mu == pytest.approx(0.57, abs=1e-5)
         assert result.model.omega == pytest.approx(2.19, abs=1e-5)
         assert result.model.phi == pytest.approx(0.32, abs=1e-5)
 
     def test_gauss_cos_self_fit(self):
-        series = series_from(
-            lambda t: np.exp(-0.125 * t**2) * np.cos(2.0 * t), dt=0.01,
-            t_max=15.0)
-        result = fit(series, ModelClass.GAUSS_COS, 1200)
+        result = fit(*fit_case("gauss_cos"))
         assert result.model.mu == pytest.approx(0.125, abs=1e-6)
         assert result.model.omega == pytest.approx(2.0, abs=1e-6)
         assert result.epsilon < 1e-8
@@ -152,10 +258,7 @@ class TestFit:
         assert np.allclose(second.model.params, first.model.params, atol=1e-9)
 
     def test_multistart_monotone(self):
-        series = series_from(
-            lambda t: np.exp(-0.2 * t) * np.cos(1.5 * t - 1.0), dt=0.02,
-            t_max=20.0)
-        result = fit(series, ModelClass.EXP_COS, 900)
+        result = fit(*fit_case("multistart"))
         assert result.restarts_used == len(result.restart_objectives)
         assert result.epsilon == min(result.restart_objectives)
 
@@ -228,6 +331,16 @@ class TestFitModel:
         assert np.allclose(exp(t), 1.1 * np.exp(-0.4 * t))
         gc = FitModel(ModelClass.GAUSS_COS, (0.9, 0.2, 1.5, 0.3))
         assert np.allclose(gc(t), 0.9 * np.exp(-0.2 * t**2) * np.cos(1.5 * t - 0.3))
+
+    @pytest.mark.parametrize("raw", [-1e-17, -0.0])
+    def test_phase_just_below_zero_reports_zero(self, raw):
+        # (-1e-17) % 2pi rounds to 2pi itself, outside [0, 2pi)
+        phi = FitModel(ModelClass.EXP_COS, (1.0, 0.2, 2.0, raw)).phi
+        assert phi == 0.0 and math.copysign(1.0, phi) == 1.0
+
+    def test_phase_just_below_two_pi_kept(self):
+        raw = 2 * np.pi - 1e-9
+        assert FitModel(ModelClass.GAUSS_COS, (1.0, 0.2, 2.0, raw)).phi == raw
 
     def test_squared_envelopes(self):
         assert [m for m in ModelClass if m.squared] == \
