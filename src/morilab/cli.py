@@ -1,8 +1,8 @@
 """Command-line front end: design, propagate, reverse, perturb, fit, run, plot.
 
 `run` composes the others into a full scenario and emits CSV + SVG + a
-manifest with file digests; `plot` re-renders the SVGs from the CSVs alone,
-byte-identically for a given tool version.
+manifest with file digests; `plot` re-renders the SVGs from the run's
+summary.json and CSVs, byte-identically for a given tool version.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, PropagationError,
                     propagate)
 from .design import (exponential_chain, gaussian_chain, linear_continuation,
                      oscillating_pair)
-from .experiment import (Scenario, ScenarioConfig, histogram_to_csv,
-                         records_to_csv, run_scenario, scatter_to_csv,
-                         worker_count)
+from .experiment import (Scenario, ScenarioConfig, TrialRecord,
+                         histogram_to_csv, records_from_csv, records_to_csv,
+                         run_scenario, scatter_to_csv, worker_count)
 from .fitting import (EQ_THRESHOLD, EQ_WINDOW, ModelClass,
                       detect_equilibration, fit)
 from .perturb import apply_draw, draw_noise
@@ -137,6 +137,9 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
                 data = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"malformed config {path}: {err}") from err
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must be a JSON object, not "
+                              f"{type(data).__name__}")
         if "config" in data and isinstance(data["config"], dict):
             data = data["config"]
         unknown = set(data) - _CONFIG_KEYS
@@ -162,38 +165,40 @@ def _read_csv_rows(path) -> list[list[str]]:
         return list(csv.reader(fh))[1:]
 
 
-def render_histogram_svg(rows, summary: dict, out_path) -> None:
-    fams = list(dict.fromkeys(r[2] for r in rows))
-    xmax = max((float(r[1]) for r in rows if int(r[3]) > 0), default=1.0)
-    ymax = max((int(r[3]) for r in rows), default=1)
+def render_histogram_svg(families: dict, out_path) -> None:
+    """summary.json's "families": each one's histogram and mean epsilon."""
+    bins = [(right, count) for info in families.values() for right, count
+            in zip(info["histogram"]["edges"][1:], info["histogram"]["counts"])]
+    xmax = max((right for right, count in bins if count > 0), default=1.0)
+    ymax = max((count for _, count in bins), default=1)
     fig = Figure(title="deviation histogram", xlabel="epsilon",
                  ylabel="count per bin")
     fig.set_limits((0.0, xmax * 1.05), (0.0, ymax * 1.1))
-    for i, fam in enumerate(fams):
-        sel = [r for r in rows if r[2] == fam]
-        fig.bars([float(r[0]) for r in sel], [float(r[1]) for r in sel],
-                 [int(r[3]) for r in sel], family_color(fam, i), label=fam)
-        mean = summary["families"].get(fam, {}).get("mean_epsilon")
-        if mean is not None and math.isfinite(mean):
+    for i, (fam, info) in enumerate(families.items()):
+        h = info["histogram"]
+        fig.bars(h["edges"][:-1], h["edges"][1:], h["counts"],
+                 family_color(fam, i), label=fam)
+        mean = info["mean_epsilon"]
+        if math.isfinite(mean):
             fig.vline(mean, family_color(fam, i),
                       label=f"mean {fam} = {mean:.4g}")
     fig.save(out_path)
 
 
-def render_scatter_svg(rows, out_path) -> None:
+def render_scatter_svg(records: list[TrialRecord], out_path) -> None:
     """Failed trials (NaN sigma or epsilon) keep their rows but are not drawn."""
-    pts = [(r[0], float(r[1]), float(r[2])) for r in rows]
-    pts = [p for p in pts if math.isfinite(p[1]) and math.isfinite(p[2])]
-    fams = list(dict.fromkeys(p[0] for p in pts))
-    lim = max([p[1] for p in pts] + [p[2] for p in pts] + [1e-4]) * 1.08
+    pts = [r for r in records
+           if math.isfinite(r.sigma) and math.isfinite(r.epsilon)]
+    fams = list(dict.fromkeys(r.family for r in pts))
+    lim = max([r.sigma for r in pts] + [r.epsilon for r in pts] + [1e-4]) * 1.08
     fig = Figure(title="alteration vs deviation", xlabel="sigma",
                  ylabel="epsilon")
     fig.set_limits((0.0, lim), (0.0, lim))
     fig.polyline([0.0, lim], [0.0, lim], COLORS["ref"], dash="4,4",
                  label="diagonal")
     for i, fam in enumerate(fams):
-        sel = [p for p in pts if p[0] == fam]
-        fig.scatter([p[1] for p in sel], [p[2] for p in sel],
+        sel = [r for r in pts if r.family == fam]
+        fig.scatter([r.sigma for r in sel], [r.epsilon for r in sel],
                     family_color(fam, i), label=fam)
     fig.save(out_path)
 
@@ -234,8 +239,8 @@ def render_curves_svg(rows, family: str, out_path) -> None:
 
 def render_unperturbed_svg(series: dict[str, CorrelationSeries], fits: dict,
                            out_path) -> None:
-    """Each baseline C(t), with its fit where `fits` (summary.json's
-    "unperturbed") has one."""
+    """Each baseline C(t) with its fit from `fits`, summary.json's
+    "unperturbed"."""
     fig = Figure(title="unperturbed dynamics", xlabel="t", ylabel="C(t)")
     tmax, lo = 1.0, 0.0
     for c in series.values():
@@ -246,12 +251,10 @@ def render_unperturbed_svg(series: dict[str, CorrelationSeries], fits: dict,
         stride = max(1, len(c) // CURVE_POINTS)
         t = c.t[::stride]
         fig.polyline(t, c.values[::stride], family_color(fam, i), label=fam)
-        info = fits.get(fam)
-        if info:
-            params = (info["A"], info["mu"], info["omega"], info["phi"])
-            fig.polyline(t, ModelClass(info["model"]).curve(params, t),
-                         COLORS["fit"], width=1.0, dash="5,3",
-                         label=f"{fam} fit")
+        info = fits[fam]
+        params = (info["A"], info["mu"], info["omega"], info["phi"])
+        fig.polyline(t, ModelClass(info["model"]).curve(params, t),
+                     COLORS["fit"], width=1.0, dash="5,3", label=f"{fam} fit")
     fig.save(out_path)
 
 
@@ -343,41 +346,30 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
 
 
 def render_all(out_dir) -> list[str]:
-    """(Re)draw every SVG a directory's files support, reading each file
-    once; returns the SVG filenames."""
+    """(Re)draw the SVGs of the run whose summary.json is in out_dir, for
+    the families it names, reading each input once; returns their names."""
     path = lambda name: os.path.join(out_dir, name)
-    names = sorted(os.listdir(out_dir))
-    summary = {}
-    if "summary.json" in names:
-        with open(path("summary.json")) as fh:
-            summary = json.load(fh)
-    made = []
-
-    def draw(render, name, *data):
+    with open(path("summary.json")) as fh:
+        summary = json.load(fh)
+    fams = sorted(summary["unperturbed"])
+    curves: dict[str, list] = {}
+    for row in _read_csv_rows(path("curves.csv")):
+        curves.setdefault(row[0], []).append(row)
+    figures = {
+        "histogram.svg": (render_histogram_svg, summary["families"]),
+        "scatter.svg": (render_scatter_svg,
+                        records_from_csv(path("records.csv"))),
+        "chains.svg": (render_chains_svg, {
+            f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fams}),
+        "unperturbed.svg": (render_unperturbed_svg, {
+            f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
+            for f in fams}, summary["unperturbed"]),
+        **{f"exemplar_{f}.svg": (render_curves_svg, rows, f)
+           for f, rows in curves.items()},
+    }
+    for name, (render, *data) in figures.items():
         render(*data, path(name))
-        made.append(name)
-
-    if "histogram.csv" in names and "summary.json" in names:
-        draw(render_histogram_svg, "histogram.svg",
-             _read_csv_rows(path("histogram.csv")), summary)
-    if "scatter.csv" in names:
-        draw(render_scatter_svg, "scatter.svg", _read_csv_rows(path("scatter.csv")))
-    chains = {n[6:-4]: LanczosChain.from_csv(path(n)) for n in names
-              if n.startswith("chain_") and n.endswith(".csv")}
-    if chains:
-        draw(render_chains_svg, "chains.svg", chains)
-    series = {n[12:-4]: CorrelationSeries.from_csv(path(n)) for n in names
-              if n.startswith("unperturbed_") and n.endswith(".csv")}
-    if series:
-        draw(render_unperturbed_svg, "unperturbed.svg", series,
-             summary.get("unperturbed", {}))
-    if "curves.csv" in names:
-        curves: dict[str, list] = {}
-        for row in _read_csv_rows(path("curves.csv")):
-            curves.setdefault(row[0], []).append(row)
-        for fam, rows in curves.items():
-            draw(render_curves_svg, f"exemplar_{fam}.svg", rows, fam)
-    return made
+    return list(figures)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +474,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_plot(args) -> int:
     made = render_all(args.src)
-    if not made:
-        raise ConfigError(f"no renderable CSV data in {args.src}")
     print(f"re-rendered {', '.join(made)} in {args.src}")
     return 0
 

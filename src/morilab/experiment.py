@@ -102,6 +102,11 @@ class ScenarioConfig:
         for key, value in _PROFILES[self.profile].items():
             if getattr(self, key) is None:
                 setattr(self, key, value)
+        for f in fields(self):     # an int field holds an int, not a bool
+            value = getattr(self, f.name)
+            if f.type in ("int", "int | None") and value is not None \
+                    and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.n_f is None:
             self.n_f = self.d if self.scenario.pathological else self.d // 3
         if self.strength is None:

@@ -232,6 +232,8 @@ TINY_TRIALS = 4
 TINY_RUN = ["run", "--scenario", "decay", "--d", "150", "--trials",
             str(TINY_TRIALS), "--dt", "0.05", "--tmax", "10", "--nstar", "8",
             "--workers", "1"]
+TINY_CONFIG = {"scenario": "decay", "d": 150, "n_trials": 2, "dt": 0.05,
+               "t_max": 10, "n_star": 8, "workers": 1}
 
 
 @pytest.fixture(scope="module")
@@ -554,6 +556,46 @@ class TestRunCommand:
         assert "workers must be >= 1" in capsys.readouterr().err
         assert builds == [] and not out.exists()
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"decay"'])
+    def test_non_object_config_refused_before_any_work(self, monkeypatch,
+                                                       tmp_path, capsys, text):
+        builds = count_calls(monkeypatch, experiment.build_families)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config {path} must be a JSON object" in capsys.readouterr().err
+        assert builds == [] and not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", 400.0), ("n_trials", 2.5), ("base_seed", 1.5), ("n_star", 10.0),
+        ("n_f", 50.0), ("reverse_n_max", 50.0), ("workers", True),
+        ("d", "400")])
+    def test_non_integer_field_refused_before_any_work(
+            self, monkeypatch, tmp_path, capsys, key, value):
+        builds = count_calls(monkeypatch, experiment.build_families)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY_CONFIG, key: value}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{key} must be an integer, got {value!r}" in \
+            capsys.readouterr().err
+        assert builds == [] and not out.exists()
+
+    def test_object_config_with_integer_fields_runs(self, monkeypatch,
+                                                    tmp_path):
+        builds = count_calls(monkeypatch, experiment.build_families)
+        ints = {"d": 150, "n_f": 50, "n_trials": 2, "n_star": 8,
+                "base_seed": 4, "reverse_n_max": 40, "workers": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY_CONFIG, **ints}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert len(builds) == 1
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert {key: config[key] for key in ints} == ints
+        assert all(type(config[key]) is int for key in ints)
+
     def test_scenario_flag_required_without_config(self):
         assert main(["run", "--out", "/tmp/should-not-exist-xyz"]) == 2
 
@@ -572,29 +614,52 @@ class TestRenderAll:
         monkeypatch.setattr("builtins.open", counting_open)
         cli.render_all(tiny_run)
         monkeypatch.undo()
-        inputs = ["summary.json", "histogram.csv", "scatter.csv", "curves.csv",
-                  "chain_e.csv", "chain_g.csv", "unperturbed_e.csv",
-                  "unperturbed_g.csv"]
+        inputs = ["summary.json", "records.csv", "curves.csv", "chain_e.csv",
+                  "chain_g.csv", "unperturbed_e.csv", "unperturbed_g.csv"]
         assert reads == {os.path.join(tiny_run, name): 1 for name in inputs}
+        # the exports are written for other tools, never read back
+        assert not {"histogram.csv", "scatter.csv"} & \
+            {os.path.basename(name) for name in reads}
 
-    def test_scatter_omits_failed_trials(self, tmp_path):
-        rows = ["g,0.05,0.021", "e,0.08,0.0043", "g,0.061,0.03"]
+    def test_scatter_omits_failed_trials(self, tiny_run, tmp_path):
+        records = records_from_csv(tiny_run / "records.csv")
+        failed = experiment._failed_record(trial=0, family="g", seed=1,
+                                           model="gauss", clamp_count=0)
 
-        def scatter_svg(name, lines):
-            run = tmp_path / name
-            run.mkdir()
-            (run / "scatter.csv").write_text(
-                "\n".join(["family,sigma,epsilon"] + lines) + "\n")
-            assert cli.render_all(run) == ["scatter.svg"]
-            return (run / "scatter.svg").read_bytes()
+        def scatter_svg(name, records):
+            cli.render_scatter_svg(records, tmp_path / name)
+            return (tmp_path / name).read_bytes()
 
         # a failed trial has NaN sigma and epsilon; records sort by trial,
         # so trial 0's row comes first
-        with_failure = scatter_svg("failed", ["g,nan,nan"] + rows)
-        assert with_failure == scatter_svg("clean", rows)
+        with_failure = scatter_svg("failed.svg", [failed] + records)
+        assert with_failure == scatter_svg("clean.svg", records)
         assert b'"nan"' not in with_failure
+
+    def test_stale_family_files_are_not_drawn(self, tiny_run, tmp_path):
+        # an oscillation run left its families' CSVs in the directory
+        # before the decay run: the decay run's figures do not draw them
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        for name in ("chain", "unperturbed"):
+            for fam in ("gdo", "edo"):
+                (stale / f"{name}_{fam}.csv").write_bytes(
+                    (tiny_run / f"{name}_g.csv").read_bytes())
+        assert main(TINY_RUN + ["--out", str(stale)]) == 0
+        manifest = json.loads((tiny_run / "manifest.json").read_text())
+        for name in manifest["outputs"]:
+            assert (stale / name).read_bytes() == \
+                (tiny_run / name).read_bytes(), name
 
 
 class TestPlotCommand:
     def test_empty_dir_is_config_error(self, tmp_path):
         assert main(["plot", "--from", str(tmp_path)]) == 2
+
+    def test_dir_without_summary_is_config_error(self, tiny_run, tmp_path,
+                                                 capsys):
+        (tmp_path / "scatter.csv").write_bytes(
+            (tiny_run / "scatter.csv").read_bytes())
+        assert main(["plot", "--from", str(tmp_path)]) == 2
+        assert "summary.json" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["scatter.csv"]

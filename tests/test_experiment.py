@@ -117,6 +117,22 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(scenario="decay", d=100, n_star=5)
         assert cfg.scenario is Scenario.DECAY
 
+    INT_FIELDS = dict(d=200, n_f=50, n_trials=6, n_star=10, base_seed=3,
+                      reverse_n_max=40, workers=1)
+
+    @pytest.mark.parametrize("key", sorted(INT_FIELDS))
+    @pytest.mark.parametrize("bad", [float, str, bool, np.int64])
+    def test_integer_fields_refuse_other_types(self, key, bad):
+        value = bad(self.INT_FIELDS[key])
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            ScenarioConfig(Scenario.DECAY, **{**self.INT_FIELDS, key: value})
+
+    def test_integer_fields_accept_ints(self):
+        cfg = ScenarioConfig(Scenario.DECAY, **self.INT_FIELDS)
+        got = {key: cfg.to_json_dict()[key] for key in self.INT_FIELDS}
+        assert got == self.INT_FIELDS
+        assert all(type(value) is int for value in got.values())
+
 
 class TestBuildFamilies:
     def test_decay_families(self):
