@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import mmap
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -34,6 +35,7 @@ C0_TOL = 1e-9            # largest |C(0) - 1| of a normalized series
 CUT_TOL = 1e-13          # largest certified |C - C_cut| a causal cut may carry
 WKB_FACTOR = 2.0         # cut where sum 1/b_m reaches this multiple of t_max
 GROUP_ROWS = 32          # most chains one moment recursion expands together
+_CHUNK_ROWS = 32         # J_2k rows the Bessel sum stages per contraction
 
 
 class PropagationError(RuntimeError):
@@ -425,8 +427,12 @@ def _cosine_series(mus: Sequence[np.ndarray], z: np.ndarray) -> np.ndarray:
     over n, builds each column from its own start order down to J_0 and
     normalises it by J_0 + 2 sum_k J_2k = 1.  The start order grows with z,
     so the columns active at order m are a suffix of n.  z_n = 0 gives 1.
-    The recurrence is shared by every row; each row accumulates its terms
-    by elementwise products, so a row's bits do not depend on the others.
+    The recurrence is shared by every row.  It stages the terms
+    (-1)^k 2 J_2k of _CHUNK_ROWS consecutive k, in row k - k_lo, and each
+    row then adds mu_i[k_lo:k_hi+1] @ staged: one BLAS matrix-vector
+    product, of the same shape whatever the rows, so a row's bits do not
+    depend on the others.  The slice is copied to be contiguous, since a
+    strided one takes another summation order.
     """
     out = np.ones((len(mus), z.size))
     first = int(np.searchsorted(z, 0.0, side="right"))
@@ -434,10 +440,6 @@ def _cosine_series(mus: Sequence[np.ndarray], z: np.ndarray) -> np.ndarray:
     if z.size == 0:
         return out
     top = _miller_order(z)
-    # coefficient of J_2k per row, as a (rows, 1) column for each k
-    coef = np.array([mu[: top[-1] // 2 + 1] for mu in mus]).T[:, :, None]
-    coef *= 2.0
-    coef[1::2] *= -1.0
     inv2z = 2.0 / z
     # first column whose recurrence is running at order m
     starts = np.searchsorted(top, np.arange(top[-1] + 2)).tolist()
@@ -445,15 +447,26 @@ def _cosine_series(mus: Sequence[np.ndarray], z: np.ndarray) -> np.ndarray:
     norm = np.zeros(z.size)
     acc = out[:, first:]
     acc[...] = 0.0
-    term = np.empty_like(acc)
+    # zero where J_2k is not running.  The zeroed pages come straight from
+    # the OS: a malloc'd buffer of this size, once freed, raises glibc's
+    # mmap threshold, and a desk run's peak RSS with it
+    staged = np.frombuffer(mmap.mmap(-1, _CHUNK_ROWS * z.nbytes)).reshape(
+        _CHUNK_ROWS, z.size)
+    k_hi = int(top[-1]) // 2
     for m in range(int(top[-1]), 0, -1):
         s = starts[m]
         c, x = cur[s:], nxt[s:]
         if m % 2 == 0:
             cur[s:starts[m + 1]] = _MILLER_SEED   # columns starting at m
-            np.multiply(coef[m // 2], c, out=term[:, s:])
-            acc[:, s:] += term[:, s:]
+            k, k_lo = m // 2, max(1, k_hi - _CHUNK_ROWS + 1)
+            np.multiply(c, -2.0 if k % 2 else 2.0, out=staged[k - k_lo, s:])
             norm[s:] += c
+            if k == k_lo:                          # k_lo..k_hi are all staged
+                terms = staged[:k_hi - k_lo + 1, s:]
+                for mu, row in zip(mus, acc):
+                    row[s:] += np.ascontiguousarray(mu[k_lo:k_hi + 1]) @ terms
+                terms[...] = 0.0
+                k_hi = k_lo - 1
         np.multiply(c, inv2z[s:], out=tmp[s:])
         tmp[s:] *= m
         np.subtract(tmp[s:], x, out=x)            # x <- J_{m-1}
@@ -496,7 +509,8 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
     Chains with equal cuts n_c and equal scales lam (quantized) share one
     moment recursion, up to GROUP_ROWS of them at a time; a chain whose cut
     is refused joins the uncut chains of its whole scale.  Chains of one
-    lam share one Bessel sum, one Miller pass over their stacked moments.
+    lam share one Bessel sum: one Miller pass, whose J_2k each chain's own
+    moments meet in fixed-shape chunks, reading the moments in place.
     Neither pass mixes its rows, so every series equals the one `propagate`
     gives for its chain alone, to the bit, whatever the chains and their
     order.  A chain whose expansion raises PropagationError gets that error

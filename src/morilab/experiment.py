@@ -102,11 +102,18 @@ class ScenarioConfig:
         for key, value in _PROFILES[self.profile].items():
             if getattr(self, key) is None:
                 setattr(self, key, value)
-        for f in fields(self):     # an int field holds an int, not a bool
+        # an int field holds an int, a float field a finite int or float;
+        # neither holds a bool, nor None unless None is its default
+        for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", "int | None") and value is not None \
-                    and type(value) is not int:
+            kind = f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            if kind == "int" and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if kind == "float" and not (type(value) in (int, float)
+                                        and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.n_f is None:
             self.n_f = self.d if self.scenario.pathological else self.d // 3
         if self.strength is None:

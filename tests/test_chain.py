@@ -10,7 +10,8 @@ from scipy.special import jv
 from morilab import chain as chain_module
 from morilab.chain import (C0_TOL, CUT_TOL, GROUP_ROWS, NORM_TOL,
                            WKB_FACTOR, CorrelationSeries, LanczosChain,
-                           PropagationError, _bessel_tail, _causal_cut,
+                           PropagationError, _CHUNK_ROWS, _bessel_tail,
+                           _causal_cut,
                            _continued_coupling, _cosine_series, _even_moments,
                            _miller_order, _prefix_moments, _prefix_scale,
                            _quantized, _spectral_bound, dense_correlation, dense_generator, propagate,
@@ -707,6 +708,59 @@ class TestPropagateMany:
             assert same_series(series, propagate(chain, dt=0.1, t_max=8.0))
         with pytest.raises(PropagationError, match="moment guard tripped"):
             propagate(bad, dt=0.1, t_max=8.0)
+
+
+def terms_at(count: int) -> float:
+    """The smallest z on a grid of 1/64 whose Bessel sum runs over
+    k = 1..count: its Miller start order is 2*count."""
+    z = np.arange(1, 64 * 400) / 64
+    return float(z[np.argmax(_miller_order(z) == 2 * count)])
+
+
+def term_by_term_series(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """J_0 + 2 sum_k (-1)^k mu_2k J_2k, one z at a time: Miller's recurrence
+    from that z's own start order, normalised, then added term by term."""
+    out = np.ones(z.size)
+    for n, zn in enumerate(z):
+        if zn == 0.0:
+            continue
+        top = int(_miller_order(np.array([zn]))[0])
+        J = np.zeros(top + 2)
+        J[top] = 1e-300
+        for m in range(top, 0, -1):
+            J[m - 1] = 2.0 * m / zn * J[m] - J[m + 1]
+        J /= J[0] + 2.0 * J[2::2].sum()
+        c = J[0]
+        for k in range(1, top // 2 + 1):
+            c += (-1.0) ** k * 2.0 * mu[k] * J[2 * k]
+        out[n] = c
+    return out
+
+
+class TestChunkedBesselSum:
+    @pytest.mark.parametrize("count", [_CHUNK_ROWS - 9, _CHUNK_ROWS,
+                                       _CHUNK_ROWS + 1, 4 * _CHUNK_ROWS + 6])
+    def test_rows_of_a_transposed_stack(self, count):
+        # the sum runs over count terms, in chunks of _CHUNK_ROWS from the
+        # top: one partial chunk, one full one, a full one and a last
+        # single term, or four full ones and a last partial one.  Each
+        # moment row is a strided view, as `_even_moments` returns them;
+        # a strided operand of 4j + 2 or 4j + 3 rows would take another
+        # summation order in BLAS than the contiguous one of a B = 1 call
+        rng = np.random.default_rng(count)
+        bs = rng.uniform(0.5, 1.5, (3, 39))
+        lam = max(_prefix_scale(b, 40) for b in bs)
+        z = np.linspace(0.0, terms_at(count), 151)
+        assert int(_miller_order(z[-1])) == 2 * count
+        stacked = np.array([mu for mu, _, _ in _even_moments(bs, lam, count)])
+        strided = np.ascontiguousarray(stacked.T).T
+        assert not strided[0].flags.c_contiguous
+        series = _cosine_series(list(strided), z)
+        for b, mu, row in zip(bs, stacked, series):
+            assert row.tobytes() == _cosine_series([mu], z)[0].tobytes()
+            assert np.abs(row - term_by_term_series(mu, z)).max() <= 1e-14
+            dense = dense_correlation(LanczosChain(b), z / lam)
+            assert np.abs(row - dense).max() <= 1e-8
 
 
 class TestDenseCorrelation:

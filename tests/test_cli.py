@@ -582,6 +582,29 @@ class TestRunCommand:
             capsys.readouterr().err
         assert builds == [] and not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("a", "1.2"), ("strength", True), ("t_max", float("inf")),
+        ("dt", float("nan")), ("floor", "1e-6"), ("eq_window", None)])
+    def test_non_number_float_field_refused_before_any_work(
+            self, monkeypatch, tmp_path, capsys, key, value):
+        # json writes the non-finite floats as Infinity and NaN, which
+        # json.load reads back; a null is a value here, not a default
+        builds = count_calls(monkeypatch, experiment.build_families)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY_CONFIG, key: value}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{key} must be a finite number, got {value!r}" in \
+            capsys.readouterr().err
+        assert builds == [] and not out.exists()
+
+    def test_object_config_with_an_integer_float_field_runs(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY_CONFIG, "a": 1}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["a"] == 1
+
     def test_object_config_with_integer_fields_runs(self, monkeypatch,
                                                     tmp_path):
         builds = count_calls(monkeypatch, experiment.build_families)

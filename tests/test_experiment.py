@@ -133,6 +133,39 @@ class TestScenarioConfig:
         assert got == self.INT_FIELDS
         assert all(type(value) is int for value in got.values())
 
+    @pytest.mark.parametrize("key", ["base_seed", "n_star", "reverse_n_max"])
+    def test_integer_fields_without_a_default_refuse_none(self, key):
+        # a None base seed would draw fresh entropy for every trial
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got None"):
+            ScenarioConfig(Scenario.DECAY, **{**self.INT_FIELDS, key: None})
+
+    FLOAT_FIELDS = dict(strength=0.5, dt=0.05, t_max=10.0, a=1.2, b1=2.0,
+                        b2=1.6, bin_width=5e-4, eq_threshold=0.1,
+                        eq_window=3.0, floor=1e-6)
+    # an integer each float field accepts; eq_threshold lies in (0, 1)
+    WHOLE = dict(strength=1, dt=1, t_max=10, a=1, b1=2, b2=2, bin_width=1,
+                 eq_window=3, floor=1)
+
+    @pytest.mark.parametrize("key", sorted(FLOAT_FIELDS))
+    @pytest.mark.parametrize("value", ["1.2", True, False, [0.5], 1j,
+                                       math.inf, -math.inf, math.nan])
+    def test_float_fields_refuse_other_values(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            ScenarioConfig(Scenario.DECAY, d=200, n_star=10,
+                           **{**self.FLOAT_FIELDS, key: value})
+
+    @pytest.mark.parametrize("key", sorted(WHOLE))
+    def test_float_fields_accept_ints(self, key):
+        cfg = ScenarioConfig(Scenario.DECAY, d=200, n_star=10,
+                             **{**self.FLOAT_FIELDS, key: self.WHOLE[key]})
+        assert cfg.to_json_dict()[key] == self.WHOLE[key]
+
+    def test_float_fields_accept_floats(self):
+        cfg = ScenarioConfig(Scenario.DECAY, d=200, n_star=10,
+                             **self.FLOAT_FIELDS)
+        got = {key: cfg.to_json_dict()[key] for key in self.FLOAT_FIELDS}
+        assert got == self.FLOAT_FIELDS
+
 
 class TestBuildFamilies:
     def test_decay_families(self):
