@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +34,7 @@ __all__ = [
 EQ_THRESHOLD = 0.01  # |C| must stay below this ...
 EQ_WINDOW = 5.0      # ... for this long (time units) to count as equilibrated
 A_BOUNDS = (0.5, 1.5)
+_TOLERANCES = dict(xtol=1e-14, ftol=1e-14, gtol=1e-14)
 
 
 class ModelClass(enum.Enum):
@@ -226,17 +228,99 @@ def _fft_peak(t: np.ndarray, c: np.ndarray) -> float:
     return float(2 * np.pi * freq[int(np.argmax(spec))])
 
 
+class _Projection:
+    """An oscillating class with its amplitude and phase projected out.
+
+    A e cos(omega t - phi) = alpha e cos(omega t) + beta e sin(omega t) with
+    (alpha, beta) = A (cos phi, sin phi), e = exp(-mu x), is linear in
+    (alpha, beta).  For fixed p = (mu, omega) the best pair solves the 2x2
+    normal equations of G = [e cos(omega t), e sin(omega t)], so a search
+    runs over p alone (variable projection: Golub & Pereyra, SIAM J. Numer.
+    Anal. 10, 413, 1973).  The last evaluation is kept: `least_squares`
+    asks for the Jacobian at the point it has just evaluated.
+    """
+
+    def __init__(self, t: np.ndarray, x: np.ndarray, c: np.ndarray):
+        self.t, self.x, self.c = t, x, c
+        # numpy's lstsq cutoff, squared: sigma_min / sigma_max of G below n eps
+        self.rcond2 = (t.size * np.finfo(float).eps) ** 2
+        self._last = None
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^+ rhs for the Gram matrix M = G^T G, in closed form.
+
+        rhs is (2,) or (2, k).  G's cos column is 1 at t = 0, so G loses
+        rank only where its sin column vanishes on the grid (omega = 0 or
+        pi/dt); there the minimum-norm solution has beta = 0.
+        """
+        a, b, d = self.gram
+        det = a * d - b * b
+        if det > self.rcond2 * (a + d) ** 2:
+            return np.array([d * rhs[0] - b * rhs[1], a * rhs[1] - b * rhs[0]]
+                            ) / det
+        return np.array([rhs[0] / a, np.zeros_like(rhs[1])])
+
+    def _evaluate(self, p: np.ndarray) -> None:
+        if self._last is not None and np.array_equal(self._last, p):
+            return
+        e = np.exp(-p[0] * self.x)
+        arg = p[1] * self.t
+        self.g = np.stack((e * np.cos(arg), e * np.sin(arg)))
+        # dot products, not g @ g.T: BLAS's syrk and gemm would each load
+        # about 130 KB that no other part of a run touches
+        g0, g1 = self.g
+        self.gram = (g0 @ g0, g0 @ g1, g1 @ g1)
+        self.coef = self._solve(self.g @ self.c)
+        self.resid = self.coef @ self.g - self.c
+        self._last = np.array(p, dtype=float)
+
+    def residual(self, p: np.ndarray) -> np.ndarray:
+        """G (alpha, beta) - c at the best (alpha, beta) for p."""
+        self._evaluate(p)
+        return self.resid
+
+    def jacobian(self, p: np.ndarray) -> np.ndarray:
+        """d residual / d p, shape (len(t), 2), in closed form.
+
+        For each parameter k, with r the residual and dG_k = dG / dp_k:
+        J_k = dG_k (alpha, beta) - G M^+ (G^T dG_k (alpha, beta) + dG_k^T r).
+        Here dG_mu = -x G and dG_omega = t [-e sin, e cos].
+        """
+        self._evaluate(p)
+        g, (alpha, beta), r = self.g, self.coef, self.resid
+        dg_coef = np.stack((-self.x * (self.coef @ g),
+                            self.t * (beta * g[0] - alpha * g[1])))
+        tr = g @ (self.t * r)
+        dg_r = np.stack((-(g @ (self.x * r)), [-tr[1], tr[0]]), axis=1)
+        k = self._solve(np.stack((g @ dg_coef[0], g @ dg_coef[1]), axis=1)
+                        + dg_r)
+        return (dg_coef - k[0][:, None] * g[0] - k[1][:, None] * g[1]).T
+
+    def amplitude_phase(self, p: np.ndarray) -> tuple[float, float]:
+        """(A, phi) = (hypot(alpha, beta), atan2(beta, alpha)) at p."""
+        self._evaluate(p)
+        alpha, beta = (float(v) for v in self.coef)
+        return math.hypot(alpha, beta), math.atan2(beta, alpha)
+
+
 def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
         warm_start: FitModel | None = None) -> FitResult:
-    """Best within-class fit of the series up to n_eq, multi-start.
+    """Best within-class fit of the series up to n_eq.
 
-    Starts: the dominant Fourier peak for the frequency, a log-envelope
-    slope for the rate, phases at the four quadrants, plus the caller's
-    `warm_start` if given (e.g. the unperturbed fit, which also makes the
-    returned objective at most the distance to the unperturbed curve; it
-    must be of `model_class`).  The amplitude is bounded to [0.5, 1.5];
-    rates to mu >= 0.  Returns the best restart; converged = False if no
-    restart terminated cleanly.
+    The caller's `warm_start` (e.g. the unperturbed fit; it must be of
+    `model_class`) is clipped into the bounds and tried first, which makes
+    the returned objective at most the warm model's distance to the
+    series.  Bounds: amplitude A in [0.5, 1.5], mu >= 0, 0 <= omega <= pi/dt.
+
+    Oscillating classes search (mu, omega) alone, with (A, phi) solved in
+    closed form at each point (`_Projection`), from the warm start's
+    (mu, omega), else from a log-envelope slope and the dominant Fourier
+    peak.  Should that search fail to converge or end with A outside its
+    bounds, the bounded four-parameter fit runs from the warm start and
+    from the projected point, its A clamped.  Decay classes run the
+    bounded fit from the warm start and from three rates around the
+    log-envelope slope.  Returns the best start; converged = False if no
+    start terminated cleanly.
     """
     if n_eq < 8:
         raise ValueError("need at least 8 samples up to n_eq")
@@ -247,25 +331,34 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
                          f"for a {model_class.value} fit")
     t = series.t[: n_eq + 1]
     c = series.values[: n_eq + 1]
-    mu0 = _envelope_rate(t, c, model_class.squared)
+    x = model_class.envelope_variable(t)
 
-    starts: list[list[float]] = []
     if model_class.oscillating:
-        om0 = _fft_peak(t, c)
-        for ph in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
-            starts.append([1.0, mu0, om0, ph])
         lower = [A_BOUNDS[0], 0.0, 0.0, -np.inf]
         upper = [A_BOUNDS[1], np.inf, np.pi / series.dt, np.inf]
+        if warm_start is None:
+            p0 = [_envelope_rate(t, c, model_class.squared), _fft_peak(t, c)]
+        else:
+            p0 = warm_start.params[1:3]
+        bounds = (lower[1:3], upper[1:3])
+        projection = _Projection(t, x, c)
+        res = least_squares(projection.residual, np.clip(p0, *bounds),
+                            jac=projection.jacobian, bounds=bounds,
+                            **_TOLERANCES, max_nfev=400 * len(p0))
+        a, phi = projection.amplitude_phase(res.x)
+        params = (a, *res.x, phi)
+        if res.success and A_BOUNDS[0] <= a <= A_BOUNDS[1]:
+            model = FitModel(model_class, params)
+            obj = epsilon(series, model, n_eq)
+            return FitResult(model, obj, n_eq, True, 1, (obj,))
+        starts = [np.clip(params, lower, upper)]
     else:
-        for m in (mu0, mu0 / 3, 3 * mu0):
-            starts.append([1.0, m])
+        mu0 = _envelope_rate(t, c, model_class.squared)
+        starts = [[1.0, m] for m in (mu0, mu0 / 3, 3 * mu0)]
         lower = [A_BOUNDS[0], 0.0]
         upper = [A_BOUNDS[1], np.inf]
     if warm_start is not None:
-        a, mu, *rest = warm_start.params
-        starts.insert(0, [min(max(a, lower[0]), upper[0]), max(mu, 0.0), *rest])
-
-    x = model_class.envelope_variable(t)
+        starts.insert(0, np.clip(warm_start.params, lower, upper))
 
     def residual(p):
         return model_class.curve(p, t, x) - c
@@ -279,8 +372,7 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
     for p0 in starts:
         try:
             res = least_squares(residual, p0, jac=jacobian,
-                                bounds=(lower, upper),
-                                xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                                bounds=(lower, upper), **_TOLERANCES,
                                 max_nfev=400 * len(p0))
         except ValueError:
             continue
@@ -294,4 +386,3 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
     model = FitModel(model_class, tuple(best[1].x))
     return FitResult(model, best[0], n_eq, converged, len(objectives),
                      tuple(objectives))
-

@@ -244,6 +244,15 @@ def tiny_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def tiny_oscillation_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("oscillation-run")
+    assert main(["run", "--scenario", "oscillation", "--d", "400", "--trials",
+                 "2", "--dt", "0.05", "--tmax", "12", "--seed", "7",
+                 "--workers", "1", "--out", str(out)]) == 0
+    return out
+
+
 def count_calls(monkeypatch, fn) -> list:
     """Wrap fn at every name a morilab module binds it under; log each
     call's arguments, an iterator as the list of what it yields."""
@@ -414,14 +423,16 @@ class TestRunCommand:
             f"{baseline['cut_bound']:.1e}" in printed
         assert "flagged" not in printed
 
-    @pytest.mark.parametrize("family, model", [("g", "gauss"), ("e", "exp")])
-    def test_fit_command_reproduces_the_baseline_fit(self, tiny_run, tmp_path,
+    @pytest.mark.parametrize("family, model", [
+        ("g", "gauss"), ("e", "exp"), ("gdo", "gauss_cos"), ("edo", "exp_cos")])
+    def test_fit_command_reproduces_the_baseline_fit(self, request, tmp_path,
                                                      family, model):
+        run = request.getfixturevalue(
+            "tiny_oscillation_run" if family in ("gdo", "edo") else "tiny_run")
         out = tmp_path / "fit.json"
-        assert main(["fit", "--series",
-                     str(tiny_run / f"unperturbed_{family}.csv"),
+        assert main(["fit", "--series", str(run / f"unperturbed_{family}.csv"),
                      "--model", model, "--out", str(out)]) == 0
-        summary = json.loads((tiny_run / "summary.json").read_text())
+        summary = json.loads((run / "summary.json").read_text())
         baseline = summary["unperturbed"][family]
         assert json.loads(out.read_text()) == \
             {key: baseline[key] for key in ("model", "A", "mu", "omega", "phi",

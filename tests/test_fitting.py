@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from morilab import fitting
-from morilab.chain import CorrelationSeries
+from morilab.chain import CorrelationSeries, propagate
+from morilab.experiment import (Scenario, ScenarioConfig, build_families,
+                                trial_seed)
 from morilab.fitting import (FitModel, ModelClass, detect_equilibration,
                              epsilon, fit, sigma)
+from morilab.perturb import apply_draw, draw_noise
 
 
 def series_from(func, dt=0.01, t_max=30.0):
@@ -191,21 +194,55 @@ def fit_case(name):
     return series_from(func, dt=dt, t_max=t_max), kind, n_eq, None
 
 
+def projected_residual(kind, t, c, p):
+    """G (alpha, beta) - c at (mu, omega) = p, the pair from numpy's lstsq."""
+    e = np.exp(-p[0] * kind.envelope_variable(t))
+    g = np.column_stack((e * np.cos(p[1] * t), e * np.sin(p[1] * t)))
+    return g @ np.linalg.lstsq(g, c, rcond=None)[0] - c
+
+
+def projected_central_differences(kind, t, c, p, steps=(1e-6, 1e-6)):
+    out = np.empty((t.size, 2))
+    for i, h in enumerate(steps):
+        up, down = p.copy(), p.copy()
+        up[i] += h
+        down[i] -= h
+        out[:, i] = (projected_residual(kind, t, c, up)
+                     - projected_residual(kind, t, c, down)) / (2 * h)
+    return out
+
+
 class TestFit:
     def test_least_squares_gets_the_closed_form_jacobian(self, monkeypatch):
-        jacs = []
+        calls = []
 
         def spy(fun, x0, **kwargs):
-            jacs.append(kwargs.get("jac"))
+            calls.append((fun, np.asarray(x0), kwargs.get("jac")))
             return least_squares(fun, x0, **kwargs)
 
         monkeypatch.setattr(fitting, "least_squares", spy)
+        # an oscillating class: one projected search over (mu, omega)
         series, kind, n_eq, _ = fit_case("gauss_cos")
         result = fit(series, kind, n_eq)
-        assert len(jacs) == result.restarts_used == 4
-        for jac in jacs:
-            assert callable(jac)
-            p = np.array([0.9, 0.1, 2.0, 0.3])
+        assert len(calls) == result.restarts_used == 1
+        fun, x0, jac = calls[0]
+        assert x0.shape == (2,) and callable(jac)
+        t, c = series.t[:n_eq + 1], series.values[:n_eq + 1]
+        for p in ([0.1, 2.1], [0.13, 1.9], [0.02, 0.3]):
+            p = np.array(p)
+            np.testing.assert_allclose(fun(p), projected_residual(kind, t, c, p),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                jac(p), projected_central_differences(kind, t, c, p),
+                rtol=1e-6, atol=1e-7)
+        # a decay class: every bounded start gets ModelClass.jacobian
+        calls.clear()
+        series, kind, n_eq, _ = fit_case("gauss")
+        result = fit(series, kind, n_eq)
+        assert len(calls) == result.restarts_used == 3
+        for _, x0, jac in calls:
+            assert x0.shape == (2,) and callable(jac)
+            p = np.array([0.9, 0.1])
             assert np.array_equal(jac(p), kind.jacobian(p, series.t[:n_eq + 1]))
 
     @pytest.mark.parametrize("case", [*SELF_FITS, "noisy", "warm_start"])
@@ -219,7 +256,9 @@ class TestFit:
         monkeypatch.setattr(fitting, "least_squares", two_point)
         reference = fit(series, kind, n_eq, warm_start=warm)
         assert result.converged == reference.converged
-        assert result.restarts_used == reference.restarts_used
+        # oscillating: one projected search each; decay: every start
+        starts = 1 if kind.oscillating else 3 + (warm is not None)
+        assert result.restarts_used == reference.restarts_used == starts
         assert abs(result.epsilon - reference.epsilon) <= 1e-10
 
     def test_exp_self_fit(self):
@@ -316,6 +355,179 @@ class TestFit:
                              t_max=10.0)
         result = fit(series, ModelClass.EXP, 150)
         assert 0.5 <= result.model.a <= 1.5
+
+
+def four_parameter_epsilon(series, kind, n_eq, warm=None):
+    """Best objective of the oscillating fit with (A, mu, omega, phi) all
+    searched: a start at each phase quadrant from the log-envelope rate and
+    the Fourier peak, plus the warm start, clipped into the bounds."""
+    t, c = series.t[:n_eq + 1], series.values[:n_eq + 1]
+    mu0 = fitting._envelope_rate(t, c, kind.squared)
+    om0 = fitting._fft_peak(t, c)
+    lower = [0.5, 0.0, 0.0, -np.inf]
+    upper = [1.5, np.inf, np.pi / series.dt, np.inf]
+    starts = [[1.0, mu0, om0, ph] for ph in np.arange(4) * np.pi / 2]
+    if warm is not None:
+        starts.insert(0, np.clip(warm.params, lower, upper))
+    return min(
+        np.sqrt(np.sum(least_squares(
+            lambda p: kind.curve(p, t) - c, p0,
+            jac=lambda p: kind.jacobian(p, t), bounds=(lower, upper),
+            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=1600).fun**2) / n_eq)
+        for p0 in starts)
+
+
+def scenario_fits(scenario, seed, n_trials, d=400):
+    """{name: (series, class, n_eq, warm start)} of a small-d run: each
+    baseline without a warm start, each trial with its baseline's fit."""
+    config = ScenarioConfig.preset(scenario, d=d, n_trials=n_trials,
+                                   base_seed=seed)
+    eq = (config.eq_threshold, config.eq_window)
+    cases = {}
+    for index, family in enumerate(build_families(config)):
+        c0 = propagate(family.chain, dt=config.dt, t_max=config.t_max)
+        n_eq0 = detect_equilibration(c0, *eq).n_eq
+        cases[f"{family.name}-baseline"] = (c0, family.model_class, n_eq0,
+                                            None)
+        warm = fit(c0, family.model_class, n_eq0).model
+        for trial in range(n_trials):
+            draw = draw_noise(config.d, config.n_f,
+                              trial_seed(config.base_seed, index, trial))
+            chain = apply_draw(family.chain, config.strength, draw,
+                               floor=config.floor).chain
+            series = propagate(chain, dt=config.dt, t_max=config.t_max)
+            cases[f"{family.name}-{trial}"] = (
+                series, family.model_class,
+                detect_equilibration(series, *eq).n_eq, warm)
+    return cases
+
+
+@pytest.fixture(scope="module")
+def small_oscillation_fits():
+    return {**scenario_fits(Scenario.OSCILLATION, 5, 3),
+            **{f"pathological-{k}": v for k, v in scenario_fits(
+                Scenario.PATHOLOGICAL_OSCILLATION, 3, 2).items()}}
+
+
+def least_squares_starts(monkeypatch) -> list:
+    """Spy on fitting's least_squares: the x0 of every call, in order."""
+    starts = []
+
+    def spy(fun, x0, **kwargs):
+        starts.append(np.array(x0, dtype=float))
+        return least_squares(fun, x0, **kwargs)
+
+    monkeypatch.setattr(fitting, "least_squares", spy)
+    return starts
+
+
+class TestProjectedFit:
+    DT = 0.02
+
+    def damped_cosine(self, amplitude):
+        return series_from(
+            lambda t: amplitude * np.exp(-0.2 * t) * np.cos(2.0 * t - 0.5),
+            dt=self.DT, t_max=20.0)
+
+    @pytest.mark.parametrize("case", [name for name, case in SELF_FITS.items()
+                                      if case[3].oscillating])
+    def test_self_fit_same_minimum_as_the_four_parameter_fit(self, case):
+        series, kind, n_eq, _ = fit_case(case)
+        assert abs(fit(series, kind, n_eq).epsilon
+                   - four_parameter_epsilon(series, kind, n_eq)) <= 1e-10
+
+    @pytest.mark.parametrize("case", [
+        *(f"{fam}-{i}" for fam in ("gdo", "edo")
+          for i in ("baseline", 0, 1, 2)),
+        *(f"pathological-{fam}-{i}" for fam in ("gdo", "edo")
+          for i in ("baseline", 0, 1))])
+    def test_trial_same_minimum_as_the_four_parameter_fit(
+            self, small_oscillation_fits, case):
+        series, kind, n_eq, warm = small_oscillation_fits[case]
+        result = fit(series, kind, n_eq, warm_start=warm)
+        assert result.restarts_used == 1
+        assert abs(result.epsilon - four_parameter_epsilon(
+            series, kind, n_eq, warm)) <= 1e-10
+
+    @pytest.mark.parametrize("amplitude, projected", [(3.0, False),
+                                                      (1.0, True)])
+    def test_amplitude_outside_its_bounds_falls_back(self, monkeypatch,
+                                                     amplitude, projected):
+        starts = least_squares_starts(monkeypatch)
+        result = fit(self.damped_cosine(amplitude), ModelClass.EXP_COS, 900)
+        # the projected search, then the bounded fit from its point
+        assert [p.size for p in starts] == ([2] if projected else [2, 4])
+        assert result.restarts_used == len(starts) - (not projected)
+        assert 0.5 <= result.model.a <= 1.5
+        if projected:
+            assert result.model.a == pytest.approx(1.0, abs=1e-9)
+            assert result.epsilon <= 1e-12
+        else:
+            assert result.model.a == pytest.approx(1.5, abs=1e-12)
+            assert result.converged
+
+    @pytest.mark.parametrize("amplitude", [1.0, 3.0])
+    @pytest.mark.parametrize("omega", [2.0, 200.0])
+    def test_warm_frequency_is_clipped_into_its_bounds(
+            self, monkeypatch, amplitude, omega):
+        starts = least_squares_starts(monkeypatch)
+        warm = FitModel(ModelClass.EXP_COS, (1.2, 0.2, omega, 0.5))
+        result = fit(self.damped_cosine(amplitude), ModelClass.EXP_COS, 900,
+                     warm_start=warm)
+        used = min(omega, np.pi / self.DT)  # 200 lies above pi/dt = 157.08
+        assert starts[0].tolist() == [0.2, used]
+        if len(starts) > 1:   # fell back: the warm start comes first, counted
+            assert starts[1].tolist() == [1.2, 0.2, used, 0.5]
+            assert result.restarts_used == len(starts) - 1 == 2
+        assert result.restarts_used == len(result.restart_objectives)
+
+    @pytest.mark.parametrize("kind", [ModelClass.EXP_COS,
+                                      ModelClass.GAUSS_COS])
+    def test_non_oscillating_series_gives_a_finite_fit(self, kind):
+        series = series_from(lambda t: np.exp(-0.3 * kind.envelope_variable(t)),
+                             dt=self.DT, t_max=20.0)
+        result = fit(series, kind, 900)
+        params = np.array(result.model.params)
+        assert np.isfinite(params).all() and np.isfinite(result.epsilon)
+        assert 0.5 <= result.model.a <= 1.5
+        assert 0.0 <= result.model.omega <= np.pi / self.DT
+        # the exact curve has omega = 0, which the search only nears
+        assert result.epsilon <= 1e-8
+
+    @pytest.mark.parametrize("omega", [0.0, 1e-9, 2.0, np.pi / DT])
+    def test_projection_is_the_least_squares_solution(self, omega):
+        # at omega = 0 and pi/dt the sin column vanishes on the grid, and
+        # the pair is lstsq's minimum-norm one
+        series = self.damped_cosine(1.0)
+        t = series.t[:901]
+        rng = np.random.default_rng(3)
+        c = series.values[:901] + 0.01 * rng.standard_normal(t.size)
+        projection = fitting._Projection(t, t, c)
+        p = np.array([0.2, omega])
+        np.testing.assert_allclose(
+            projection.residual(p),
+            projected_residual(ModelClass.EXP_COS, t, c, p), rtol=0, atol=1e-12)
+        assert np.isfinite(projection.jacobian(p)).all()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([ModelClass.EXP_COS, ModelClass.GAUSS_COS]),
+           a=st.floats(0.6, 1.4), mu=st.floats(0.01, 0.3),
+           omega=st.floats(0.3, 5.0), phi=st.floats(0.0, 2 * np.pi),
+           noise=st.floats(0.0, 0.1), seed=st.integers(0, 2**16))
+    def test_warm_start_bounds_the_objective(self, kind, a, mu, omega, phi,
+                                             noise, seed):
+        # criterion 11 for the oscillating classes: eps <= sigma + eps0
+        base = series_from(lambda t: kind.curve((a, mu, omega, phi), t),
+                           dt=0.05, t_max=20.0)
+        n_eq = 300
+        f0 = fit(base, kind, n_eq).model
+        rng = np.random.default_rng(seed)
+        values = base.values + noise * np.cumsum(
+            rng.standard_normal(len(base))) / np.sqrt(len(base))
+        perturbed = CorrelationSeries(base.dt, values, normalized=False)
+        result = fit(perturbed, kind, n_eq, warm_start=f0)
+        assert result.epsilon <= sigma(perturbed, base, n_eq) \
+            + epsilon(base, f0, n_eq) + 1e-12
 
 
 class TestFitModel:
