@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import mmap
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -43,7 +44,7 @@ class PropagationError(RuntimeError):
 
 
 def _read_csv(path, header: list[str]) -> np.ndarray:
-    """The columns of numbers under `header`; ValueError names a bad line."""
+    """The columns of finite numbers under `header`; ValueError names a bad line."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != header:
@@ -53,7 +54,10 @@ def _read_csv(path, header: list[str]) -> np.ndarray:
         try:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} cells, expected {len(header)}")
-            out[:, line - 2] = [float(cell) for cell in row]
+            values = [float(cell) for cell in row]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"non-finite cell in {','.join(row)!r}")
+            out[:, line - 2] = values
         except ValueError as err:
             raise ValueError(f"{path}: line {line}: {err}") from None
     return out

@@ -25,9 +25,8 @@ import scipy
 from . import __version__
 from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, PropagationError,
                     propagate)
-from .design import (exponential_chain, gaussian_chain, linear_continuation,
-                     oscillating_pair)
-from .experiment import (Scenario, ScenarioConfig, TrialRecord,
+from .design import linear_continuation
+from .experiment import (Scenario, ScenarioConfig, TrialRecord, build_families,
                          histogram_to_csv, records_from_csv, records_to_csv,
                          run_scenario, scatter_to_csv, worker_count)
 from .fitting import (EQ_THRESHOLD, EQ_WINDOW, ModelClass,
@@ -377,14 +376,12 @@ def render_all(out_dir) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_design(args) -> int:
-    d = args.d
-    if args.family == "gaussian":
-        chain = gaussian_chain(args.nstar, d)
-    elif args.family == "exponential":
-        chain = exponential_chain(args.a, args.nstar, d)
-    else:
-        gdo, edo = oscillating_pair(args.nmax, d, args.b1, args.b2)
-        chain = gdo if args.family == "gdo" else edo
+    """One family's chain as `run` builds it, from the config of its kind."""
+    kind = "oscillation" if args.family in ("gdo", "edo") else "decay"
+    config = parse_config(None, {"scenario": kind, **{
+        k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}})
+    chain = next(fam.chain for fam in build_families(config)
+                 if fam.name == args.family)
     chain.to_csv(args.out)
     if args.json:
         chain.to_json(args.json)
@@ -487,14 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("design", help="emit a designed coefficient chain")
-    p.add_argument("--family", required=True,
-                   choices=["gaussian", "exponential", "gdo", "edo"])
-    p.add_argument("--nstar", type=int, default=10)
-    p.add_argument("--a", type=float, default=1.2)
-    p.add_argument("--b1", type=float, default=2.0)
-    p.add_argument("--b2", type=float, default=1.6)
-    p.add_argument("--nmax", type=int, default=50)
+    p = sub.add_parser("design", help="one family's chain, as `run` builds it")
+    p.add_argument("--family", required=True, choices=["g", "e", "gdo", "edo"])
+    # each flag's dest is the config key it overrides
+    p.add_argument("--nstar", type=int, dest="n_star")
+    p.add_argument("--a", type=float)
+    p.add_argument("--b1", type=float)
+    p.add_argument("--b2", type=float)
+    p.add_argument("--nmax", type=int, dest="reverse_n_max")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--json", default=None)

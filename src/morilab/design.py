@@ -47,7 +47,7 @@ def tangent_intercept(n_star: int) -> float:
     return np.sqrt(n_star) / 2.0
 
 
-def gaussian_chain(n_star: int = 10, d: int = 2000) -> LanczosChain:
+def gaussian_chain(n_star: int, d: int) -> LanczosChain:
     """sqrt(n) head continued tangentially by alpha*n + gamma past n_star.
 
     The pure sqrt(n) chain generates exp(-t^2/2) exactly; the tangent
@@ -62,7 +62,7 @@ def gaussian_chain(n_star: int = 10, d: int = 2000) -> LanczosChain:
     return LanczosChain(b, label="g")
 
 
-def exponential_chain(a: float = 1.2, n_star: int = 10, d: int = 2000) -> LanczosChain:
+def exponential_chain(a: float, n_star: int, d: int) -> LanczosChain:
     """Small first coefficient a, then the same affine tail from n = 2 on.
 
     The weak entry coupling followed by the jump to the tail produces a slow
@@ -78,9 +78,8 @@ def exponential_chain(a: float = 1.2, n_star: int = 10, d: int = 2000) -> Lanczo
     return LanczosChain(b, label="e")
 
 
-def edo_chain(b1: float = 2.0, b2: float = 1.6,
-              slope_params: tuple[float, float] | None = None,
-              d: int = 2000) -> LanczosChain:
+def edo_chain(b1: float, b2: float, slope_params: tuple[float, float],
+              d: int) -> LanczosChain:
     """Two-coefficient head, then a jump onto an affine ramp from n = 3.
 
     `slope_params` is (slope, intercept) of the ramp; pass the tail fitted to
@@ -89,8 +88,6 @@ def edo_chain(b1: float = 2.0, b2: float = 1.6,
     """
     if b1 <= 0 or b2 <= 0:
         raise ValueError("head coefficients must be positive")
-    if slope_params is None:
-        raise ValueError("slope_params (slope, intercept) is required")
     slope, intercept = slope_params
     if slope <= 0:
         raise ValueError("ramp slope must be positive")

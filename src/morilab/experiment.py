@@ -134,8 +134,6 @@ class ScenarioConfig:
             raise ValueError("dt and t_max must be positive")
         if self.bin_width <= 0:
             raise ValueError("bin_width must be positive")
-        if not 1 <= self.n_star < self.d:
-            raise ValueError("require 1 <= n_star < d")
         if self.floor <= 0:
             raise ValueError("floor must be positive")
         if not 0 < self.eq_threshold < 1:
@@ -267,7 +265,8 @@ class Family(NamedTuple):
 
 
 def build_families(config: ScenarioConfig) -> list[Family]:
-    """The two competing chain designs for the configured scenario."""
+    """The two competing chain designs for the configured scenario: the one
+    place a family gets its builder, its parameters and its model class."""
     if config.scenario.oscillating:
         gdo, edo = oscillating_pair(config.reverse_n_max, config.d,
                                     config.b1, config.b2)

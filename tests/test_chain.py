@@ -811,3 +811,21 @@ class TestCorrelationSeries:
     def test_normalized_start_enforced(self):
         with pytest.raises(ValueError):
             CorrelationSeries(0.1, np.array([0.9, 0.8]), normalized=True)
+
+    @pytest.mark.parametrize("cell", ["1.7e308", "-4.9e-324", "-0.0"])
+    def test_extreme_finite_cells_parse(self, tmp_path, cell):
+        path = tmp_path / "series.csv"
+        path.write_text(f"t,C\n0,1\n0.1,{cell}\n0.2,0.5\n")
+        assert CorrelationSeries.from_csv(path).values[1] == float(cell)
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("reader, text", [
+        (CorrelationSeries.from_csv, "t,C\n0,1\n0.1,{}\n0.2,0.5\n"),
+        (CorrelationSeries.from_csv, "t,C\n0,1\n{},0.8\n0.2,0.5\n"),
+        (LanczosChain.from_csv, "n,b\n1,1.5\n2,{}\n3,1.5\n")])
+    def test_non_finite_cell_names_its_line(self, tmp_path, cell, reader,
+                                            text):
+        path = tmp_path / "in.csv"
+        path.write_text(text.format(cell))
+        with pytest.raises(ValueError, match="in.csv: line 3: non-finite"):
+            reader(path)

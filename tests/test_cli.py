@@ -103,7 +103,7 @@ class TestParseConfig:
 class TestSubcommands:
     def test_design_propagate_fit_loop(self, tmp_path):
         chain_csv = tmp_path / "chain.csv"
-        assert main(["design", "--family", "exponential", "--nstar", "10",
+        assert main(["design", "--family", "e", "--nstar", "10",
                      "--d", "300", "--out", str(chain_csv)]) == 0
         chain = LanczosChain.from_csv(chain_csv)
         assert chain.d == 300
@@ -119,22 +119,44 @@ class TestSubcommands:
 
     def test_design_gaussian_values(self, tmp_path):
         out = tmp_path / "g.csv"
-        main(["design", "--family", "gaussian", "--nstar", "4", "--d", "10",
+        main(["design", "--family", "g", "--nstar", "4", "--d", "10",
               "--out", str(out)])
         chain = LanczosChain.from_csv(out)
         assert chain.b[3] == 2.0
         assert chain.b[4] == 2.25
 
-    @pytest.mark.parametrize("index, family", [(0, "gdo"), (1, "edo")])
+    @pytest.mark.parametrize("index, family", [(0, "g"), (1, "e"),
+                                               (0, "gdo"), (1, "edo")])
     def test_design_oscillating_matches_build_families(self, tmp_path, index,
                                                        family):
+        # `design` takes the run's defaults: no flag but --d
         out, ref = tmp_path / "design.csv", tmp_path / "families.csv"
         assert main(["design", "--family", family, "--d", "300",
                      "--out", str(out)]) == 0
-        built = build_families(ScenarioConfig(Scenario.OSCILLATION, d=300))[index]
+        scenario = (Scenario.OSCILLATION if family in ("gdo", "edo")
+                    else Scenario.DECAY)
+        built = build_families(ScenarioConfig(scenario, d=300))[index]
         assert built.name == family
         built.chain.to_csv(ref)
         assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "exponential"])
+    def test_design_takes_only_the_family_names_of_a_run(self, tmp_path,
+                                                         family):
+        with pytest.raises(SystemExit) as exit_:
+            main(["design", "--family", family, "--d", "300",
+                  "--out", str(tmp_path / "design.csv")])
+        assert exit_.value.code == 2
+
+    def test_design_decay_chain_shorter_than_n_star_exit_2(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "design.csv"
+        assert main(["design", "--family", "g", "--d", "150",
+                     "--out", str(out)]) == 2
+        assert "require 1 <= n_star < d" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["design", "--family", "g", "--d", "151",
+                     "--out", str(out)]) == 0
 
     def test_reverse_with_continuation(self, tmp_path):
         coeffs = tmp_path / "b.csv"
@@ -160,7 +182,7 @@ class TestSubcommands:
 
     def test_perturb_deterministic(self, tmp_path):
         chain_csv = tmp_path / "chain.csv"
-        main(["design", "--family", "gaussian", "--nstar", "5", "--d", "120",
+        main(["design", "--family", "g", "--nstar", "5", "--d", "120",
               "--out", str(chain_csv)])
         out1, out2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
         for out in (out1, out2):
@@ -191,6 +213,48 @@ class TestSubcommands:
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert f"{chain_csv}: line 3: 1 cells" in capsys.readouterr().err
 
+    SERIES_COMMANDS = [["fit", "--model", "gauss"],
+                       ["fit", "--model", "gauss_cos"],
+                       ["reverse", "--nmax", "10"]]
+
+    @pytest.fixture
+    def gdo_series(self, tmp_path):
+        t = np.arange(400) * 0.05
+        series = tmp_path / "C.csv"
+        CorrelationSeries(0.05, np.exp(-t**2 / 8) * np.cos(2 * t)).to_csv(series)
+        return series
+
+    @pytest.mark.parametrize("command", SERIES_COMMANDS,
+                             ids=lambda command: command[0] + "-" + command[-1])
+    def test_finite_series_runs(self, gdo_series, tmp_path, command):
+        assert main([command[0], "--series", str(gdo_series), *command[1:],
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", SERIES_COMMANDS,
+                             ids=lambda command: command[0] + "-" + command[-1])
+    def test_non_finite_series_cell_exit_2(self, gdo_series, tmp_path, capsys,
+                                           command, cell):
+        # every series reader refuses it alike, before any fit or recursion
+        lines = gdo_series.read_text().splitlines()
+        lines[101] = lines[101].split(",")[0] + "," + cell     # line 102
+        gdo_series.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main([command[0], "--series", str(gdo_series), *command[1:],
+                     "--out", str(out)]) == 2
+        assert (f"{gdo_series}: line 102: non-finite cell"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_chain_cell_exit_2(self, tmp_path, capsys, cell):
+        chain_csv = tmp_path / "chain.csv"
+        chain_csv.write_text(f"n,b\n1,1.5\n2,{cell}\n3,1.5\n")
+        assert main(["propagate", "--chain", str(chain_csv), "--tmax", "5",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert (f"{chain_csv}: line 3: non-finite cell"
+                in capsys.readouterr().err)
+
     @pytest.fixture
     def exp_series(self, tmp_path):
         series = tmp_path / "C.csv"
@@ -218,7 +282,7 @@ class TestSubcommands:
 
     def test_numeric_failure_exit_3(self, monkeypatch, tmp_path):
         chain_csv = tmp_path / "chain.csv"
-        main(["design", "--family", "gaussian", "--nstar", "5", "--d", "60",
+        main(["design", "--family", "g", "--nstar", "5", "--d", "60",
               "--out", str(chain_csv)])
         def boom(*a, **k):
             raise PropagationError("norm drift 1e-3; shrink dt")
@@ -566,6 +630,27 @@ class TestRunCommand:
         assert main(TINY_RUN + ["--workers", workers, "--out", str(out)]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
         assert builds == [] and not out.exists()
+
+    @pytest.mark.parametrize("n_star", [[], ["--nstar", "120"],
+                                        ["--nstar", "0"]])
+    def test_decay_n_star_outside_the_chain_refused_before_any_propagation(
+            self, monkeypatch, tmp_path, capsys, n_star):
+        # the decay builders refuse it; the default n_star is 150
+        calls = count_calls(monkeypatch, chain.propagate)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "decay", "--d", "120", "--trials",
+                     "1", "--tmax", "5", "--workers", "1", *n_star,
+                     "--out", str(out)]) == 2
+        assert "require 1 <= n_star < d" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_oscillation_run_does_not_read_n_star(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "oscillation", "--d", "120",
+                     "--trials", "1", "--tmax", "5", "--workers", "1",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["d"], config["n_star"]) == (120, 150)
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"decay"'])
     def test_non_object_config_refused_before_any_work(self, monkeypatch,

@@ -83,7 +83,7 @@ class TestEdoChain:
 
     def test_requires_slope(self):
         with pytest.raises(ValueError):
-            edo_chain(2.0, 1.6, None, 40)
+            edo_chain(2.0, 1.6, (0.0, 2.0), 40)
         with pytest.raises(ValueError):
             edo_chain(2.0, 1.6, (-0.1, 2.0), 40)
 
