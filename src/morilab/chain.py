@@ -9,11 +9,10 @@ C(t).
 from __future__ import annotations
 
 import csv
-import json
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -25,6 +24,7 @@ __all__ = [
     "PropagationError",
     "propagate",
     "propagate_many",
+    "read_csv",
     "dense_generator",
     "dense_correlation",
     "spectral_width_sum",
@@ -43,24 +43,30 @@ class PropagationError(RuntimeError):
     """Raised when a propagator backend loses unitarity."""
 
 
-def _read_csv(path, header: list[str]) -> np.ndarray:
-    """The columns of finite numbers under `header`; ValueError names a bad line."""
+def read_csv(path, header: Sequence[str],
+             cells: Sequence[Callable]) -> Iterator[list]:
+    """The rows of a CSV file below `header`, read one at a time, each cell
+    converted by its column's function in `cells`.  ValueError names the
+    file, and the line of a row with a wrong cell count or a bad cell."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != header:
-        raise ValueError(f"{path}: expected header {','.join(header)!r}")
-    out = np.empty((len(header), len(rows) - 1))
-    for line, row in enumerate(rows[1:], start=2):
-        try:
-            if len(row) != len(header):
-                raise ValueError(f"{len(row)} cells, expected {len(header)}")
-            values = [float(cell) for cell in row]
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"non-finite cell in {','.join(row)!r}")
-            out[:, line - 2] = values
-        except ValueError as err:
-            raise ValueError(f"{path}: line {line}: {err}") from None
-    return out
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise ValueError(f"{path}: expected header {','.join(header)!r}")
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, expected {len(header)}")
+                typed = [read(cell) for read, cell in zip(cells, row)]
+            except ValueError as err:
+                raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
+            yield typed
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite cell {cell!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,6 @@ class LanczosChain:
     """Ordered positive hopping amplitudes b_1..b_{d-1} of a d-site chain."""
 
     b: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -86,8 +91,8 @@ class LanczosChain:
         """Liouville-space dimension (site count)."""
         return self.b.size + 1
 
-    def scaled(self, factor: float, label: str | None = None) -> "LanczosChain":
-        return LanczosChain(self.b * factor, self.label if label is None else label)
+    def scaled(self, factor: float) -> "LanczosChain":
+        return LanczosChain(self.b * factor)
 
     # -- serialization ----------------------------------------------------
     def to_csv(self, path) -> None:
@@ -99,12 +104,8 @@ class LanczosChain:
                 w.writerow([n, repr(float(bn))])
 
     @classmethod
-    def from_csv(cls, path, label: str = "") -> "LanczosChain":
-        return cls(_read_csv(path, ["n", "b"])[1], label)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"label": self.label, "d": self.d, "b": [float(x) for x in self.b]}, fh)
+    def from_csv(cls, path) -> "LanczosChain":
+        return cls([b for _, b in read_csv(path, ["n", "b"], [_finite, _finite])])
 
 
 @dataclass
@@ -114,7 +115,6 @@ class CorrelationSeries:
     dt: float
     values: np.ndarray
     normalized: bool = True
-    label: str = ""
     method: str = ""
     norm_drift_max: float = 0.0
     # set by the "moments" engine only: its scale, the even moments it
@@ -146,15 +146,19 @@ class CorrelationSeries:
                 fh.write(f"{n * self.dt:.17g},{c:.17g}\n")
 
     @classmethod
-    def from_csv(cls, path, label: str = "") -> "CorrelationSeries":
-        t, c = _read_csv(path, ["t", "C"])
-        if t.size < 2:
-            raise ValueError("series needs at least two samples")
+    def from_csv(cls, path) -> "CorrelationSeries":
+        """A series written by `to_csv`: its grid must be t_n = n*dt."""
+        rows = list(read_csv(path, ["t", "C"], [_finite, _finite]))
+        if len(rows) < 2:
+            raise ValueError(f"{path}: series needs at least two samples")
+        t, c = np.array(rows).T
         dt = t[1] - t[0]
-        if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-9 * max(dt, 1.0)):
-            raise ValueError("time grid is not uniform")
-        return cls(float(dt), c, normalized=abs(c[0] - 1.0) <= C0_TOL,
-                   label=label)
+        tol = 1e-9 * max(dt, 1.0)
+        if abs(t[0]) > tol:
+            raise ValueError(f"{path}: series starts at t = {t[0]:g}, not 0")
+        if not np.allclose(np.diff(t), dt, rtol=0, atol=tol):
+            raise ValueError(f"{path}: time grid is not uniform")
+        return cls(float(dt), c, normalized=abs(c[0] - 1.0) <= C0_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +529,7 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
     n_steps = _step_count(dt, t_max)
     out: list[CorrelationSeries | PropagationError | None] = []
     pending: dict[tuple[float, int], list[tuple[int, LanczosChain]]] = {}
-    groups: dict[float, list[tuple[int, str, int, _Expansion]]] = {}
+    groups: dict[float, list[tuple[int, int, _Expansion]]] = {}
 
     def hold(slot: int, chain: LanczosChain, n_c: int) -> None:
         key = (_prefix_scale(chain.b, n_c), n_c)
@@ -542,12 +546,12 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
             elif n_c < chain.d and not ex.bound <= CUT_TOL:
                 hold(slot, chain, chain.d)   # the cut is not certified
             else:
-                groups.setdefault(lam, []).append((slot, chain.label, n_c, ex))
+                groups.setdefault(lam, []).append((slot, n_c, ex))
 
     for chain in chains:
         if chain.d == 1:
             out.append(CorrelationSeries(dt, np.ones(n_steps + 1),
-                                         label=chain.label, method="moments"))
+                                         method="moments"))
             continue
         hold(len(out), chain, _causal_cut(chain.b, n_steps * dt, WKB_FACTOR))
         out.append(None)
@@ -558,9 +562,9 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
     for lam, members in groups.items():
         rows = _cosine_series([ex.mu for *_, ex in members],
                               lam * dt * np.arange(n_steps + 1))
-        for (i, label, n_c, ex), values in zip(members, rows):
+        for (i, n_c, ex), values in zip(members, rows):
             out[i] = CorrelationSeries(
-                dt, values, label=label, method="moments",
+                dt, values, method="moments",
                 norm_drift_max=ex.drift, lam=ex.lam,
                 moments=ex.mu.size, sites=n_c, cut_bound=ex.bound)
     return out
@@ -622,8 +626,7 @@ def propagate(
     d = chain.d
     n_steps = _step_count(dt, t_max)
     if d == 1:
-        return CorrelationSeries(dt, np.ones(n_steps + 1), label=chain.label,
-                                 method=method)
+        return CorrelationSeries(dt, np.ones(n_steps + 1), method=method)
 
     values = np.empty(n_steps + 1)
     values[0] = 1.0
@@ -664,5 +667,4 @@ def propagate(
             raise PropagationError(
                 f"norm drift {drift:.2e} beyond {NORM_TOL:.0e} at t={n * dt:.4g}; {hint}")
 
-    return CorrelationSeries(dt, values, label=chain.label, method=method,
-                             norm_drift_max=drift_max)
+    return CorrelationSeries(dt, values, method=method, norm_drift_max=drift_max)

@@ -8,7 +8,6 @@ summary.json and CSVs, byte-identically for a given tool version.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -24,7 +23,7 @@ import scipy
 
 from . import __version__
 from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, PropagationError,
-                    propagate)
+                    propagate, read_csv)
 from .design import linear_continuation
 from .experiment import (Scenario, ScenarioConfig, TrialRecord, build_families,
                          histogram_to_csv, records_from_csv, records_to_csv,
@@ -158,12 +157,6 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
 # rendering from flat files (shared by `run` and `plot`)
 # ---------------------------------------------------------------------------
 
-def _read_csv_rows(path) -> list[list[str]]:
-    """A CSV file's rows below its header."""
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))[1:]
-
-
 def render_histogram_svg(families: dict, out_path) -> None:
     """summary.json's "families": each one's histogram and mean epsilon."""
     bins = [(right, count) for info in families.values() for right, count
@@ -217,21 +210,21 @@ def render_chains_svg(chains: dict[str, LanczosChain], out_path) -> None:
 
 
 def render_curves_svg(rows, family: str, out_path) -> None:
-    """One family's rows of curves.csv."""
+    """One family's rows of curves.csv, as (family, trial, t, C, fit)."""
     trials = list(dict.fromkeys(r[1] for r in rows))
     fig = Figure(title=f"exemplary perturbed dynamics ({family})",
                  xlabel="t", ylabel="C(t)")
-    tmax = max((float(r[2]) for r in rows), default=1.0)
-    cvals = [float(r[3]) for r in rows] + [float(r[4]) for r in rows]
+    tmax = max((r[2] for r in rows), default=1.0)
+    cvals = [r[3] for r in rows] + [r[4] for r in rows]
     lo, hi = min(cvals + [0.0]), max(cvals + [1.0])
     fig.set_limits((0.0, tmax), (lo * 1.05, hi * 1.05))
     shades = ("#c02020", "#2040c0", "#208040")
     for i, trial in enumerate(trials):
         sel = [r for r in rows if r[1] == trial]
-        t = [float(r[2]) for r in sel]
-        fig.polyline(t, [float(r[3]) for r in sel], shades[i % 3],
+        t = [r[2] for r in sel]
+        fig.polyline(t, [r[3] for r in sel], shades[i % 3],
                      label=f"trial {trial}")
-        fig.polyline(t, [float(r[4]) for r in sel], COLORS["fit"], width=1.0,
+        fig.polyline(t, [r[4] for r in sel], COLORS["fit"], width=1.0,
                      dash="5,3")
     fig.save(out_path)
 
@@ -352,7 +345,8 @@ def render_all(out_dir) -> list[str]:
         summary = json.load(fh)
     fams = sorted(summary["unperturbed"])
     curves: dict[str, list] = {}
-    for row in _read_csv_rows(path("curves.csv")):
+    for row in read_csv(path("curves.csv"), ["family", "trial", "t", "C", "fit"],
+                        [str, int, float, float, float]):
         curves.setdefault(row[0], []).append(row)
     figures = {
         "histogram.svg": (render_histogram_svg, summary["families"]),
@@ -383,8 +377,6 @@ def _cmd_design(args) -> int:
     chain = next(fam.chain for fam in build_families(config)
                  if fam.name == args.family)
     chain.to_csv(args.out)
-    if args.json:
-        chain.to_json(args.json)
     print(f"wrote {args.out} ({chain.d - 1} coefficients, family {args.family})")
     return 0
 
@@ -411,7 +403,7 @@ def _cmd_reverse(args) -> int:
     print(f"wrote {args.out} ({result.achieved}/{result.requested} coefficients; "
           f"{result.stop_reason})")
     if args.continue_to:
-        cont = linear_continuation(result.b, args.continue_to, label="continued")
+        cont = linear_continuation(result.b, args.continue_to)
         cont.chain.to_csv(args.chain_out)
         print(f"wrote {args.chain_out} (d={args.continue_to}, tail slope "
               f"{cont.slope:.5g})")
@@ -421,11 +413,8 @@ def _cmd_reverse(args) -> int:
 def _cmd_perturb(args) -> int:
     chain = LanczosChain.from_csv(args.chain)
     n_f = args.nf if args.nf is not None else chain.d // 3
-    draw = draw_noise(chain.d, n_f, args.seed)
-    pert = apply_draw(chain, args.lam, draw)
+    pert = apply_draw(chain, args.lam, draw_noise(chain.d, n_f, args.seed))
     pert.chain.to_csv(args.out)
-    if args.draw_json:
-        draw.to_json(args.draw_json)
     print(f"wrote {args.out} (clamped {pert.clamp_count} entries"
           f"{', INVALID draw' if pert.invalid else ''})")
     return 0
@@ -494,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, dest="reverse_n_max")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("propagate", help="chain -> correlation series")
@@ -520,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nf", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--draw-json", default=None)
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("fit", help="series -> best within-class fit")

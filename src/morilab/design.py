@@ -59,7 +59,7 @@ def gaussian_chain(n_star: int, d: int) -> LanczosChain:
     n = np.arange(1, d)
     al, ga = tangent_slope(n_star), tangent_intercept(n_star)
     b = np.where(n <= n_star, np.sqrt(n), al * n + ga)
-    return LanczosChain(b, label="g")
+    return LanczosChain(b)
 
 
 def exponential_chain(a: float, n_star: int, d: int) -> LanczosChain:
@@ -75,7 +75,7 @@ def exponential_chain(a: float, n_star: int, d: int) -> LanczosChain:
     n = np.arange(1, d)
     b = tangent_slope(n_star) * n + tangent_intercept(n_star)
     b[0] = a
-    return LanczosChain(b, label="e")
+    return LanczosChain(b)
 
 
 def edo_chain(b1: float, b2: float, slope_params: tuple[float, float],
@@ -96,7 +96,7 @@ def edo_chain(b1: float, b2: float, slope_params: tuple[float, float],
     n = np.arange(1, d)
     b = slope * n + intercept
     b[0], b[1] = b1, b2
-    return LanczosChain(b, label="edo")
+    return LanczosChain(b)
 
 
 def oscillating_pair(n_max: int, d: int, b1: float,
@@ -108,7 +108,7 @@ def oscillating_pair(n_max: int, d: int, b1: float,
     """
     density = fourier_of_correlation(GDO_TARGET, n_max=n_max)
     prefix = lanczos_from_spectrum(density, n_max)
-    cont = linear_continuation(prefix.b, d, label="gdo")
+    cont = linear_continuation(prefix.b, d)
     return cont.chain, edo_chain(b1, b2, (cont.slope, cont.intercept), d)
 
 
@@ -118,7 +118,7 @@ class ContinuationResult(NamedTuple):
     intercept: float
 
 
-def linear_continuation(prefix, d: int, label: str = "") -> ContinuationResult:
+def linear_continuation(prefix, d: int) -> ContinuationResult:
     """Extend a coefficient prefix to length d-1 with a fitted affine tail.
 
     The tail line is the least-squares fit to the last FIT_POINTS prefix
@@ -151,9 +151,8 @@ def linear_continuation(prefix, d: int, label: str = "") -> ContinuationResult:
     tail += residual * np.clip(1.0 - j / (BLEND + 1.0), 0.0, None)
     if tail.size and tail.min() <= 0:
         raise ValueError("continuation produced nonpositive coefficients")
-    return ContinuationResult(
-        LanczosChain(np.concatenate([prefix, tail]), label=label),
-        float(slope), float(intercept))
+    return ContinuationResult(LanczosChain(np.concatenate([prefix, tail])),
+                              float(slope), float(intercept))
 
 
 def q_ratio(chain_a: LanczosChain, chain_b: LanczosChain) -> float:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .chain import (CorrelationSeries, LanczosChain, PropagationError,
-                    propagate, propagate_many)
+                    propagate, propagate_many, read_csv)
 from .design import exponential_chain, gaussian_chain, oscillating_pair
 from .fitting import (EQ_THRESHOLD, EQ_WINDOW, FitResult, ModelClass,
                       detect_equilibration, epsilon, fit, sigma)
@@ -473,14 +473,8 @@ def records_to_csv(records: Sequence[TrialRecord], path) -> None:
 
 
 def records_from_csv(path) -> list[TrialRecord]:
-    cols = fields(TrialRecord)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != _header():
-        raise ValueError(f"{path}: unexpected records header")
-    return [TrialRecord(**{f.name: _CELLS[f.type].read(cell)
-                           for f, cell in zip(cols, row)})
-            for row in rows[1:]]
+    return [TrialRecord(*row) for row in read_csv(
+        path, _header(), [_CELLS[f.type].read for f in fields(TrialRecord)])]
 
 
 def histogram_to_csv(summary: EnsembleSummary, path) -> None:

@@ -8,7 +8,6 @@ that localizes the dynamics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ class PerturbationDraw:
 
     d: int
     n_f: int
-    seed: int
     x: np.ndarray
     y: np.ndarray
     v: np.ndarray
@@ -62,12 +60,6 @@ class PerturbationDraw:
     @property
     def sum_v2(self) -> float:
         return float(np.sum(self.v**2))
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"d": self.d, "n_f": self.n_f, "seed": self.seed,
-                       "x": [float(a) for a in self.x],
-                       "y": [float(a) for a in self.y]}, fh)
 
 
 def _assemble(d: int, n_f: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -99,9 +91,7 @@ def draw_noise(d: int, n_f: int, seed) -> PerturbationDraw:
     scale = np.sqrt(np.sum(x**2) + np.sum(y**2))
     x /= scale
     y /= scale
-    v = _assemble(d, n_f, x, y)
-    seed_int = int(seed) if np.isscalar(seed) and not isinstance(seed, bool) else -1
-    return PerturbationDraw(d, n_f, seed_int, x, y, v)
+    return PerturbationDraw(d, n_f, x, y, _assemble(d, n_f, x, y))
 
 
 @dataclass(frozen=True)
@@ -137,6 +127,5 @@ def apply_draw(base: LanczosChain, strength: float, draw: PerturbationDraw,
     clamped = b < floor
     if clamped.any():
         b = np.where(clamped, floor, b)
-    label = f"{base.label}~{strength:g}" if base.label else f"~{strength:g}"
-    return PerturbedChain(base, float(strength), draw,
-                          LanczosChain(b, label=label), int(clamped.sum()))
+    return PerturbedChain(base, float(strength), draw, LanczosChain(b),
+                          int(clamped.sum()))

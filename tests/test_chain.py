@@ -1,4 +1,3 @@
-import json
 import random
 
 import numpy as np
@@ -56,10 +55,10 @@ class TestLanczosChain:
 
     def test_csv_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
-        ch = LanczosChain(rng.uniform(0.1, 3.0, 57), label="rt")
+        ch = LanczosChain(rng.uniform(0.1, 3.0, 57))
         path = tmp_path / "chain.csv"
         ch.to_csv(path)
-        back = LanczosChain.from_csv(path, label="rt")
+        back = LanczosChain.from_csv(path)
         assert np.array_equal(back.b, ch.b)
 
     @ROUNDTRIP
@@ -70,15 +69,6 @@ class TestLanczosChain:
         ch.to_csv(tmp_path / "chain.csv")
         back = LanczosChain.from_csv(tmp_path / "chain.csv")
         assert back.b.tobytes() == ch.b.tobytes()
-
-    def test_json_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(8)
-        ch = LanczosChain(rng.uniform(0.1, 3.0, 33), label="j")
-        path = tmp_path / "chain.json"
-        ch.to_json(path)
-        data = json.loads(path.read_text())
-        assert np.array(data["b"]).tobytes() == ch.b.tobytes()
-        assert (data["label"], data["d"]) == ("j", 34)
 
 
 class TestDenseGenerator:
@@ -807,6 +797,21 @@ class TestCorrelationSeries:
         assert CorrelationSeries.from_csv(path).normalized
         path.write_text("t,C\n0,0.99\n0.1,0.5\n")
         assert not CorrelationSeries.from_csv(path).normalized
+
+    @pytest.mark.parametrize("start, refused", [
+        (0.0, False), (-9e-10, False), (9e-10, False), (1.1e-9, True),
+        (-1.1e-9, True), (5.0, True)])
+    def test_grid_starts_at_zero_within_the_uniformity_tolerance(
+            self, tmp_path, start, refused):
+        # the grid's tolerance is 1e-9 * max(dt, 1): 1e-9 at dt = 0.1
+        path = tmp_path / "series.csv"
+        path.write_text("t,C\n" + "".join(
+            f"{start + 0.1 * n!r},{0.5 ** n}\n" for n in range(4)))
+        if refused:
+            with pytest.raises(ValueError, match="series.csv: series starts"):
+                CorrelationSeries.from_csv(path)
+        else:
+            assert CorrelationSeries.from_csv(path).values[3] == 0.125
 
     def test_normalized_start_enforced(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import shutil
 import sys
 from collections.abc import Iterator
 
@@ -9,7 +10,8 @@ import pytest
 import scipy
 
 from morilab import chain, cli, experiment
-from morilab.chain import CorrelationSeries, LanczosChain, PropagationError
+from morilab.chain import (CorrelationSeries, LanczosChain, PropagationError,
+                           read_csv)
 from morilab.cli import ConfigError, main, parse_config, parse_target
 from morilab.experiment import (Scenario, ScenarioConfig, build_families,
                                 exemplary_trials, records_from_csv, summarize)
@@ -198,13 +200,46 @@ class TestSubcommands:
                      "--tmax", "5", "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
-    def test_blank_series_row_exit_2(self, tmp_path, capsys):
-        series = tmp_path / "C.csv"
-        CorrelationSeries(0.1, np.exp(-0.1 * np.arange(20))).to_csv(series)
-        series.write_text(series.read_text() + "\n")   # line 22 is blank
-        assert main(["fit", "--series", str(series), "--model", "exp",
-                     "--out", str(tmp_path / "fit.json")]) == 2
-        assert f"{series}: line 22: 0 cells" in capsys.readouterr().err
+    @pytest.fixture
+    def csv_input(self, request, tmp_path):
+        """A CSV file and the arguments of a command that reads it: a series
+        for `fit`, or a file of a copy of a finished run for `plot`."""
+        if request.param == "series":
+            series = tmp_path / "C.csv"
+            CorrelationSeries(0.1, np.exp(-0.1 * np.arange(20))).to_csv(series)
+            return series, ["fit", "--series", str(series), "--model", "exp",
+                            "--out", str(tmp_path / "fit.json")]
+        run = tmp_path / "run"
+        shutil.copytree(request.getfixturevalue("tiny_run"), run)
+        return run / request.param, ["plot", "--from", str(run)]
+
+    @pytest.mark.parametrize("csv_input", ["series", "records.csv",
+                                           "curves.csv"], indirect=True)
+    def test_blank_last_row_exit_2(self, csv_input, capsys):
+        path, argv = csv_input
+        text = path.read_text()
+        path.write_text(text + "\n")
+        assert main(argv) == 2
+        blank = text.count("\n") + 1
+        assert f"{path}: line {blank}: 0 cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("csv_input, line, column, cell, error", [
+        ("records.csv", 3, 0, "xyz", "line 3: invalid literal for int()"),
+        ("records.csv", 2, 8, "abc", "line 2: could not convert"),
+        ("curves.csv", 4, 1, "xyz", "line 4: invalid literal for int()"),
+        ("curves.csv", 2, 3, "abc", "line 2: could not convert"),
+        ("curves.csv", 1, 0, "fam", "expected header 'family,trial,t,C,fit'"),
+    ], indirect=["csv_input"])
+    def test_bad_run_file_cell_exit_2(self, csv_input, capsys, line, column,
+                                      cell, error):
+        path, argv = csv_input
+        lines = path.read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        cells[column] = cell
+        lines[line - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(argv) == 2
+        assert f"{path}: {error}" in capsys.readouterr().err
 
     def test_short_chain_row_exit_2(self, tmp_path, capsys):
         chain_csv = tmp_path / "chain.csv"
@@ -229,6 +264,22 @@ class TestSubcommands:
     def test_finite_series_runs(self, gdo_series, tmp_path, command):
         assert main([command[0], "--series", str(gdo_series), *command[1:],
                      "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("start", [5.0, 1e-6])
+    @pytest.mark.parametrize("command", SERIES_COMMANDS,
+                             ids=lambda command: command[0] + "-" + command[-1])
+    def test_series_not_starting_at_zero_exit_2(self, gdo_series, tmp_path,
+                                                capsys, command, start):
+        # the readers take t_n = n*dt: a later start would shift every time
+        rows = [line.split(",") for line in gdo_series.read_text().split()]
+        gdo_series.write_text("t,C\n" + "".join(
+            f"{float(t) + start!r},{c}\n" for t, c in rows[1:]))
+        out = tmp_path / "out"
+        assert main([command[0], "--series", str(gdo_series), *command[1:],
+                     "--out", str(out)]) == 2
+        assert (f"{gdo_series}: series starts at t = {start:g}, not 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", SERIES_COMMANDS,
@@ -356,12 +407,14 @@ class TestOnePass:
         config = parse_config(str(tiny_run / "manifest.json"), {})
         records = records_from_csv(tiny_run / "records.csv")
         summary = summarize(records, config.bin_width)
-        rows = cli._read_csv_rows(tiny_run / "curves.csv")
+        rows = list(read_csv(tiny_run / "curves.csv",
+                             ["family", "trial", "t", "C", "fit"],
+                             [str, int, float, float, float]))
         for family in build_families(config):
             exemplars = exemplary_trials(records, summary, family.name)
             assert exemplars
             shown = [r for r in rows if r[0] == family.name]
-            assert list(dict.fromkeys(int(r[1]) for r in shown)) == \
+            assert list(dict.fromkeys(r[1] for r in shown)) == \
                 [rec.trial for rec in exemplars]
             for rec in exemplars:
                 draw = draw_noise(config.d, config.n_f, rec.seed)
@@ -370,8 +423,8 @@ class TestOnePass:
                 series = chain.propagate(pert.chain, dt=config.dt,
                                          t_max=config.t_max)
                 stride = max(1, len(series) // cli.CURVE_POINTS)
-                assert [r[3] for r in shown if int(r[1]) == rec.trial] == \
-                    [f"{c:.17g}" for c in series.values[::stride]]
+                assert [r[3] for r in shown if r[1] == rec.trial] == \
+                    list(series.values[::stride])
 
 
 def failing_where(fn, condition, error):
@@ -464,12 +517,19 @@ class TestRunCommand:
         assert (out2 / "records.csv").read_bytes() == \
             (tiny_run / "records.csv").read_bytes()
 
-    def test_plot_rerender_byte_identical(self, tiny_run):
-        svgs = [n for n in os.listdir(tiny_run) if n.endswith(".svg")]
-        before = {n: (tiny_run / n).read_bytes() for n in svgs}
-        assert main(["plot", "--from", str(tiny_run)]) == 0
-        for n in svgs:
-            assert (tiny_run / n).read_bytes() == before[n]
+    def test_plot_rerender_byte_identical(self, tiny_run, tiny_oscillation_run,
+                                          tmp_path):
+        # an untouched run's CSVs re-render to the digests of its manifest
+        for src in (tiny_run, tiny_oscillation_run):
+            run = shutil.copytree(src, tmp_path / src.name)
+            outputs = json.loads((run / "manifest.json").read_text())["outputs"]
+            svgs = [n for n in outputs if n.endswith(".svg")]
+            assert any(n.startswith("exemplar_") for n in svgs)
+            for n in svgs:
+                (run / n).unlink()
+            assert main(["plot", "--from", str(run)]) == 0
+            for n in svgs:
+                assert cli._sha256(run / n) == outputs[n], n
 
     @pytest.mark.parametrize("family", ["g", "e"])
     def test_propagate_command_reproduces_the_baseline(self, tiny_run,

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -62,15 +60,6 @@ class TestDrawNoise:
             draw_noise(100, 0, 1)
         with pytest.raises(ValueError):
             draw_noise(100, 101, 1)
-
-    def test_json_roundtrip(self, tmp_path):
-        draw = draw_noise(128, 42, 7)
-        path = tmp_path / "draw.json"
-        draw.to_json(path)
-        data = json.loads(path.read_text())
-        assert (data["d"], data["n_f"], data["seed"]) == (128, 42, 7)
-        assert np.array(data["x"]).tobytes() == draw.x.tobytes()
-        assert np.array(data["y"]).tobytes() == draw.y.tobytes()
 
 
 class TestApplyDraw:

@@ -189,7 +189,7 @@ class TestGdoPipeline:
         den = fourier_of_correlation(
             AnalyticCorrelation(gauss_rate=-0.125, cos_freq=2.0), n_max=50)
         rr = lanczos_from_spectrum(den, 50)
-        cont = linear_continuation(rr.b, 2000, label="gdo")
+        cont = linear_continuation(rr.b, 2000)
         assert cont.slope == pytest.approx(1 / (4 * np.sqrt(50)), rel=0.05)
         series = propagate(cont.chain, dt=0.02, t_max=25.0)
         target = np.exp(-series.t**2 / 8) * np.cos(2 * series.t)
