@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__
 from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, PropagationError,
-                    propagate, read_csv)
+                    _finite, propagate, read_csv)
 from .design import linear_continuation
 from .experiment import (Scenario, ScenarioConfig, TrialRecord, build_families,
                          histogram_to_csv, records_from_csv, records_to_csv,
@@ -346,7 +346,7 @@ def render_all(out_dir) -> list[str]:
     fams = sorted(summary["unperturbed"])
     curves: dict[str, list] = {}
     for row in read_csv(path("curves.csv"), ["family", "trial", "t", "C", "fit"],
-                        [str, int, float, float, float]):
+                        [str, int, _finite, _finite, _finite]):
         curves.setdefault(row[0], []).append(row)
     figures = {
         "histogram.svg": (render_histogram_svg, summary["families"]),

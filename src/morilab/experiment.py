@@ -439,12 +439,18 @@ class _Cell(NamedTuple):
     failed: object        # the field's value in a failed trial's record
 
 
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag cell {cell!r} is not 0 or 1")
+    return cell == "1"
+
+
 # TrialRecord's fields, in order, are the records.csv columns; a field's
 # annotation picks how its cells are written and read
 _CELLS = {
     "int": _Cell(int, int, 0),
     "str": _Cell(str, str, ""),
-    "bool": _Cell(int, lambda cell: bool(int(cell)), False),
+    "bool": _Cell(int, _flag, False),
     "float": _Cell(lambda v: repr(float(v)), float, math.nan),
     "float | None": _Cell(lambda v: "" if v is None else repr(float(v)),
                           lambda cell: None if cell == "" else float(cell),

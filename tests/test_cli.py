@@ -229,6 +229,8 @@ class TestSubcommands:
         ("curves.csv", 4, 1, "xyz", "line 4: invalid literal for int()"),
         ("curves.csv", 2, 3, "abc", "line 2: could not convert"),
         ("curves.csv", 1, 0, "fam", "expected header 'family,trial,t,C,fit'"),
+        ("records.csv", 2, 12, "7", "line 2: flag cell '7' is not 0 or 1"),
+        ("curves.csv", 3, 3, "nan", "line 3: non-finite cell 'nan'"),
     ], indirect=["csv_input"])
     def test_bad_run_file_cell_exit_2(self, csv_input, capsys, line, column,
                                       cell, error):
@@ -779,6 +781,65 @@ class TestRunCommand:
         assert main(["run", "--out", "/tmp/should-not-exist-xyz"]) == 2
 
 
+DESK_FAMILIES = {"decay": ("g", "e"), "oscillation": ("gdo", "edo")}
+DESK_TMAX = {"decay": "40", "oscillation": "30"}
+
+
+@pytest.fixture(scope="module", params=sorted(DESK_FAMILIES))
+def desk_runs(request, tmp_path_factory):
+    """The scenario's desk run of 6 trials, seed 3, with 1, 2 and 3 workers."""
+    runs = []
+    for workers in (1, 2, 3):
+        out = tmp_path_factory.mktemp(f"{request.param}-workers-{workers}")
+        assert main(["run", "--scenario", request.param, "--profile", "desk",
+                     "--trials", "6", "--seed", "3", "--workers", str(workers),
+                     "--out", str(out)]) == 0
+        runs.append(out)
+    return request.param, runs
+
+
+class TestDeskWorkerCounts:
+    """Worker-count invariance at desk scale, d = 2000.
+
+    Blocks of 6, 3 and 2 trials expand their chains in moment recursions of
+    as many rows: every row must come out the same.  Decay blocks are one
+    uncut (lambda_q, n_c) group; oscillation blocks split into several
+    groups of cut chains.  Each baseline, propagated alone by `morilab
+    propagate`, must give the run's bytes: at decay its Bessel sum runs over
+    115 chunks of J_2k rows, the last one of 26.  `morilab design` with the
+    run's defaults must write the bytes of each of the run's chains.
+    """
+
+    def test_run_files_do_not_depend_on_the_worker_count(self, desk_runs):
+        scenario, runs = desk_runs
+        names = ["records.csv", "curves.csv",
+                 *(f"unperturbed_{f}.csv" for f in DESK_FAMILIES[scenario])]
+        for run in runs[1:]:
+            for name in names:
+                assert (run / name).read_bytes() == \
+                    (runs[0] / name).read_bytes(), f"{run.name}/{name}"
+
+    def test_propagate_command_reproduces_each_baseline(self, desk_runs,
+                                                        tmp_path):
+        scenario, (run, *_) = desk_runs
+        for fam in DESK_FAMILIES[scenario]:
+            out = tmp_path / f"alone_{fam}.csv"
+            assert main(["propagate", "--chain", str(run / f"chain_{fam}.csv"),
+                         "--dt", "0.02", "--tmax", DESK_TMAX[scenario],
+                         "--out", str(out)]) == 0
+            assert out.read_bytes() == \
+                (run / f"unperturbed_{fam}.csv").read_bytes(), fam
+
+    def test_design_command_reproduces_each_chain(self, desk_runs, tmp_path):
+        scenario, (run, *_) = desk_runs
+        for fam in DESK_FAMILIES[scenario]:
+            out = tmp_path / f"design_{fam}.csv"
+            assert main(["design", "--family", fam, "--d", "2000",
+                         "--out", str(out)]) == 0
+            assert out.read_bytes() == \
+                (run / f"chain_{fam}.csv").read_bytes(), fam
+
+
 class TestRenderAll:
     def test_each_input_is_read_once(self, tiny_run, monkeypatch):
         reads = {}
@@ -815,15 +876,11 @@ class TestRenderAll:
         assert with_failure == scatter_svg("clean.svg", records)
         assert b'"nan"' not in with_failure
 
-    def test_stale_family_files_are_not_drawn(self, tiny_run, tmp_path):
-        # an oscillation run left its families' CSVs in the directory
-        # before the decay run: the decay run's figures do not draw them
-        stale = tmp_path / "stale"
-        stale.mkdir()
-        for name in ("chain", "unperturbed"):
-            for fam in ("gdo", "edo"):
-                (stale / f"{name}_{fam}.csv").write_bytes(
-                    (tiny_run / f"{name}_g.csv").read_bytes())
+    def test_stale_family_files_are_not_drawn(self, tiny_run,
+                                              tiny_oscillation_run, tmp_path):
+        # a decay run into the directory an oscillation run wrote draws only
+        # its own families: every file it lists has a fresh run's bytes
+        stale = shutil.copytree(tiny_oscillation_run, tmp_path / "stale")
         assert main(TINY_RUN + ["--out", str(stale)]) == 0
         manifest = json.loads((tiny_run / "manifest.json").read_text())
         for name in manifest["outputs"]:
