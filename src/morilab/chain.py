@@ -9,6 +9,7 @@ C(t).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import mmap
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ __all__ = [
     "propagate",
     "propagate_many",
     "read_csv",
+    "write_csv",
     "dense_generator",
     "dense_correlation",
     "spectral_width_sum",
@@ -62,6 +64,15 @@ def read_csv(path, header: Sequence[str],
             yield typed
 
 
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """`header` and `rows` in csv's default dialect: CRLF line ends, a float
+    by its shortest round-trip repr, None as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _finite(cell: str) -> float:
     value = float(cell)
     if not math.isfinite(value):
@@ -96,16 +107,16 @@ class LanczosChain:
 
     # -- serialization ----------------------------------------------------
     def to_csv(self, path) -> None:
-        """Write `n,b` rows; repr formatting round-trips bit-exactly."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "b"])
-            for n, bn in enumerate(self.b, start=1):
-                w.writerow([n, repr(float(bn))])
+        write_csv(path, ["n", "b"], enumerate(self.b.tolist(), start=1))
 
     @classmethod
     def from_csv(cls, path) -> "LanczosChain":
-        return cls([b for _, b in read_csv(path, ["n", "b"], [_finite, _finite])])
+        """A chain written by `to_csv`: row i must hold n = i."""
+        rows = itertools.count(1)
+        def index(cell: str) -> None:
+            if int(cell) != (i := next(rows)):
+                raise ValueError(f"n = {cell} in row {i}")
+        return cls([b for _, b in read_csv(path, ["n", "b"], [index, _finite])])
 
 
 @dataclass
@@ -140,10 +151,7 @@ class CorrelationSeries:
         return self.values.size
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,C\n")
-            for n, c in enumerate(self.values):
-                fh.write(f"{n * self.dt:.17g},{c:.17g}\n")
+        write_csv(path, ["t", "C"], zip(self.t.tolist(), self.values.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "CorrelationSeries":
@@ -153,6 +161,8 @@ class CorrelationSeries:
             raise ValueError(f"{path}: series needs at least two samples")
         t, c = np.array(rows).T
         dt = t[1] - t[0]
+        if not dt > 0:
+            raise ValueError(f"{path}: time column does not increase")
         tol = 1e-9 * max(dt, 1.0)
         if abs(t[0]) > tol:
             raise ValueError(f"{path}: series starts at t = {t[0]:g}, not 0")

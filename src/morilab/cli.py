@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__
 from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, PropagationError,
-                    _finite, propagate, read_csv)
+                    _finite, propagate, read_csv, write_csv)
 from .design import linear_continuation
 from .experiment import (Scenario, ScenarioConfig, TrialRecord, build_families,
                          histogram_to_csv, records_from_csv, records_to_csv,
@@ -42,6 +42,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 CHAIN_POINTS = 1200  # at most about this many coefficients drawn per chain
 CURVE_POINTS = 1500  # at most about this many samples per C(t), written or drawn
+CURVES_HEADER = ["family", "trial", "t", "C", "fit"]
 
 log = logging.getLogger("morilab")
 
@@ -262,19 +263,22 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_curves_csv(config: ScenarioConfig, summary, path) -> None:
-    """Dump the exemplary trials' C(t), as the ensemble propagated it, + fit."""
-    with open(path, "w", newline="") as fh:
-        fh.write("family,trial,t,C,fit\n")
-        for name, exemplars in summary.exemplars.items():
-            for rec, values in exemplars:
-                fit_vals = ModelClass(rec.model).curve(
-                    (rec.a, rec.mu, rec.omega, rec.phi),
-                    np.arange(values.size) * config.dt)
-                stride = max(1, values.size // CURVE_POINTS)
-                for n in range(0, values.size, stride):
-                    fh.write(f"{name},{rec.trial},{n * config.dt:.17g},"
-                             f"{values[n]:.17g},{fit_vals[n]:.17g}\n")
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+
+
+def _curves_rows(config: ScenarioConfig, summary):
+    """The exemplary trials' C(t), as the ensemble propagated it, + fit."""
+    for name, exemplars in summary.exemplars.items():
+        for rec, values in exemplars:
+            t = np.arange(values.size) * config.dt
+            fit_vals = ModelClass(rec.model).curve(
+                (rec.a, rec.mu, rec.omega, rec.phi), t)
+            stride = max(1, values.size // CURVE_POINTS)
+            for cells in zip(t[::stride].tolist(), values[::stride].tolist(),
+                             fit_vals[::stride].tolist()):
+                yield name, rec.trial, *cells
 
 
 def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
@@ -309,11 +313,10 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
 
     summary_doc = {**summary.to_json_dict(), "config": config.to_json_dict(),
                    "unperturbed": unperturbed}
-    with open(path("summary.json"), "w") as fh:
-        json.dump(summary_doc, fh, indent=1, sort_keys=True)
+    _write_json(path("summary.json"), summary_doc)
     emitted.append("summary.json")
 
-    _write_curves_csv(config, summary, path("curves.csv"))
+    write_csv(path("curves.csv"), CURVES_HEADER, _curves_rows(config, summary))
     emitted.append("curves.csv")
 
     emitted.extend(render_all(out_dir))
@@ -332,8 +335,7 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
         "duration_seconds": round(duration, 3),
         "outputs": {name: _sha256(path(name)) for name in sorted(set(emitted))},
     }
-    with open(path("manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    _write_json(path("manifest.json"), manifest)
     return manifest
 
 
@@ -345,7 +347,7 @@ def render_all(out_dir) -> list[str]:
         summary = json.load(fh)
     fams = sorted(summary["unperturbed"])
     curves: dict[str, list] = {}
-    for row in read_csv(path("curves.csv"), ["family", "trial", "t", "C", "fit"],
+    for row in read_csv(path("curves.csv"), CURVES_HEADER,
                         [str, int, _finite, _finite, _finite]):
         curves.setdefault(row[0], []).append(row)
     figures = {
@@ -399,7 +401,9 @@ def _cmd_reverse(args) -> int:
                                          n_max=args.nmax)
     result = lanczos_from_spectrum(density, args.nmax)
     LanczosChain(result.b).to_csv(args.out)
-    result.sidecar(args.out + ".meta.json")
+    _write_json(args.out + ".meta.json", {
+        "achieved": result.achieved, "requested": result.requested,
+        "stop_reason": result.stop_reason, "quadrature": result.quadrature})
     print(f"wrote {args.out} ({result.achieved}/{result.requested} coefficients; "
           f"{result.stop_reason})")
     if args.continue_to:
@@ -424,7 +428,7 @@ def _cmd_fit(args) -> int:
     series = CorrelationSeries.from_csv(args.series)
     n_eq, equilibrated = detect_equilibration(series, args.threshold, args.window)
     result = fit(series, ModelClass(args.model), n_eq)
-    result.to_json(args.out)
+    _write_json(args.out, result.to_json_dict())
     print(f"wrote {args.out} (epsilon={result.epsilon:.5g}, n_eq={n_eq}, "
           f"equilibrated={equilibrated})")
     return 0

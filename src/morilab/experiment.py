@@ -8,7 +8,6 @@ into histograms, scatter pairs and means.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import os
@@ -20,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .chain import (CorrelationSeries, LanczosChain, PropagationError,
-                    propagate, propagate_many, read_csv)
+                    propagate, propagate_many, read_csv, write_csv)
 from .design import exponential_chain, gaussian_chain, oscillating_pair
 from .fitting import (EQ_THRESHOLD, EQ_WINDOW, FitResult, ModelClass,
                       detect_equilibration, epsilon, fit, sigma)
@@ -434,7 +433,6 @@ def exemplary_trials(records: Sequence[TrialRecord], summary: EnsembleSummary,
 # ---------------------------------------------------------------------------
 
 class _Cell(NamedTuple):
-    write: Callable       # field value -> csv cell
     read: Callable        # csv cell -> field value
     failed: object        # the field's value in a failed trial's record
 
@@ -446,14 +444,13 @@ def _flag(cell: str) -> bool:
 
 
 # TrialRecord's fields, in order, are the records.csv columns; a field's
-# annotation picks how its cells are written and read
+# annotation picks how its cells are read
 _CELLS = {
-    "int": _Cell(int, int, 0),
-    "str": _Cell(str, str, ""),
-    "bool": _Cell(int, _flag, False),
-    "float": _Cell(lambda v: repr(float(v)), float, math.nan),
-    "float | None": _Cell(lambda v: "" if v is None else repr(float(v)),
-                          lambda cell: None if cell == "" else float(cell),
+    "int": _Cell(int, 0),
+    "str": _Cell(str, ""),
+    "bool": _Cell(_flag, False),
+    "float": _Cell(float, math.nan),
+    "float | None": _Cell(lambda cell: None if cell == "" else float(cell),
                           None),
 }
 _SPELLING = {"a": "A"}  # columns not spelled as their field
@@ -470,12 +467,11 @@ def _failed_record(**known) -> TrialRecord:
 
 
 def records_to_csv(records: Sequence[TrialRecord], path) -> None:
+    """A flag is written as 0 or 1, every other field as csv writes it."""
     cols = fields(TrialRecord)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_header())
-        for r in records:
-            w.writerow([_CELLS[f.type].write(getattr(r, f.name)) for f in cols])
+    write_csv(path, _header(), ([int(getattr(r, f.name)) if f.type == "bool"
+                                 else getattr(r, f.name) for f in cols]
+                                for r in records))
 
 
 def records_from_csv(path) -> list[TrialRecord]:
@@ -484,19 +480,14 @@ def records_from_csv(path) -> list[TrialRecord]:
 
 
 def histogram_to_csv(summary: EnsembleSummary, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_left", "bin_right", "family", "count"])
-        for name, fam in summary.families.items():
-            h = fam.histogram
-            for i, count in enumerate(h.counts):
-                w.writerow([repr(float(h.edges[i])), repr(float(h.edges[i + 1])),
-                            name, int(count)])
+    rows = []
+    for name, fam in summary.families.items():
+        edges, counts = fam.histogram
+        rows += [(lo, hi, name, count) for lo, hi, count in zip(
+            edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())]
+    write_csv(path, ["bin_left", "bin_right", "family", "count"], rows)
 
 
 def scatter_to_csv(records: Sequence[TrialRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["family", "sigma", "epsilon"])
-        for r in records:
-            w.writerow([r.family, repr(r.sigma), repr(r.epsilon)])
+    write_csv(path, ["family", "sigma", "epsilon"],
+              ((r.family, r.sigma, r.epsilon) for r in records))

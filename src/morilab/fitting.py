@@ -10,7 +10,6 @@ dynamics.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -147,10 +146,6 @@ class FitResult:
                 "omega": m.omega, "phi": m.phi,
                 "epsilon": self.epsilon, "n_eq": self.n_eq,
                 "converged": self.converged, "restarts_used": self.restarts_used}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
 
 
 class EquilibrationResult(NamedTuple):

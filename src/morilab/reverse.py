@@ -8,7 +8,6 @@ chain's hopping amplitudes.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -212,12 +211,6 @@ class ReverseResult:
     requested: int
     stop_reason: str
     quadrature: dict
-
-    def sidecar(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"achieved": self.achieved, "requested": self.requested,
-                       "stop_reason": self.stop_reason,
-                       "quadrature": self.quadrature}, fh, indent=1)
 
 
 def _recursion(omega: np.ndarray, values: np.ndarray,

@@ -14,6 +14,8 @@ __all__ = ["Figure", "COLORS"]
 COLORS = {"g": "#c02020", "e": "#2040c0", "gdo": "#c02020", "edo": "#2040c0",
           "fit": "#101010", "ref": "#888888"}
 _FALLBACK = ("#c02020", "#2040c0", "#208040", "#806020")
+WIDTH, HEIGHT = 640, 420                  # every figure's size, in pixels
+TOP, RIGHT, BOTTOM, LEFT = 50, 15, 35, 55  # and its margins
 
 
 def _fmt(x: float) -> str:
@@ -23,12 +25,7 @@ def _fmt(x: float) -> str:
 class Figure:
     """One SVG panel with margins, linear axes and simple marks."""
 
-    def __init__(self, width: int = 640, height: int = 420,
-                 margin: tuple[int, int, int, int] = (50, 15, 35, 55),
-                 title: str = "", xlabel: str = "", ylabel: str = ""):
-        self.width = width
-        self.height = height
-        self.top, self.right, self.bottom, self.left = margin
+    def __init__(self, title: str = "", xlabel: str = "", ylabel: str = ""):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
@@ -45,13 +42,12 @@ class Figure:
 
     def _sx(self, x: float) -> float:
         lo, hi = self._xlim
-        w = self.width - self.left - self.right
-        return self.left + (x - lo) / (hi - lo) * w
+        return LEFT + (x - lo) / (hi - lo) * (WIDTH - LEFT - RIGHT)
 
     def _sy(self, y: float) -> float:
         lo, hi = self._ylim
-        h = self.height - self.top - self.bottom
-        return self.top + h - (y - lo) / (hi - lo) * h
+        h = HEIGHT - TOP - BOTTOM
+        return TOP + h - (y - lo) / (hi - lo) * h
 
     # -- marks ----------------------------------------------------------------
     def polyline(self, x, y, color: str, width: float = 1.3,
@@ -65,17 +61,15 @@ class Figure:
         if label:
             self._legend.append((label, color))
 
-    def scatter(self, x, y, color: str, radius: float = 2.0,
-                label: str = "", opacity: float = 0.55) -> None:
+    def scatter(self, x, y, color: str, label: str = "") -> None:
         for a, b in zip(x, y):
             self._body.append(
                 f'<circle cx="{_fmt(self._sx(a))}" cy="{_fmt(self._sy(b))}"'
-                f' r="{radius}" fill="{color}" fill-opacity="{opacity}"/>')
+                f' r="2.0" fill="{color}" fill-opacity="0.55"/>')
         if label:
             self._legend.append((label, color))
 
-    def bars(self, lefts, rights, heights, color: str, label: str = "",
-             opacity: float = 0.6) -> None:
+    def bars(self, lefts, rights, heights, color: str, label: str = "") -> None:
         y0 = self._sy(self._ylim[0])
         for lo, hi, h in zip(lefts, rights, heights):
             if h <= 0:
@@ -86,36 +80,34 @@ class Figure:
             self._body.append(
                 f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}"'
                 f' height="{_fmt(y0 - y)}" fill="{color}"'
-                f' fill-opacity="{opacity}"/>')
+                ' fill-opacity="0.6"/>')
         if label:
             self._legend.append((label, color))
 
-    def vline(self, x: float, color: str, dash: str = "6,4",
-              label: str = "") -> None:
+    def vline(self, x: float, color: str, label: str = "") -> None:
         sx = _fmt(self._sx(x))
         self._body.append(
-            f'<line x1="{sx}" y1="{_fmt(self.top)}" x2="{sx}"'
-            f' y2="{_fmt(self.height - self.bottom)}" stroke="{color}"'
-            f' stroke-width="1.2" stroke-dasharray="{dash}"/>')
+            f'<line x1="{sx}" y1="{_fmt(TOP)}" x2="{sx}"'
+            f' y2="{_fmt(HEIGHT - BOTTOM)}" stroke="{color}"'
+            ' stroke-width="1.2" stroke-dasharray="6,4"/>')
         if label:
             self._legend.append((label, color))
 
     # -- assembly ---------------------------------------------------------
-    def _ticks(self, lo: float, hi: float, n: int = 5) -> list[float]:
-        raw = np.linspace(lo, hi, n)
-        return [float(f"{v:.3g}") for v in raw]
+    def _ticks(self, lo: float, hi: float) -> list[float]:
+        return [float(f"{v:.3g}") for v in np.linspace(lo, hi, 5)]
 
     def render(self) -> str:
         if self._xlim is None or self._ylim is None:
             raise RuntimeError("set_limits must be called before render")
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}"'
-            f' height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}"'
+            f' height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         ]
-        x0, y0 = self.left, self.height - self.bottom
-        x1, y1 = self.width - self.right, self.top
+        x0, y0 = LEFT, HEIGHT - BOTTOM
+        x1, y1 = WIDTH - RIGHT, TOP
         out.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}"'
                    f' height="{y0 - y1}" fill="none" stroke="#404040"/>')
         font = 'font-family="Helvetica,Arial,sans-serif"'
@@ -135,7 +127,7 @@ class Figure:
             out.append(f'<text x="{(x0 + x1) / 2:.6g}" y="{y1 - 5}" {font}'
                        f' font-size="13" text-anchor="middle">{self.title}</text>')
         if self.xlabel:
-            out.append(f'<text x="{(x0 + x1) / 2:.6g}" y="{self.height - 6}" {font}'
+            out.append(f'<text x="{(x0 + x1) / 2:.6g}" y="{HEIGHT - 6}" {font}'
                        f' font-size="12" text-anchor="middle">{self.xlabel}</text>')
         if self.ylabel:
             out.append(f'<text x="14" y="{(y0 + y1) / 2:.6g}" {font} font-size="12"'

@@ -170,7 +170,9 @@ class TestSubcommands:
         rows = coeffs.read_text().strip().splitlines()
         assert rows[0] == "n,b"
         assert len(rows) == 51  # 50 coefficients
-        assert os.path.exists(str(coeffs) + ".meta.json")
+        meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
+        assert list(meta) == ["achieved", "quadrature", "requested",
+                              "stop_reason"]
         chain = LanczosChain.from_csv(chain_out)
         assert chain.d == 400
 
@@ -267,20 +269,24 @@ class TestSubcommands:
         assert main([command[0], "--series", str(gdo_series), *command[1:],
                      "--out", str(tmp_path / "out")]) == 0
 
-    @pytest.mark.parametrize("start", [5.0, 1e-6])
+    @pytest.mark.parametrize("start, dt, error", [
+        (5.0, 0.05, "series starts at t = 5, not 0"),
+        (1e-6, 0.05, "series starts at t = 1e-06, not 0"),
+        (0.0, 0.0, "time column does not increase"),
+        (0.0, -0.05, "time column does not increase")])
     @pytest.mark.parametrize("command", SERIES_COMMANDS,
                              ids=lambda command: command[0] + "-" + command[-1])
-    def test_series_not_starting_at_zero_exit_2(self, gdo_series, tmp_path,
-                                                capsys, command, start):
-        # the readers take t_n = n*dt: a later start would shift every time
+    def test_series_off_the_grid_exit_2(self, gdo_series, tmp_path, capsys,
+                                        command, start, dt, error):
+        # the readers take t_n = n*dt with dt > 0: a later start would shift
+        # every time, and times that do not increase have no such dt
         rows = [line.split(",") for line in gdo_series.read_text().split()]
         gdo_series.write_text("t,C\n" + "".join(
-            f"{float(t) + start!r},{c}\n" for t, c in rows[1:]))
+            f"{start + n * dt!r},{c}\n" for n, (_, c) in enumerate(rows[1:])))
         out = tmp_path / "out"
         assert main([command[0], "--series", str(gdo_series), *command[1:],
                      "--out", str(out)]) == 2
-        assert (f"{gdo_series}: series starts at t = {start:g}, not 0"
-                in capsys.readouterr().err)
+        assert f"{gdo_series}: {error}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -299,14 +305,16 @@ class TestSubcommands:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    def test_non_finite_chain_cell_exit_2(self, tmp_path, capsys, cell):
+    @pytest.mark.parametrize("n, b, error", [
+        ("2", "nan", "non-finite cell"), ("2", "inf", "non-finite cell"),
+        ("2", "-inf", "non-finite cell"), ("3", "1.5", "n = 3 in row 2"),
+        ("1.5", "1.5", "invalid literal for int()")])
+    def test_bad_chain_cell_exit_2(self, tmp_path, capsys, n, b, error):
         chain_csv = tmp_path / "chain.csv"
-        chain_csv.write_text(f"n,b\n1,1.5\n2,{cell}\n3,1.5\n")
+        chain_csv.write_text(f"n,b\n1,1.5\n{n},{b}\n3,1.5\n")
         assert main(["propagate", "--chain", str(chain_csv), "--tmax", "5",
                      "--out", str(tmp_path / "o.csv")]) == 2
-        assert (f"{chain_csv}: line 3: non-finite cell"
-                in capsys.readouterr().err)
+        assert f"{chain_csv}: line 3: {error}" in capsys.readouterr().err
 
     @pytest.fixture
     def exp_series(self, tmp_path):
@@ -519,11 +527,22 @@ class TestRunCommand:
         assert (out2 / "records.csv").read_bytes() == \
             (tiny_run / "records.csv").read_bytes()
 
+    @pytest.mark.parametrize("old_spelling", [False, True])
     def test_plot_rerender_byte_identical(self, tiny_run, tiny_oscillation_run,
-                                          tmp_path):
-        # an untouched run's CSVs re-render to the digests of its manifest
+                                          tmp_path, old_spelling):
+        # an untouched run's CSVs re-render to the digests of its manifest,
+        # and so do its unperturbed_<f>.csv and curves.csv as earlier
+        # versions wrote them: LF line ends and every number by %.17g
         for src in (tiny_run, tiny_oscillation_run):
             run = shutil.copytree(src, tmp_path / src.name)
+            if old_spelling:
+                for path in [*run.glob("unperturbed_*.csv"), run / "curves.csv"]:
+                    header, *rows = path.read_text().splitlines()
+                    old = "".join(f"{line}\n" for line in [header, *(
+                        ",".join(c if c.isalpha() else f"{float(c):.17g}"
+                                 for c in row.split(",")) for row in rows)])
+                    assert old != path.read_text()  # not just the line ends
+                    path.write_bytes(old.encode())
             outputs = json.loads((run / "manifest.json").read_text())["outputs"]
             svgs = [n for n in outputs if n.endswith(".svg")]
             assert any(n.startswith("exemplar_") for n in svgs)
@@ -532,6 +551,11 @@ class TestRunCommand:
             assert main(["plot", "--from", str(run)]) == 0
             for n in svgs:
                 assert cli._sha256(run / n) == outputs[n], n
+
+    def test_every_csv_line_ends_with_crlf(self, tiny_run):
+        for path in tiny_run.glob("*.csv"):
+            data = path.read_bytes()
+            assert data.count(b"\n") == data.count(b"\r\n") > 1, path.name
 
     @pytest.mark.parametrize("family", ["g", "e"])
     def test_propagate_command_reproduces_the_baseline(self, tiny_run,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from morilab import experiment
+from morilab.chain import read_csv, write_csv
 from morilab.experiment import (Scenario, ScenarioConfig, TrialRecord,
                                 build_families, histogram, records_from_csv,
                                 records_to_csv, run_scenario,
@@ -424,3 +425,28 @@ class TestRecordsCsvProperty:
         back = records_from_csv(path)
         assert [tuple(map(bits, astuple(r))) for r in back] == \
             [tuple(map(bits, astuple(r))) for r in records]
+
+
+# the edges of the float range, and nan, which a failed trial's float
+# cells hold
+EDGES = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308,
+                         -1.7976931348623157e308, math.nan])
+# one column of each records.csv cell kind but the flags, which are
+# written as the ints 0 and 1
+COLUMNS = {"int": st.integers(), "str": st.text(st.characters(
+               blacklist_categories=["Cs"], blacklist_characters="\x00")),
+           "float": FINITE | EDGES, "float | None": st.none() | FINITE | EDGES}
+
+
+class TestWriteCsvProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(*COLUMNS.values()), max_size=8))
+    def test_rows_read_back_bit_exact(self, tmp_path, rows):
+        path = tmp_path / "rows.csv"
+        header = ["n", "name", "x", "y"]
+        write_csv(path, header, rows)
+        back = list(read_csv(path, header,
+                             [experiment._CELLS[kind].read for kind in COLUMNS]))
+        assert [tuple(map(bits, row)) for row in back] == \
+            [tuple(map(bits, row)) for row in rows]

@@ -162,16 +162,14 @@ class TestLanczosFromSpectrum:
         with pytest.raises(QuadratureError, match="drift"):
             lanczos_from_spectrum(SpectralDensityInput(om, vals), 10)
 
-    def test_csv_and_sidecar(self, tmp_path):
+    def test_csv(self, tmp_path):
         den = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.5),
                                      n_max=8)
         rr = lanczos_from_spectrum(den, 8)
         LanczosChain(rr.b).to_csv(tmp_path / "b.csv")
-        rr.sidecar(tmp_path / "b.meta.json")
         rows = (tmp_path / "b.csv").read_text().strip().splitlines()
         assert rows[0] == "n,b"
         assert len(rows) == rr.achieved + 1
-        assert (tmp_path / "b.meta.json").read_text().startswith("{")
 
 
 class TestGdoPipeline:
