@@ -33,15 +33,17 @@ from .fitting import (EQ_THRESHOLD, EQ_WINDOW, ModelClass,
 from .perturb import apply_draw, draw_noise
 from .reverse import (AnalyticCorrelation, QuadratureError,
                       fourier_of_correlation, lanczos_from_spectrum)
-from .svgplot import COLORS, Figure, family_color
+from .svgplot import COLORS, PALETTE, Figure, family_color
 
 RNG_NOTE = ("numpy PCG64 via default_rng; per-trial seeds from "
             "SeedSequence(base_seed, spawn_key=(family_index, trial))")
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-CHAIN_POINTS = 1200  # at most about this many coefficients drawn per chain
-CURVE_POINTS = 1500  # at most about this many samples per C(t), written or drawn
+# the stride max(1, size // N) keeps N to 2N - 1 points of an array of N or
+# more, and all of a shorter one
+CHAIN_POINTS = 1200  # N for the coefficients drawn per chain
+CURVE_POINTS = 1500  # N for the samples per C(t), written or drawn
 CURVES_HEADER = ["family", "trial", "t", "C", "fit"]
 
 log = logging.getLogger("morilab")
@@ -55,62 +57,38 @@ class ConfigError(ValueError):
 # analytic target grammar: products of exp(a t), exp(a t^2), cos(b t)
 # ---------------------------------------------------------------------------
 
-_EXP_INNER = re.compile(
-    r"^(?P<coef>[+-]?(?:\d+\.?\d*|\.\d+)?)\*?t(?P<sq>\^2)?(?:/(?P<den>\d+\.?\d*))?$")
-_COS_INNER = re.compile(r"^(?P<coef>[+-]?(?:\d+\.?\d*|\.\d+)?)\*?t$")
-
-
-def _split_factors(expr: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in expr:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p for p in parts if p]
-
-
-def _coef(text: str) -> float:
-    if text in ("", "+"):
-        return 1.0
-    if text == "-":
-        return -1.0
-    return float(text)
+# one factor: exp(a t) or exp(a t^2), either over a divisor, or cos(b t); an
+# omitted coefficient a or b is 1 and keeps its sign
+_FACTOR = re.compile(
+    r"(?:(?P<exp>exp)|cos)\((?P<sign>[+-]?)(?P<num>\d+\.?\d*|\.\d+)?\*?t"
+    r"(?(exp)(?P<sq>\^2)?(?:/(?P<den>\d+\.?\d*))?)\)")
 
 
 def parse_target(expr: str) -> AnalyticCorrelation:
-    """Parse a closed-grammar correlation target like exp(-t^2/8)*cos(2t)."""
+    """Parse a closed-grammar correlation target like exp(-t^2/8)*cos(2t):
+    `_FACTOR`s joined by single `*`s, at most one of them a cosine; spaces
+    are ignored."""
     cleaned = expr.replace(" ", "")
+    factors = list(_FACTOR.finditer(cleaned))
+    if not factors or "*".join(m[0] for m in factors) != cleaned:
+        raise ConfigError(f"cannot parse target {expr!r}; grammar: factors "
+                          "exp(a t), exp(a t^2), either over /n, and cos(b t), "
+                          "joined by single *s")
     gauss = exp_r = 0.0
     cos_f = None
-    for factor in _split_factors(cleaned):
-        if factor.startswith("exp(") and factor.endswith(")"):
-            m = _EXP_INNER.match(factor[4:-1])
-            if not m:
-                raise ConfigError(f"cannot parse exponential factor {factor!r}")
-            rate = _coef(m.group("coef"))
-            if m.group("den"):
-                rate /= float(m.group("den"))
-            if m.group("sq"):
-                gauss += rate
-            else:
-                exp_r += rate
-        elif factor.startswith("cos(") and factor.endswith(")"):
-            m = _COS_INNER.match(factor[4:-1])
-            if not m:
-                raise ConfigError(f"cannot parse cosine factor {factor!r}")
+    for m in factors:
+        den = float(m["den"] or 1)
+        if den == 0:
+            raise ConfigError(f"zero divisor in {m[0]!r}")
+        rate = float(m["sign"] + (m["num"] or "1")) / den
+        if m["exp"] is None:
             if cos_f is not None:
                 raise ConfigError("at most one cosine factor is supported")
-            cos_f = abs(_coef(m.group("coef")))
+            cos_f = abs(rate)
+        elif m["sq"]:
+            gauss += rate
         else:
-            raise ConfigError(
-                f"unsupported factor {factor!r}; grammar: exp(a t), exp(a t^2), cos(b t)")
+            exp_r += rate
     try:
         return AnalyticCorrelation(gauss_rate=gauss, exp_rate=exp_r,
                                    cos_freq=cos_f or 0.0)
@@ -180,28 +158,25 @@ def render_histogram_svg(families: dict, out_path) -> None:
 
 def render_scatter_svg(records: list[TrialRecord], out_path) -> None:
     """Failed trials (NaN sigma or epsilon) keep their rows but are not drawn."""
-    pts = [r for r in records
-           if math.isfinite(r.sigma) and math.isfinite(r.epsilon)]
-    fams = list(dict.fromkeys(r.family for r in pts))
-    lim = max([r.sigma for r in pts] + [r.epsilon for r in pts] + [1e-4]) * 1.08
+    pts: dict[str, list] = {}
+    for r in records:
+        if math.isfinite(r.sigma) and math.isfinite(r.epsilon):
+            pts.setdefault(r.family, []).append((r.sigma, r.epsilon))
+    lim = max([1e-4, *(max(p) for pairs in pts.values() for p in pairs)]) * 1.08
     fig = Figure(title="alteration vs deviation", xlabel="sigma",
                  ylabel="epsilon")
     fig.set_limits((0.0, lim), (0.0, lim))
     fig.polyline([0.0, lim], [0.0, lim], COLORS["ref"], dash="4,4",
                  label="diagonal")
-    for i, fam in enumerate(fams):
-        sel = [r for r in pts if r.family == fam]
-        fig.scatter([r.sigma for r in sel], [r.epsilon for r in sel],
-                    family_color(fam, i), label=fam)
+    for i, (fam, pairs) in enumerate(pts.items()):
+        fig.scatter(*zip(*pairs), family_color(fam, i), label=fam)
     fig.save(out_path)
 
 
 def render_chains_svg(chains: dict[str, LanczosChain], out_path) -> None:
     fig = Figure(title="chain coefficients", xlabel="n", ylabel="b_n")
-    xmax = ymax = 1.0
-    for chain in chains.values():
-        xmax = max(xmax, chain.d - 1)
-        ymax = max(ymax, chain.b.max())
+    xmax = max([1.0, *(chain.d - 1 for chain in chains.values())])
+    ymax = max([1.0, *(chain.b.max() for chain in chains.values())])
     fig.set_limits((0.0, xmax * 1.02), (0.0, ymax * 1.05))
     for i, (fam, chain) in enumerate(chains.items()):
         stride = max(1, chain.b.size // CHAIN_POINTS)
@@ -210,23 +185,17 @@ def render_chains_svg(chains: dict[str, LanczosChain], out_path) -> None:
     fig.save(out_path)
 
 
-def render_curves_svg(rows, family: str, out_path) -> None:
-    """One family's rows of curves.csv, as (family, trial, t, C, fit)."""
-    trials = list(dict.fromkeys(r[1] for r in rows))
+def render_curves_svg(trials: dict, family: str, out_path) -> None:
+    """One family's trials in curves.csv, each as its (t, C, fit) columns."""
     fig = Figure(title=f"exemplary perturbed dynamics ({family})",
                  xlabel="t", ylabel="C(t)")
-    tmax = max((r[2] for r in rows), default=1.0)
-    cvals = [r[3] for r in rows] + [r[4] for r in rows]
-    lo, hi = min(cvals + [0.0]), max(cvals + [1.0])
+    tmax = max(cols[0].max() for cols in trials.values())
+    lo = min([*(cols[1:].min() for cols in trials.values()), 0.0])
+    hi = max([*(cols[1:].max() for cols in trials.values()), 1.0])
     fig.set_limits((0.0, tmax), (lo * 1.05, hi * 1.05))
-    shades = ("#c02020", "#2040c0", "#208040")
-    for i, trial in enumerate(trials):
-        sel = [r for r in rows if r[1] == trial]
-        t = [r[2] for r in sel]
-        fig.polyline(t, [r[3] for r in sel], shades[i % 3],
-                     label=f"trial {trial}")
-        fig.polyline(t, [r[4] for r in sel], COLORS["fit"], width=1.0,
-                     dash="5,3")
+    for i, (trial, (t, c, fit_vals)) in enumerate(trials.items()):
+        fig.polyline(t, c, PALETTE[i % len(PALETTE)], label=f"trial {trial}")
+        fig.polyline(t, fit_vals, COLORS["fit"], width=1.0, dash="5,3")
     fig.save(out_path)
 
 
@@ -235,10 +204,8 @@ def render_unperturbed_svg(series: dict[str, CorrelationSeries], fits: dict,
     """Each baseline C(t) with its fit from `fits`, summary.json's
     "unperturbed"."""
     fig = Figure(title="unperturbed dynamics", xlabel="t", ylabel="C(t)")
-    tmax, lo = 1.0, 0.0
-    for c in series.values():
-        tmax = max(tmax, float(c.t[-1]))
-        lo = min(lo, float(c.values.min()))
+    tmax = max([1.0, *(float(c.t[-1]) for c in series.values())])
+    lo = min([0.0, *(float(c.values.min()) for c in series.values())])
     fig.set_limits((0.0, tmax), (lo * 1.1 - 0.02, 1.05))
     for i, (fam, c) in enumerate(series.items()):
         stride = max(1, len(c) // CURVE_POINTS)
@@ -345,25 +312,31 @@ def render_all(out_dir) -> list[str]:
     path = lambda name: os.path.join(out_dir, name)
     with open(path("summary.json")) as fh:
         summary = json.load(fh)
-    fams = sorted(summary["unperturbed"])
-    curves: dict[str, list] = {}
-    for row in read_csv(path("curves.csv"), CURVES_HEADER,
-                        [str, int, _finite, _finite, _finite]):
-        curves.setdefault(row[0], []).append(row)
-    figures = {
-        "histogram.svg": (render_histogram_svg, summary["families"]),
-        "scatter.svg": (render_scatter_svg,
-                        records_from_csv(path("records.csv"))),
-        "chains.svg": (render_chains_svg, {
-            f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fams}),
-        "unperturbed.svg": (render_unperturbed_svg, {
-            f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
-            for f in fams}, summary["unperturbed"]),
-        **{f"exemplar_{f}.svg": (render_curves_svg, rows, f)
-           for f, rows in curves.items()},
-    }
-    for name, (render, *data) in figures.items():
-        render(*data, path(name))
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{path('summary.json')}: not a JSON object")
+    curves: dict[str, dict[int, list]] = {}
+    for fam, trial, *cells in read_csv(path("curves.csv"), CURVES_HEADER,
+                                       [str, int, _finite, _finite, _finite]):
+        curves.setdefault(fam, {}).setdefault(trial, []).append(cells)
+    try:
+        fams = sorted(summary["unperturbed"])
+        figures = {
+            "histogram.svg": (render_histogram_svg, summary["families"]),
+            "scatter.svg": (render_scatter_svg,
+                            records_from_csv(path("records.csv"))),
+            "chains.svg": (render_chains_svg, {
+                f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fams}),
+            "unperturbed.svg": (render_unperturbed_svg, {
+                f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
+                for f in fams}, summary["unperturbed"]),
+            **{f"exemplar_{f}.svg": (render_curves_svg, {
+                trial: np.array(rows).T for trial, rows in trials.items()}, f)
+               for f, trials in curves.items()},
+        }
+        for name, (render, *data) in figures.items():
+            render(*data, path(name))
+    except KeyError as err:     # the only lookups that can miss are summary's
+        raise ConfigError(f"{path('summary.json')}: no key {err}") from err
     return list(figures)
 
 
@@ -394,11 +367,9 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_reverse(args) -> int:
-    if args.target:
-        density = fourier_of_correlation(parse_target(args.target), n_max=args.nmax)
-    else:
-        density = fourier_of_correlation(CorrelationSeries.from_csv(args.series),
-                                         n_max=args.nmax)
+    target = (parse_target(args.target) if args.target is not None
+              else CorrelationSeries.from_csv(args.series))
+    density = fourier_of_correlation(target, n_max=args.nmax)
     result = lanczos_from_spectrum(density, args.nmax)
     LanczosChain(result.b).to_csv(args.out)
     _write_json(args.out + ".meta.json", {

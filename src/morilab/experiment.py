@@ -352,7 +352,7 @@ def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]
                 raise series
             out.append((_trial_record(ctx, trial, seed, clamps, invalid,
                                       series), series.values, None))
-        except RuntimeError as err:     # a PropagationError or a failed fit
+        except (RuntimeError, ValueError) as err:  # ValueError: n_eq < 8
             record = _failed_record(trial=trial, family=ctx.name, seed=seed,
                                     model=ctx.model_class.value,
                                     clamp_count=clamps)
@@ -389,8 +389,12 @@ def run_scenario(config: ScenarioConfig,
         c0 = propagate(fam.chain, dt=config.dt, t_max=config.t_max)
         n_eq0, eq0 = detect_equilibration(c0, config.eq_threshold,
                                           config.eq_window)
+        try:
+            fit0 = fit(c0, fam.model_class, n_eq0)
+        except ValueError as err:
+            raise ValueError(f"baseline {fam.name}: {err}") from err
         runs.append(FamilyRun(fam.name, idx, fam.chain, fam.model_class, c0,
-                              fit(c0, fam.model_class, n_eq0), eq0, config))
+                              fit0, eq0, config))
 
     n_workers = worker_count(config)
     block = math.ceil(config.n_trials / n_workers)

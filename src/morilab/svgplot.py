@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Figure", "COLORS"]
+__all__ = ["Figure", "COLORS", "PALETTE"]
 
 COLORS = {"g": "#c02020", "e": "#2040c0", "gdo": "#c02020", "edo": "#2040c0",
           "fit": "#101010", "ref": "#888888"}
-_FALLBACK = ("#c02020", "#2040c0", "#208040", "#806020")
+PALETTE = ("#c02020", "#2040c0", "#208040", "#806020")
 WIDTH, HEIGHT = 640, 420                  # every figure's size, in pixels
 TOP, RIGHT, BOTTOM, LEFT = 50, 15, 35, 55  # and its margins
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
 
 
 class Figure:
@@ -40,58 +36,54 @@ class Figure:
         self._xlim = span(*map(float, xlim))
         self._ylim = span(*map(float, ylim))
 
-    def _sx(self, x: float) -> float:
+    # each maps data coordinates, a number or an array, to pixels, with the
+    # arithmetic of one float at a time
+    def _sx(self, x) -> np.ndarray:
         lo, hi = self._xlim
-        return LEFT + (x - lo) / (hi - lo) * (WIDTH - LEFT - RIGHT)
+        return LEFT + (np.asarray(x, dtype=float) - lo) / (hi - lo) * (
+            WIDTH - LEFT - RIGHT)
 
-    def _sy(self, y: float) -> float:
+    def _sy(self, y) -> np.ndarray:
         lo, hi = self._ylim
         h = HEIGHT - TOP - BOTTOM
-        return TOP + h - (y - lo) / (hi - lo) * h
+        return TOP + h - (np.asarray(y, dtype=float) - lo) / (hi - lo) * h
 
     # -- marks ----------------------------------------------------------------
+    def _mark(self, elements, color: str, label: str) -> None:
+        self._body.extend(elements)
+        if label:
+            self._legend.append((label, color))
+
     def polyline(self, x, y, color: str, width: float = 1.3,
                  dash: str = "", label: str = "") -> None:
-        pts = " ".join(f"{_fmt(self._sx(a))},{_fmt(self._sy(b))}"
-                       for a, b in zip(x, y))
+        pts = " ".join(map("{:.6g},{:.6g}".format, self._sx(x).tolist(),
+                           self._sy(y).tolist()))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        self._body.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
-            f'{dash_attr} points="{pts}"/>')
-        if label:
-            self._legend.append((label, color))
+        self._mark([f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
+                    f'{dash_attr} points="{pts}"/>'], color, label)
 
     def scatter(self, x, y, color: str, label: str = "") -> None:
-        for a, b in zip(x, y):
-            self._body.append(
-                f'<circle cx="{_fmt(self._sx(a))}" cy="{_fmt(self._sy(b))}"'
-                f' r="2.0" fill="{color}" fill-opacity="0.55"/>')
-        if label:
-            self._legend.append((label, color))
+        circle = ('<circle cx="{:.6g}" cy="{:.6g}" r="2.0"'
+                  f' fill="{color}" fill-opacity="0.55"/>')
+        self._mark(map(circle.format, self._sx(x).tolist(),
+                       self._sy(y).tolist()), color, label)
 
     def bars(self, lefts, rights, heights, color: str, label: str = "") -> None:
-        y0 = self._sy(self._ylim[0])
-        for lo, hi, h in zip(lefts, rights, heights):
-            if h <= 0:
-                continue
-            x = self._sx(lo)
-            w = self._sx(hi) - x
-            y = self._sy(h)
-            self._body.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}"'
-                f' height="{_fmt(y0 - y)}" fill="{color}"'
-                ' fill-opacity="0.6"/>')
-        if label:
-            self._legend.append((label, color))
+        heights = np.asarray(heights)
+        drawn = heights > 0
+        x = self._sx(np.asarray(lefts)[drawn])
+        y = self._sy(heights[drawn])
+        rect = ('<rect x="{:.6g}" y="{:.6g}" width="{:.6g}" height="{:.6g}"'
+                f' fill="{color}" fill-opacity="0.6"/>')
+        self._mark(map(rect.format, x.tolist(), y.tolist(),
+                       (self._sx(np.asarray(rights)[drawn]) - x).tolist(),
+                       (self._sy(self._ylim[0]) - y).tolist()), color, label)
 
     def vline(self, x: float, color: str, label: str = "") -> None:
-        sx = _fmt(self._sx(x))
-        self._body.append(
-            f'<line x1="{sx}" y1="{_fmt(TOP)}" x2="{sx}"'
-            f' y2="{_fmt(HEIGHT - BOTTOM)}" stroke="{color}"'
-            ' stroke-width="1.2" stroke-dasharray="6,4"/>')
-        if label:
-            self._legend.append((label, color))
+        sx = f"{self._sx(x):.6g}"
+        self._mark([f'<line x1="{sx}" y1="{TOP}" x2="{sx}"'
+                    f' y2="{HEIGHT - BOTTOM}" stroke="{color}"'
+                    ' stroke-width="1.2" stroke-dasharray="6,4"/>'], color, label)
 
     # -- assembly ---------------------------------------------------------
     def _ticks(self, lo: float, hi: float) -> list[float]:
@@ -112,17 +104,17 @@ class Figure:
                    f' height="{y0 - y1}" fill="none" stroke="#404040"/>')
         font = 'font-family="Helvetica,Arial,sans-serif"'
         for v in self._ticks(*self._xlim):
-            sx = _fmt(self._sx(v))
+            sx = f"{self._sx(v):.6g}"
             out.append(f'<line x1="{sx}" y1="{y0}" x2="{sx}" y2="{y0 + 4}"'
                        ' stroke="#404040"/>')
             out.append(f'<text x="{sx}" y="{y0 + 16}" {font} font-size="11"'
-                       f' text-anchor="middle">{_fmt(v)}</text>')
+                       f' text-anchor="middle">{v:.6g}</text>')
         for v in self._ticks(*self._ylim):
-            sy = _fmt(self._sy(v))
+            sy = f"{self._sy(v):.6g}"
             out.append(f'<line x1="{x0 - 4}" y1="{sy}" x2="{x0}" y2="{sy}"'
                        ' stroke="#404040"/>')
             out.append(f'<text x="{x0 - 7}" y="{sy}" {font} font-size="11"'
-                       f' text-anchor="end" dominant-baseline="middle">{_fmt(v)}</text>')
+                       f' text-anchor="end" dominant-baseline="middle">{v:.6g}</text>')
         if self.title:
             out.append(f'<text x="{(x0 + x1) / 2:.6g}" y="{y1 - 5}" {font}'
                        f' font-size="13" text-anchor="middle">{self.title}</text>')
@@ -150,4 +142,4 @@ class Figure:
 
 
 def family_color(name: str, index: int = 0) -> str:
-    return COLORS.get(name, _FALLBACK[index % len(_FALLBACK)])
+    return COLORS.get(name, PALETTE[index % len(PALETTE)])

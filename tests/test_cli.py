@@ -19,39 +19,41 @@ from morilab.perturb import apply_draw, draw_noise
 
 
 class TestParseTarget:
-    def test_gdo_target(self):
-        c = parse_target("exp(-t^2/8)*cos(2t)")
-        assert c.gauss_rate == pytest.approx(-0.125)
-        assert c.exp_rate == 0.0
-        assert c.cos_freq == 2.0
+    # every target the tests and README use, and corners of the coefficient
+    # and divisor spellings: (gauss_rate, exp_rate, cos_freq) as the
+    # character-level parser of earlier versions read them
+    @pytest.mark.parametrize("target, rates", [
+        ("exp(-t^2/8)*cos(2t)", (-0.125, 0.0, 2.0)),
+        ("exp(-0.24*t)", (0.0, -0.24, 0.0)),
+        ("exp(-t)*exp(-0.5*t^2)", (-0.5, -1.0, 0.0)),
+        ("exp(-t^2 / 8) * cos(2 t)", (-0.125, 0.0, 2.0)),
+        ("exp(-.5t)", (0.0, -0.5, 0.0)),
+        ("exp(+t)*exp(-2t)", (0.0, -1.0, 0.0)),
+        ("exp(-2*t^2/8)", (-0.25, 0.0, 0.0)),
+        ("cos(-3t)*exp(-t)", (0.0, -1.0, 3.0)),
+        ("exp(-1.t)", (0.0, -1.0, 0.0))])
+    def test_accepted_target(self, target, rates):
+        c = parse_target(target)
+        assert (c.gauss_rate, c.exp_rate, c.cos_freq) == rates
 
-    def test_plain_exponential(self):
-        c = parse_target("exp(-0.24*t)")
-        assert c.exp_rate == pytest.approx(-0.24)
-        assert c.gauss_rate == 0.0
-
-    def test_mixed_product(self):
-        c = parse_target("exp(-t)*exp(-0.5*t^2)")
-        assert c.exp_rate == -1.0
-        assert c.gauss_rate == -0.5
-
-    def test_spaces_tolerated(self):
-        c = parse_target("exp(-t^2 / 8) * cos(2 t)")
-        assert c.gauss_rate == pytest.approx(-0.125)
-
-    def test_bad_factor_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_target("sinh(t)")
-        with pytest.raises(ConfigError):
-            parse_target("exp(-t^3)")
-
-    def test_growing_target_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_target("exp(t)")
-
-    def test_double_cosine_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_target("cos(t)*cos(2t)")
+    @pytest.mark.parametrize("target, error", [
+        ("sinh(t)", "cannot parse target"),
+        ("exp(-t^3)", "cannot parse target"),
+        ("exp(-t)cos(2t)", "cannot parse target"),
+        ("", "cannot parse target"),
+        ("exp(-t)**cos(2t)", "cannot parse target"),
+        ("exp(-t)*", "cannot parse target"),
+        ("*exp(-t)", "cannot parse target"),
+        ("cos(2t^2)", "cannot parse target"),
+        ("exp(-t^2/0)", "zero divisor in 'exp(-t^2/0)'"),
+        ("exp(-t/0.0)", "zero divisor in 'exp(-t/0.0)'"),
+        ("exp(t)", "growth rates"),
+        ("cos(t)*cos(2t)", "at most one cosine factor")])
+    def test_rejected_target_exit_2(self, tmp_path, capsys, target, error):
+        out = tmp_path / "b.csv"
+        assert main(["reverse", "--target", target, "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParseConfig:
@@ -499,6 +501,35 @@ class TestFailureLocality:
             ok_rows(tiny_run / "records.csv")
 
 
+    # at threshold 0.99 without a window, a decay C(t) on dt = 0.02 can
+    # equilibrate within the 8 samples a fit needs
+    SHORT_EQ = {"scenario": "decay", "d": 400, "n_star": 10, "a": 0.9,
+                "dt": 0.02, "t_max": 4.0, "eq_threshold": 0.99,
+                "eq_window": 0.0, "n_trials": 4, "workers": 1}
+
+    def test_trial_too_short_to_fit_is_a_failure(self, tiny_run, tmp_path):
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(self.SHORT_EQ))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert set(os.listdir(out)) == set(os.listdir(tiny_run))
+        failures = json.loads((out / "summary.json").read_text())["failures"]
+        assert [f for f in failures if f["family"] == "g"] == [
+            {"family": "g", "trial": trial,
+             "error": "ValueError: need at least 8 samples up to n_eq"}
+            for trial in (0, 1)]
+        assert json.loads((tiny_run / "summary.json").read_text())[
+            "failures"] == []
+
+    def test_baseline_too_short_to_fit_is_a_config_error(self, tmp_path,
+                                                          capsys):
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps({**self.SHORT_EQ, "eq_threshold": 0.999}))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "baseline g: need at least 8 samples up to n_eq" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRunCommand:
     def test_outputs_present(self, tiny_run):
         expected = {"records.csv", "summary.json", "histogram.csv",
@@ -923,3 +954,17 @@ class TestPlotCommand:
         assert main(["plot", "--from", str(tmp_path)]) == 2
         assert "summary.json" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["scatter.csv"]
+
+    @pytest.mark.parametrize("summary, error", [
+        ({}, "no key 'unperturbed'"),
+        ([], "not a JSON object"),
+        ("no mu", "no key 'mu'")])
+    def test_malformed_summary_exit_2(self, tiny_run, tmp_path, capsys,
+                                      summary, error):
+        run = shutil.copytree(tiny_run, tmp_path / "run")
+        if summary == "no mu":
+            summary = json.loads((run / "summary.json").read_text())
+            del summary["unperturbed"]["g"]["mu"]
+        (run / "summary.json").write_text(json.dumps(summary))
+        assert main(["plot", "--from", str(run)]) == 2
+        assert f"{run / 'summary.json'}: {error}" in capsys.readouterr().err
