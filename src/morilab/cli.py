@@ -137,19 +137,17 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def render_histogram_svg(families: dict, out_path) -> None:
-    """summary.json's "families": each one's histogram and mean epsilon."""
-    bins = [(right, count) for info in families.values() for right, count
-            in zip(info["histogram"]["edges"][1:], info["histogram"]["counts"])]
+    """Each family's histogram (edges, counts) and mean epsilon."""
+    bins = [(right, count) for edges, counts, _ in families.values()
+            for right, count in zip(edges[1:], counts)]
     xmax = max((right for right, count in bins if count > 0), default=1.0)
     ymax = max((count for _, count in bins), default=1)
     fig = Figure(title="deviation histogram", xlabel="epsilon",
                  ylabel="count per bin")
     fig.set_limits((0.0, xmax * 1.05), (0.0, ymax * 1.1))
-    for i, (fam, info) in enumerate(families.items()):
-        h = info["histogram"]
-        fig.bars(h["edges"][:-1], h["edges"][1:], h["counts"],
-                 family_color(fam, i), label=fam)
-        mean = info["mean_epsilon"]
+    for i, (fam, (edges, counts, mean)) in enumerate(families.items()):
+        fig.bars(edges[:-1], edges[1:], counts, family_color(fam, i),
+                 label=fam)
         if math.isfinite(mean):
             fig.vline(mean, family_color(fam, i),
                       label=f"mean {fam} = {mean:.4g}")
@@ -201,8 +199,7 @@ def render_curves_svg(trials: dict, family: str, out_path) -> None:
 
 def render_unperturbed_svg(series: dict[str, CorrelationSeries], fits: dict,
                            out_path) -> None:
-    """Each baseline C(t) with its fit from `fits`, summary.json's
-    "unperturbed"."""
+    """Each baseline C(t) with its fit from `fits`: (model class, params)."""
     fig = Figure(title="unperturbed dynamics", xlabel="t", ylabel="C(t)")
     tmax = max([1.0, *(float(c.t[-1]) for c in series.values())])
     lo = min([0.0, *(float(c.values.min()) for c in series.values())])
@@ -211,9 +208,8 @@ def render_unperturbed_svg(series: dict[str, CorrelationSeries], fits: dict,
         stride = max(1, len(c) // CURVE_POINTS)
         t = c.t[::stride]
         fig.polyline(t, c.values[::stride], family_color(fam, i), label=fam)
-        info = fits[fam]
-        params = (info["A"], info["mu"], info["omega"], info["phi"])
-        fig.polyline(t, ModelClass(info["model"]).curve(params, t),
+        kind, params = fits[fam]
+        fig.polyline(t, kind.curve(params, t),
                      COLORS["fit"], width=1.0, dash="5,3", label=f"{fam} fit")
     fig.save(out_path)
 
@@ -308,7 +304,8 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
 
 def render_all(out_dir) -> list[str]:
     """(Re)draw the SVGs of the run whose summary.json is in out_dir, for
-    the families it names, reading each input once; returns their names."""
+    the families it names, reading each input once; returns their names.
+    Every summary value a figure draws is read before the first is drawn."""
     path = lambda name: os.path.join(out_dir, name)
     with open(path("summary.json")) as fh:
         summary = json.load(fh)
@@ -321,22 +318,28 @@ def render_all(out_dir) -> list[str]:
     try:
         fams = sorted(summary["unperturbed"])
         figures = {
-            "histogram.svg": (render_histogram_svg, summary["families"]),
+            "histogram.svg": (render_histogram_svg, {
+                f: (info["histogram"]["edges"], info["histogram"]["counts"],
+                    info["mean_epsilon"])
+                for f, info in summary["families"].items()}),
             "scatter.svg": (render_scatter_svg,
                             records_from_csv(path("records.csv"))),
             "chains.svg": (render_chains_svg, {
                 f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fams}),
             "unperturbed.svg": (render_unperturbed_svg, {
                 f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
-                for f in fams}, summary["unperturbed"]),
+                for f in fams}, {
+                f: (ModelClass(info["model"]),
+                    (info["A"], info["mu"], info["omega"], info["phi"]))
+                for f, info in summary["unperturbed"].items()}),
             **{f"exemplar_{f}.svg": (render_curves_svg, {
                 trial: np.array(rows).T for trial, rows in trials.items()}, f)
                for f, trials in curves.items()},
         }
-        for name, (render, *data) in figures.items():
-            render(*data, path(name))
     except KeyError as err:     # the only lookups that can miss are summary's
         raise ConfigError(f"{path('summary.json')}: no key {err}") from err
+    for name, (render, *data) in figures.items():
+        render(*data, path(name))
     return list(figures)
 
 
@@ -408,6 +411,12 @@ def _cmd_fit(args) -> int:
 def _cmd_run(args) -> int:
     config = parse_config(args.config, {k: v for k, v in vars(args).items()
                                         if k in _CONFIG_KEYS})
+    # refused before any work, and not made until the outputs are written
+    parent = os.path.abspath(args.out)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {args.out}: {parent} is not a directory")
     t0 = time.time()
 
     def progress(done, total):
@@ -533,7 +542,8 @@ def main(argv=None) -> int:
     except (PropagationError, QuadratureError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (ConfigError, FileNotFoundError, NotADirectoryError,
+            ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as err:

@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, asdict, field, fields
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,22 +154,25 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's row of records.csv.  A trial that raised keeps the fields
+    it reached; every later one holds its default: NaN, None, 0 or False."""
+
     trial: int
     family: str
     seed: int
     model: str
-    a: float
-    mu: float
-    omega: float | None
-    phi: float | None
-    epsilon: float
-    sigma: float
-    eps0: float
-    n_eq: int
-    equilibrated: bool
-    clamp_count: int
-    converged: bool
-    valid: bool
+    a: float = math.nan
+    mu: float = math.nan
+    omega: float | None = None
+    phi: float | None = None
+    epsilon: float = math.nan
+    sigma: float = math.nan
+    eps0: float = math.nan
+    n_eq: int = 0
+    equilibrated: bool = False
+    clamp_count: int = 0
+    converged: bool = False
+    valid: bool = False
 
 
 class Histogram(NamedTuple):
@@ -307,32 +310,14 @@ class Exemplar(NamedTuple):
     values: np.ndarray
 
 
-def _trial_record(ctx: FamilyRun, trial: int, seed: int, clamp_count: int,
-                  invalid: bool, series: CorrelationSeries) -> TrialRecord:
-    cfg = ctx.config
-    n_eq, equilibrated = detect_equilibration(series, cfg.eq_threshold,
-                                              cfg.eq_window)
-    f0 = ctx.baseline_fit.model
-    result = fit(series, ctx.model_class, n_eq, warm_start=f0)
-    sig = sigma(series, ctx.baseline, n_eq)
-    eps0 = epsilon(ctx.baseline, f0, n_eq)
-    m = result.model
-    return TrialRecord(
-        trial=trial, family=ctx.name, seed=seed, model=m.kind.value,
-        a=m.a, mu=m.mu, omega=m.omega, phi=m.phi,
-        epsilon=result.epsilon, sigma=sig, eps0=eps0, n_eq=n_eq,
-        equilibrated=equilibrated, clamp_count=clamp_count,
-        converged=result.converged,
-        valid=not invalid and result.converged)
-
-
 def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]:
     """Perturb a block of one family's trials, propagate them in one call,
-    then fit each.  Each trial is drawn once, as the call reads its chain.
-    A trial whose propagation or fit raises is recorded as invalid and
-    unconverged, with NaN quantifiers and n_eq 0, and reported."""
+    then fit each.  Each trial is drawn once, as the call reads its chain,
+    and its row is filled in as the trial runs.  A trial whose propagation
+    or fit raises keeps the row it reached, invalid, and is reported."""
     ctx, trials = args
     cfg = ctx.config
+    f0 = ctx.baseline_fit.model
     seeds = [trial_seed(cfg.base_seed, ctx.index, t) for t in trials]
     draws = []         # (clamp_count, invalid) of each trial's draw
 
@@ -347,17 +332,26 @@ def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]
     out = []
     for trial, seed, (clamps, invalid), series in zip(trials, seeds, draws,
                                                       batch):
+        row = dict(trial=trial, family=ctx.name, seed=seed,
+                   model=ctx.model_class.value, clamp_count=clamps)
         try:
             if isinstance(series, PropagationError):
                 raise series
-            out.append((_trial_record(ctx, trial, seed, clamps, invalid,
-                                      series), series.values, None))
+            n_eq, row["equilibrated"] = detect_equilibration(
+                series, cfg.eq_threshold, cfg.eq_window)
+            row["n_eq"] = n_eq
+            result = fit(series, ctx.model_class, n_eq, warm_start=f0)
+            m = result.model
+            row.update(a=m.a, mu=m.mu, omega=m.omega, phi=m.phi,
+                       epsilon=result.epsilon, converged=result.converged)
+            row["sigma"] = sigma(series, ctx.baseline, n_eq)
+            row["eps0"] = epsilon(ctx.baseline, f0, n_eq)
+            row["valid"] = not invalid and result.converged
+            out.append((TrialRecord(**row), series.values, None))
         except (RuntimeError, ValueError) as err:  # ValueError: n_eq < 8
-            record = _failed_record(trial=trial, family=ctx.name, seed=seed,
-                                    model=ctx.model_class.value,
-                                    clamp_count=clamps)
-            out.append((record, None, {"family": ctx.name, "trial": trial,
-                                       "error": f"{type(err).__name__}: {err}"}))
+            out.append((TrialRecord(**row), None, {
+                "family": ctx.name, "trial": trial,
+                "error": f"{type(err).__name__}: {err}"}))
     return out
 
 
@@ -436,11 +430,6 @@ def exemplary_trials(records: Sequence[TrialRecord], summary: EnsembleSummary,
 # flat-file exports
 # ---------------------------------------------------------------------------
 
-class _Cell(NamedTuple):
-    read: Callable        # csv cell -> field value
-    failed: object        # the field's value in a failed trial's record
-
-
 def _flag(cell: str) -> bool:
     if cell not in ("0", "1"):
         raise ValueError(f"flag cell {cell!r} is not 0 or 1")
@@ -450,24 +439,17 @@ def _flag(cell: str) -> bool:
 # TrialRecord's fields, in order, are the records.csv columns; a field's
 # annotation picks how its cells are read
 _CELLS = {
-    "int": _Cell(int, 0),
-    "str": _Cell(str, ""),
-    "bool": _Cell(_flag, False),
-    "float": _Cell(float, math.nan),
-    "float | None": _Cell(lambda cell: None if cell == "" else float(cell),
-                          None),
+    "int": int,
+    "str": str,
+    "bool": _flag,
+    "float": float,
+    "float | None": lambda cell: None if cell == "" else float(cell),
 }
 _SPELLING = {"a": "A"}  # columns not spelled as their field
 
 
 def _header() -> list[str]:
     return [_SPELLING.get(f.name, f.name) for f in fields(TrialRecord)]
-
-
-def _failed_record(**known) -> TrialRecord:
-    """A trial that raised: NaN, None, 0 or False wherever not `known`."""
-    return TrialRecord(**{f.name: known.get(f.name, _CELLS[f.type].failed)
-                          for f in fields(TrialRecord)})
 
 
 def records_to_csv(records: Sequence[TrialRecord], path) -> None:
@@ -480,7 +462,7 @@ def records_to_csv(records: Sequence[TrialRecord], path) -> None:
 
 def records_from_csv(path) -> list[TrialRecord]:
     return [TrialRecord(*row) for row in read_csv(
-        path, _header(), [_CELLS[f.type].read for f in fields(TrialRecord)])]
+        path, _header(), [_CELLS[f.type] for f in fields(TrialRecord)])]
 
 
 def histogram_to_csv(summary: EnsembleSummary, path) -> None:

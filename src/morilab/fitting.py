@@ -138,7 +138,6 @@ class FitResult:
     n_eq: int
     converged: bool
     restarts_used: int
-    restart_objectives: tuple = ()
 
     def to_json_dict(self) -> dict:
         m = self.model
@@ -345,7 +344,7 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
         if res.success and A_BOUNDS[0] <= a <= A_BOUNDS[1]:
             model = FitModel(model_class, params)
             obj = epsilon(series, model, n_eq)
-            return FitResult(model, obj, n_eq, True, 1, (obj,))
+            return FitResult(model, obj, n_eq, True, 1)
         starts = [np.clip(params, lower, upper)]
     else:
         mu0 = _envelope_rate(t, c, model_class.squared)
@@ -362,7 +361,7 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
         return model_class.jacobian(p, t, x)
 
     best = None
-    objectives = []
+    restarts = 0
     converged = False
     for p0 in starts:
         try:
@@ -372,12 +371,11 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
         except ValueError:
             continue
         obj = float(np.sqrt(np.sum(res.fun**2) / n_eq))
-        objectives.append(obj)
+        restarts += 1
         converged = converged or bool(res.success)
         if best is None or obj < best[0]:
             best = (obj, res)
     if best is None:
         raise RuntimeError("no fit restart could be evaluated")
     model = FitModel(model_class, tuple(best[1].x))
-    return FitResult(model, best[0], n_eq, converged, len(objectives),
-                     tuple(objectives))
+    return FitResult(model, best[0], n_eq, converged, restarts)

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -13,8 +14,9 @@ from morilab import chain, cli, experiment
 from morilab.chain import (CorrelationSeries, LanczosChain, PropagationError,
                            read_csv)
 from morilab.cli import ConfigError, main, parse_config, parse_target
-from morilab.experiment import (Scenario, ScenarioConfig, build_families,
-                                exemplary_trials, records_from_csv, summarize)
+from morilab.experiment import (Scenario, ScenarioConfig, TrialRecord,
+                                build_families, exemplary_trials,
+                                records_from_csv, summarize)
 from morilab.perturb import apply_draw, draw_noise
 
 
@@ -519,6 +521,15 @@ class TestFailureLocality:
             for trial in (0, 1)]
         assert json.loads((tiny_run / "summary.json").read_text())[
             "failures"] == []
+        # the failed rows keep the n_eq they reached: equilibrated, early
+        failed = [r for r in records_from_csv(out / "records.csv")
+                  if r.family == "g" and r.trial in (0, 1)]
+        assert len(failed) == 2
+        for r in failed:
+            assert 1 <= r.n_eq < 8 and r.equilibrated and not r.valid
+            assert math.isnan(r.epsilon)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["families"]["g"]["n_nonequilibrated"] == 0
 
     def test_baseline_too_short_to_fit_is_a_config_error(self, tmp_path,
                                                           capsys):
@@ -691,6 +702,17 @@ class TestRunCommand:
         assert scat[0] == "family,sigma,epsilon"
         curves = (tiny_run / "curves.csv").read_text().splitlines()
         assert curves[0] == "family,trial,t,C,fit"
+
+    @pytest.mark.parametrize("out", ["file", "file/run"])
+    def test_out_not_a_directory_refused_before_any_work(
+            self, monkeypatch, tmp_path, capsys, out):
+        builds = count_calls(monkeypatch, experiment.build_families)
+        (tmp_path / "file").write_text("kept\n")
+        assert main(TINY_RUN + ["--out", str(tmp_path / out)]) == 2
+        assert f"{tmp_path / 'file'} is not a directory" in \
+            capsys.readouterr().err
+        assert builds == [] and os.listdir(tmp_path) == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     @pytest.mark.parametrize("floor", [0.0, -1.0])
     def test_nonpositive_floor_refused_before_any_work(self, monkeypatch,
@@ -918,8 +940,7 @@ class TestRenderAll:
 
     def test_scatter_omits_failed_trials(self, tiny_run, tmp_path):
         records = records_from_csv(tiny_run / "records.csv")
-        failed = experiment._failed_record(trial=0, family="g", seed=1,
-                                           model="gauss", clamp_count=0)
+        failed = TrialRecord(trial=0, family="g", seed=1, model="gauss")
 
         def scatter_svg(name, records):
             cli.render_scatter_svg(records, tmp_path / name)
@@ -955,16 +976,24 @@ class TestPlotCommand:
         assert "summary.json" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["scatter.csv"]
 
+    def test_file_is_config_error(self, tiny_run, capsys):
+        summary = tiny_run / "summary.json"
+        assert main(["plot", "--from", str(summary)]) == 2
+        assert "Not a directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("summary, error", [
         ({}, "no key 'unperturbed'"),
         ([], "not a JSON object"),
         ("no mu", "no key 'mu'")])
     def test_malformed_summary_exit_2(self, tiny_run, tmp_path, capsys,
                                       summary, error):
-        run = shutil.copytree(tiny_run, tmp_path / "run")
+        run = shutil.copytree(tiny_run, tmp_path / "run",
+                              ignore=shutil.ignore_patterns("*.svg"))
         if summary == "no mu":
             summary = json.loads((run / "summary.json").read_text())
             del summary["unperturbed"]["g"]["mu"]
         (run / "summary.json").write_text(json.dumps(summary))
         assert main(["plot", "--from", str(run)]) == 2
         assert f"{run / 'summary.json'}: {error}" in capsys.readouterr().err
+        # the summary is read whole before any figure is drawn
+        assert not [name for name in os.listdir(run) if name.endswith(".svg")]

@@ -376,8 +376,9 @@ class TestRecordsCsv:
         assert records_from_csv(path) == [record]
 
     def test_failed_record(self):
-        record = experiment._failed_record(trial=4, family="e", seed=9,
-                                           model="exp", clamp_count=3)
+        # what a trial that failed to propagate reached: its draw
+        record = TrialRecord(trial=4, family="e", seed=9, model="exp",
+                             clamp_count=3)
         assert (record.trial, record.family, record.seed, record.model,
                 record.clamp_count) == (4, "e", 9, "exp", 3)
         assert all(math.isnan(x) for x in (record.a, record.mu, record.epsilon,
@@ -447,6 +448,6 @@ class TestWriteCsvProperty:
         header = ["n", "name", "x", "y"]
         write_csv(path, header, rows)
         back = list(read_csv(path, header,
-                             [experiment._CELLS[kind].read for kind in COLUMNS]))
+                             [experiment._CELLS[kind] for kind in COLUMNS]))
         assert [tuple(map(bits, row)) for row in back] == \
             [tuple(map(bits, row)) for row in rows]

@@ -296,10 +296,15 @@ class TestFit:
         second = fit(refit_series, ModelClass.EXP, 900)
         assert np.allclose(second.model.params, first.model.params, atol=1e-9)
 
-    def test_multistart_monotone(self):
-        result = fit(*fit_case("multistart"))
-        assert result.restarts_used == len(result.restart_objectives)
-        assert result.epsilon == min(result.restart_objectives)
+    @pytest.mark.parametrize("case", ["noisy", "warm_start"])
+    def test_multistart_monotone(self, monkeypatch, case):
+        # a decay fit runs every start and keeps the best of them
+        series, kind, n_eq, warm = fit_case(case)
+        starts = least_squares_starts(monkeypatch)
+        result = fit(series, kind, n_eq, warm_start=warm)
+        assert result.restarts_used == len(starts) == 3 + (warm is not None)
+        assert result.epsilon == min(np.sqrt(np.sum(res.fun**2) / n_eq)
+                                     for _, res in starts)
 
     def test_warm_start_bounds_objective(self):
         # with the reference parameters seeded, the fit can never end farther
@@ -410,12 +415,14 @@ def small_oscillation_fits():
 
 
 def least_squares_starts(monkeypatch) -> list:
-    """Spy on fitting's least_squares: the x0 of every call, in order."""
+    """Spy on fitting's least_squares: (x0, result) of every call, in
+    order."""
     starts = []
 
     def spy(fun, x0, **kwargs):
-        starts.append(np.array(x0, dtype=float))
-        return least_squares(fun, x0, **kwargs)
+        result = least_squares(fun, x0, **kwargs)
+        starts.append((np.array(x0, dtype=float), result))
+        return result
 
     monkeypatch.setattr(fitting, "least_squares", spy)
     return starts
@@ -456,7 +463,7 @@ class TestProjectedFit:
         starts = least_squares_starts(monkeypatch)
         result = fit(self.damped_cosine(amplitude), ModelClass.EXP_COS, 900)
         # the projected search, then the bounded fit from its point
-        assert [p.size for p in starts] == ([2] if projected else [2, 4])
+        assert [x0.size for x0, _ in starts] == ([2] if projected else [2, 4])
         assert result.restarts_used == len(starts) - (not projected)
         assert 0.5 <= result.model.a <= 1.5
         if projected:
@@ -475,11 +482,12 @@ class TestProjectedFit:
         result = fit(self.damped_cosine(amplitude), ModelClass.EXP_COS, 900,
                      warm_start=warm)
         used = min(omega, np.pi / self.DT)  # 200 lies above pi/dt = 157.08
-        assert starts[0].tolist() == [0.2, used]
+        assert starts[0][0].tolist() == [0.2, used]
         if len(starts) > 1:   # fell back: the warm start comes first, counted
-            assert starts[1].tolist() == [1.2, 0.2, used, 0.5]
+            assert starts[1][0].tolist() == [1.2, 0.2, used, 0.5]
             assert result.restarts_used == len(starts) - 1 == 2
-        assert result.restarts_used == len(result.restart_objectives)
+        else:                 # the projected search alone
+            assert result.restarts_used == 1
 
     @pytest.mark.parametrize("kind", [ModelClass.EXP_COS,
                                       ModelClass.GAUSS_COS])
