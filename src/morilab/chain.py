@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import jv
 
 __all__ = [
     "LanczosChain",
@@ -198,6 +196,8 @@ def dense_correlation(chain: LanczosChain, times: np.ndarray) -> np.ndarray:
     equal site-0 weights, so C(t) = sum_k w_k cos(lambda_k t) with
     w_k = V[0,k]^2.
     """
+    from scipy.linalg import eigh_tridiagonal  # the oracle alone needs scipy
+
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if chain.d == 1:
         return np.ones_like(times)
@@ -226,6 +226,8 @@ def _apply_generator(b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _bessel_weights(z: float) -> np.ndarray:
     """J_0..J_K at argument z, truncated where the tail is below round-off."""
+    from scipy.special import jv  # only the chebyshev stepper needs scipy
+
     if z == 0.0:
         return np.array([1.0])
     kmax = int(z + 40 + 4 * np.sqrt(z))

@@ -307,6 +307,9 @@ def render_all(out_dir) -> list[str]:
     the families it names, reading each input once; returns their names.
     Every summary value a figure draws is read before the first is drawn."""
     path = lambda name: os.path.join(out_dir, name)
+    if os.path.exists(path("summary.json")) \
+            and not os.path.isfile(path("summary.json")):
+        raise ConfigError(f"{path('summary.json')}: not a file")
     with open(path("summary.json")) as fh:
         summary = json.load(fh)
     if not isinstance(summary, dict):
@@ -338,6 +341,9 @@ def render_all(out_dir) -> list[str]:
         }
     except KeyError as err:     # the only lookups that can miss are summary's
         raise ConfigError(f"{path('summary.json')}: no key {err}") from err
+    except (TypeError, AttributeError) as err:  # e.g. a number for a family
+        raise ConfigError(f"{path('summary.json')}: wrongly typed entry "
+                          f"({err})") from err
     for name, (render, *data) in figures.items():
         render(*data, path(name))
     return list(figures)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .chain import CorrelationSeries
 
@@ -33,7 +32,48 @@ __all__ = [
 EQ_THRESHOLD = 0.01  # |C| must stay below this ...
 EQ_WINDOW = 5.0      # ... for this long (time units) to count as equilibrated
 A_BOUNDS = (0.5, 1.5)
-_TOLERANCES = dict(xtol=1e-14, ftol=1e-14, gtol=1e-14)
+_TOLERANCES = dict(xtol=1e-14, ftol=1e-14, gtol=1e-14)  # the fallback's
+
+# The decay scan: mu = 0 and SCAN_PER_DECADE rates per decade from
+# SCAN_FLAT / x_end, where the model is flat to 0.1% over the window, to
+# SCAN_CUT / x_1, where it is gone after the first sample and the objective
+# no longer changes (x_1, x_end: the envelope variable at the first and the
+# last sample).  Neighbours differ by 10^(1/32) = 1.075, so the refinement
+# starts within 7.5% of any minimum whose basin spans two grid steps.  The
+# range is the window's, not one around a rate guessed from the data: a
+# series that does not settle has no meaningful log-envelope slope.
+SCAN_PER_DECADE = 32
+SCAN_FLAT = 1e-3
+SCAN_CHUNK = 16       # grid rows per pass: two (16, n_eq) buffers, 256 KB
+                      # each at n_eq = 2000, far below a run's resident set
+# The scan takes a chunk's model as 0 where its smallest rate has
+# mu x > SCAN_CUT: there A e < 1.5 exp(-40) = 6.4e-18, which moves a grid
+# point's objective by at most 1.3e-17 sum |c|, and exp never takes its slow
+# path (subnormal and underflowing results cost 20x a normal one).
+SCAN_CUT = 40.0
+# A safeguarded Newton step this small, relative to mu, ends the refinement
+# once taken: the next one would be about its square, below what the
+# slope's round-off resolves.
+REFINE_XTOL = 1e-12
+REFINE_MAX = 100      # bisection alone narrows 7.5% to 1e-12 in 37 steps
+# The (mu, omega) search: Levenberg-Marquardt on the projected residual.
+# It stops when every free gradient component is below SEARCH_GTOL times
+# |J_k| |r|, or when the step cannot move p by more than SEARCH_XTOL
+# relative, the fallback's own xtol.  The first is a cosine: at the bound
+# the objective lies within about SEARCH_GTOL^2 = 1e-16 of the minimum,
+# relative, while the cosine's round-off floor (the projected Jacobian
+# cancels) reached 5e-9 at desk trials' minima.  A residual that vanishes
+# at the minimum (an exact self-fit) stops by the second test.
+SEARCH_GTOL = 1e-8
+SEARCH_XTOL = 1e-14
+SEARCH_MAX_EVALS = 800   # the budget least_squares had: 400 per parameter
+SEARCH_DAMPING = 1e-3    # first damping, relative to diag(J^T J)
+# Near the face omega = 0 the projected amplitude runs off as omega -> 0
+# (the sin column tends to omega t e, so beta grows like 1/omega) and the
+# search would creep towards the face without end.  It stops once the
+# cosine shows at most a quarter period in the window, omega t_{n_eq} <=
+# pi/2, and the face is solved by the decay scan instead.
+FACE_PHASE = math.pi / 2
 
 
 class ModelClass(enum.Enum):
@@ -230,8 +270,8 @@ class _Projection:
     (alpha, beta).  For fixed p = (mu, omega) the best pair solves the 2x2
     normal equations of G = [e cos(omega t), e sin(omega t)], so a search
     runs over p alone (variable projection: Golub & Pereyra, SIAM J. Numer.
-    Anal. 10, 413, 1973).  The last evaluation is kept: `least_squares`
-    asks for the Jacobian at the point it has just evaluated.
+    Anal. 10, 413, 1973).  The last evaluation is kept: the search asks for
+    the Jacobian at the point it has just evaluated.
     """
 
     def __init__(self, t: np.ndarray, x: np.ndarray, c: np.ndarray):
@@ -297,24 +337,195 @@ class _Projection:
         return math.hypot(alpha, beta), math.atan2(beta, alpha)
 
 
+def least_squares(fun, x0, **kwargs):
+    """`scipy.optimize.least_squares`, imported at the first call.
+
+    Only the four-parameter fallback of an oscillating fit reaches it, so a
+    run whose fits all stay on the numpy core never imports scipy.optimize.
+    """
+    from scipy.optimize import least_squares as solve
+    return solve(fun, x0, **kwargs)
+
+
+def _profile(mu: float, x: np.ndarray, c: np.ndarray
+             ) -> tuple[float, float, float, float]:
+    """(f, f', f'', A) of the decay objective f(mu) = |A e - c|^2 at
+    A = clip(<e, c>/<e, e>, 0.5, 1.5), the best amplitude for e = exp(-mu x).
+
+    With r = A e - c, f' = -2 A <x e, r> whether A is clamped or not.  An
+    unclamped A moves with mu, which removes f_Amu^2 / f_AA from f_mumu.
+    """
+    e = np.exp(-mu * x)
+    xe = x * e
+    ee = e @ e
+    a_free = (e @ c) / ee
+    a = min(max(a_free, A_BOUNDS[0]), A_BOUNDS[1])
+    r = a * e - c
+    xer = xe @ r
+    curvature = 2 * a * ((x * xe) @ r + a * (xe @ xe))
+    if A_BOUNDS[0] < a_free < A_BOUNDS[1]:
+        cross = -2 * (xer + a * (e @ xe))
+        curvature -= cross * cross / (2 * ee)
+    return float(r @ r), -2 * a * float(xer), float(curvature), float(a)
+
+
+def _refine(x: np.ndarray, c: np.ndarray, lo: float, mu: float, hi: float,
+            top: float) -> tuple[float, float, float, bool]:
+    """(f, A, mu, converged): the decay objective's minimum in [lo, hi] by
+    safeguarded Newton, from a grid point mu no worse than lo and hi.
+
+    The slope's sign at the best point so far halves the bracket's side; a
+    Newton step that leaves the bracket, or meets negative curvature, is
+    replaced by bisection, and only a point no worse than the best is kept.
+    At mu = 0 a nonnegative slope is the bound's optimum; at the grid's top
+    rate a negative slope means the minimum lies beyond it, unconverged.
+    """
+    f, slope, curvature, a = _profile(mu, x, c)
+    for _ in range(REFINE_MAX):
+        if slope > 0:
+            hi = mu
+        elif slope < 0:
+            lo = mu
+        if slope == 0 or lo == hi:
+            return f, a, mu, not (slope < 0 and mu >= top)
+        step = -slope / curvature if curvature > 0 else math.inf
+        trial = mu + step if lo < mu + step < hi else 0.5 * (lo + hi)
+        done = abs(trial - mu) <= REFINE_XTOL * mu
+        values = _profile(trial, x, c)
+        if values[0] <= f:
+            mu, (f, slope, curvature, a) = trial, values
+        elif trial < mu:
+            lo = trial
+        else:
+            hi = trial
+        if done or hi - lo <= REFINE_XTOL * hi:
+            return f, a, mu, True
+    return f, a, mu, False
+
+
+def _decay_scan(x: np.ndarray, c: np.ndarray, extra: float | None = None
+                ) -> tuple[float, float, float, bool]:
+    """(f, A, mu, converged) of the best decay fit A exp(-mu x) to c, f its
+    sum of squared residuals.
+
+    The objective, with A profiled out in closed form, is summed on the
+    stated grid (0, SCAN_FLAT / x_end .. SCAN_CUT / x_1, and `extra`, e.g.
+    a warm start's rate) in chunks of SCAN_CHUNK rates, and refined by
+    `_refine` between the best point's neighbours.  Residuals are summed
+    directly: the expanded form <c, c> - 2 A <e, c> + A^2 <e, e> loses
+    everything below about 1e-16 <c, c>, which is more than a self-fit's
+    whole objective.
+    """
+    decades = math.log10(SCAN_CUT * x[-1] / (SCAN_FLAT * x[1]))
+    grid = np.concatenate(([0.0], np.logspace(
+        math.log10(SCAN_FLAT / x[-1]), math.log10(SCAN_CUT / x[1]),
+        math.ceil(SCAN_PER_DECADE * decades) + 1)))
+    if extra is not None:
+        grid = np.unique(np.append(grid, max(extra, 0.0)))
+    # tail[n] = sum of c^2 beyond sample n, the objective of a zero model
+    tail = np.append(np.cumsum((c * c)[::-1])[::-1], 0.0)
+    objective = np.empty(grid.size)
+    e_buf, r_buf = np.empty((2, SCAN_CHUNK, x.size))
+    for lo in range(0, grid.size, SCAN_CHUNK):
+        mu = grid[lo:lo + SCAN_CHUNK, None]
+        n = np.searchsorted(x, SCAN_CUT / mu[0, 0]) if mu[0, 0] > 0 \
+            else x.size
+        e, r = e_buf[:mu.size, :n], r_buf[:mu.size, :n]
+        np.exp(np.multiply(mu, -x[:n], out=e), out=e)
+        a = np.clip((e @ c[:n]) / np.einsum("ij,ij->i", e, e), *A_BOUNDS)
+        np.subtract(np.multiply(a[:, None], e, out=r), c[:n], out=r)
+        objective[lo:lo + SCAN_CHUNK] = np.einsum("ij,ij->i", r, r) + tail[n]
+    k = int(np.argmin(objective))
+    return _refine(x, c, grid[max(k - 1, 0)], grid[k],
+                   grid[min(k + 1, grid.size - 1)], grid[-1])
+
+
+def _bounded_search(projection: _Projection, p: np.ndarray, omega_max: float,
+                    omega_face: float) -> tuple[np.ndarray, bool]:
+    """(p, converged): Levenberg-Marquardt over p = (mu, omega) in the box
+    [0, inf) x [0, omega_max], on `projection`'s residual and exact Jacobian.
+
+    Each step solves (H + lambda diag H) s = -g on the free coordinates
+    (those not held at a bound by a gradient pointing out of the box),
+    H = J^T J and g = J^T r; a coordinate whose column is round-off beside
+    the other's is held too.  On the sample grid the objective is even in
+    omega about 0 and pi/dt = omega_max, so periodic in it: a step past
+    either end is folded back into the box rather than clipped onto the
+    face, where the omega column vanishes at every mu (a start on that face
+    stays on it).  mu is clipped at 0.  Only steps that lower the objective
+    are taken, so the result is no worse than the start; lambda, the trust
+    region, moves by Nielsen's rule on the ratio of actual to predicted
+    decrease.  Converged means the projected-gradient
+    test or the step test of SEARCH_GTOL / SEARCH_XTOL passed within the
+    budget.  Two points in a row with omega <= omega_face end the search,
+    unconverged: it is creeping towards the face omega = 0.
+    """
+    lower, upper = np.zeros(2), np.array([np.inf, omega_max])
+    r = projection.residual(p)
+    jac = projection.jacobian(p)
+    f = r @ r
+    damping, growth = SEARCH_DAMPING, 2.0
+    for _ in range(SEARCH_MAX_EVALS):
+        g, h = jac.T @ r, jac.T @ jac
+        diag = np.diag(h)
+        free = ~(((p <= lower) & (g > 0)) | ((p >= upper) & (g < 0))) \
+            & (diag > np.finfo(float).eps * diag.max())
+        if np.all(np.abs(g[free]) <= SEARCH_GTOL * np.sqrt(diag[free] * f)):
+            return p, True
+        m = h + damping * np.diag(diag)
+        if free.all():
+            step = np.array([m[0, 1] * g[1] - m[1, 1] * g[0],
+                             m[0, 1] * g[0] - m[0, 0] * g[1]]) \
+                / (m[0, 0] * m[1, 1] - m[0, 1] ** 2)
+        else:
+            step = np.where(free, -g / np.where(free, diag * (1 + damping),
+                                                1.0), 0.0)
+        trial = p + step
+        trial[1] = abs(trial[1] - 2 * omega_max
+                       * round(trial[1] / (2 * omega_max)))
+        trial[0] = max(trial[0], 0.0)
+        step = trial - p
+        if math.hypot(*step) <= SEARCH_XTOL * (SEARCH_XTOL + math.hypot(*p)):
+            return p, True
+        r_trial = projection.residual(trial)
+        f_trial = r_trial @ r_trial
+        if f_trial < f:
+            predicted = -(2 * g @ step + step @ h @ step)
+            ratio = (f - f_trial) / predicted if predicted > 0 else 0.0
+            damping *= max(1 / 3, 1 - (2 * ratio - 1) ** 3)
+            growth = 2.0
+            if max(p[1], trial[1]) <= omega_face:
+                return trial, False
+            p, r, f = trial, r_trial, f_trial
+            jac = projection.jacobian(p)
+        else:
+            damping *= growth
+            growth *= 2
+    return p, False
+
+
 def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
         warm_start: FitModel | None = None) -> FitResult:
     """Best within-class fit of the series up to n_eq.
 
-    The caller's `warm_start` (e.g. the unperturbed fit; it must be of
-    `model_class`) is clipped into the bounds and tried first, which makes
-    the returned objective at most the warm model's distance to the
-    series.  Bounds: amplitude A in [0.5, 1.5], mu >= 0, 0 <= omega <= pi/dt.
+    Bounds: amplitude A in [0.5, 1.5], mu >= 0, 0 <= omega <= pi/dt.  The
+    caller's `warm_start` (e.g. the unperturbed fit; it must be of
+    `model_class`) is clipped into the bounds, and the fit is never worse
+    than it: the returned objective is at most the warm model's distance to
+    the series.
 
-    Oscillating classes search (mu, omega) alone, with (A, phi) solved in
-    closed form at each point (`_Projection`), from the warm start's
-    (mu, omega), else from a log-envelope slope and the dominant Fourier
-    peak.  Should that search fail to converge or end with A outside its
-    bounds, the bounded four-parameter fit runs from the warm start and
-    from the projected point, its A clamped.  Decay classes run the
-    bounded fit from the warm start and from three rates around the
-    log-envelope slope.  Returns the best start; converged = False if no
-    start terminated cleanly.
+    Decay classes profile A out in closed form and scan mu on a stated grid
+    that holds the warm start's rate, then refine (`_decay_scan`): one
+    search.  Oscillating classes search (mu, omega) alone, with (A, phi)
+    solved in closed form at each point (`_Projection`), from the warm
+    start's (mu, omega), else from a log-envelope slope and the dominant
+    Fourier peak (`_bounded_search`).  A search that ends near the face
+    omega = 0 also has that face solved by the decay scan, and the better
+    fit is kept.  Should neither give a converged fit with A inside its
+    bounds, the bounded four-parameter fit (`least_squares`) runs from the
+    warm start and from the searched point, its A clamped, and the best
+    start is kept.  `restarts_used` counts the searches run: the scan or
+    the (mu, omega) search, the face scan, and each fallback start.
     """
     if n_eq < 8:
         raise ValueError("need at least 8 samples up to n_eq")
@@ -324,33 +535,44 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
         raise ValueError(f"warm start of class {warm_start.kind.value} "
                          f"for a {model_class.value} fit")
     t = series.t[: n_eq + 1]
-    c = series.values[: n_eq + 1]
+    # contiguous, so that a series read from CSV (a strided column) sums in
+    # the same order as the run's own and fits to the same bits
+    c = np.ascontiguousarray(series.values[: n_eq + 1])
     x = model_class.envelope_variable(t)
 
-    if model_class.oscillating:
-        lower = [A_BOUNDS[0], 0.0, 0.0, -np.inf]
-        upper = [A_BOUNDS[1], np.inf, np.pi / series.dt, np.inf]
-        if warm_start is None:
-            p0 = [_envelope_rate(t, c, model_class.squared), _fft_peak(t, c)]
-        else:
-            p0 = warm_start.params[1:3]
-        bounds = (lower[1:3], upper[1:3])
-        projection = _Projection(t, x, c)
-        res = least_squares(projection.residual, np.clip(p0, *bounds),
-                            jac=projection.jacobian, bounds=bounds,
-                            **_TOLERANCES, max_nfev=400 * len(p0))
-        a, phi = projection.amplitude_phase(res.x)
-        params = (a, *res.x, phi)
-        if res.success and A_BOUNDS[0] <= a <= A_BOUNDS[1]:
-            model = FitModel(model_class, params)
-            obj = epsilon(series, model, n_eq)
-            return FitResult(model, obj, n_eq, True, 1)
-        starts = [np.clip(params, lower, upper)]
-    else:
-        mu0 = _envelope_rate(t, c, model_class.squared)
-        starts = [[1.0, m] for m in (mu0, mu0 / 3, 3 * mu0)]
-        lower = [A_BOUNDS[0], 0.0]
-        upper = [A_BOUNDS[1], np.inf]
+    def result(params, converged, searches):
+        model = FitModel(model_class, params)
+        return FitResult(model, epsilon(series, model, n_eq), n_eq, converged,
+                         searches)
+
+    if not model_class.oscillating:
+        warm_mu = None if warm_start is None else warm_start.mu
+        _, a, mu, converged = _decay_scan(x, c, warm_mu)
+        return result((a, mu), converged, 1)
+
+    lower = [A_BOUNDS[0], 0.0, 0.0, -np.inf]
+    upper = [A_BOUNDS[1], np.inf, np.pi / series.dt, np.inf]
+    p0 = [_envelope_rate(t, c, model_class.squared), _fft_peak(t, c)] \
+        if warm_start is None else warm_start.params[1:3]
+    projection = _Projection(t, x, c)
+    omega_face = FACE_PHASE / t[-1]
+    p, converged = _bounded_search(projection, np.clip(p0, lower[1:3],
+                                                       upper[1:3]),
+                                   upper[2], omega_face)
+    a, phi = projection.amplitude_phase(p)
+    params = (a, *p, phi)
+    searches = 1
+    if p[1] <= omega_face:
+        # the face, taken if no worse than where the search stopped: that
+        # keeps the fit no worse than its start
+        f0, a0, mu0, converged = _decay_scan(x, c, p[0])
+        searches += 1
+        if f0 <= projection.resid @ projection.resid:
+            return result((a0, mu0, 0.0, 0.0), converged, searches)
+    elif converged and A_BOUNDS[0] <= a <= A_BOUNDS[1]:
+        return result(params, True, searches)
+
+    starts = [np.clip(params, lower, upper)]
     if warm_start is not None:
         starts.insert(0, np.clip(warm_start.params, lower, upper))
 
@@ -361,7 +583,7 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
         return model_class.jacobian(p, t, x)
 
     best = None
-    restarts = 0
+    restarts = searches
     converged = False
     for p0 in starts:
         try:

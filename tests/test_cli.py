@@ -997,3 +997,27 @@ class TestPlotCommand:
         assert f"{run / 'summary.json'}: {error}" in capsys.readouterr().err
         # the summary is read whole before any figure is drawn
         assert not [name for name in os.listdir(run) if name.endswith(".svg")]
+
+    def test_summary_that_is_a_directory_exit_2(self, tiny_run, tmp_path,
+                                                capsys):
+        run = shutil.copytree(tiny_run, tmp_path / "run",
+                              ignore=shutil.ignore_patterns("*.svg"))
+        (run / "summary.json").unlink()
+        (run / "summary.json").mkdir()
+        assert main(["plot", "--from", str(run)]) == 2
+        assert f"{run / 'summary.json'}: not a file" in capsys.readouterr().err
+        assert not [name for name in os.listdir(run) if name.endswith(".svg")]
+
+    @pytest.mark.parametrize("section, entry", [
+        ("families", {"g": 1}), ("families", []), ("unperturbed", {"g": 1})])
+    def test_wrongly_typed_summary_entry_exit_2(self, tiny_run, tmp_path,
+                                                capsys, section, entry):
+        run = shutil.copytree(tiny_run, tmp_path / "run",
+                              ignore=shutil.ignore_patterns("*.svg"))
+        summary = json.loads((run / "summary.json").read_text())
+        summary[section] = entry
+        (run / "summary.json").write_text(json.dumps(summary))
+        assert main(["plot", "--from", str(run)]) == 2
+        assert f"{run / 'summary.json'}: wrongly typed entry" in \
+            capsys.readouterr().err
+        assert not [name for name in os.listdir(run) if name.endswith(".svg")]

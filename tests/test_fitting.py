@@ -213,53 +213,53 @@ def projected_central_differences(kind, t, c, p, steps=(1e-6, 1e-6)):
 
 
 class TestFit:
-    def test_least_squares_gets_the_closed_form_jacobian(self, monkeypatch):
-        calls = []
-
-        def spy(fun, x0, **kwargs):
-            calls.append((fun, np.asarray(x0), kwargs.get("jac")))
-            return least_squares(fun, x0, **kwargs)
-
-        monkeypatch.setattr(fitting, "least_squares", spy)
+    def test_search_gets_the_closed_form_jacobian(self, monkeypatch):
         # an oscillating class: one projected search over (mu, omega)
+        calls = bounded_search_starts(monkeypatch)
         series, kind, n_eq, _ = fit_case("gauss_cos")
         result = fit(series, kind, n_eq)
         assert len(calls) == result.restarts_used == 1
-        fun, x0, jac = calls[0]
-        assert x0.shape == (2,) and callable(jac)
+        projection, p0 = calls[0]
+        assert p0.shape == (2,)
         t, c = series.t[:n_eq + 1], series.values[:n_eq + 1]
         for p in ([0.1, 2.1], [0.13, 1.9], [0.02, 0.3]):
             p = np.array(p)
-            np.testing.assert_allclose(fun(p), projected_residual(kind, t, c, p),
+            np.testing.assert_allclose(projection.residual(p),
+                                       projected_residual(kind, t, c, p),
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(
-                jac(p), projected_central_differences(kind, t, c, p),
+                projection.jacobian(p),
+                projected_central_differences(kind, t, c, p),
                 rtol=1e-6, atol=1e-7)
-        # a decay class: every bounded start gets ModelClass.jacobian
-        calls.clear()
-        series, kind, n_eq, _ = fit_case("gauss")
-        result = fit(series, kind, n_eq)
-        assert len(calls) == result.restarts_used == 3
-        for _, x0, jac in calls:
-            assert x0.shape == (2,) and callable(jac)
-            p = np.array([0.9, 0.1])
-            assert np.array_equal(jac(p), kind.jacobian(p, series.t[:n_eq + 1]))
+
+    @pytest.mark.parametrize("kind, mu", [(ModelClass.EXP, 0.3),
+                                          (ModelClass.GAUSS, 0.01)])
+    @pytest.mark.parametrize("amplitude", [1.0, 3.0])   # 3.0: A clamped
+    def test_decay_profile_has_closed_form_derivatives(self, kind, mu,
+                                                       amplitude):
+        t = np.arange(801) * 0.02
+        x = kind.envelope_variable(t)
+        c = amplitude * np.exp(-0.8 * mu * x) + 0.01 * np.sin(3.0 * t)
+        f, slope, curvature, a = fitting._profile(mu, x, c)
+        e = np.exp(-mu * x)
+        assert a == np.clip((e @ c) / (e @ e), 0.5, 1.5)
+        assert f == pytest.approx(np.sum((a * e - c) ** 2), rel=1e-14)
+        h = 1e-5 * mu
+        up = fitting._profile(mu + h, x, c)
+        down = fitting._profile(mu - h, x, c)
+        assert slope == pytest.approx((up[0] - down[0]) / (2 * h), rel=1e-6)
+        assert curvature == pytest.approx((up[1] - down[1]) / (2 * h),
+                                          rel=1e-6)
 
     @pytest.mark.parametrize("case", [*SELF_FITS, "noisy", "warm_start"])
-    def test_same_minimum_as_the_two_point_jacobian(self, monkeypatch, case):
+    def test_same_minimum_as_least_squares(self, case):
         series, kind, n_eq, warm = fit_case(case)
         result = fit(series, kind, n_eq, warm_start=warm)
-
-        def two_point(fun, x0, **kwargs):
-            return least_squares(fun, x0, **{**kwargs, "jac": "2-point"})
-
-        monkeypatch.setattr(fitting, "least_squares", two_point)
-        reference = fit(series, kind, n_eq, warm_start=warm)
-        assert result.converged == reference.converged
-        # oscillating: one projected search each; decay: every start
-        starts = 1 if kind.oscillating else 3 + (warm is not None)
-        assert result.restarts_used == reference.restarts_used == starts
-        assert abs(result.epsilon - reference.epsilon) <= 1e-10
+        reference = least_squares_epsilon(series, kind, n_eq, warm)
+        assert result.converged
+        # one search: the decay scan, or the projected (mu, omega) search
+        assert result.restarts_used == 1
+        assert abs(result.epsilon - reference) <= 1e-10
 
     def test_exp_self_fit(self):
         result = fit(*fit_case("exp"))
@@ -297,14 +297,42 @@ class TestFit:
         assert np.allclose(second.model.params, first.model.params, atol=1e-9)
 
     @pytest.mark.parametrize("case", ["noisy", "warm_start"])
-    def test_multistart_monotone(self, monkeypatch, case):
-        # a decay fit runs every start and keeps the best of them
+    def test_decay_fit_is_one_scan_over_the_warm_rate(self, monkeypatch,
+                                                      case):
+        # one scan, whose grid holds the warm start's rate; it ends no worse
+        # than the best amplitude at that rate or at any of the three rates
+        # around the log-envelope slope that the bounded fit used to start at
         series, kind, n_eq, warm = fit_case(case)
-        starts = least_squares_starts(monkeypatch)
+        scans = decay_scans(monkeypatch)
         result = fit(series, kind, n_eq, warm_start=warm)
-        assert result.restarts_used == len(starts) == 3 + (warm is not None)
-        assert result.epsilon == min(np.sqrt(np.sum(res.fun**2) / n_eq)
-                                     for _, res in starts)
+        assert result.restarts_used == len(scans) == 1
+        (x, c, extra), (f, a, mu, converged) = scans[0]
+        assert extra == (None if warm is None else warm.mu)
+        assert result.model.params == (a, mu) and result.converged == converged
+        assert result.epsilon == pytest.approx(math.sqrt(f / n_eq), rel=1e-12)
+        mu_base = fitting._envelope_rate(series.t[:n_eq + 1], c, kind.squared)
+        rates = [mu_base, mu_base / 3, 3 * mu_base]
+        for rate in rates + ([] if warm is None else [warm.mu]):
+            assert f <= fitting._profile(rate, x, c)[0]
+
+    def test_series_that_never_settles_is_scanned_over_its_window(self):
+        # a lasting oscillation pins the log-envelope rate at its 1e-3
+        # floor, and the minimum lies over 3000 times above it
+        t = np.arange(2001) * 0.02
+        c = 0.9 * np.exp(-2.6 * t**2) + 0.1 * np.cos(3.0 * t)
+        result = fit(CorrelationSeries(0.02, c), ModelClass.GAUSS, 2000)
+        assert fitting._envelope_rate(t, c, True) == 1e-3
+        assert result.converged and result.model.mu > 3.0
+        dense = min(fitting._profile(mu, t**2, c)[0]
+                    for mu in np.geomspace(1e-4, 1e4, 801))
+        assert result.epsilon**2 * 2000 <= dense * (1 + 1e-12)
+
+    def test_constant_series_fits_at_the_rate_bound(self):
+        # the objective grows with mu from mu = 0: the bound is the optimum
+        series = CorrelationSeries(0.05, np.ones(201))
+        result = fit(series, ModelClass.EXP, 200)
+        assert result.model.params == (1.0, 0.0)
+        assert result.converged and result.epsilon == 0.0
 
     def test_warm_start_bounds_objective(self):
         # with the reference parameters seeded, the fit can never end farther
@@ -362,16 +390,22 @@ class TestFit:
         assert 0.5 <= result.model.a <= 1.5
 
 
-def four_parameter_epsilon(series, kind, n_eq, warm=None):
-    """Best objective of the oscillating fit with (A, mu, omega, phi) all
-    searched: a start at each phase quadrant from the log-envelope rate and
-    the Fourier peak, plus the warm start, clipped into the bounds."""
+def least_squares_epsilon(series, kind, n_eq, warm=None):
+    """Best objective of scipy's bounded least_squares over all of the
+    class's parameters, from the warm start (clipped into the bounds) and
+    from the log-envelope rate: at each phase quadrant with the Fourier
+    peak for an oscillating class, else at one third, one and three times
+    that rate."""
     t, c = series.t[:n_eq + 1], series.values[:n_eq + 1]
     mu0 = fitting._envelope_rate(t, c, kind.squared)
-    om0 = fitting._fft_peak(t, c)
-    lower = [0.5, 0.0, 0.0, -np.inf]
-    upper = [1.5, np.inf, np.pi / series.dt, np.inf]
-    starts = [[1.0, mu0, om0, ph] for ph in np.arange(4) * np.pi / 2]
+    if kind.oscillating:
+        om0 = fitting._fft_peak(t, c)
+        lower = [0.5, 0.0, 0.0, -np.inf]
+        upper = [1.5, np.inf, np.pi / series.dt, np.inf]
+        starts = [[1.0, mu0, om0, ph] for ph in np.arange(4) * np.pi / 2]
+    else:
+        lower, upper = [0.5, 0.0], [1.5, np.inf]
+        starts = [[1.0, mu] for mu in (mu0, mu0 / 3, 3 * mu0)]
     if warm is not None:
         starts.insert(0, np.clip(warm.params, lower, upper))
     return min(
@@ -414,9 +448,30 @@ def small_oscillation_fits():
                 Scenario.PATHOLOGICAL_OSCILLATION, 3, 2).items()}}
 
 
+@pytest.fixture(scope="module")
+def small_decay_fits():
+    return {**scenario_fits(Scenario.DECAY, 5, 3),
+            **{f"pathological-{k}": v for k, v in scenario_fits(
+                Scenario.PATHOLOGICAL_DECAY, 3, 3).items()}}
+
+
+@pytest.mark.parametrize("case", [
+    f"{prefix}{fam}-{i}" for prefix in ("", "pathological-")
+    for fam in ("g", "e") for i in ("baseline", 0, 1, 2)])
+def test_decay_trial_same_minimum_as_least_squares(small_decay_fits, case):
+    # non-equilibrated trials too, whose log-envelope rate says nothing
+    series, kind, n_eq, warm = small_decay_fits[case]
+    result = fit(series, kind, n_eq, warm_start=warm)
+    assert result.converged and result.restarts_used == 1
+    reference = least_squares_epsilon(series, kind, n_eq, warm)
+    # 1e-15: the round-off of an exact Gaussian baseline's epsilon
+    assert result.epsilon <= reference * (1 + 1e-12) + 1e-15
+    assert abs(result.epsilon - reference) <= 1e-9 * reference + 1e-15
+
+
 def least_squares_starts(monkeypatch) -> list:
-    """Spy on fitting's least_squares: (x0, result) of every call, in
-    order."""
+    """Spy on fitting's least_squares, which only the four-parameter
+    fallback calls: (x0, result) of every call, in order."""
     starts = []
 
     def spy(fun, x0, **kwargs):
@@ -428,6 +483,35 @@ def least_squares_starts(monkeypatch) -> list:
     return starts
 
 
+def bounded_search_starts(monkeypatch) -> list:
+    """Spy on the projected (mu, omega) search: (projection, start) of every
+    call, in order."""
+    calls = []
+    search = fitting._bounded_search
+
+    def spy(projection, p, *args):
+        calls.append((projection, np.array(p, dtype=float)))
+        return search(projection, p, *args)
+
+    monkeypatch.setattr(fitting, "_bounded_search", spy)
+    return calls
+
+
+def decay_scans(monkeypatch) -> list:
+    """Spy on the decay scan: ((x, c, extra), result) of every call, in
+    order."""
+    scans = []
+    scan = fitting._decay_scan
+
+    def spy(x, c, extra=None):
+        result = scan(x, c, extra)
+        scans.append(((x, c, extra), result))
+        return result
+
+    monkeypatch.setattr(fitting, "_decay_scan", spy)
+    return scans
+
+
 class TestProjectedFit:
     DT = 0.02
 
@@ -435,13 +519,6 @@ class TestProjectedFit:
         return series_from(
             lambda t: amplitude * np.exp(-0.2 * t) * np.cos(2.0 * t - 0.5),
             dt=self.DT, t_max=20.0)
-
-    @pytest.mark.parametrize("case", [name for name, case in SELF_FITS.items()
-                                      if case[3].oscillating])
-    def test_self_fit_same_minimum_as_the_four_parameter_fit(self, case):
-        series, kind, n_eq, _ = fit_case(case)
-        assert abs(fit(series, kind, n_eq).epsilon
-                   - four_parameter_epsilon(series, kind, n_eq)) <= 1e-10
 
     @pytest.mark.parametrize("case", [
         *(f"{fam}-{i}" for fam in ("gdo", "edo")
@@ -453,18 +530,20 @@ class TestProjectedFit:
         series, kind, n_eq, warm = small_oscillation_fits[case]
         result = fit(series, kind, n_eq, warm_start=warm)
         assert result.restarts_used == 1
-        assert abs(result.epsilon - four_parameter_epsilon(
+        assert abs(result.epsilon - least_squares_epsilon(
             series, kind, n_eq, warm)) <= 1e-10
 
     @pytest.mark.parametrize("amplitude, projected", [(3.0, False),
                                                       (1.0, True)])
     def test_amplitude_outside_its_bounds_falls_back(self, monkeypatch,
                                                      amplitude, projected):
+        searches = bounded_search_starts(monkeypatch)
         starts = least_squares_starts(monkeypatch)
         result = fit(self.damped_cosine(amplitude), ModelClass.EXP_COS, 900)
         # the projected search, then the bounded fit from its point
-        assert [x0.size for x0, _ in starts] == ([2] if projected else [2, 4])
-        assert result.restarts_used == len(starts) - (not projected)
+        assert len(searches) == 1
+        assert [x0.size for x0, _ in starts] == ([] if projected else [4])
+        assert result.restarts_used == 1 + len(starts)
         assert 0.5 <= result.model.a <= 1.5
         if projected:
             assert result.model.a == pytest.approx(1.0, abs=1e-9)
@@ -477,16 +556,17 @@ class TestProjectedFit:
     @pytest.mark.parametrize("omega", [2.0, 200.0])
     def test_warm_frequency_is_clipped_into_its_bounds(
             self, monkeypatch, amplitude, omega):
+        searches = bounded_search_starts(monkeypatch)
         starts = least_squares_starts(monkeypatch)
         warm = FitModel(ModelClass.EXP_COS, (1.2, 0.2, omega, 0.5))
         result = fit(self.damped_cosine(amplitude), ModelClass.EXP_COS, 900,
                      warm_start=warm)
         used = min(omega, np.pi / self.DT)  # 200 lies above pi/dt = 157.08
-        assert starts[0][0].tolist() == [0.2, used]
-        if len(starts) > 1:   # fell back: the warm start comes first, counted
-            assert starts[1][0].tolist() == [1.2, 0.2, used, 0.5]
-            assert result.restarts_used == len(starts) - 1 == 2
-        else:                 # the projected search alone
+        assert [p0.tolist() for _, p0 in searches] == [[0.2, used]]
+        if starts:   # fell back: the warm start comes first
+            assert starts[0][0].tolist() == [1.2, 0.2, used, 0.5]
+            assert result.restarts_used == 1 + len(starts) == 3
+        else:        # the projected search alone
             assert result.restarts_used == 1
 
     @pytest.mark.parametrize("kind", [ModelClass.EXP_COS,
@@ -499,8 +579,27 @@ class TestProjectedFit:
         assert np.isfinite(params).all() and np.isfinite(result.epsilon)
         assert 0.5 <= result.model.a <= 1.5
         assert 0.0 <= result.model.omega <= np.pi / self.DT
-        # the exact curve has omega = 0, which the search only nears
-        assert result.epsilon <= 1e-8
+        # the exact curve has omega = 0: the face the decay scan solves
+        assert result.converged
+        assert result.epsilon <= 1e-12
+
+    @pytest.mark.parametrize("kind", [ModelClass.EXP_COS,
+                                      ModelClass.GAUSS_COS])
+    def test_face_is_solved_by_the_decay_scan(self, monkeypatch, kind):
+        series = series_from(lambda t: np.exp(-0.3 * kind.envelope_variable(t)),
+                             dt=self.DT, t_max=20.0)
+        searches = bounded_search_starts(monkeypatch)
+        scans = decay_scans(monkeypatch)
+        result = fit(series, kind, 900)
+        # the search stops a quarter period from the face, where the scan
+        # of the class's own envelope takes over from its rate
+        assert len(searches) == len(scans) == 1
+        (x, _, extra), (_, a, mu, converged) = scans[0]
+        assert np.array_equal(x, kind.envelope_variable(series.t[:901]))
+        assert extra > 0.0      # the rate where the search stopped
+        assert result.model.params == (a, mu, 0.0, 0.0)
+        assert result.restarts_used == 2 and result.converged == converged
+        assert mu == pytest.approx(0.3, rel=1e-12)
 
     @pytest.mark.parametrize("omega", [0.0, 1e-9, 2.0, np.pi / DT])
     def test_projection_is_the_least_squares_solution(self, omega):
