@@ -196,12 +196,8 @@ def dense_correlation(chain: LanczosChain, times: np.ndarray) -> np.ndarray:
     equal site-0 weights, so C(t) = sum_k w_k cos(lambda_k t) with
     w_k = V[0,k]^2.
     """
-    from scipy.linalg import eigh_tridiagonal  # the oracle alone needs scipy
-
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if chain.d == 1:
-        return np.ones_like(times)
-    lam, V = eigh_tridiagonal(np.zeros(chain.d), chain.b)
+    lam, V = np.linalg.eigh(dense_generator(chain))
     w = V[0, :] ** 2
     return w @ np.cos(np.outer(lam, times))
 
@@ -225,15 +221,21 @@ def _apply_generator(b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_weights(z: float) -> np.ndarray:
-    """J_0..J_K at argument z, truncated where the tail is below round-off."""
-    from scipy.special import jv  # only the chebyshev stepper needs scipy
+    """J_0..J_K at argument z, truncated where the tail is below round-off.
 
+    Miller's backward recurrence J_{m-1} = (2m/z) J_m - J_{m+1} from
+    `_miller_order(z)`, normalised by J_0 + 2 sum_k J_2k = 1, as in
+    `_cosine_series`.
+    """
     if z == 0.0:
         return np.array([1.0])
-    kmax = int(z + 40 + 4 * np.sqrt(z))
-    J = jv(np.arange(kmax + 1), z)
-    keep = np.nonzero(np.abs(J) > 1e-17)[0]
-    return J[: keep[-1] + 1] if keep.size else J[:1]
+    top = int(_miller_order(z))
+    J = np.zeros(top + 2)
+    J[top] = _MILLER_SEED
+    for m in range(top, 0, -1):
+        J[m - 1] = 2 * m / z * J[m] - J[m + 1]
+    J = J[:-1] / (J[0] + 2 * J[2::2].sum())
+    return J[: np.nonzero(np.abs(J) > 1e-17)[0][-1] + 1]
 
 
 def _chebyshev_step(bs: np.ndarray, phi: np.ndarray, J: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ import time
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, PropagationError,
@@ -288,7 +287,6 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
         "tool": "morilab",
         "version": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "engine": "/".join(sorted({run.baseline.method
                                    for run in summary.runs.values()})),
         "nproc": len(os.sched_getaffinity(0)),

@@ -32,7 +32,6 @@ __all__ = [
 EQ_THRESHOLD = 0.01  # |C| must stay below this ...
 EQ_WINDOW = 5.0      # ... for this long (time units) to count as equilibrated
 A_BOUNDS = (0.5, 1.5)
-_TOLERANCES = dict(xtol=1e-14, ftol=1e-14, gtol=1e-14)  # the fallback's
 
 # The decay scan: mu = 0 and SCAN_PER_DECADE rates per decade from
 # SCAN_FLAT / x_end, where the model is flat to 0.1% over the window, to
@@ -59,14 +58,14 @@ REFINE_MAX = 100      # bisection alone narrows 7.5% to 1e-12 in 37 steps
 # The (mu, omega) search: Levenberg-Marquardt on the projected residual.
 # It stops when every free gradient component is below SEARCH_GTOL times
 # |J_k| |r|, or when the step cannot move p by more than SEARCH_XTOL
-# relative, the fallback's own xtol.  The first is a cosine: at the bound
-# the objective lies within about SEARCH_GTOL^2 = 1e-16 of the minimum,
+# relative, about 50 ulps.  The first is a cosine: at the bound the
+# objective lies within about SEARCH_GTOL^2 = 1e-16 of the minimum,
 # relative, while the cosine's round-off floor (the projected Jacobian
 # cancels) reached 5e-9 at desk trials' minima.  A residual that vanishes
 # at the minimum (an exact self-fit) stops by the second test.
 SEARCH_GTOL = 1e-8
 SEARCH_XTOL = 1e-14
-SEARCH_MAX_EVALS = 800   # the budget least_squares had: 400 per parameter
+SEARCH_MAX_EVALS = 800   # desk searches take 5-36 evaluations
 SEARCH_DAMPING = 1e-3    # first damping, relative to diag(J^T J)
 # Near the face omega = 0 the projected amplitude runs off as omega -> 0
 # (the sin column tends to omega t e, so beta grows like 1/omega) and the
@@ -74,6 +73,12 @@ SEARCH_DAMPING = 1e-3    # first damping, relative to diag(J^T J)
 # cosine shows at most a quarter period in the window, omega t_{n_eq} <=
 # pi/2, and the face is solved by the decay scan instead.
 FACE_PHASE = math.pi / 2
+# Newton's method for the best pair on an amplitude's circle ends once it
+# has taken a step this small relative to its root (`_circle_pair`): the
+# next would be about its square.  It took 2 to 9 steps on 200 noisy
+# damped cosines whose best A lay outside its bounds.
+PAIR_XTOL = 1e-8
+PAIR_MAX = 50
 
 
 class ModelClass(enum.Enum):
@@ -110,27 +115,6 @@ class ModelClass(enum.Enum):
         if self.oscillating:
             out = out * np.cos(params[2] * t - params[3])
         return out
-
-    def jacobian(self, params, t: np.ndarray, x: np.ndarray | None = None
-                 ) -> np.ndarray:
-        """d curve / d params in closed form, shape (len(t), n_params).
-
-        With e = exp(-mu x), c = cos(omega t - phi), s = sin(omega t - phi)
-        the columns are (e, -A x e) and, oscillating,
-        (e c, -A x e c, -A t e s, A e s).
-        """
-        t = np.asarray(t, dtype=float)
-        x = self.envelope_variable(t) if x is None else x
-        a, e = params[0], np.exp(-params[1] * x)
-        jac = np.empty((t.size, self.n_params))
-        if self.oscillating:
-            arg = params[2] * t - params[3]
-            jac[:, 3] = a * e * np.sin(arg)
-            jac[:, 2] = -t * jac[:, 3]
-            e = e * np.cos(arg)
-        jac[:, 0] = e
-        jac[:, 1] = -a * x * e
-        return jac
 
 
 @dataclass(frozen=True)
@@ -270,12 +254,16 @@ class _Projection:
     (alpha, beta).  For fixed p = (mu, omega) the best pair solves the 2x2
     normal equations of G = [e cos(omega t), e sin(omega t)], so a search
     runs over p alone (variable projection: Golub & Pereyra, SIAM J. Numer.
-    Anal. 10, 413, 1973).  The last evaluation is kept: the search asks for
-    the Jacobian at the point it has just evaluated.
+    Anal. 10, 413, 1973).  Given an `amplitude`, the pair is held on the
+    circle of that radius and only the phase is solved.  The last
+    evaluation is kept: the search asks for the Jacobian at the point it
+    has just evaluated.
     """
 
-    def __init__(self, t: np.ndarray, x: np.ndarray, c: np.ndarray):
+    def __init__(self, t: np.ndarray, x: np.ndarray, c: np.ndarray,
+                 amplitude: float | None = None):
         self.t, self.x, self.c = t, x, c
+        self.amplitude = amplitude
         # numpy's lstsq cutoff, squared: sigma_min / sigma_max of G below n eps
         self.rcond2 = (t.size * np.finfo(float).eps) ** 2
         self._last = None
@@ -294,6 +282,37 @@ class _Projection:
                             ) / det
         return np.array([rhs[0] / a, np.zeros_like(rhs[1])])
 
+    def _circle_pair(self, gc: np.ndarray) -> np.ndarray:
+        """The best pair of norm A, the `amplitude`, for gc = G^T c.
+
+        In M's eigenbasis, eigenvalues lam_1 <= lam_2, it is w_i = g_i /
+        (lam_i - nu) at the nu <= lam_1 where |w| = A (a trust region's
+        boundary solution: More & Sorensen, SIAM J. Sci. Stat. Comput. 4,
+        553, 1983).  1/|w| is concave in delta = lam_1 - nu, so Newton's
+        method on 1/|w| = 1/A from delta = |g_1| / A, where |w| >= A, rises
+        monotonically onto the root.  Where g_1 vanishes (at omega = 0 the
+        sin column does) delta may be 0, the hard case: w_2 = g_2 / (lam_2 -
+        lam_1), at most A in size, and w_1 takes the rest of the norm.
+        """
+        a, b, d = self.gram
+        lam, vec = np.linalg.eigh([[a, b], [b, d]])
+        g = gc @ vec
+        amp, shift = self.amplitude, np.array([0.0, lam[1] - lam[0]])
+        if abs(g[0]) <= np.finfo(float).eps * abs(g[1]):
+            w = g[1] / shift[1] if abs(g[1]) < amp * shift[1] \
+                else math.copysign(amp, g[1])
+            return vec @ [math.sqrt(amp * amp - w * w), w]
+        delta = abs(g[0]) / amp
+        for _ in range(PAIR_MAX):
+            w = g / (delta + shift)
+            norm = math.hypot(*w)
+            step = (norm - amp) * norm**2 \
+                / (amp * (w * w / (delta + shift)).sum())
+            delta += step
+            if abs(step) <= PAIR_XTOL * delta:
+                break
+        return vec @ (g / (delta + shift))
+
     def _evaluate(self, p: np.ndarray) -> None:
         if self._last is not None and np.array_equal(self._last, p):
             return
@@ -304,7 +323,9 @@ class _Projection:
         # about 130 KB that no other part of a run touches
         g0, g1 = self.g
         self.gram = (g0 @ g0, g0 @ g1, g1 @ g1)
-        self.coef = self._solve(self.g @ self.c)
+        gc = self.g @ self.c
+        self.coef = self._solve(gc) if self.amplitude is None \
+            else self._circle_pair(gc)
         self.resid = self.coef @ self.g - self.c
         self._last = np.array(p, dtype=float)
 
@@ -318,12 +339,16 @@ class _Projection:
 
         For each parameter k, with r the residual and dG_k = dG / dp_k:
         J_k = dG_k (alpha, beta) - G M^+ (G^T dG_k (alpha, beta) + dG_k^T r).
-        Here dG_mu = -x G and dG_omega = t [-e sin, e cos].
+        Here dG_mu = -x G and dG_omega = t [-e sin, e cos].  On a circle
+        J_k = dG_k (alpha, beta) alone: the pair moves along the circle,
+        orthogonal at the best phase to G^T r, so J^T r is still exact.
         """
         self._evaluate(p)
         g, (alpha, beta), r = self.g, self.coef, self.resid
         dg_coef = np.stack((-self.x * (self.coef @ g),
                             self.t * (beta * g[0] - alpha * g[1])))
+        if self.amplitude is not None:
+            return dg_coef.T
         tr = g @ (self.t * r)
         dg_r = np.stack((-(g @ (self.x * r)), [-tr[1], tr[0]]), axis=1)
         k = self._solve(np.stack((g @ dg_coef[0], g @ dg_coef[1]), axis=1)
@@ -331,26 +356,18 @@ class _Projection:
         return (dg_coef - k[0][:, None] * g[0] - k[1][:, None] * g[1]).T
 
     def amplitude_phase(self, p: np.ndarray) -> tuple[float, float]:
-        """(A, phi) = (hypot(alpha, beta), atan2(beta, alpha)) at p."""
+        """(A, phi) = (hypot(alpha, beta), atan2(beta, alpha)) at p; A is
+        the circle's own radius on a circle."""
         self._evaluate(p)
         alpha, beta = (float(v) for v in self.coef)
-        return math.hypot(alpha, beta), math.atan2(beta, alpha)
+        return self.amplitude or math.hypot(alpha, beta), \
+            math.atan2(beta, alpha)
 
 
-def least_squares(fun, x0, **kwargs):
-    """`scipy.optimize.least_squares`, imported at the first call.
-
-    Only the four-parameter fallback of an oscillating fit reaches it, so a
-    run whose fits all stay on the numpy core never imports scipy.optimize.
-    """
-    from scipy.optimize import least_squares as solve
-    return solve(fun, x0, **kwargs)
-
-
-def _profile(mu: float, x: np.ndarray, c: np.ndarray
+def _profile(mu: float, x: np.ndarray, c: np.ndarray, bounds=A_BOUNDS
              ) -> tuple[float, float, float, float]:
     """(f, f', f'', A) of the decay objective f(mu) = |A e - c|^2 at
-    A = clip(<e, c>/<e, e>, 0.5, 1.5), the best amplitude for e = exp(-mu x).
+    A = clip(<e, c>/<e, e>, *bounds), the best amplitude for e = exp(-mu x).
 
     With r = A e - c, f' = -2 A <x e, r> whether A is clamped or not.  An
     unclamped A moves with mu, which removes f_Amu^2 / f_AA from f_mumu.
@@ -359,18 +376,18 @@ def _profile(mu: float, x: np.ndarray, c: np.ndarray
     xe = x * e
     ee = e @ e
     a_free = (e @ c) / ee
-    a = min(max(a_free, A_BOUNDS[0]), A_BOUNDS[1])
+    a = min(max(a_free, bounds[0]), bounds[1])
     r = a * e - c
     xer = xe @ r
     curvature = 2 * a * ((x * xe) @ r + a * (xe @ xe))
-    if A_BOUNDS[0] < a_free < A_BOUNDS[1]:
+    if bounds[0] < a_free < bounds[1]:
         cross = -2 * (xer + a * (e @ xe))
         curvature -= cross * cross / (2 * ee)
     return float(r @ r), -2 * a * float(xer), float(curvature), float(a)
 
 
 def _refine(x: np.ndarray, c: np.ndarray, lo: float, mu: float, hi: float,
-            top: float) -> tuple[float, float, float, bool]:
+            top: float, bounds=A_BOUNDS) -> tuple[float, float, float, bool]:
     """(f, A, mu, converged): the decay objective's minimum in [lo, hi] by
     safeguarded Newton, from a grid point mu no worse than lo and hi.
 
@@ -380,7 +397,7 @@ def _refine(x: np.ndarray, c: np.ndarray, lo: float, mu: float, hi: float,
     At mu = 0 a nonnegative slope is the bound's optimum; at the grid's top
     rate a negative slope means the minimum lies beyond it, unconverged.
     """
-    f, slope, curvature, a = _profile(mu, x, c)
+    f, slope, curvature, a = _profile(mu, x, c, bounds)
     for _ in range(REFINE_MAX):
         if slope > 0:
             hi = mu
@@ -391,7 +408,7 @@ def _refine(x: np.ndarray, c: np.ndarray, lo: float, mu: float, hi: float,
         step = -slope / curvature if curvature > 0 else math.inf
         trial = mu + step if lo < mu + step < hi else 0.5 * (lo + hi)
         done = abs(trial - mu) <= REFINE_XTOL * mu
-        values = _profile(trial, x, c)
+        values = _profile(trial, x, c, bounds)
         if values[0] <= f:
             mu, (f, slope, curvature, a) = trial, values
         elif trial < mu:
@@ -403,10 +420,10 @@ def _refine(x: np.ndarray, c: np.ndarray, lo: float, mu: float, hi: float,
     return f, a, mu, False
 
 
-def _decay_scan(x: np.ndarray, c: np.ndarray, extra: float | None = None
-                ) -> tuple[float, float, float, bool]:
-    """(f, A, mu, converged) of the best decay fit A exp(-mu x) to c, f its
-    sum of squared residuals.
+def _decay_scan(x: np.ndarray, c: np.ndarray, extra: float | None = None,
+                bounds=A_BOUNDS) -> tuple[float, float, float, bool]:
+    """(f, A, mu, converged) of the best decay fit A exp(-mu x) to c, A
+    within `bounds`, f its sum of squared residuals.
 
     The objective, with A profiled out in closed form, is summed on the
     stated grid (0, SCAN_FLAT / x_end .. SCAN_CUT / x_1, and `extra`, e.g.
@@ -432,17 +449,23 @@ def _decay_scan(x: np.ndarray, c: np.ndarray, extra: float | None = None
             else x.size
         e, r = e_buf[:mu.size, :n], r_buf[:mu.size, :n]
         np.exp(np.multiply(mu, -x[:n], out=e), out=e)
-        a = np.clip((e @ c[:n]) / np.einsum("ij,ij->i", e, e), *A_BOUNDS)
+        a = np.clip((e @ c[:n]) / np.einsum("ij,ij->i", e, e), *bounds)
         np.subtract(np.multiply(a[:, None], e, out=r), c[:n], out=r)
         objective[lo:lo + SCAN_CHUNK] = np.einsum("ij,ij->i", r, r) + tail[n]
     k = int(np.argmin(objective))
     return _refine(x, c, grid[max(k - 1, 0)], grid[k],
-                   grid[min(k + 1, grid.size - 1)], grid[-1])
+                   grid[min(k + 1, grid.size - 1)], grid[-1], bounds)
 
 
-def _bounded_search(projection: _Projection, p: np.ndarray, omega_max: float,
-                    omega_face: float) -> tuple[np.ndarray, bool]:
-    """(p, converged): Levenberg-Marquardt over p = (mu, omega) in the box
+class _Search(NamedTuple):
+    x: np.ndarray       # the point (mu, omega) where the search stopped
+    success: bool       # a convergence test passed within the budget
+    nfev: int           # residual evaluations, the start's included
+
+
+def least_squares(projection: _Projection, p: np.ndarray, omega_max: float,
+                  omega_face: float = -math.inf) -> _Search:
+    """Levenberg-Marquardt over p = (mu, omega) in the box
     [0, inf) x [0, omega_max], on `projection`'s residual and exact Jacobian.
 
     Each step solves (H + lambda diag H) s = -g on the free coordinates
@@ -455,23 +478,26 @@ def _bounded_search(projection: _Projection, p: np.ndarray, omega_max: float,
     stays on it).  mu is clipped at 0.  Only steps that lower the objective
     are taken, so the result is no worse than the start; lambda, the trust
     region, moves by Nielsen's rule on the ratio of actual to predicted
-    decrease.  Converged means the projected-gradient
-    test or the step test of SEARCH_GTOL / SEARCH_XTOL passed within the
-    budget.  Two points in a row with omega <= omega_face end the search,
-    unconverged: it is creeping towards the face omega = 0.
+    decrease.  Success means the projected-gradient test or the step test
+    of SEARCH_GTOL / SEARCH_XTOL passed within the budget; a start whose
+    objective is not finite fails at once.  Two points in a row with omega
+    <= omega_face, if given, end the search, unsuccessful: it is creeping
+    towards the face omega = 0.
     """
     lower, upper = np.zeros(2), np.array([np.inf, omega_max])
     r = projection.residual(p)
     jac = projection.jacobian(p)
     f = r @ r
+    if not math.isfinite(f):
+        return _Search(p, False, 1)
     damping, growth = SEARCH_DAMPING, 2.0
-    for _ in range(SEARCH_MAX_EVALS):
+    for nfev in range(1, SEARCH_MAX_EVALS + 1):
         g, h = jac.T @ r, jac.T @ jac
         diag = np.diag(h)
         free = ~(((p <= lower) & (g > 0)) | ((p >= upper) & (g < 0))) \
             & (diag > np.finfo(float).eps * diag.max())
         if np.all(np.abs(g[free]) <= SEARCH_GTOL * np.sqrt(diag[free] * f)):
-            return p, True
+            return _Search(p, True, nfev)
         m = h + damping * np.diag(diag)
         if free.all():
             step = np.array([m[0, 1] * g[1] - m[1, 1] * g[0],
@@ -486,7 +512,7 @@ def _bounded_search(projection: _Projection, p: np.ndarray, omega_max: float,
         trial[0] = max(trial[0], 0.0)
         step = trial - p
         if math.hypot(*step) <= SEARCH_XTOL * (SEARCH_XTOL + math.hypot(*p)):
-            return p, True
+            return _Search(p, True, nfev)
         r_trial = projection.residual(trial)
         f_trial = r_trial @ r_trial
         if f_trial < f:
@@ -495,13 +521,13 @@ def _bounded_search(projection: _Projection, p: np.ndarray, omega_max: float,
             damping *= max(1 / 3, 1 - (2 * ratio - 1) ** 3)
             growth = 2.0
             if max(p[1], trial[1]) <= omega_face:
-                return trial, False
+                return _Search(trial, False, nfev + 1)
             p, r, f = trial, r_trial, f_trial
             jac = projection.jacobian(p)
         else:
             damping *= growth
             growth *= 2
-    return p, False
+    return _Search(p, False, SEARCH_MAX_EVALS + 1)
 
 
 def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
@@ -519,13 +545,18 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
     search.  Oscillating classes search (mu, omega) alone, with (A, phi)
     solved in closed form at each point (`_Projection`), from the warm
     start's (mu, omega), else from a log-envelope slope and the dominant
-    Fourier peak (`_bounded_search`).  A search that ends near the face
-    omega = 0 also has that face solved by the decay scan, and the better
-    fit is kept.  Should neither give a converged fit with A inside its
-    bounds, the bounded four-parameter fit (`least_squares`) runs from the
-    warm start and from the searched point, its A clamped, and the best
-    start is kept.  `restarts_used` counts the searches run: the scan or
-    the (mu, omega) search, the face scan, and each fallback start.
+    Fourier peak (`least_squares`); a start on a face omega = 0 or pi/dt,
+    where the omega column vanishes and the search could not leave it,
+    takes the Fourier peak instead.  A search that ends near the face
+    omega = 0 also has that face solved by the decay scan, with the class's
+    amplitude there, A cos(phi) in [-1.5, 1.5].  Should the search's A lie
+    outside its bounds, A is fixed at the bound it violates and the search
+    runs again on that circle: from where the first stopped if it
+    converged, else from its start.  The face fit is kept if no worse than
+    the last search's, and the clipped warm model should the searches end
+    worse than it.  An unconverged search is reported as such.
+    `restarts_used` counts the searches run: the scan or the (mu, omega)
+    search, the face scan and the search at the bound.
     """
     if n_eq < 8:
         raise ValueError("need at least 8 samples up to n_eq")
@@ -552,52 +583,39 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
 
     lower = [A_BOUNDS[0], 0.0, 0.0, -np.inf]
     upper = [A_BOUNDS[1], np.inf, np.pi / series.dt, np.inf]
-    p0 = [_envelope_rate(t, c, model_class.squared), _fft_peak(t, c)] \
-        if warm_start is None else warm_start.params[1:3]
+    start = np.clip([_envelope_rate(t, c, model_class.squared),
+                     _fft_peak(t, c)] if warm_start is None
+                    else warm_start.params[1:3], lower[1:3], upper[1:3])
+    if start[1] in (lower[2], upper[2]):
+        start[1] = _fft_peak(t, c)
     projection = _Projection(t, x, c)
     omega_face = FACE_PHASE / t[-1]
-    p, converged = _bounded_search(projection, np.clip(p0, lower[1:3],
-                                                       upper[1:3]),
-                                   upper[2], omega_face)
+    p, converged, _ = least_squares(projection, start, upper[2], omega_face)
     a, phi = projection.amplitude_phase(p)
-    params = (a, *p, phi)
-    searches = 1
+    params, f = (a, *p, phi), projection.resid @ projection.resid
+    searches, face = 1, None
     if p[1] <= omega_face:
-        # the face, taken if no worse than where the search stopped: that
-        # keeps the fit no worse than its start
-        f0, a0, mu0, converged = _decay_scan(x, c, p[0])
+        # on the face omega = 0 the class is A cos(phi) exp(-mu x)
+        f_face, a_face, mu, face_converged = _decay_scan(
+            x, c, p[0], (-upper[0], upper[0]))
+        amplitude = max(abs(a_face), lower[0])
+        face = (f_face, (amplitude, mu, 0.0, math.acos(a_face / amplitude)),
+                face_converged)
         searches += 1
-        if f0 <= projection.resid @ projection.resid:
-            return result((a0, mu0, 0.0, 0.0), converged, searches)
-    elif converged and A_BOUNDS[0] <= a <= A_BOUNDS[1]:
-        return result(params, True, searches)
-
-    starts = [np.clip(params, lower, upper)]
+    if not A_BOUNDS[0] <= a <= A_BOUNDS[1]:
+        # on a circle A cannot run off near the face: no face stop, and a
+        # first search that did not converge says nothing of where to start
+        projection = _Projection(t, x, c, min(max(a, lower[0]), upper[0]))
+        p, converged, _ = least_squares(projection, p if converged else start,
+                                        upper[2])
+        a, phi = projection.amplitude_phase(p)
+        params, f = (a, *p, phi), projection.resid @ projection.resid
+        searches += 1
+    if face is not None and face[0] <= f:
+        f, params, converged = face
     if warm_start is not None:
-        starts.insert(0, np.clip(warm_start.params, lower, upper))
-
-    def residual(p):
-        return model_class.curve(p, t, x) - c
-
-    def jacobian(p):
-        return model_class.jacobian(p, t, x)
-
-    best = None
-    restarts = searches
-    converged = False
-    for p0 in starts:
-        try:
-            res = least_squares(residual, p0, jac=jacobian,
-                                bounds=(lower, upper), **_TOLERANCES,
-                                max_nfev=400 * len(p0))
-        except ValueError:
-            continue
-        obj = float(np.sqrt(np.sum(res.fun**2) / n_eq))
-        restarts += 1
-        converged = converged or bool(res.success)
-        if best is None or obj < best[0]:
-            best = (obj, res)
-    if best is None:
-        raise RuntimeError("no fit restart could be evaluated")
-    model = FitModel(model_class, tuple(best[1].x))
-    return FitResult(model, best[0], n_eq, converged, restarts)
+        warm = np.clip(warm_start.params, lower, upper)
+        r = model_class.curve(warm, t, x) - c
+        if r @ r < f:
+            params = warm
+    return result(params, converged, searches)

@@ -10,7 +10,7 @@ from morilab import chain as chain_module
 from morilab.chain import (C0_TOL, CUT_TOL, GROUP_ROWS, NORM_TOL,
                            WKB_FACTOR, CorrelationSeries, LanczosChain,
                            PropagationError, _CHUNK_ROWS, _bessel_tail,
-                           _causal_cut,
+                           _bessel_weights, _causal_cut,
                            _continued_coupling, _cosine_series, _even_moments,
                            _miller_order, _prefix_moments, _prefix_scale,
                            _quantized, _spectral_bound, dense_correlation, dense_generator, propagate,
@@ -388,6 +388,16 @@ class TestCausalCut:
             assert tail <= _bessel_tail(order, x)
         assert _bessel_tail(order, x) <= 1e3 * tail     # measured 17-300x
         assert _bessel_tail(5, 0.0) == 0.0
+
+    @pytest.mark.parametrize("z", [0.0, *np.geomspace(1e-12, 100.0, 29),
+                                   2.404825557695773, 30.0])
+    def test_bessel_weights_match_jv(self, z):
+        # the chebyshev stepper's weights, by Miller's recurrence; the
+        # orders cut off are below 1e-17
+        weights = _bessel_weights(z)
+        reference = jv(np.arange(weights.size + 50), z)
+        assert np.abs(weights - reference[:weights.size]).max() <= 1e-14
+        assert np.abs(reference[weights.size:]).max() <= 1e-17
 
     def test_tail_alone_bounds_a_cut_beyond_the_cone(self):
         # the recursion stops before v_k reaches site n_c - 1: only the

@@ -125,41 +125,13 @@ class TestSigma:
         assert sigma(a, b, n_eq) == pytest.approx(manual, rel=1e-14)
 
 
-class TestJacobian:
+class TestCurve:
     T = np.arange(2001) * 0.02
-    # central-difference steps for (A, mu, omega, phi): the truncation error
-    # of mu is about (h x)^2 / 6 relative, x up to t^2 = 1600; the phase
-    # columns lose about 1e-14 / h absolute to the rounding of omega t - phi
-    STEPS = (1e-6, 5e-7, 4e-5, 1e-4)
-
-    def central_differences(self, kind, params):
-        out = np.empty((self.T.size, kind.n_params))
-        for i in range(kind.n_params):
-            up, down = list(params), list(params)
-            up[i] += self.STEPS[i]
-            down[i] -= self.STEPS[i]
-            out[:, i] = (kind.curve(up, self.T) - kind.curve(down, self.T)) \
-                / (up[i] - down[i])
-        return out
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(kind=st.sampled_from(list(ModelClass)), a=st.floats(0.5, 1.5),
-           mu=st.floats(0.0, 2.0), omega=st.floats(0.0, 5.0),
-           phi=st.floats(-10.0, 10.0))
-    def test_matches_central_differences(self, kind, a, mu, omega, phi):
-        params = (a, mu, omega, phi)[: kind.n_params]
-        jac = kind.jacobian(params, self.T)
-        assert jac.shape == (self.T.size, kind.n_params)
-        # the floor covers entries that underflow at large mu t^2
-        np.testing.assert_allclose(
-            jac, self.central_differences(kind, params), rtol=1e-6, atol=1e-9)
 
     def test_shares_the_envelope_variable(self):
         for kind in ModelClass:
             params = (0.9, 0.2, 1.5, 0.3)[: kind.n_params]
             x = kind.envelope_variable(self.T)
-            assert np.array_equal(kind.jacobian(params, self.T, x),
-                                  kind.jacobian(params, self.T))
             assert np.array_equal(kind.curve(params, self.T, x),
                                   kind.curve(params, self.T))
 
@@ -215,11 +187,11 @@ def projected_central_differences(kind, t, c, p, steps=(1e-6, 1e-6)):
 class TestFit:
     def test_search_gets_the_closed_form_jacobian(self, monkeypatch):
         # an oscillating class: one projected search over (mu, omega)
-        calls = bounded_search_starts(monkeypatch)
+        calls = searches(monkeypatch)
         series, kind, n_eq, _ = fit_case("gauss_cos")
         result = fit(series, kind, n_eq)
         assert len(calls) == result.restarts_used == 1
-        projection, p0 = calls[0]
+        projection, p0, _ = calls[0]
         assert p0.shape == (2,)
         t, c = series.t[:n_eq + 1], series.values[:n_eq + 1]
         for p in ([0.1, 2.1], [0.13, 1.9], [0.02, 0.3]):
@@ -306,7 +278,7 @@ class TestFit:
         scans = decay_scans(monkeypatch)
         result = fit(series, kind, n_eq, warm_start=warm)
         assert result.restarts_used == len(scans) == 1
-        (x, c, extra), (f, a, mu, converged) = scans[0]
+        (x, c, extra, _), (f, a, mu, converged) = scans[0]
         assert extra == (None if warm is None else warm.mu)
         assert result.model.params == (a, mu) and result.converged == converged
         assert result.epsilon == pytest.approx(math.sqrt(f / n_eq), rel=1e-12)
@@ -390,30 +362,39 @@ class TestFit:
         assert 0.5 <= result.model.a <= 1.5
 
 
+def bounds(kind, dt):
+    """The fit's bounds on (A, mu[, omega, phi])."""
+    if kind.oscillating:
+        return [0.5, 0.0, 0.0, -np.inf], [1.5, np.inf, np.pi / dt, np.inf]
+    return [0.5, 0.0], [1.5, np.inf]
+
+
+def bounded_fit_epsilon(series, kind, n_eq, start):
+    """epsilon of scipy's bounded least_squares over all of the class's
+    parameters, from `start` clipped into the bounds."""
+    t, c = series.t[:n_eq + 1], series.values[:n_eq + 1]
+    lower, upper = bounds(kind, series.dt)
+    return np.sqrt(np.sum(least_squares(
+        lambda p: kind.curve(p, t) - c, np.clip(start, lower, upper),
+        jac="3-point",
+        bounds=(lower, upper), xtol=1e-14, ftol=1e-14, gtol=1e-14,
+        max_nfev=1600).fun**2) / n_eq)
+
+
 def least_squares_epsilon(series, kind, n_eq, warm=None):
-    """Best objective of scipy's bounded least_squares over all of the
-    class's parameters, from the warm start (clipped into the bounds) and
-    from the log-envelope rate: at each phase quadrant with the Fourier
-    peak for an oscillating class, else at one third, one and three times
-    that rate."""
+    """Best `bounded_fit_epsilon` from the warm start and from the
+    log-envelope rate: at each phase quadrant with the Fourier peak for an
+    oscillating class, else at one third, one and three times that rate."""
     t, c = series.t[:n_eq + 1], series.values[:n_eq + 1]
     mu0 = fitting._envelope_rate(t, c, kind.squared)
     if kind.oscillating:
         om0 = fitting._fft_peak(t, c)
-        lower = [0.5, 0.0, 0.0, -np.inf]
-        upper = [1.5, np.inf, np.pi / series.dt, np.inf]
         starts = [[1.0, mu0, om0, ph] for ph in np.arange(4) * np.pi / 2]
     else:
-        lower, upper = [0.5, 0.0], [1.5, np.inf]
         starts = [[1.0, mu] for mu in (mu0, mu0 / 3, 3 * mu0)]
     if warm is not None:
-        starts.insert(0, np.clip(warm.params, lower, upper))
-    return min(
-        np.sqrt(np.sum(least_squares(
-            lambda p: kind.curve(p, t) - c, p0,
-            jac=lambda p: kind.jacobian(p, t), bounds=(lower, upper),
-            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=1600).fun**2) / n_eq)
-        for p0 in starts)
+        starts.insert(0, warm.params)
+    return min(bounded_fit_epsilon(series, kind, n_eq, p0) for p0 in starts)
 
 
 def scenario_fits(scenario, seed, n_trials, d=400):
@@ -469,43 +450,31 @@ def test_decay_trial_same_minimum_as_least_squares(small_decay_fits, case):
     assert abs(result.epsilon - reference) <= 1e-9 * reference + 1e-15
 
 
-def least_squares_starts(monkeypatch) -> list:
-    """Spy on fitting's least_squares, which only the four-parameter
-    fallback calls: (x0, result) of every call, in order."""
-    starts = []
+def searches(monkeypatch) -> list:
+    """Spy on the projected (mu, omega) search, fitting's `least_squares`:
+    (projection, start, result) of every call, in order."""
+    calls = []
+    search = fitting.least_squares
 
-    def spy(fun, x0, **kwargs):
-        result = least_squares(fun, x0, **kwargs)
-        starts.append((np.array(x0, dtype=float), result))
+    def spy(projection, p, *args):
+        start = np.array(p, dtype=float)
+        result = search(projection, p, *args)
+        calls.append((projection, start, result))
         return result
 
     monkeypatch.setattr(fitting, "least_squares", spy)
-    return starts
-
-
-def bounded_search_starts(monkeypatch) -> list:
-    """Spy on the projected (mu, omega) search: (projection, start) of every
-    call, in order."""
-    calls = []
-    search = fitting._bounded_search
-
-    def spy(projection, p, *args):
-        calls.append((projection, np.array(p, dtype=float)))
-        return search(projection, p, *args)
-
-    monkeypatch.setattr(fitting, "_bounded_search", spy)
     return calls
 
 
 def decay_scans(monkeypatch) -> list:
-    """Spy on the decay scan: ((x, c, extra), result) of every call, in
-    order."""
+    """Spy on the decay scan: ((x, c, extra, bounds), result) of every call,
+    in order."""
     scans = []
     scan = fitting._decay_scan
 
-    def spy(x, c, extra=None):
-        result = scan(x, c, extra)
-        scans.append(((x, c, extra), result))
+    def spy(x, c, extra=None, bounds=fitting.A_BOUNDS):
+        result = scan(x, c, extra, bounds)
+        scans.append(((x, c, extra, bounds), result))
         return result
 
     monkeypatch.setattr(fitting, "_decay_scan", spy)
@@ -533,41 +502,71 @@ class TestProjectedFit:
         assert abs(result.epsilon - least_squares_epsilon(
             series, kind, n_eq, warm)) <= 1e-10
 
-    @pytest.mark.parametrize("amplitude, projected", [(3.0, False),
-                                                      (1.0, True)])
-    def test_amplitude_outside_its_bounds_falls_back(self, monkeypatch,
-                                                     amplitude, projected):
-        searches = bounded_search_starts(monkeypatch)
-        starts = least_squares_starts(monkeypatch)
-        result = fit(self.damped_cosine(amplitude), ModelClass.EXP_COS, 900)
-        # the projected search, then the bounded fit from its point
-        assert len(searches) == 1
-        assert [x0.size for x0, _ in starts] == ([] if projected else [4])
-        assert result.restarts_used == 1 + len(starts)
-        assert 0.5 <= result.model.a <= 1.5
-        if projected:
-            assert result.model.a == pytest.approx(1.0, abs=1e-9)
-            assert result.epsilon <= 1e-12
-        else:
-            assert result.model.a == pytest.approx(1.5, abs=1e-12)
-            assert result.converged
+    @pytest.mark.parametrize("warm", [None, (1.2, 0.2, 2.0, 0.5)])
+    @pytest.mark.parametrize("kind, amplitude, bound", [
+        (ModelClass.EXP_COS, 3.0, 1.5), (ModelClass.EXP_COS, 0.2, 0.5),
+        (ModelClass.GAUSS_COS, 2.0, 1.5)])
+    def test_amplitude_outside_its_bounds_is_searched_at_the_bound(
+            self, monkeypatch, kind, amplitude, bound, warm):
+        series = series_from(
+            lambda t: kind.curve((amplitude, 0.2, 2.0, 0.5), t), dt=self.DT,
+            t_max=20.0)
+        warm = None if warm is None else FitModel(kind, warm)
+        calls = searches(monkeypatch)
+        result = fit(series, kind, 900, warm_start=warm)
+        # the free search, then the search on the violated bound's circle
+        # from where the first stopped
+        (free, _, first), (circle, start, _) = calls
+        assert circle.amplitude == bound and free.amplitude is None
+        assert np.array_equal(start, first.x)
+        assert result.restarts_used == 2 and result.converged
+        assert result.model.a == bound
+        # scipy's bounded four-parameter fit, from the free search's point
+        # with A clipped and from the warm start
+        a, phi = free.amplitude_phase(first.x)
+        reference = min(bounded_fit_epsilon(series, kind, 900, p0) for p0 in
+                        [(a, *first.x, phi), *([] if warm is None
+                                               else [warm.params])])
+        assert abs(result.epsilon - reference) <= 1e-10 * reference
+        if warm is not None:
+            clipped = np.clip(warm.params, *bounds(kind, self.DT))
+            assert result.epsilon <= epsilon(series, FitModel(kind, clipped),
+                                             900)
 
     @pytest.mark.parametrize("amplitude", [1.0, 3.0])
-    @pytest.mark.parametrize("omega", [2.0, 200.0])
+    @pytest.mark.parametrize("omega", [0.0, 2.0, 200.0])
     def test_warm_frequency_is_clipped_into_its_bounds(
             self, monkeypatch, amplitude, omega):
-        searches = bounded_search_starts(monkeypatch)
-        starts = least_squares_starts(monkeypatch)
+        calls = searches(monkeypatch)
         warm = FitModel(ModelClass.EXP_COS, (1.2, 0.2, omega, 0.5))
-        result = fit(self.damped_cosine(amplitude), ModelClass.EXP_COS, 900,
+        series = self.damped_cosine(amplitude)
+        result = fit(series, ModelClass.EXP_COS, 900, warm_start=warm)
+        # 200 is clipped to pi/dt = 157.08.  There, as at 0, the omega
+        # column vanishes and the search could not leave the face: it starts
+        # from the Fourier peak instead
+        used = omega if omega == 2.0 else \
+            fitting._fft_peak(series.t[:901], series.values[:901])
+        assert calls[0][1].tolist() == [0.2, used]
+        assert result.converged
+        if amplitude == 1.0:
+            assert result.restarts_used == 1 and result.epsilon < 1e-12
+        else:        # then A is fixed at its bound
+            assert result.restarts_used == 2 and result.model.a == 1.5
+            clipped = FitModel(ModelClass.EXP_COS, (1.5, 0.2, min(
+                omega, np.pi / self.DT), 0.5))
+            assert result.epsilon <= epsilon(series, clipped, 900)
+
+    def test_search_that_ends_worse_keeps_the_clipped_warm_model(
+            self, monkeypatch):
+        # a face start moved to the Fourier peak, or a search at an
+        # amplitude bound, may end worse than the warm model: a stub here
+        monkeypatch.setattr(fitting, "least_squares",
+                            lambda projection, p, *args: fitting._Search(
+                                np.array([5.0, 9.0]), True, 1))
+        warm = FitModel(ModelClass.EXP_COS, (2.0, 0.2, 2.0, 0.5))
+        result = fit(self.damped_cosine(1.0), ModelClass.EXP_COS, 900,
                      warm_start=warm)
-        used = min(omega, np.pi / self.DT)  # 200 lies above pi/dt = 157.08
-        assert [p0.tolist() for _, p0 in searches] == [[0.2, used]]
-        if starts:   # fell back: the warm start comes first
-            assert starts[0][0].tolist() == [1.2, 0.2, used, 0.5]
-            assert result.restarts_used == 1 + len(starts) == 3
-        else:        # the projected search alone
-            assert result.restarts_used == 1
+        assert result.model.params == (1.5, 0.2, 2.0, 0.5)
 
     @pytest.mark.parametrize("kind", [ModelClass.EXP_COS,
                                       ModelClass.GAUSS_COS])
@@ -588,18 +587,76 @@ class TestProjectedFit:
     def test_face_is_solved_by_the_decay_scan(self, monkeypatch, kind):
         series = series_from(lambda t: np.exp(-0.3 * kind.envelope_variable(t)),
                              dt=self.DT, t_max=20.0)
-        searches = bounded_search_starts(monkeypatch)
+        calls = searches(monkeypatch)
         scans = decay_scans(monkeypatch)
         result = fit(series, kind, 900)
         # the search stops a quarter period from the face, where the scan
-        # of the class's own envelope takes over from its rate
-        assert len(searches) == len(scans) == 1
-        (x, _, extra), (_, a, mu, converged) = scans[0]
+        # of the class's own envelope takes over from its rate.  Should A
+        # have run off past its bound on the way (exp_cos), the search on
+        # that bound's circle runs too, and the face fit is no worse
+        assert len(scans) == 1 and calls[0][0].amplitude is None
+        (x, _, extra, bounds), (_, a, mu, converged) = scans[0]
         assert np.array_equal(x, kind.envelope_variable(series.t[:901]))
-        assert extra > 0.0      # the rate where the search stopped
+        assert extra == calls[0][2].x[0] > 0.0   # where the search stopped
+        assert bounds == (-1.5, 1.5)             # A cos(phi) at omega = 0
         assert result.model.params == (a, mu, 0.0, 0.0)
-        assert result.restarts_used == 2 and result.converged == converged
+        assert result.restarts_used == len(calls) + 1
+        assert result.converged == converged
         assert mu == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", [ModelClass.EXP_COS,
+                                      ModelClass.GAUSS_COS])
+    @pytest.mark.parametrize("value, bound", [(3.0, 1.5), (0.2, 0.5)])
+    def test_constant_series_is_fitted_on_the_face(self, kind, value, bound):
+        # the Fourier peak of a constant is 0: the searches run on the face
+        # omega = 0, where the sin column vanishes and the pair on the
+        # bound's circle is the trust region's hard case
+        series = CorrelationSeries(self.DT, np.full(1001, value),
+                                   normalized=False)
+        result = fit(series, kind, 900)
+        assert result.converged
+        assert result.model.a == bound and result.model.omega == 0.0
+        # the best curve is min(value, 1.5): A cos(phi) reaches 0.2
+        assert result.epsilon == pytest.approx(
+            max(value - 1.5, 0.0) * np.sqrt(901 / 900), abs=1e-15)
+
+    @pytest.mark.parametrize("rate", [0.3, 0.05])
+    @pytest.mark.parametrize("kind, amplitude", [
+        (ModelClass.EXP_COS, 3.0), (ModelClass.EXP_COS, 2.0),
+        (ModelClass.EXP_COS, 0.2), (ModelClass.GAUSS_COS, 3.0),
+        (ModelClass.GAUSS_COS, 2.0), (ModelClass.GAUSS_COS, 0.2)])
+    def test_decay_outside_the_amplitude_bounds(self, kind, amplitude, rate):
+        # a decay fitted as an oscillating class: the free search creeps
+        # towards the face omega = 0 as its A runs off.  The search on the
+        # bound's circle and the face scan decide; the best may lie off the
+        # face (3 exp(-0.3 t) as exp_cos: omega = 0.12, eps 0.341 against
+        # the face's 0.370)
+        series = series_from(
+            lambda t: amplitude * np.exp(-rate * kind.envelope_variable(t)),
+            dt=self.DT, t_max=20.0)
+        result = fit(series, kind, 900)
+        assert result.converged
+        assert result.model.a == (1.5 if amplitude > 1.5 else 0.5)
+        if amplitude < 0.5:      # A cos(phi) = 0.2 on the face
+            assert result.epsilon < 1e-15
+        x = kind.envelope_variable(series.t[:901])
+        f_face = fitting._decay_scan(x, series.values[:901], None,
+                                     (-1.5, 1.5))[0]
+        assert result.epsilon <= np.sqrt(f_face / 900) * (1 + 1e-12) + 1e-15
+        reference = least_squares_epsilon(series, kind, 900)
+        assert result.epsilon <= reference * (1 + 1e-10) + 1e-15
+
+    def test_search_from_a_non_finite_objective_fails(self):
+        class Undefined:
+            def residual(self, p):
+                return np.full(3, np.nan)
+
+            def jacobian(self, p):
+                return np.full((3, 2), np.nan)
+
+        search = fitting.least_squares(Undefined(), np.array([0.1, 1.0]),
+                                       10.0)
+        assert not search.success and search.nfev == 1
 
     @pytest.mark.parametrize("omega", [0.0, 1e-9, 2.0, np.pi / DT])
     def test_projection_is_the_least_squares_solution(self, omega):
@@ -615,6 +672,60 @@ class TestProjectedFit:
             projection.residual(p),
             projected_residual(ModelClass.EXP_COS, t, c, p), rtol=0, atol=1e-12)
         assert np.isfinite(projection.jacobian(p)).all()
+
+    @pytest.mark.parametrize("radius", [0.5, 1.5])
+    @pytest.mark.parametrize("omega", [0.0, np.pi / DT])
+    def test_circle_pair_on_a_face(self, radius, omega):
+        # the sin column vanishes (at 0 exactly, at pi/dt to round-off):
+        # the pair is finite, of norm `radius` and the best on its circle
+        series = self.damped_cosine(1.0)
+        t = series.t[:901]
+        rng = np.random.default_rng(5)
+        c = series.values[:901] + 0.05 * rng.standard_normal(t.size)
+        projection = fitting._Projection(t, t, c, radius)
+        r = projection.residual(np.array([0.3, omega]))
+        assert np.hypot(*projection.coef) == pytest.approx(radius, rel=1e-15)
+        e = np.exp(-0.3 * t)
+        g = np.stack((e * np.cos(omega * t), e * np.sin(omega * t)))
+        grid = np.linspace(0.0, 2 * np.pi, 4001)
+        dense = np.sum((radius * np.stack((np.cos(grid), np.sin(grid))).T
+                        @ g - c) ** 2, axis=1)
+        assert r @ r <= dense.min() * (1 + 1e-12)
+
+    @pytest.mark.parametrize("radius", [0.5, 1.5])
+    @pytest.mark.parametrize("omega", [0.3, 2.0, 2.5])
+    def test_circle_pair_is_the_best_on_its_circle(self, radius, omega):
+        # the pair of norm `radius` is the best of a dense phase grid, and
+        # J^T r, from dG (alpha, beta) alone, is the objective's gradient
+        series = self.damped_cosine(1.0)
+        t = series.t[:901]
+        rng = np.random.default_rng(5)
+        c = series.values[:901] + 0.05 * rng.standard_normal(t.size)
+        projection = fitting._Projection(t, t, c, radius)
+        p = np.array([0.3, omega])
+        r = projection.residual(p)
+        a, phi = projection.amplitude_phase(p)
+        assert a == radius
+        assert np.hypot(*projection.coef) == pytest.approx(radius, rel=1e-15)
+        e = np.exp(-p[0] * t)
+        g = np.stack((e * np.cos(omega * t), e * np.sin(omega * t)))
+        grid = np.linspace(0.0, 2 * np.pi, 4001)
+        dense = np.sum((radius * np.stack((np.cos(grid), np.sin(grid))).T
+                        @ g - c) ** 2, axis=1)
+        assert r @ r <= dense.min() * (1 + 1e-12)
+
+        def objective(q):
+            residual = projection.residual(np.array(q))
+            return 0.5 * residual @ residual
+
+        gradient = projection.jacobian(p).T @ r
+        for k, h in enumerate((1e-6, 1e-6)):
+            up, down = p.copy(), p.copy()
+            up[k] += h
+            down[k] -= h
+            assert gradient[k] == pytest.approx(
+                (objective(up) - objective(down)) / (2 * h), rel=1e-6,
+                abs=1e-9)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(kind=st.sampled_from([ModelClass.EXP_COS, ModelClass.GAUSS_COS]),

@@ -1,7 +1,7 @@
-"""What a run imports, and the names the trace harness binds.
+"""What a run needs, and the names the trace harness binds.
 
 Each check runs in a fresh interpreter: this suite's own modules import
-scipy's solvers, and the trace harness rebinds the package's functions.
+scipy, and the trace harness rebinds the package's functions.
 """
 
 import os
@@ -13,7 +13,21 @@ import morilab
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(Path(morilab.__file__).resolve().parent.parent)
-SOLVERS = ("scipy.optimize", "scipy.special", "scipy.linalg")
+# a finder that refuses scipy and every submodule of it, as on an install
+# of the runtime dependencies alone
+NO_SCIPY = (
+    "import sys\n"
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'scipy':\n"
+    "            raise ModuleNotFoundError(f'No module named {name!r}')\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+    "try:\n"
+    "    import scipy\n"
+    "except ModuleNotFoundError:\n"
+    "    pass\n"
+    "else:\n"
+    "    raise AssertionError('scipy was imported')\n")
 
 
 def run_python(code: str) -> str:
@@ -25,38 +39,46 @@ def run_python(code: str) -> str:
     return out.stdout
 
 
-def test_import_loads_no_scipy_solver():
-    # scipy's solvers serve the oracles, the chebyshev stepper and the
-    # rare fit fallback; each imports its own where it is used
-    loaded = run_python(
-        "import sys, morilab, morilab.cli\n"
-        f"print(*[m for m in {SOLVERS!r} if m in sys.modules])")
-    assert loaded.split() == []
-
-
-def test_run_scenario_stays_off_scipy_optimize():
-    # one worker, so every fit, the baselines' and the trials', runs here
-    loaded = run_python(
-        "import sys\n"
-        "from morilab.experiment import Scenario, ScenarioConfig, "
-        "run_scenario\n"
-        "for config in (\n"
-        "        ScenarioConfig.preset(Scenario.DECAY, d=150, n_trials=2,\n"
-        "                              dt=0.05, t_max=10.0, n_star=8,\n"
-        "                              workers=1),\n"
-        "        ScenarioConfig.preset(Scenario.OSCILLATION, d=400,\n"
-        "                              n_trials=2, dt=0.05, t_max=12.0,\n"
-        "                              base_seed=7, workers=1)):\n"
-        "    records, summary = run_scenario(config)\n"
-        "    assert all(r.converged for r in records), records\n"
-        "print('scipy.optimize' in sys.modules)")
-    assert loaded.split() == ["False"]
+def test_every_command_runs_without_scipy(tmp_path):
+    # one worker, so that every trial and every fit runs in this interpreter
+    runs = {
+        "decay": ["--d", "150", "--trials", "2", "--dt", "0.05", "--tmax",
+                  "10", "--nstar", "8"],
+        "oscillation": ["--d", "400", "--trials", "2", "--dt", "0.05",
+                        "--tmax", "12", "--seed", "7"]}
+    commands = []
+    for scenario, flags in runs.items():
+        out = str(tmp_path / scenario)
+        commands += [["run", "--scenario", scenario, *flags, "--workers", "1",
+                      "--out", out], ["plot", "--from", out]]
+    chain, series = str(tmp_path / "chain.csv"), str(tmp_path / "C.csv")
+    commands += [
+        ["design", "--family", "gdo", "--d", "300", "--out", chain],
+        ["propagate", "--chain", chain, "--dt", "0.05", "--tmax", "12",
+         "--out", series],
+        ["fit", "--series", series, "--model", "gauss_cos", "--out",
+         str(tmp_path / "fit.json")],
+        ["reverse", "--target", "exp(-t^2/8)*cos(2t)", "--nmax", "20",
+         "--out", str(tmp_path / "b.csv")]]
+    printed = run_python(
+        NO_SCIPY
+        + "from morilab.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "from morilab.chain import (LanczosChain, dense_correlation,\n"
+        "                           propagate)\n"
+        f"chain = LanczosChain.from_csv({chain!r})\n"
+        "for method in ('chebyshev', 'rk4'):\n"
+        "    propagate(chain, dt=0.05, t_max=2.0, method=method)\n"
+        "dense_correlation(chain, [0.0, 1.0])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    assert printed.splitlines()[-1] == "[]"
 
 
 def test_trace_harness_binds_every_name():
-    # benchmarks/trace_run.py looks its targets up by name, the fit
-    # fallback's `least_squares` and `cli.render_all` among them; a name
-    # that is gone fails its install with an AttributeError
+    # benchmarks/trace_run.py looks its targets up by name, the (mu, omega)
+    # search `least_squares` and `cli.render_all` among them; a name that is
+    # gone fails its install with an AttributeError
     wrapped = run_python(
         "import importlib.util, sys\n"
         "spec = importlib.util.spec_from_file_location(\n"
@@ -76,3 +98,28 @@ def test_trace_harness_binds_every_name():
     assert {"fitting.least_squares", "cli.render_all", "fitting.fit",
             "chain.propagate"} <= set(bound)
     assert set(bound.values()) == {"True"}
+
+
+def test_trace_measures_the_search_evaluations():
+    # the harness's measure of `fitting.least_squares` is the `nfev` of the
+    # search result: an oscillating fit's residual evaluations
+    counts = run_python(
+        "import importlib.util\n"
+        "import numpy as np\n"
+        "from morilab.chain import CorrelationSeries\n"
+        "from morilab.fitting import ModelClass\n"
+        "spec = importlib.util.spec_from_file_location(\n"
+        "    'trace_run', 'benchmarks/trace_run.py')\n"
+        "trace_run = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(trace_run)\n"
+        "modules = {name: importlib.import_module(f'morilab.{name}')\n"
+        "           for name in trace_run.MODULES}\n"
+        "tracer = trace_run.Tracer()\n"
+        "trace_run.install(tracer, modules)\n"
+        "t = np.arange(901) * 0.02\n"
+        "series = CorrelationSeries(0.02, np.exp(-0.2 * t)\n"
+        "                           * np.cos(2.0 * t - 0.5), normalized=False)\n"
+        "modules['fitting'].fit(series, ModelClass.EXP_COS, 900)\n"
+        "print(*[measure for name, *_, measure in tracer.spans\n"
+        "        if name == 'fitting.least_squares'])")
+    assert [int(n) > 0 for n in counts.split()] == [True]
