@@ -100,9 +100,6 @@ class LanczosChain:
         """Liouville-space dimension (site count)."""
         return self.b.size + 1
 
-    def scaled(self, factor: float) -> "LanczosChain":
-        return LanczosChain(self.b * factor)
-
     # -- serialization ----------------------------------------------------
     def to_csv(self, path) -> None:
         write_csv(path, ["n", "b"], enumerate(self.b.tolist(), start=1))

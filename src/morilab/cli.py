@@ -550,7 +550,7 @@ def main(argv=None) -> int:
             ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as err:
+    except (ArithmeticError, RuntimeError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     finally:

@@ -314,7 +314,8 @@ def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]
     """Perturb a block of one family's trials, propagate them in one call,
     then fit each.  Each trial is drawn once, as the call reads its chain,
     and its row is filled in as the trial runs.  A trial whose propagation
-    or fit raises keeps the row it reached, invalid, and is reported."""
+    or fit raises (a RuntimeError or ArithmeticError, or the ValueError of
+    n_eq < 8) keeps the row it reached, invalid, and is reported."""
     ctx, trials = args
     cfg = ctx.config
     f0 = ctx.baseline_fit.model
@@ -348,7 +349,7 @@ def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]
             row["eps0"] = epsilon(ctx.baseline, f0, n_eq)
             row["valid"] = not invalid and result.converged
             out.append((TrialRecord(**row), series.values, None))
-        except (RuntimeError, ValueError) as err:  # ValueError: n_eq < 8
+        except (ArithmeticError, RuntimeError, ValueError) as err:
             out.append((TrialRecord(**row), None, {
                 "family": ctx.name, "trial": trial,
                 "error": f"{type(err).__name__}: {err}"}))

@@ -254,16 +254,15 @@ class _Projection:
     (alpha, beta).  For fixed p = (mu, omega) the best pair solves the 2x2
     normal equations of G = [e cos(omega t), e sin(omega t)], so a search
     runs over p alone (variable projection: Golub & Pereyra, SIAM J. Numer.
-    Anal. 10, 413, 1973).  Given an `amplitude`, the pair is held on the
-    circle of that radius and only the phase is solved.  The last
-    evaluation is kept: the search asks for the Jacobian at the point it
-    has just evaluated.
+    Anal. 10, 413, 1973).  A pair whose norm A leaves A_BOUNDS is replaced
+    by the best pair on the violated bound's circle, whose radius is kept
+    as `radius` (None inside): the objective is convex in the pair, so the
+    best pair of the annulus lies there.  The last evaluation is kept: the
+    search asks for the Jacobian at the point it has just evaluated.
     """
 
-    def __init__(self, t: np.ndarray, x: np.ndarray, c: np.ndarray,
-                 amplitude: float | None = None):
+    def __init__(self, t: np.ndarray, x: np.ndarray, c: np.ndarray):
         self.t, self.x, self.c = t, x, c
-        self.amplitude = amplitude
         # numpy's lstsq cutoff, squared: sigma_min / sigma_max of G below n eps
         self.rcond2 = (t.size * np.finfo(float).eps) ** 2
         self._last = None
@@ -282,8 +281,8 @@ class _Projection:
                             ) / det
         return np.array([rhs[0] / a, np.zeros_like(rhs[1])])
 
-    def _circle_pair(self, gc: np.ndarray) -> np.ndarray:
-        """The best pair of norm A, the `amplitude`, for gc = G^T c.
+    def _circle_pair(self, gc: np.ndarray, amp: float) -> np.ndarray:
+        """The best pair of norm A = amp for gc = G^T c.
 
         In M's eigenbasis, eigenvalues lam_1 <= lam_2, it is w_i = g_i /
         (lam_i - nu) at the nu <= lam_1 where |w| = A (a trust region's
@@ -297,7 +296,7 @@ class _Projection:
         a, b, d = self.gram
         lam, vec = np.linalg.eigh([[a, b], [b, d]])
         g = gc @ vec
-        amp, shift = self.amplitude, np.array([0.0, lam[1] - lam[0]])
+        shift = np.array([0.0, lam[1] - lam[0]])
         if abs(g[0]) <= np.finfo(float).eps * abs(g[1]):
             w = g[1] / shift[1] if abs(g[1]) < amp * shift[1] \
                 else math.copysign(amp, g[1])
@@ -324,8 +323,12 @@ class _Projection:
         g0, g1 = self.g
         self.gram = (g0 @ g0, g0 @ g1, g1 @ g1)
         gc = self.g @ self.c
-        self.coef = self._solve(gc) if self.amplitude is None \
-            else self._circle_pair(gc)
+        self.coef = self._solve(gc)
+        norm = math.hypot(*self.coef)
+        self.radius = A_BOUNDS[0] if norm < A_BOUNDS[0] \
+            else A_BOUNDS[1] if norm > A_BOUNDS[1] else None
+        if self.radius is not None:
+            self.coef = self._circle_pair(gc, self.radius)
         self.resid = self.coef @ self.g - self.c
         self._last = np.array(p, dtype=float)
 
@@ -347,7 +350,7 @@ class _Projection:
         g, (alpha, beta), r = self.g, self.coef, self.resid
         dg_coef = np.stack((-self.x * (self.coef @ g),
                             self.t * (beta * g[0] - alpha * g[1])))
-        if self.amplitude is not None:
+        if self.radius is not None:
             return dg_coef.T
         tr = g @ (self.t * r)
         dg_r = np.stack((-(g @ (self.x * r)), [-tr[1], tr[0]]), axis=1)
@@ -357,11 +360,10 @@ class _Projection:
 
     def amplitude_phase(self, p: np.ndarray) -> tuple[float, float]:
         """(A, phi) = (hypot(alpha, beta), atan2(beta, alpha)) at p; A is
-        the circle's own radius on a circle."""
+        the bound itself on a bound's circle."""
         self._evaluate(p)
         alpha, beta = (float(v) for v in self.coef)
-        return self.amplitude or math.hypot(alpha, beta), \
-            math.atan2(beta, alpha)
+        return self.radius or math.hypot(alpha, beta), math.atan2(beta, alpha)
 
 
 def _profile(mu: float, x: np.ndarray, c: np.ndarray, bounds=A_BOUNDS
@@ -460,7 +462,8 @@ def _decay_scan(x: np.ndarray, c: np.ndarray, extra: float | None = None,
 class _Search(NamedTuple):
     x: np.ndarray       # the point (mu, omega) where the search stopped
     success: bool       # a convergence test passed within the budget
-    nfev: int           # residual evaluations, the start's included
+    nfev: int           # residual evaluations, the start's included, and
+                        # steps rejected as not finite
 
 
 def least_squares(projection: _Projection, p: np.ndarray, omega_max: float,
@@ -478,11 +481,14 @@ def least_squares(projection: _Projection, p: np.ndarray, omega_max: float,
     stays on it).  mu is clipped at 0.  Only steps that lower the objective
     are taken, so the result is no worse than the start; lambda, the trust
     region, moves by Nielsen's rule on the ratio of actual to predicted
-    decrease.  Success means the projected-gradient test or the step test
-    of SEARCH_GTOL / SEARCH_XTOL passed within the budget; a start whose
-    objective is not finite fails at once.  Two points in a row with omega
-    <= omega_face, if given, end the search, unsuccessful: it is creeping
-    towards the face omega = 0.
+    decrease; a step that is not finite (a singular damped system) is
+    rejected like one that fails to.  Success means the projected-gradient
+    test or the step test of SEARCH_GTOL / SEARCH_XTOL passed within the
+    budget; a start whose objective is not finite fails at once.  Two points
+    in a row with omega <= omega_face, if given, with the pair inside its
+    bounds at the second and at the evaluation before it, end the search,
+    unsuccessful: it is creeping towards the face omega = 0 as A runs off,
+    which on a bound's circle A cannot.
     """
     lower, upper = np.zeros(2), np.array([np.inf, omega_max])
     r = projection.residual(p)
@@ -500,12 +506,17 @@ def least_squares(projection: _Projection, p: np.ndarray, omega_max: float,
             return _Search(p, True, nfev)
         m = h + damping * np.diag(diag)
         if free.all():
-            step = np.array([m[0, 1] * g[1] - m[1, 1] * g[0],
-                             m[0, 1] * g[0] - m[0, 0] * g[1]]) \
-                / (m[0, 0] * m[1, 1] - m[0, 1] ** 2)
+            with np.errstate(all="ignore"):    # singular: rejected below
+                step = np.array([m[0, 1] * g[1] - m[1, 1] * g[0],
+                                 m[0, 1] * g[0] - m[0, 0] * g[1]]) \
+                    / (m[0, 0] * m[1, 1] - m[0, 1] ** 2)
         else:
             step = np.where(free, -g / np.where(free, diag * (1 + damping),
                                                 1.0), 0.0)
+        if not np.isfinite(step).all():
+            damping *= growth
+            growth *= 2
+            continue
         trial = p + step
         trial[1] = abs(trial[1] - 2 * omega_max
                        * round(trial[1] / (2 * omega_max)))
@@ -513,6 +524,7 @@ def least_squares(projection: _Projection, p: np.ndarray, omega_max: float,
         step = trial - p
         if math.hypot(*step) <= SEARCH_XTOL * (SEARCH_XTOL + math.hypot(*p)):
             return _Search(p, True, nfev)
+        inside = projection.radius is None    # at the last evaluation
         r_trial = projection.residual(trial)
         f_trial = r_trial @ r_trial
         if f_trial < f:
@@ -520,7 +532,8 @@ def least_squares(projection: _Projection, p: np.ndarray, omega_max: float,
             ratio = (f - f_trial) / predicted if predicted > 0 else 0.0
             damping *= max(1 / 3, 1 - (2 * ratio - 1) ** 3)
             growth = 2.0
-            if max(p[1], trial[1]) <= omega_face:
+            if max(p[1], trial[1]) <= omega_face and inside \
+                    and projection.radius is None:
                 return _Search(trial, False, nfev + 1)
             p, r, f = trial, r_trial, f_trial
             jac = projection.jacobian(p)
@@ -547,16 +560,15 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
     start's (mu, omega), else from a log-envelope slope and the dominant
     Fourier peak (`least_squares`); a start on a face omega = 0 or pi/dt,
     where the omega column vanishes and the search could not leave it,
-    takes the Fourier peak instead.  A search that ends near the face
-    omega = 0 also has that face solved by the decay scan, with the class's
-    amplitude there, A cos(phi) in [-1.5, 1.5].  Should the search's A lie
-    outside its bounds, A is fixed at the bound it violates and the search
-    runs again on that circle: from where the first stopped if it
-    converged, else from its start.  The face fit is kept if no worse than
-    the last search's, and the clipped warm model should the searches end
-    worse than it.  An unconverged search is reported as such.
+    takes the Fourier peak instead.  An amplitude outside its bounds is
+    held at the bound it violates inside the projection, so the one search
+    runs over the bounded class.  A search that ends near the face omega =
+    0 also has that face solved by the decay scan, with the class's
+    amplitude there, A cos(phi) in [-1.5, 1.5], and the face fit is kept if
+    no worse than the search's; the clipped warm model is kept should both
+    end worse than it.  An unconverged search is reported as such.
     `restarts_used` counts the searches run: the scan or the (mu, omega)
-    search, the face scan and the search at the bound.
+    search, and the face scan.
     """
     if n_eq < 8:
         raise ValueError("need at least 8 samples up to n_eq")
@@ -593,26 +605,16 @@ def fit(series: CorrelationSeries, model_class: ModelClass, n_eq: int,
     p, converged, _ = least_squares(projection, start, upper[2], omega_face)
     a, phi = projection.amplitude_phase(p)
     params, f = (a, *p, phi), projection.resid @ projection.resid
-    searches, face = 1, None
+    searches = 1
     if p[1] <= omega_face:
         # on the face omega = 0 the class is A cos(phi) exp(-mu x)
         f_face, a_face, mu, face_converged = _decay_scan(
             x, c, p[0], (-upper[0], upper[0]))
-        amplitude = max(abs(a_face), lower[0])
-        face = (f_face, (amplitude, mu, 0.0, math.acos(a_face / amplitude)),
-                face_converged)
+        if f_face <= f:
+            amplitude = max(abs(a_face), lower[0])
+            params = (amplitude, mu, 0.0, math.acos(a_face / amplitude))
+            f, converged = f_face, face_converged
         searches += 1
-    if not A_BOUNDS[0] <= a <= A_BOUNDS[1]:
-        # on a circle A cannot run off near the face: no face stop, and a
-        # first search that did not converge says nothing of where to start
-        projection = _Projection(t, x, c, min(max(a, lower[0]), upper[0]))
-        p, converged, _ = least_squares(projection, p if converged else start,
-                                        upper[2])
-        a, phi = projection.amplitude_phase(p)
-        params, f = (a, *p, phi), projection.resid @ projection.resid
-        searches += 1
-    if face is not None and face[0] <= f:
-        f, params, converged = face
     if warm_start is not None:
         warm = np.clip(warm_start.params, lower, upper)
         r = model_class.curve(warm, t, x) - c

@@ -129,11 +129,6 @@ class SpectralDensityInput:
         total = np.trapezoid(self.values, self.omega)
         self.values = self.values * (2 * np.pi / total)
 
-    def second_moment(self) -> float:
-        """Second moment of the normalized measure (equals b_1^2)."""
-        return float(np.trapezoid(self.omega**2 * self.values, self.omega)
-                     / (2 * np.pi))
-
 
 def spectral_grid_for(corr: AnalyticCorrelation, n_max: int) -> np.ndarray:
     """Symmetric uniform grid wide enough for n_max recursion steps.

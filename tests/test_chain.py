@@ -538,7 +538,7 @@ class TestCutProperties:
         chain = random_chain(seed, d, growing)
         s, dt = 2.0**power, t_max / n_steps
         one = propagate(chain, dt=dt, t_max=t_max, method="moments")
-        two = propagate(chain.scaled(s), dt=dt / s, t_max=t_max / s,
+        two = propagate(LanczosChain(chain.b * s), dt=dt / s, t_max=t_max / s,
                         method="moments")
         assert np.array_equal(one.values, two.values)
         assert (one.sites, one.moments, one.cut_bound) == \
@@ -629,7 +629,7 @@ class TestPropagateMany:
         # n_c - 2 when cut or d is small, below it when d is large.
         flat_seed, flat_d, rows = group
         flat = [nearly_flat_chain(flat_seed + i, flat_d) for i in range(rows)]
-        chains = flat + [random_chain(seed, d, growing).scaled(scale)
+        chains = flat + [LanczosChain(scale * random_chain(seed, d, growing).b)
                          for seed, d, growing, scale in specs]
         dt = t_max / n_steps
         alone = propagate_many(flat, dt=dt, t_max=t_max)
@@ -647,7 +647,7 @@ class TestPropagateMany:
             return LanczosChain(rng.uniform(0.99, 1.0, d - 1))
 
         chains = [flat(seed, 400) for seed in range(4)] + [flat(4, 50)]
-        chains += [chains[0].scaled(2.0), LanczosChain(np.array([]))]
+        chains += [LanczosChain(chains[0].b * 2.0), LanczosChain(np.array([]))]
         passes = []
 
         def counted(mus, z):

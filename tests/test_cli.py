@@ -355,6 +355,19 @@ class TestSubcommands:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 3
 
+    def test_arithmetic_error_exit_3(self, monkeypatch, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        CorrelationSeries(0.05, np.exp(-0.3 * np.arange(600) * 0.05)).to_csv(
+            series)
+        def overflow(*a, **k):
+            raise OverflowError("cannot convert float infinity to integer")
+        monkeypatch.setattr(cli, "fit", overflow)
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--series", str(series), "--model", "exp_cos",
+                     "--out", str(out)]) == 3
+        assert "numerical failure: cannot convert" in capsys.readouterr().err
+        assert not out.exists()
+
 
 TINY_TRIALS = 4
 TINY_RUN = ["run", "--scenario", "decay", "--d", "150", "--trials",
@@ -501,6 +514,38 @@ class TestFailureLocality:
         assert ok_rows(tmp_path / "records.csv") == \
             ok_rows(tiny_run / "records.csv")
 
+
+    def test_arithmetic_error_in_a_trial_is_a_failure(self, monkeypatch,
+                                                      tmp_path):
+        # the first warm-started fit, trial 0 of g, overflows
+        run = ["run", "--scenario", "decay", "--d", "400", "--trials", "4",
+               "--dt", "0.05", "--tmax", "10", "--nstar", "8", "--workers",
+               "1"]
+        assert main(run + ["--out", str(tmp_path / "ok")]) == 0
+        fit, raised = experiment.fit, []
+
+        def overflowing(series, model_class, n_eq, warm_start=None):
+            if warm_start is not None and not raised:
+                raised.append(model_class)
+                raise OverflowError("cannot convert float infinity to integer")
+            return fit(series, model_class, n_eq, warm_start)
+
+        monkeypatch.setattr(experiment, "fit", overflowing)
+        assert main(run + ["--out", str(tmp_path / "bad")]) == 3
+        summary = json.loads((tmp_path / "bad" / "summary.json").read_text())
+        assert summary["failures"] == [
+            {"family": "g", "trial": 0, "error":
+             "OverflowError: cannot convert float infinity to integer"}]
+        # the failed trial keeps its row, and every other row is the
+        # healthy run's, byte for byte
+        ok, bad = ((out / "records.csv").read_text().splitlines()
+                   for out in (tmp_path / "ok", tmp_path / "bad"))
+        assert len(ok) == len(bad) == 9
+        assert [row for row in ok if not row.startswith("0,g,")] == \
+            [row for row in bad if not row.startswith("0,g,")]
+        failed = [r for r in records_from_csv(tmp_path / "bad" / "records.csv")
+                  if (r.family, r.trial) == ("g", 0)]
+        assert len(failed) == 1 and not failed[0].valid
 
     # at threshold 0.99 without a window, a decay C(t) on dt = 0.02 can
     # equilibrate within the 8 samples a fit needs

@@ -142,7 +142,8 @@ class TestQRatio:
     def test_homogeneity(self):
         ch = gaussian_chain(5, 40)
         for c in (0.5, 2.0, 3.7):
-            assert q_ratio(ch.scaled(c), ch) == pytest.approx(c**2, rel=1e-12)
+            assert q_ratio(LanczosChain(ch.b * c), ch) == \
+                pytest.approx(c**2, rel=1e-12)
 
     def test_paper_scale_designs(self):
         g = gaussian_chain(150, 10000)

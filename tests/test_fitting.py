@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 from morilab import fitting
 from morilab.chain import CorrelationSeries, propagate
@@ -167,10 +167,30 @@ def fit_case(name):
 
 
 def projected_residual(kind, t, c, p):
-    """G (alpha, beta) - c at (mu, omega) = p, the pair from numpy's lstsq."""
+    """G (alpha, beta) - c at (mu, omega) = p for the best pair of norm in
+    [0.5, 1.5]: numpy's lstsq pair, or where its norm leaves the bounds the
+    best pair on the violated bound's circle, whose phase is the root of
+    the objective's phase derivative next to a dense phase grid's best (the
+    objective is convex in the pair, so the annulus's best lies there)."""
     e = np.exp(-p[0] * kind.envelope_variable(t))
     g = np.column_stack((e * np.cos(p[1] * t), e * np.sin(p[1] * t)))
-    return g @ np.linalg.lstsq(g, c, rcond=None)[0] - c
+    pair = np.linalg.lstsq(g, c, rcond=None)[0]
+    radius = np.clip(np.hypot(*pair), 0.5, 1.5)
+    if radius != np.hypot(*pair):
+        gram, gc = g.T @ g, g.T @ c
+
+        def slope(phase):
+            u = np.array([np.cos(phase), np.sin(phase)])
+            return np.array([-u[1], u[0]]) @ (radius * gram @ u - gc)
+
+        grid = np.linspace(0.0, 2 * np.pi, 4001)
+        u = np.stack((np.cos(grid), np.sin(grid)))
+        best = grid[np.argmin(radius * np.sum(u * (gram @ u), axis=0)
+                              - 2 * gc @ u)]
+        step = grid[1]
+        phase = brentq(slope, best - step, best + step, xtol=1e-15)
+        pair = radius * np.array([np.cos(phase), np.sin(phase)])
+    return g @ pair - c
 
 
 def projected_central_differences(kind, t, c, p, steps=(1e-6, 1e-6)):
@@ -194,15 +214,22 @@ class TestFit:
         projection, p0, _ = calls[0]
         assert p0.shape == (2,)
         t, c = series.t[:n_eq + 1], series.values[:n_eq + 1]
-        for p in ([0.1, 2.1], [0.13, 1.9], [0.02, 0.3]):
+        # at (0.02, 0.3) the free pair's norm, 0.084, is below its bound
+        for p, radius in (([0.1, 2.1], None), ([0.13, 1.9], None),
+                          ([0.02, 0.3], 0.5)):
             p = np.array(p)
-            np.testing.assert_allclose(projection.residual(p),
-                                       projected_residual(kind, t, c, p),
+            r = projection.residual(p)
+            np.testing.assert_allclose(r, projected_residual(kind, t, c, p),
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                projection.jacobian(p),
-                projected_central_differences(kind, t, c, p),
-                rtol=1e-6, atol=1e-7)
+            assert projection.radius == radius
+            jac = projection.jacobian(p)
+            differences = projected_central_differences(kind, t, c, p)
+            if radius is None:
+                np.testing.assert_allclose(jac, differences, rtol=1e-6,
+                                           atol=1e-7)
+            # on a circle only J^T r, the objective's gradient, is exact
+            np.testing.assert_allclose(jac.T @ r, differences.T @ r,
+                                       rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("kind, mu", [(ModelClass.EXP, 0.3),
                                           (ModelClass.GAUSS, 0.01)])
@@ -514,19 +541,17 @@ class TestProjectedFit:
         warm = None if warm is None else FitModel(kind, warm)
         calls = searches(monkeypatch)
         result = fit(series, kind, 900, warm_start=warm)
-        # the free search, then the search on the violated bound's circle
-        # from where the first stopped
-        (free, _, first), (circle, start, _) = calls
-        assert circle.amplitude == bound and free.amplitude is None
-        assert np.array_equal(start, first.x)
-        assert result.restarts_used == 2 and result.converged
+        # one search, which ends with the pair on the violated bound's circle
+        [(projection, _, search)] = calls
+        assert projection.amplitude_phase(search.x)[0] == bound
+        assert projection.radius == bound
+        assert result.restarts_used == 1 and result.converged
         assert result.model.a == bound
-        # scipy's bounded four-parameter fit, from the free search's point
-        # with A clipped and from the warm start
-        a, phi = free.amplitude_phase(first.x)
+        # scipy's bounded four-parameter fit, from the series' own
+        # parameters with A clipped and from the warm start
         reference = min(bounded_fit_epsilon(series, kind, 900, p0) for p0 in
-                        [(a, *first.x, phi), *([] if warm is None
-                                               else [warm.params])])
+                        [(amplitude, 0.2, 2.0, 0.5), *([] if warm is None
+                                                       else [warm.params])])
         assert abs(result.epsilon - reference) <= 1e-10 * reference
         if warm is not None:
             clipped = np.clip(warm.params, *bounds(kind, self.DT))
@@ -547,19 +572,19 @@ class TestProjectedFit:
         used = omega if omega == 2.0 else \
             fitting._fft_peak(series.t[:901], series.values[:901])
         assert calls[0][1].tolist() == [0.2, used]
-        assert result.converged
+        assert len(calls) == result.restarts_used == 1 and result.converged
         if amplitude == 1.0:
-            assert result.restarts_used == 1 and result.epsilon < 1e-12
-        else:        # then A is fixed at its bound
-            assert result.restarts_used == 2 and result.model.a == 1.5
+            assert result.epsilon < 1e-12
+        else:        # then A is held at its bound
+            assert result.model.a == 1.5
             clipped = FitModel(ModelClass.EXP_COS, (1.5, 0.2, min(
                 omega, np.pi / self.DT), 0.5))
             assert result.epsilon <= epsilon(series, clipped, 900)
 
     def test_search_that_ends_worse_keeps_the_clipped_warm_model(
             self, monkeypatch):
-        # a face start moved to the Fourier peak, or a search at an
-        # amplitude bound, may end worse than the warm model: a stub here
+        # a face start moved to the Fourier peak may end worse than the
+        # warm model: a stub here
         monkeypatch.setattr(fitting, "least_squares",
                             lambda projection, p, *args: fitting._Search(
                                 np.array([5.0, 9.0]), True, 1))
@@ -590,25 +615,38 @@ class TestProjectedFit:
         calls = searches(monkeypatch)
         scans = decay_scans(monkeypatch)
         result = fit(series, kind, 900)
-        # the search stops a quarter period from the face, where the scan
-        # of the class's own envelope takes over from its rate.  Should A
-        # have run off past its bound on the way (exp_cos), the search on
-        # that bound's circle runs too, and the face fit is no worse
-        assert len(scans) == 1 and calls[0][0].amplitude is None
+        # the one search ends within a quarter period of the face, where
+        # the scan of the class's own envelope takes over from its rate
+        assert len(scans) == len(calls) == 1
         (x, _, extra, bounds), (_, a, mu, converged) = scans[0]
         assert np.array_equal(x, kind.envelope_variable(series.t[:901]))
         assert extra == calls[0][2].x[0] > 0.0   # where the search stopped
         assert bounds == (-1.5, 1.5)             # A cos(phi) at omega = 0
         assert result.model.params == (a, mu, 0.0, 0.0)
-        assert result.restarts_used == len(calls) + 1
+        assert result.restarts_used == 2
         assert result.converged == converged
         assert mu == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [2, 5, 6])
+    def test_slow_cosine_with_its_amplitude_at_the_bound(self, seed):
+        # omega t_900 = 0.95 < pi/2: the search runs where the face stop
+        # may fire, and the best fit holds A at 1.5.  The stop waits while
+        # the pair met its bound at the last evaluation (on these three it
+        # fired early, unconverged, when it looked at the step's start)
+        rng = np.random.default_rng(seed)
+        series = series_from(lambda t: ModelClass.EXP_COS.curve(
+            (1.17, 0.52, 0.053, 3.49), t) + 0.01 * rng.standard_normal(
+                t.size), dt=self.DT)
+        result = fit(series, ModelClass.EXP_COS, 900)
+        assert result.converged and result.model.a == 1.5
+        reference = least_squares_epsilon(series, ModelClass.EXP_COS, 900)
+        assert abs(result.epsilon - reference) <= 1e-10 * reference
 
     @pytest.mark.parametrize("kind", [ModelClass.EXP_COS,
                                       ModelClass.GAUSS_COS])
     @pytest.mark.parametrize("value, bound", [(3.0, 1.5), (0.2, 0.5)])
     def test_constant_series_is_fitted_on_the_face(self, kind, value, bound):
-        # the Fourier peak of a constant is 0: the searches run on the face
+        # the Fourier peak of a constant is 0: the search runs on the face
         # omega = 0, where the sin column vanishes and the pair on the
         # bound's circle is the trust region's hard case
         series = CorrelationSeries(self.DT, np.full(1001, value),
@@ -626,11 +664,11 @@ class TestProjectedFit:
         (ModelClass.EXP_COS, 0.2), (ModelClass.GAUSS_COS, 3.0),
         (ModelClass.GAUSS_COS, 2.0), (ModelClass.GAUSS_COS, 0.2)])
     def test_decay_outside_the_amplitude_bounds(self, kind, amplitude, rate):
-        # a decay fitted as an oscillating class: the free search creeps
-        # towards the face omega = 0 as its A runs off.  The search on the
-        # bound's circle and the face scan decide; the best may lie off the
-        # face (3 exp(-0.3 t) as exp_cos: omega = 0.12, eps 0.341 against
-        # the face's 0.370)
+        # a decay fitted as an oscillating class: the search approaches the
+        # face omega = 0 as the free pair's A runs off, with the pair held
+        # on the bound's circle.  The search and the face scan decide; the
+        # best may lie off the face (3 exp(-0.3 t) as exp_cos: omega =
+        # 0.12, eps 0.341 against the face's 0.370)
         series = series_from(
             lambda t: amplitude * np.exp(-rate * kind.envelope_variable(t)),
             dt=self.DT, t_max=20.0)
@@ -658,10 +696,43 @@ class TestProjectedFit:
                                        10.0)
         assert not search.success and search.nfev == 1
 
+    def test_singular_step_is_rejected(self, monkeypatch):
+        # a rank-one Jacobian with damping below round-off: the damped 2x2
+        # system is singular, its step 0/0, and the damping must grow
+        class RankOne:
+            radius = None
+
+            def residual(self, p):
+                return np.full(4, p[0] + 2 * p[1]) - [1.0, 2.0, 3.0, 4.0]
+
+            def jacobian(self, p):
+                return np.array([[1.0, 2.0]] * 4)
+
+        monkeypatch.setattr(fitting, "SEARCH_DAMPING", 1e-17)
+        search = fitting.least_squares(RankOne(), np.array([1.0, 1.0]), 10.0)
+        assert search.success and np.isfinite(search.x).all()
+        assert search.x[0] + 2 * search.x[1] == pytest.approx(2.5, rel=1e-12)
+
+    # the last three rates are linspace(0.01, 0.3, 30)'s 0.06, 0.18 and
+    # 0.14; whether a search meets a singular step turns on the last bits
+    @pytest.mark.parametrize("rate, n_eq", [
+        (0.05, 900), (0.05999999999999999, 600), (0.18, 300),
+        (0.13999999999999999, 300)])
+    def test_decay_with_a_singular_step_on_the_way(self, rate, n_eq):
+        # exp(-r t) as exp_cos: a search on the A = 1.5 circle met a
+        # singular damped step in the first three, and the fit raised; the
+        # one search of the fourth meets such steps, which are rejected
+        t = np.arange(n_eq + 1) * self.DT
+        series = CorrelationSeries(self.DT, np.exp(-rate * t))
+        result = fit(series, ModelClass.EXP_COS, n_eq)
+        assert result.converged and result.epsilon <= 5e-16
+
     @pytest.mark.parametrize("omega", [0.0, 1e-9, 2.0, np.pi / DT])
     def test_projection_is_the_least_squares_solution(self, omega):
-        # at omega = 0 and pi/dt the sin column vanishes on the grid, and
-        # the pair is lstsq's minimum-norm one
+        # the best pair of norm in [0.5, 1.5]: at 2.0 numpy's lstsq pair;
+        # at 0 and pi/dt, where the sin column vanishes on the grid,
+        # lstsq's minimum-norm pair has a norm below 0.5, and at 1e-9 one
+        # of 6e7, so the pair lies on the violated bound's circle
         series = self.damped_cosine(1.0)
         t = series.t[:901]
         rng = np.random.default_rng(3)
@@ -671,48 +742,56 @@ class TestProjectedFit:
         np.testing.assert_allclose(
             projection.residual(p),
             projected_residual(ModelClass.EXP_COS, t, c, p), rtol=0, atol=1e-12)
+        assert projection.radius == (None if omega == 2.0 else
+                                     1.5 if omega == 1e-9 else 0.5)
         assert np.isfinite(projection.jacobian(p)).all()
+
+    def circle_case(self, radius, p):
+        """(t, c, g): a noisy damped cosine, scaled so that its free pair at
+        p has half the norm of the lower bound, or twice the upper, and the
+        columns G at p."""
+        series = self.damped_cosine(1.0)
+        t = series.t[:901]
+        rng = np.random.default_rng(5)
+        c = series.values[:901] + 0.05 * rng.standard_normal(t.size)
+        e = np.exp(-p[0] * t)
+        g = np.stack((e * np.cos(p[1] * t), e * np.sin(p[1] * t)))
+        free = np.hypot(*np.linalg.lstsq(g.T, c, rcond=None)[0])
+        return t, c * radius * (0.5 if radius == 0.5 else 2.0) / free, g
+
+    @staticmethod
+    def best_on_circle(radius, g, c):
+        """The least objective of a dense phase grid on the circle."""
+        grid = np.linspace(0.0, 2 * np.pi, 4001)
+        return np.sum((radius * np.stack((np.cos(grid), np.sin(grid))).T
+                       @ g - c) ** 2, axis=1).min()
 
     @pytest.mark.parametrize("radius", [0.5, 1.5])
     @pytest.mark.parametrize("omega", [0.0, np.pi / DT])
     def test_circle_pair_on_a_face(self, radius, omega):
         # the sin column vanishes (at 0 exactly, at pi/dt to round-off):
         # the pair is finite, of norm `radius` and the best on its circle
-        series = self.damped_cosine(1.0)
-        t = series.t[:901]
-        rng = np.random.default_rng(5)
-        c = series.values[:901] + 0.05 * rng.standard_normal(t.size)
-        projection = fitting._Projection(t, t, c, radius)
-        r = projection.residual(np.array([0.3, omega]))
+        p = np.array([0.3, omega])
+        t, c, g = self.circle_case(radius, p)
+        projection = fitting._Projection(t, t, c)
+        r = projection.residual(p)
+        assert projection.radius == radius
         assert np.hypot(*projection.coef) == pytest.approx(radius, rel=1e-15)
-        e = np.exp(-0.3 * t)
-        g = np.stack((e * np.cos(omega * t), e * np.sin(omega * t)))
-        grid = np.linspace(0.0, 2 * np.pi, 4001)
-        dense = np.sum((radius * np.stack((np.cos(grid), np.sin(grid))).T
-                        @ g - c) ** 2, axis=1)
-        assert r @ r <= dense.min() * (1 + 1e-12)
+        assert r @ r <= self.best_on_circle(radius, g, c) * (1 + 1e-12)
 
     @pytest.mark.parametrize("radius", [0.5, 1.5])
     @pytest.mark.parametrize("omega", [0.3, 2.0, 2.5])
     def test_circle_pair_is_the_best_on_its_circle(self, radius, omega):
         # the pair of norm `radius` is the best of a dense phase grid, and
         # J^T r, from dG (alpha, beta) alone, is the objective's gradient
-        series = self.damped_cosine(1.0)
-        t = series.t[:901]
-        rng = np.random.default_rng(5)
-        c = series.values[:901] + 0.05 * rng.standard_normal(t.size)
-        projection = fitting._Projection(t, t, c, radius)
         p = np.array([0.3, omega])
+        t, c, g = self.circle_case(radius, p)
+        projection = fitting._Projection(t, t, c)
         r = projection.residual(p)
         a, phi = projection.amplitude_phase(p)
-        assert a == radius
+        assert a == projection.radius == radius
         assert np.hypot(*projection.coef) == pytest.approx(radius, rel=1e-15)
-        e = np.exp(-p[0] * t)
-        g = np.stack((e * np.cos(omega * t), e * np.sin(omega * t)))
-        grid = np.linspace(0.0, 2 * np.pi, 4001)
-        dense = np.sum((radius * np.stack((np.cos(grid), np.sin(grid))).T
-                        @ g - c) ** 2, axis=1)
-        assert r @ r <= dense.min() * (1 + 1e-12)
+        assert r @ r <= self.best_on_circle(radius, g, c) * (1 + 1e-12)
 
         def objective(q):
             residual = projection.residual(np.array(q))
@@ -726,6 +805,39 @@ class TestProjectedFit:
             assert gradient[k] == pytest.approx(
                 (objective(up) - objective(down)) / (2 * h), rel=1e-6,
                 abs=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(amplitude=st.sampled_from([0.2, 1.0, 3.0]),
+           mu=st.floats(0.0, 0.6), omega=st.floats(0.0, 5.0))
+    def test_pair_is_the_best_of_the_annulus(self, amplitude, mu, omega):
+        series = self.damped_cosine(amplitude)
+        t = series.t[:901]
+        c = series.values[:901] + 0.01 * amplitude * np.random.default_rng(
+            7).standard_normal(t.size)
+        projection = fitting._Projection(t, t, c)
+        p = np.array([mu, omega])
+        r = projection.residual(p)
+        norm = np.hypot(*projection.coef)
+        assert 0.5 * (1 - 1e-15) <= norm <= 1.5 * (1 + 1e-15)
+        e = np.exp(-mu * t)
+        g = np.stack((e * np.cos(omega * t), e * np.sin(omega * t)))
+        free = np.linalg.lstsq(g.T, c, rcond=None)[0]
+        if 0.5 <= np.hypot(*free) <= 1.5:
+            assert projection.radius is None
+            np.testing.assert_allclose(projection.coef, free, rtol=1e-9,
+                                       atol=1e-12)
+            np.testing.assert_allclose(r, free @ g - c, rtol=0, atol=1e-12)
+        # a radius x phase grid of the annulus, with the grid's best
+        # objective summed directly
+        radii, phases = np.linspace(0.5, 1.5, 101), np.linspace(
+            0.0, 2 * np.pi, 721)
+        pairs = (radii[:, None, None] * np.stack(
+            (np.cos(phases), np.sin(phases)), axis=-1)).reshape(-1, 2)
+        gram, gc = g @ g.T, g @ c
+        k = np.argmin(np.einsum("ij,jk,ik->i", pairs, gram, pairs)
+                      - 2 * pairs @ gc)
+        best = pairs[k] @ g - c
+        assert r @ r <= (best @ best) * (1 + 1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(kind=st.sampled_from([ModelClass.EXP_COS, ModelClass.GAUSS_COS]),

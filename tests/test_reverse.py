@@ -9,6 +9,11 @@ from morilab.reverse import (AnalyticCorrelation, QuadratureError,
                              lanczos_from_spectrum, spectral_grid_for)
 
 
+def second_moment(den):
+    """Second moment of the normalized measure (equals b_1^2)."""
+    return np.trapezoid(den.omega**2 * den.values, den.omega) / (2 * np.pi)
+
+
 class TestAnalyticCorrelation:
     def test_growth_rejected(self):
         with pytest.raises(ValueError):
@@ -111,7 +116,7 @@ class TestSpectralDensityInput:
     def test_second_moment(self):
         om = np.linspace(-10, 10, 2001)
         den = SpectralDensityInput(om, np.sqrt(2 * np.pi) * np.exp(-om**2 / 2))
-        assert den.second_moment() == pytest.approx(1.0, abs=1e-10)
+        assert second_moment(den) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestLanczosFromSpectrum:
@@ -137,7 +142,7 @@ class TestLanczosFromSpectrum:
         den = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.125,
                                                          cos_freq=2.0), n_max=10)
         rr = lanczos_from_spectrum(den, 10)
-        assert rr.b[0] == pytest.approx(np.sqrt(den.second_moment()), rel=1e-9)
+        assert rr.b[0] == pytest.approx(np.sqrt(second_moment(den)), rel=1e-9)
 
     @pytest.mark.parametrize("c", [0.5, 2.0])
     def test_scale_covariance(self, c):
