@@ -32,7 +32,6 @@ __all__ = [
 
 NORM_TOL = 1e-9          # allowed |sum phi^2 - 1| over the full horizon
 RK4_TOL = 1e-9           # phase-error budget that sizes the rk4 substep
-C0_TOL = 1e-9            # largest |C(0) - 1| of a normalized series
 CUT_TOL = 1e-13          # largest certified |C - C_cut| a causal cut may carry
 WKB_FACTOR = 2.0         # cut where sum 1/b_m reaches this multiple of t_max
 GROUP_ROWS = 32          # most chains one moment recursion expands together
@@ -120,8 +119,6 @@ class CorrelationSeries:
 
     dt: float
     values: np.ndarray
-    normalized: bool = True
-    method: str = ""
     norm_drift_max: float = 0.0
     # set by the "moments" engine only: its scale, the even moments it
     # computed, the sites it expanded (d when uncut) and the certified bound
@@ -135,8 +132,6 @@ class CorrelationSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.normalized and self.values.size and abs(self.values[0] - 1.0) > C0_TOL:
-            raise ValueError("normalized series must start at C(0)=1")
 
     @property
     def t(self) -> np.ndarray:
@@ -163,7 +158,7 @@ class CorrelationSeries:
             raise ValueError(f"{path}: series starts at t = {t[0]:g}, not 0")
         if not np.allclose(np.diff(t), dt, rtol=0, atol=tol):
             raise ValueError(f"{path}: time grid is not uniform")
-        return cls(float(dt), c, normalized=abs(c[0] - 1.0) <= C0_TOL)
+        return cls(float(dt), c)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +372,6 @@ def _quantized(lam: float) -> float:
 
 
 class _Expansion(NamedTuple):
-    lam: float          # the expanded prefix's Gershgorin bound, quantized
     mu: np.ndarray      # even moments mu_0, mu_2, ...
     drift: float        # max(0, max mu_2k - 1)
     bound: float        # certified bound on |C - C_continued| over the grid
@@ -428,7 +422,7 @@ def _prefix_moments(bs: Sequence[np.ndarray], n_c: int, lam: float,
         mu, drift, edge = row
         b_cut = b[n_c - 1] if n_c <= b.size else _continued_coupling(b)
         bound = 4.0 * b_cut * (n_steps * dt) * (np.sqrt(order + 1) * edge + tail)
-        out.append(_Expansion(lam, mu, drift, float(bound)))
+        out.append(_Expansion(mu, drift, float(bound)))
     return out
 
 
@@ -561,8 +555,7 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
 
     for chain in chains:
         if chain.d == 1:
-            out.append(CorrelationSeries(dt, np.ones(n_steps + 1),
-                                         method="moments"))
+            out.append(CorrelationSeries(dt, np.ones(n_steps + 1)))
             continue
         hold(len(out), chain, _causal_cut(chain.b, n_steps * dt, WKB_FACTOR))
         out.append(None)
@@ -575,8 +568,7 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
                               lam * dt * np.arange(n_steps + 1))
         for (i, n_c, ex), values in zip(members, rows):
             out[i] = CorrelationSeries(
-                dt, values, method="moments",
-                norm_drift_max=ex.drift, lam=ex.lam,
+                dt, values, norm_drift_max=ex.drift, lam=lam,
                 moments=ex.mu.size, sites=n_c, cut_bound=ex.bound)
     return out
 
@@ -637,7 +629,7 @@ def propagate(
     d = chain.d
     n_steps = _step_count(dt, t_max)
     if d == 1:
-        return CorrelationSeries(dt, np.ones(n_steps + 1), method=method)
+        return CorrelationSeries(dt, np.ones(n_steps + 1))
 
     values = np.empty(n_steps + 1)
     values[0] = 1.0
@@ -678,4 +670,4 @@ def propagate(
             raise PropagationError(
                 f"norm drift {drift:.2e} beyond {NORM_TOL:.0e} at t={n * dt:.4g}; {hint}")
 
-    return CorrelationSeries(dt, values, method=method, norm_drift_max=drift_max)
+    return CorrelationSeries(dt, values, norm_drift_max=drift_max)

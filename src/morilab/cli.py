@@ -26,7 +26,8 @@ from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, PropagationError,
 from .design import linear_continuation
 from .experiment import (Scenario, ScenarioConfig, TrialRecord, build_families,
                          histogram_to_csv, records_from_csv, records_to_csv,
-                         run_scenario, scatter_to_csv, worker_count)
+                         run_scenario, scatter_to_csv, usable_cpus,
+                         worker_count)
 from .fitting import (EQ_THRESHOLD, EQ_WINDOW, ModelClass,
                       detect_equilibration, fit)
 from .perturb import apply_draw, draw_noise
@@ -135,74 +136,73 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
 # rendering from flat files (shared by `run` and `plot`)
 # ---------------------------------------------------------------------------
 
-def render_histogram_svg(families: dict, out_path) -> None:
+def render_histogram_svg(families: dict) -> str:
     """Each family's histogram (edges, counts) and mean epsilon."""
     bins = [(right, count) for edges, counts, _ in families.values()
             for right, count in zip(edges[1:], counts)]
     xmax = max((right for right, count in bins if count > 0), default=1.0)
     ymax = max((count for _, count in bins), default=1)
-    fig = Figure(title="deviation histogram", xlabel="epsilon",
+    fig = Figure((0.0, xmax * 1.05), (0.0, ymax * 1.1),
+                 title="deviation histogram", xlabel="epsilon",
                  ylabel="count per bin")
-    fig.set_limits((0.0, xmax * 1.05), (0.0, ymax * 1.1))
     for i, (fam, (edges, counts, mean)) in enumerate(families.items()):
         fig.bars(edges[:-1], edges[1:], counts, family_color(fam, i),
                  label=fam)
         if math.isfinite(mean):
             fig.vline(mean, family_color(fam, i),
                       label=f"mean {fam} = {mean:.4g}")
-    fig.save(out_path)
+    return fig.render()
 
 
-def render_scatter_svg(records: list[TrialRecord], out_path) -> None:
+def render_scatter_svg(records: list[TrialRecord]) -> str:
     """Failed trials (NaN sigma or epsilon) keep their rows but are not drawn."""
     pts: dict[str, list] = {}
     for r in records:
         if math.isfinite(r.sigma) and math.isfinite(r.epsilon):
             pts.setdefault(r.family, []).append((r.sigma, r.epsilon))
     lim = max([1e-4, *(max(p) for pairs in pts.values() for p in pairs)]) * 1.08
-    fig = Figure(title="alteration vs deviation", xlabel="sigma",
-                 ylabel="epsilon")
-    fig.set_limits((0.0, lim), (0.0, lim))
+    fig = Figure((0.0, lim), (0.0, lim), title="alteration vs deviation",
+                 xlabel="sigma", ylabel="epsilon")
     fig.polyline([0.0, lim], [0.0, lim], COLORS["ref"], dash="4,4",
                  label="diagonal")
     for i, (fam, pairs) in enumerate(pts.items()):
         fig.scatter(*zip(*pairs), family_color(fam, i), label=fam)
-    fig.save(out_path)
+    return fig.render()
 
 
-def render_chains_svg(chains: dict[str, LanczosChain], out_path) -> None:
-    fig = Figure(title="chain coefficients", xlabel="n", ylabel="b_n")
+def render_chains_svg(chains: dict[str, LanczosChain]) -> str:
     xmax = max([1.0, *(chain.d - 1 for chain in chains.values())])
     ymax = max([1.0, *(chain.b.max() for chain in chains.values())])
-    fig.set_limits((0.0, xmax * 1.02), (0.0, ymax * 1.05))
+    fig = Figure((0.0, xmax * 1.02), (0.0, ymax * 1.05),
+                 title="chain coefficients", xlabel="n", ylabel="b_n")
     for i, (fam, chain) in enumerate(chains.items()):
         stride = max(1, chain.b.size // CHAIN_POINTS)
         fig.polyline(np.arange(1, chain.d)[::stride], chain.b[::stride],
                      family_color(fam, i), label=fam)
-    fig.save(out_path)
+    return fig.render()
 
 
-def render_curves_svg(trials: dict, family: str, out_path) -> None:
+def render_curves_svg(trials: dict, family: str) -> str:
     """One family's trials in curves.csv, each as its (t, C, fit) columns."""
-    fig = Figure(title=f"exemplary perturbed dynamics ({family})",
-                 xlabel="t", ylabel="C(t)")
     tmax = max(cols[0].max() for cols in trials.values())
     lo = min([*(cols[1:].min() for cols in trials.values()), 0.0])
     hi = max([*(cols[1:].max() for cols in trials.values()), 1.0])
-    fig.set_limits((0.0, tmax), (lo * 1.05, hi * 1.05))
+    fig = Figure((0.0, tmax), (lo * 1.05, hi * 1.05),
+                 title=f"exemplary perturbed dynamics ({family})",
+                 xlabel="t", ylabel="C(t)")
     for i, (trial, (t, c, fit_vals)) in enumerate(trials.items()):
         fig.polyline(t, c, PALETTE[i % len(PALETTE)], label=f"trial {trial}")
         fig.polyline(t, fit_vals, COLORS["fit"], width=1.0, dash="5,3")
-    fig.save(out_path)
+    return fig.render()
 
 
-def render_unperturbed_svg(series: dict[str, CorrelationSeries], fits: dict,
-                           out_path) -> None:
+def render_unperturbed_svg(series: dict[str, CorrelationSeries],
+                           fits: dict) -> str:
     """Each baseline C(t) with its fit from `fits`: (model class, params)."""
-    fig = Figure(title="unperturbed dynamics", xlabel="t", ylabel="C(t)")
     tmax = max([1.0, *(float(c.t[-1]) for c in series.values())])
     lo = min([0.0, *(float(c.values.min()) for c in series.values())])
-    fig.set_limits((0.0, tmax), (lo * 1.1 - 0.02, 1.05))
+    fig = Figure((0.0, tmax), (lo * 1.1 - 0.02, 1.05),
+                 title="unperturbed dynamics", xlabel="t", ylabel="C(t)")
     for i, (fam, c) in enumerate(series.items()):
         stride = max(1, len(c) // CURVE_POINTS)
         t = c.t[::stride]
@@ -210,7 +210,7 @@ def render_unperturbed_svg(series: dict[str, CorrelationSeries], fits: dict,
         kind, params = fits[fam]
         fig.polyline(t, kind.curve(params, t),
                      COLORS["fit"], width=1.0, dash="5,3", label=f"{fam} fit")
-    fig.save(out_path)
+    return fig.render()
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +287,8 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
         "tool": "morilab",
         "version": __version__,
         "numpy": np.__version__,
-        "engine": "/".join(sorted({run.baseline.method
-                                   for run in summary.runs.values()})),
-        "nproc": len(os.sched_getaffinity(0)),
+        "engine": "moments",
+        "nproc": usable_cpus(),
         "workers": worker_count(config),
         "rng": RNG_NOTE,
         "config": config.to_json_dict(),
@@ -343,7 +342,8 @@ def render_all(out_dir) -> list[str]:
         raise ConfigError(f"{path('summary.json')}: wrongly typed entry "
                           f"({err})") from err
     for name, (render, *data) in figures.items():
-        render(*data, path(name))
+        with open(path(name), "w") as fh:
+            fh.write(render(*data))
     return list(figures)
 
 
@@ -380,9 +380,9 @@ def _cmd_reverse(args) -> int:
     result = lanczos_from_spectrum(density, args.nmax)
     LanczosChain(result.b).to_csv(args.out)
     _write_json(args.out + ".meta.json", {
-        "achieved": result.achieved, "requested": result.requested,
+        "achieved": result.achieved, "requested": args.nmax,
         "stop_reason": result.stop_reason, "quadrature": result.quadrature})
-    print(f"wrote {args.out} ({result.achieved}/{result.requested} coefficients; "
+    print(f"wrote {args.out} ({result.achieved}/{args.nmax} coefficients; "
           f"{result.stop_reason})")
     if args.continue_to:
         cont = linear_continuation(result.b, args.continue_to)

@@ -356,12 +356,18 @@ def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]
     return out
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform
+    has one (Linux), else the host's count (macOS, Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+
+
 def worker_count(config: ScenarioConfig) -> int:
-    """config.workers, else the CPUs this process may run on (its affinity,
-    not the host's count)."""
+    """config.workers, else `usable_cpus()`."""
     if config.workers is not None:
         return config.workers
-    return len(os.sched_getaffinity(0))
+    return usable_cpus()
 
 
 def run_scenario(config: ScenarioConfig,

@@ -98,16 +98,13 @@ def draw_noise(d: int, n_f: int, seed) -> PerturbationDraw:
 class PerturbedChain:
     """Coefficients after adding strength*v, floored at the positivity limit."""
 
-    base: LanczosChain
-    strength: float
-    draw: PerturbationDraw
     chain: LanczosChain
     clamp_count: int
 
     @property
     def invalid(self) -> bool:
         """True when clamping dominated the draw (>1% of entries floored)."""
-        return self.clamp_count > 0.01 * self.base.d
+        return self.clamp_count > 0.01 * self.chain.d
 
 
 def apply_draw(base: LanczosChain, strength: float, draw: PerturbationDraw,
@@ -127,5 +124,4 @@ def apply_draw(base: LanczosChain, strength: float, draw: PerturbationDraw,
     clamped = b < floor
     if clamped.any():
         b = np.where(clamped, floor, b)
-    return PerturbedChain(base, float(strength), draw, LanczosChain(b),
-                          int(clamped.sum()))
+    return PerturbedChain(LanczosChain(b), int(clamped.sum()))

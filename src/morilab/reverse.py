@@ -152,8 +152,7 @@ def spectral_grid_for(corr: AnalyticCorrelation, n_max: int) -> np.ndarray:
     return np.linspace(-w, w, n_pts)
 
 
-def fourier_of_correlation(source, omega: np.ndarray | None = None,
-                           n_max: int = 50) -> SpectralDensityInput:
+def fourier_of_correlation(source, n_max: int = 50) -> SpectralDensityInput:
     """Density of a correlation function, analytic form preferred.
 
     `source` is an AnalyticCorrelation (closed form when available, sampled
@@ -164,7 +163,7 @@ def fourier_of_correlation(source, omega: np.ndarray | None = None,
     if isinstance(source, AnalyticCorrelation):
         if not source.decaying:
             raise ValueError("non-decaying correlation function; density is singular")
-        grid = spectral_grid_for(source, n_max) if omega is None else np.asarray(omega, float)
+        grid = spectral_grid_for(source, n_max)
         if source.has_closed_form:
             vals = source.spectral_values(grid)
             return SpectralDensityInput(grid, vals, source="analytic")
@@ -181,10 +180,9 @@ def fourier_of_correlation(source, omega: np.ndarray | None = None,
         if c_end > 0.05:
             raise ValueError(
                 f"series has not decayed within the window (|C_end| = {c_end:.3g})")
-        if omega is None:
-            w_max = min(np.pi / source.dt / 2, 64.0)
-            omega = np.linspace(-w_max, w_max, int(np.ceil(2 * w_max * GRID_DENSITY)) + 1)
-        return _cosine_transform(source, np.asarray(omega, float), source="series")
+        w_max = min(np.pi / source.dt / 2, 64.0)
+        omega = np.linspace(-w_max, w_max, int(np.ceil(2 * w_max * GRID_DENSITY)) + 1)
+        return _cosine_transform(source, omega, source="series")
 
     raise TypeError("source must be an AnalyticCorrelation or CorrelationSeries")
 
@@ -203,7 +201,6 @@ class ReverseResult:
 
     b: np.ndarray
     achieved: int
-    requested: int
     stop_reason: str
     quadrature: dict
 
@@ -280,7 +277,7 @@ def lanczos_from_spectrum(spec: SpectralDensityInput, n_max: int) -> ReverseResu
         stop = (f"grid-resolution disagreement at step {cut + 1}: "
                 "the grid under-resolves the basis functions")
     return ReverseResult(
-        b, b.size, n_max, stop,
+        b, b.size, stop,
         quadrature={"n_points": int(spec.omega.size),
                     "omega_max": float(spec.omega[-1]),
                     "density": float((spec.omega.size - 1)

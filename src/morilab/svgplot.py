@@ -19,23 +19,21 @@ TOP, RIGHT, BOTTOM, LEFT = 50, 15, 35, 55  # and its margins
 
 
 class Figure:
-    """One SVG panel with margins, linear axes and simple marks."""
+    """One SVG panel with margins, linear axes over the data limits xlim
+    and ylim, (lo, hi) each, and simple marks."""
 
-    def __init__(self, title: str = "", xlabel: str = "", ylabel: str = ""):
+    def __init__(self, xlim, ylim, title: str = "", xlabel: str = "",
+                 ylabel: str = ""):
+        span = lambda lo, hi: (lo, hi if hi > lo else lo + 1.0)
+        self._xlim = span(*map(float, xlim))
+        self._ylim = span(*map(float, ylim))
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
         self._body: list[str] = []
         self._legend: list[tuple[str, str]] = []
-        self._xlim: tuple[float, float] | None = None
-        self._ylim: tuple[float, float] | None = None
 
     # -- coordinate handling ------------------------------------------------
-    def set_limits(self, xlim, ylim) -> None:
-        span = lambda lo, hi: (lo, hi if hi > lo else lo + 1.0)
-        self._xlim = span(*map(float, xlim))
-        self._ylim = span(*map(float, ylim))
-
     # each maps data coordinates, a number or an array, to pixels, with the
     # arithmetic of one float at a time
     def _sx(self, x) -> np.ndarray:
@@ -90,8 +88,6 @@ class Figure:
         return [float(f"{v:.3g}") for v in np.linspace(lo, hi, 5)]
 
     def render(self) -> str:
-        if self._xlim is None or self._ylim is None:
-            raise RuntimeError("set_limits must be called before render")
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}"'
@@ -135,10 +131,6 @@ class Figure:
                        f' font-size="11">{label}</text>')
         out.append("</svg>")
         return "\n".join(out) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.render())
 
 
 def family_color(name: str, index: int = 0) -> str:

@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import jv
 
 from morilab import chain as chain_module
-from morilab.chain import (C0_TOL, CUT_TOL, GROUP_ROWS, NORM_TOL,
+from morilab.chain import (CUT_TOL, GROUP_ROWS, NORM_TOL,
                            WKB_FACTOR, CorrelationSeries, LanczosChain,
                            PropagationError, _CHUNK_ROWS, _bessel_tail,
                            _bessel_weights, _causal_cut,
@@ -213,7 +213,6 @@ class TestMomentsEngine:
     def test_is_the_default(self):
         chain = LanczosChain(np.random.default_rng(4).uniform(0.5, 2.0, 99))
         default = propagate(chain, dt=0.1, t_max=20.0)
-        assert default.method == "moments"
         assert np.array_equal(
             default.values,
             propagate(chain, dt=0.1, t_max=20.0, method="moments").values)
@@ -224,7 +223,6 @@ class TestMomentsEngine:
         for seed in range(20):
             chain = LanczosChain(np.random.default_rng(seed).uniform(0.5, 2.0, 199))
             series = propagate(chain, dt=0.1, t_max=20.0, method="moments")
-            assert series.method == "moments"
             assert len(series) == 201
             worst = max(worst, np.abs(
                 series.values - dense_correlation(chain, series.t)).max())
@@ -405,7 +403,8 @@ class TestCausalCut:
         b = np.ones(399)
         ex = prefix_moments(b, 300, 0.1, 50)
         assert ex.mu.size - 1 < 299
-        tail = _bessel_tail(ex.mu.size - 1, ex.lam * 0.1 * 50 / 2)
+        tail = _bessel_tail(ex.mu.size - 1,
+                            _prefix_scale(b, 300) * 0.1 * 50 / 2)
         assert ex.bound == 4.0 * 1.0 * (50 * 0.1) * tail > 0.0
 
     def test_short_cut_is_refused_and_propagate_falls_back(self, monkeypatch):
@@ -415,7 +414,7 @@ class TestCausalCut:
         assert 100 <= n_c <= 140          # measured 118
         ex = prefix_moments(gdo.b, n_c, OSC_DT, OSC_STEPS)
         t = OSC_DT * np.arange(OSC_STEPS + 1)
-        z = ex.lam * OSC_DT * np.arange(OSC_STEPS + 1)
+        z = _prefix_scale(gdo.b, n_c) * OSC_DT * np.arange(OSC_STEPS + 1)
         err = np.abs(_cosine_series([ex.mu], z)[0]
                      - dense_correlation(gdo, t)).max()
         assert err >= 0.05                # measured 0.069: the cut is wrong
@@ -523,7 +522,7 @@ class TestCutProperties:
         n_c = _causal_cut(chain.b, n_steps * dt, factor)
         ex = prefix_moments(chain.b, n_c, dt, n_steps)
         t = dt * np.arange(n_steps + 1)
-        z = ex.lam * dt * np.arange(n_steps + 1)
+        z = _prefix_scale(chain.b, n_c) * dt * np.arange(n_steps + 1)
         series = _cosine_series([ex.mu], z)[0]
         for extension in (chain, continued(chain, 2 * d)):
             err = np.abs(series - dense_correlation(extension, t)).max()
@@ -685,8 +684,8 @@ class TestPropagateMany:
         for i in (0, 1, 2, 4):
             [alone] = _prefix_moments([rows[i]], 200, lam, dt, n_steps)
             assert batch[i].mu.tobytes() == alone.mu.tobytes()
-            assert (batch[i].lam, batch[i].drift, batch[i].bound) == \
-                (alone.lam, alone.drift, alone.bound)
+            assert (batch[i].drift, batch[i].bound) == \
+                (alone.drift, alone.bound)
 
     def test_a_failing_chain_keeps_its_slot(self, monkeypatch):
         # the moment guard trips for the middle chain only: its slot holds
@@ -790,23 +789,13 @@ class TestCorrelationSeries:
 
     @ROUNDTRIP
     @given(dt=st.floats(1e-3, 10.0),
-           c0=st.floats(1.0 - C0_TOL, 1.0 + C0_TOL).filter(
-               lambda c: abs(c - 1.0) <= C0_TOL),
-           rest=st.lists(FINITE, min_size=1, max_size=60))
-    def test_csv_roundtrip_property(self, tmp_path, dt, c0, rest):
-        series = CorrelationSeries(dt, np.array([c0] + rest))
+           values=st.lists(FINITE, min_size=2, max_size=61))
+    def test_csv_roundtrip_property(self, tmp_path, dt, values):
+        series = CorrelationSeries(dt, np.array(values))
         series.to_csv(tmp_path / "series.csv")
         back = CorrelationSeries.from_csv(tmp_path / "series.csv")
-        assert back.normalized
         assert np.float64(back.dt).tobytes() == np.float64(dt).tobytes()
         assert back.values.tobytes() == series.values.tobytes()
-
-    def test_start_within_tolerance_reads_as_normalized(self, tmp_path):
-        path = tmp_path / "series.csv"
-        path.write_text("t,C\n0,0.9999999999\n0.1,0.5\n")
-        assert CorrelationSeries.from_csv(path).normalized
-        path.write_text("t,C\n0,0.99\n0.1,0.5\n")
-        assert not CorrelationSeries.from_csv(path).normalized
 
     @pytest.mark.parametrize("start, refused", [
         (0.0, False), (-9e-10, False), (9e-10, False), (1.1e-9, True),
@@ -822,10 +811,6 @@ class TestCorrelationSeries:
                 CorrelationSeries.from_csv(path)
         else:
             assert CorrelationSeries.from_csv(path).values[3] == 0.125
-
-    def test_normalized_start_enforced(self):
-        with pytest.raises(ValueError):
-            CorrelationSeries(0.1, np.array([0.9, 0.8]), normalized=True)
 
     @pytest.mark.parametrize("cell", ["1.7e308", "-4.9e-324", "-0.0"])
     def test_extreme_finite_cells_parse(self, tmp_path, cell):

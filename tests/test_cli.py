@@ -605,6 +605,20 @@ class TestRunCommand:
         for name, digest in manifest["outputs"].items():
             assert cli._sha256(tiny_run / name) == digest
 
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_runs_where_the_platform_has_no_affinity(self, monkeypatch,
+                                                     tmp_path, workers):
+        # macOS and Windows have no os.sched_getaffinity: the CPU count
+        # falls back to the host's, for the pool and for the manifest
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = TINY_RUN[:-2] + ([] if workers is None
+                                else ["--workers", str(workers)])
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["nproc"] == os.cpu_count() == 2
+        assert manifest["workers"] == (workers or 2)
+
     def test_replay_from_manifest(self, tiny_run, tmp_path):
         out2 = tmp_path / "replay"
         code = main(["run", "--config", str(tiny_run / "manifest.json"),
@@ -737,7 +751,8 @@ class TestRunCommand:
         _, summary = experiment.run_scenario(config)
         assert set(summary.runs) == {"g", "e"}
         for run in summary.runs.values():
-            assert run.baseline.method == "moments"
+            # the scale and the moment count only the moments engine sets
+            assert run.baseline.lam > 0 and run.baseline.moments > 0
 
     def test_flat_file_headers(self, tiny_run):
         hist = (tiny_run / "histogram.csv").read_text().splitlines()
@@ -982,19 +997,15 @@ class TestRenderAll:
         assert not {"histogram.csv", "scatter.csv"} & \
             {os.path.basename(name) for name in reads}
 
-    def test_scatter_omits_failed_trials(self, tiny_run, tmp_path):
+    def test_scatter_omits_failed_trials(self, tiny_run):
         records = records_from_csv(tiny_run / "records.csv")
         failed = TrialRecord(trial=0, family="g", seed=1, model="gauss")
 
-        def scatter_svg(name, records):
-            cli.render_scatter_svg(records, tmp_path / name)
-            return (tmp_path / name).read_bytes()
-
         # a failed trial has NaN sigma and epsilon; records sort by trial,
         # so trial 0's row comes first
-        with_failure = scatter_svg("failed.svg", [failed] + records)
-        assert with_failure == scatter_svg("clean.svg", records)
-        assert b'"nan"' not in with_failure
+        with_failure = cli.render_scatter_svg([failed] + records)
+        assert with_failure == cli.render_scatter_svg(records)
+        assert '"nan"' not in with_failure
 
     def test_stale_family_files_are_not_drawn(self, tiny_run,
                                               tiny_oscillation_run, tmp_path):

@@ -16,9 +16,7 @@ from morilab.perturb import apply_draw, draw_noise
 
 def series_from(func, dt=0.01, t_max=30.0):
     t = np.arange(0, int(round(t_max / dt)) + 1) * dt
-    values = func(t)
-    return CorrelationSeries(dt, values,
-                             normalized=abs(values[0] - 1.0) < 1e-12)
+    return CorrelationSeries(dt, func(t))
 
 
 class TestDetectEquilibration:
@@ -91,8 +89,7 @@ class TestEpsilon:
         # offset c between model and series: eps = |c| sqrt((N+1)/N)
         model = FitModel(ModelClass.EXP, (1.0, 0.0))
         t = np.arange(0, 101) * 0.1
-        series = CorrelationSeries(0.1, np.ones_like(t) - 0.03,
-                                   normalized=False)
+        series = CorrelationSeries(0.1, np.ones_like(t) - 0.03)
         n_eq = 80
         expected = 0.03 * np.sqrt((n_eq + 1) / n_eq)
         assert epsilon(series, model, n_eq) == pytest.approx(expected, rel=1e-12)
@@ -289,9 +286,7 @@ class TestFit:
         series = series_from(lambda t: 0.97 * np.exp(-0.31 * t), dt=0.02,
                              t_max=20.0)
         first = fit(series, ModelClass.EXP, 900)
-        refit_series = CorrelationSeries(series.dt,
-                                         first.model(series.t),
-                                         normalized=False)
+        refit_series = CorrelationSeries(series.dt, first.model(series.t))
         second = fit(refit_series, ModelClass.EXP, 900)
         assert np.allclose(second.model.params, first.model.params, atol=1e-9)
 
@@ -642,6 +637,47 @@ class TestProjectedFit:
         reference = least_squares_epsilon(series, ModelClass.EXP_COS, 900)
         assert abs(result.epsilon - reference) <= 1e-10 * reference
 
+    @pytest.mark.parametrize("kind, mu, omega", [
+        (ModelClass.EXP_COS, 0.5, 0.05), (ModelClass.EXP_COS, 0.5, 0.08),
+        (ModelClass.GAUSS_COS, 0.05, 0.05)])
+    def test_slow_cosine_resumes_past_the_face_stop(self, monkeypatch, kind,
+                                                    mu, omega):
+        # omega t_900 < pi/2: the face stop ends the first search short of
+        # the minimum, and the face scan, a decay, is worse than where it
+        # stopped.  The search resumes from there and reaches the curve
+        series = series_from(lambda t: kind.curve((1.0, mu, omega, 0.3), t),
+                             dt=self.DT)
+        calls = searches(monkeypatch)
+        result = fit(series, kind, 900)
+        [(_, _, first), (_, start, resumed)] = calls
+        assert not first.success and first.x[1] <= np.pi / 2 / 18.0
+        assert np.array_equal(start, first.x) and resumed.success
+        assert result.converged and result.restarts_used == 3
+        assert result.epsilon <= 1e-15
+        assert result.model.params == pytest.approx((1.0, mu, omega, 0.3),
+                                                    rel=1e-9)
+
+    def test_search_on_a_bound_ends_at_its_constrained_minimum(self):
+        # 3 exp(-0.05 t) as exp_cos, from where a creeping search once
+        # stopped: the search ends converged at mu = 0, held at that bound
+        # by a gradient pointing out of the box, with the pair on the A =
+        # 1.5 circle and epsilon 0.70035 (once reported at 1.838)
+        t = np.arange(901) * self.DT
+        projection = fitting._Projection(t, t, 3.0 * np.exp(-0.05 * t))
+        search = fitting.least_squares(projection, np.array([0.4913, 0.0021]),
+                                       np.pi / self.DT)
+        assert search.success
+        assert search.x[0] == 0.0
+        assert search.x[1] == pytest.approx(0.00637, rel=1e-3)
+        assert projection.amplitude_phase(search.x)[0] == 1.5
+        r = projection.residual(search.x)
+        jac = projection.jacobian(search.x)
+        g = jac.T @ r
+        assert g[0] > 0.0
+        assert abs(g[1]) <= fitting.SEARCH_GTOL * np.linalg.norm(jac[:, 1]) \
+            * np.linalg.norm(r)
+        assert np.sqrt(r @ r / 900) == pytest.approx(0.70035, abs=1e-5)
+
     @pytest.mark.parametrize("kind", [ModelClass.EXP_COS,
                                       ModelClass.GAUSS_COS])
     @pytest.mark.parametrize("value, bound", [(3.0, 1.5), (0.2, 0.5)])
@@ -649,8 +685,7 @@ class TestProjectedFit:
         # the Fourier peak of a constant is 0: the search runs on the face
         # omega = 0, where the sin column vanishes and the pair on the
         # bound's circle is the trust region's hard case
-        series = CorrelationSeries(self.DT, np.full(1001, value),
-                                   normalized=False)
+        series = CorrelationSeries(self.DT, np.full(1001, value))
         result = fit(series, kind, 900)
         assert result.converged
         assert result.model.a == bound and result.model.omega == 0.0
@@ -854,7 +889,7 @@ class TestProjectedFit:
         rng = np.random.default_rng(seed)
         values = base.values + noise * np.cumsum(
             rng.standard_normal(len(base))) / np.sqrt(len(base))
-        perturbed = CorrelationSeries(base.dt, values, normalized=False)
+        perturbed = CorrelationSeries(base.dt, values)
         result = fit(perturbed, kind, n_eq, warm_start=f0)
         assert result.epsilon <= sigma(perturbed, base, n_eq) \
             + epsilon(base, f0, n_eq) + 1e-12

@@ -118,7 +118,7 @@ def test_trace_measures_the_search_evaluations():
         "trace_run.install(tracer, modules)\n"
         "t = np.arange(901) * 0.02\n"
         "series = CorrelationSeries(0.02, np.exp(-0.2 * t)\n"
-        "                           * np.cos(2.0 * t - 0.5), normalized=False)\n"
+        "                           * np.cos(2.0 * t - 0.5))\n"
         "modules['fitting'].fit(series, ModelClass.EXP_COS, 900)\n"
         "print(*[measure for name, *_, measure in tracer.spans\n"
         "        if name == 'fitting.least_squares'])")

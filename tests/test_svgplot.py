@@ -26,8 +26,7 @@ def scalar_sy(fig: Figure, y: float) -> float:
 def test_marks_write_each_point_as_the_scalar_formulas(xlim, ylim, pts):
     # the marks scale whole arrays; every number they write must be the
     # f"{v:.6g}" of the same formula applied to one float at a time
-    fig = Figure()
-    fig.set_limits(xlim, ylim)
+    fig = Figure(xlim, ylim)
     x, y, h = (list(col) for col in zip(*pts)) if pts else ([], [], [])
     fig.polyline(np.array(x), np.array(y), "#000000")
     fig.scatter(np.array(x), np.array(y), "#000000")
