@@ -33,7 +33,7 @@ __all__ = [
 NORM_TOL = 1e-9          # allowed |sum phi^2 - 1| over the full horizon
 RK4_TOL = 1e-9           # phase-error budget that sizes the rk4 substep
 CUT_TOL = 1e-13          # largest certified |C - C_cut| a causal cut may carry
-WKB_FACTOR = 2.0         # cut where sum 1/b_m reaches this multiple of t_max
+WKB_FACTORS = (1.4, 2.0) # cut rungs: where sum 1/b_m reaches each * t_max
 GROUP_ROWS = 32          # most chains one moment recursion expands together
 _CHUNK_ROWS = 32         # J_2k rows the Bessel sum stages per contraction
 
@@ -342,6 +342,25 @@ def _causal_cut(b: np.ndarray, horizon: float, factor: float) -> int:
     return min(int(np.searchsorted(reach, factor * horizon)) + 2, b.size + 1)
 
 
+def _grid_sites(n: int) -> int:
+    """The smallest ceil(2^(j/8)) >= n >= 2 over integers j, the site
+    counts a cut is rounded up to: 8 per octave."""
+    return math.ceil(2.0 ** ((math.floor(8 * math.log2(n - 1)) + 1) / 8))
+
+
+def _cut_ladder(b: np.ndarray, horizon: float) -> list[int]:
+    """The site counts a chain's expansion tries, in increasing order: the
+    cut of each factor in WKB_FACTORS rounded up to the site grid, then d.
+
+    Chains of one design mostly reach one grid count, and so share a
+    recursion.  Where b_n grows linearly, the reach sum 1/b_m grows like the
+    log of the sites, so the tight rung saves most of them.
+    """
+    d = b.size + 1
+    return sorted({d, *(min(_grid_sites(_causal_cut(b, horizon, f)), d)
+                        for f in WKB_FACTORS)})
+
+
 def _bessel_tail(order: int, x: float) -> float:
     """Bound on sum_{k > order} |J_k(y)| for every 0 <= y <= x < order + 1.
 
@@ -357,13 +376,14 @@ def _bessel_tail(order: int, x: float) -> float:
     return float(np.exp(-k * r) / -np.expm1(-r))
 
 
-# 2^(j/64 - 1), j = 0..64: the mantissas in [1/2, 1] of the grid 2^(j/64)
-# that spectral scales are rounded up to
-_LAM_GRID = np.exp2(np.arange(65) / 64 - 1.0)
+# 2^(j/16 - 1), j = 0..16: the mantissas in [1/2, 1] of the grid 2^(j/16)
+# that spectral scales are rounded up to.  A step costs at most 4.4% more
+# moments, and the chains of one design then share a few scales
+_LAM_GRID = np.exp2(np.arange(17) / 16 - 1.0)
 
 
 def _quantized(lam: float) -> float:
-    """The smallest 2^(j/64) >= lam > 0, for integer j.  Built from lam's
+    """The smallest 2^(j/16) >= lam > 0, for integer j.  Built from lam's
     binary mantissa and exponent, so lam -> 2^p lam maps it exactly onto
     2^p times it, and powers of two map to themselves."""
     mantissa, exponent = np.frexp(lam)
@@ -387,7 +407,7 @@ def _continued_coupling(b: np.ndarray) -> float:
 
 def _prefix_scale(b: np.ndarray, n_c: int) -> float:
     """lam of the prefix b_1..b_{n_c-1}: its Gershgorin bound, rounded up
-    to the grid 2^(j/64)."""
+    to the grid 2^(j/16)."""
     return _quantized(_spectral_bound(b[:n_c - 1]) * (1.0 + 1e-7))
 
 
@@ -519,9 +539,11 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
     """`propagate(chain, dt, t_max)` for every chain, with the "moments"
     engine: each chain's own causal prefix and even moments.
 
-    Chains with equal cuts n_c and equal scales lam (quantized) share one
-    moment recursion, up to GROUP_ROWS of them at a time; a chain whose cut
-    is refused joins the uncut chains of its whole scale.  Chains of one
+    Each chain is held at the first rung of its `_cut_ladder`; one whose
+    cut the certificate refuses (bound above CUT_TOL) is held again at its
+    next rung, and the last rung, d, is taken whatever its bound.  Chains
+    held at equal cuts n_c and equal scales lam (quantized) share one
+    moment recursion, up to GROUP_ROWS of them at a time.  Chains of one
     lam share one Bessel sum: one Miller pass, whose J_2k each chain's own
     moments meet in fixed-shape chunks, reading the moments in place.
     Neither pass mixes its rows, so every series equals the one `propagate`
@@ -533,23 +555,25 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
     """
     n_steps = _step_count(dt, t_max)
     out: list[CorrelationSeries | PropagationError | None] = []
-    pending: dict[tuple[float, int], list[tuple[int, LanczosChain]]] = {}
+    pending: dict[tuple[float, int],
+                  list[tuple[int, LanczosChain, list[int]]]] = {}
     groups: dict[float, list[tuple[int, int, _Expansion]]] = {}
 
-    def hold(slot: int, chain: LanczosChain, n_c: int) -> None:
+    def hold(slot: int, chain: LanczosChain, rungs: list[int]) -> None:
+        n_c, *rest = rungs
         key = (_prefix_scale(chain.b, n_c), n_c)
-        pending.setdefault(key, []).append((slot, chain))
+        pending.setdefault(key, []).append((slot, chain, rest))
 
     def expand_largest() -> None:
         (lam, n_c), members = max(pending.items(), key=lambda kv: len(kv[1]))
         del pending[lam, n_c]
-        results = _prefix_moments([c.b for _, c in members], n_c, lam, dt,
+        results = _prefix_moments([c.b for _, c, _ in members], n_c, lam, dt,
                                   n_steps)
-        for (slot, chain), ex in zip(members, results):
+        for (slot, chain, rest), ex in zip(members, results):
             if isinstance(ex, PropagationError):
                 out[slot] = ex
-            elif n_c < chain.d and not ex.bound <= CUT_TOL:
-                hold(slot, chain, chain.d)   # the cut is not certified
+            elif rest and not ex.bound <= CUT_TOL:
+                hold(slot, chain, rest)      # the cut is not certified
             else:
                 groups.setdefault(lam, []).append((slot, n_c, ex))
 
@@ -557,7 +581,7 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
         if chain.d == 1:
             out.append(CorrelationSeries(dt, np.ones(n_steps + 1)))
             continue
-        hold(len(out), chain, _causal_cut(chain.b, n_steps * dt, WKB_FACTOR))
+        hold(len(out), chain, _cut_ladder(chain.b, n_steps * dt))
         out.append(None)
         while sum(map(len, pending.values())) >= GROUP_ROWS:
             expand_largest()
@@ -593,13 +617,15 @@ def propagate(
         even Chebyshev moments mu_2k of L/lambda at site 0 (about
         lambda*t_max/2 light-cone truncated matvecs) and sums
         C(t_n) = cos(L t_n)_00 as a Bessel series in them (the
-        kernel-polynomial route).  It expands only the causal prefix: the
-        first n_c sites, where sum_{m<n_c} 1/b_m first reaches 2*t_max (the
-        front's WKB travel time to the cut is t_max, twice the t/2 the
-        doubling identity needs), with the prefix's own Gershgorin bound
-        rounded up to the grid 2^(j/64) as lambda.  A Duhamel bound
-        certifies the cut; above CUT_TOL the whole chain is expanded
-        instead.  The series records lambda, the moment count, the sites
+        kernel-polynomial route).  It expands only a causal prefix: the
+        first n_c sites, where sum_{m<n_c} 1/b_m first reaches 1.4*t_max
+        (the front's WKB travel time to the cut is 0.7*t_max, against the
+        t/2 the doubling identity needs), rounded up to the site grid
+        ceil(2^(j/8)), with the prefix's own Gershgorin bound rounded up to
+        the grid 2^(j/16) as lambda.  A Duhamel bound certifies the cut;
+        above CUT_TOL the prefix of factor 2 (travel time t_max) is tried,
+        and above it there too, the whole chain (see `propagate_many`).
+        The series records lambda, the moment count, the sites
         expanded and the bound (`lam`, `moments`, `sites`, `cut_bound`;
         `sites` = d when uncut).  `cut_bound` always bounds |C - C'| on
         the grid, for C' of any longer chain that goes on past site d-1

@@ -8,14 +8,16 @@ from scipy.special import jv
 
 from morilab import chain as chain_module
 from morilab.chain import (CUT_TOL, GROUP_ROWS, NORM_TOL,
-                           WKB_FACTOR, CorrelationSeries, LanczosChain,
+                           WKB_FACTORS, CorrelationSeries, LanczosChain,
                            PropagationError, _CHUNK_ROWS, _bessel_tail,
-                           _bessel_weights, _causal_cut,
+                           _bessel_weights, _causal_cut, _cut_ladder,
                            _continued_coupling, _cosine_series, _even_moments,
-                           _miller_order, _prefix_moments, _prefix_scale,
+                           _grid_sites, _miller_order, _prefix_moments,
+                           _prefix_scale,
                            _quantized, _spectral_bound, dense_correlation, dense_generator, propagate,
                            propagate_many, spectral_width_sum)
 from morilab.design import exponential_chain, gaussian_chain, oscillating_pair
+from morilab.experiment import ScenarioConfig, build_families, trial_seed
 from morilab.perturb import apply_draw, draw_noise
 
 
@@ -419,7 +421,7 @@ class TestCausalCut:
                      - dense_correlation(gdo, t)).max()
         assert err >= 0.05                # measured 0.069: the cut is wrong
         assert ex.bound >= 1e3            # measured 6.2e3: and not certified
-        monkeypatch.setattr(chain_module, "WKB_FACTOR", 1.0)
+        monkeypatch.setattr(chain_module, "WKB_FACTORS", (1.0,))
         series = propagate(gdo, dt=OSC_DT, t_max=horizon, method="moments")
         assert series.sites == gdo.d
         assert 0.0 < series.cut_bound <= 1e-15   # the chain's end: Kapteyn tail
@@ -429,7 +431,7 @@ class TestCausalCut:
     def test_rule_cut_is_certified_and_exact(self, seed):
         for chain in desk_oscillating_chains(seed):
             series = propagate(chain, dt=OSC_DT, t_max=30.0, method="moments")
-            assert 400 <= series.sites <= 560         # measured 458-506
+            assert series.sites in (470, 512)     # the rung of factor 2
             # Kapteyn's Bessel tail dominates; the edge term is below 1e-39
             assert 0.0 < series.cut_bound <= 1e-18    # measured 3e-22..2e-21
             assert series.lam < 0.5 * _spectral_bound(chain.b)
@@ -437,36 +439,70 @@ class TestCausalCut:
             assert err <= 1e-13                       # measured 6e-15
 
     def test_weak_bond_inside_the_reach_falls_back(self):
-        # a floor-clamped hopping makes sum 1/b jump: the rule cuts right
+        # a floor-clamped hopping makes sum 1/b jump: both rungs cut right
         # behind it, where the front arrives early and the bound refuses
         gdo, _ = desk_oscillating_chains()
         b = gdo.b.copy()
         b[50] = 1e-6
         weak = LanczosChain(b)
-        n_c = _causal_cut(b, 30.0, WKB_FACTOR)
-        assert n_c == 52
-        assert prefix_moments(b, n_c, OSC_DT, OSC_STEPS).bound > CUT_TOL
+        assert [_causal_cut(b, 30.0, f) for f in WKB_FACTORS] == [52, 52]
+        assert _cut_ladder(b, 30.0) == [54, weak.d]
+        assert prefix_moments(b, 54, OSC_DT, OSC_STEPS).bound > CUT_TOL
         series = propagate(weak, dt=OSC_DT, t_max=30.0, method="moments")
         assert series.sites == weak.d
         assert 0.0 < series.cut_bound <= 1e-15
         assert np.array_equal(series.values, uncut_engine(weak, OSC_DT, 30.0))
 
-    @pytest.mark.parametrize("family", ["g", "e"])
-    def test_desk_decay_chains_are_not_cut(self, family):
+    @pytest.mark.parametrize("family, sites", [("g", 1024), ("e", 1328)])
+    def test_desk_decay_chains_are_cut_at_the_tight_rung(self, family, sites):
         base = desk_design(family, 2000)
         for chain in (base, apply_draw(base, 0.5, draw_noise(2000, 666, 4)).chain):
-            # the whole chain's WKB travel time, 33-36, is below t_max = 40
-            assert _causal_cut(chain.b, 40.0, WKB_FACTOR) == chain.d
+            # the whole chain's WKB travel time, 33-36, is below t_max = 40,
+            # so the rung of factor 2 is d; that of factor 1.4 certifies
+            assert _causal_cut(chain.b, 40.0, 2.0) == chain.d
+            assert _cut_ladder(chain.b, 40.0) == [sites, chain.d]
             series = propagate(chain, dt=0.02, t_max=40.0, method="moments")
-            assert series.sites == chain.d
-            # the finite-size bound: the edge term is about 1e-133, and
-            # the Kapteyn tail sets it
-            assert 0.0 < series.cut_bound <= 1e-15   # measured 3.4e-16
-            assert series.lam == _quantized(_spectral_bound(chain.b) * (1.0 + 1e-7))
+            assert series.sites == sites
+            assert 0.0 < series.cut_bound <= CUT_TOL  # measured 6e-18..3e-17
+            assert series.lam == _prefix_scale(chain.b, sites)
             z_end = series.lam * 0.02 * 2000
             assert series.moments == max(int(_miller_order(z_end)) // 2,
                                          int(_miller_order(z_end / 2))) + 1
-            assert np.array_equal(series.values, uncut_engine(chain, 0.02, 40.0))
+            err = np.abs(series.values - dense_correlation(chain, series.t)).max()
+            assert err <= 1e-13
+
+    @pytest.mark.parametrize("index, rungs", [(0, [216, 470, 2000]),
+                                              (1, [256, 512, 2000])])
+    def test_desk_oscillating_chains_refuse_the_tight_rung(self, index,
+                                                           rungs):
+        chain = desk_oscillating_chains()[index]
+        assert _cut_ladder(chain.b, 30.0) == rungs
+        # measured 1.1e3 (gdo) and 4.8 (edo)
+        assert prefix_moments(chain.b, rungs[0], OSC_DT, OSC_STEPS).bound >= 1.0
+        series = propagate(chain, dt=OSC_DT, t_max=30.0)
+        assert series.sites == rungs[1]
+        assert 0.0 < series.cut_bound <= 1e-18      # measured 5e-22, 1.5e-21
+
+    def test_site_grid(self):
+        grid = np.ceil(np.exp2(np.arange(8 * 16) / 8)).astype(int)
+        for n in range(2, 2**15):
+            assert _grid_sites(n) == grid[np.searchsorted(grid, n)]
+
+    def test_paper_decay_draws_share_few_first_rungs(self):
+        # 40 paper-profile draws per decay family fall on at most 3 (lam_q,
+        # n_c) keys at their first rung, so their recursions batch; the
+        # exact cuts of the factor 2 gave 39 and 37 keys
+        config = ScenarioConfig("decay", profile="paper")
+        for index, family in enumerate(build_families(config)):
+            keys = set()
+            for trial in range(40):
+                draw = draw_noise(config.d, config.n_f,
+                                  trial_seed(config.base_seed, index, trial))
+                b = apply_draw(family.chain, config.strength, draw,
+                               floor=config.floor).chain.b
+                n_c = _cut_ladder(b, config.t_max)[0]
+                keys.add((_prefix_scale(b, n_c), n_c))
+            assert len(keys) <= 3, family.name      # measured 3 and 3
 
 
 class TestFiniteSizeBound:
@@ -476,9 +512,12 @@ class TestFiniteSizeBound:
         # the designs end in an affine tail, so the design at 2d is the
         # chain continued past d; at T = 40 the front reaches site 600
         # but not site 1200
-        short = propagate(desk_design(family, d), dt=0.02, t_max=40.0)
+        chain = desk_design(family, d)
+        short = propagate(chain, dt=0.02, t_max=40.0)
         long = propagate(desk_design(family, 2 * d), dt=0.02, t_max=40.0)
-        assert short.sites == d
+        # the first rung, 1024 (g) or 1328 (e), certifies where it is
+        # below d; at d <= 600 every rung is refused
+        assert short.sites == (d if d <= 600 else _cut_ladder(chain.b, 40.0)[0])
         gap = np.abs(short.values - long.values).max()
         assert gap <= short.cut_bound + 1e-13
         if d <= 600:
@@ -486,7 +525,7 @@ class TestFiniteSizeBound:
             if (family, d) != ("g", 600):         # that one is 7.6e-12
                 assert gap >= 0.2                 # measured 0.24-1.0
         else:
-            assert short.cut_bound <= 1e-15       # measured 1.3e-17, 3.4e-16
+            assert short.cut_bound <= 1e-15       # measured 6.3e-18-3.3e-17
             assert gap <= 1e-14                   # measured 2e-15-4e-15
 
 
@@ -567,8 +606,8 @@ class TestQuantizedScale:
     @given(lam=st.floats(1e-300, 1e300))
     def test_rounds_up_by_less_than_one_step(self, lam):
         q = _quantized(lam)
-        assert lam <= q < 2 ** (1 / 64) * lam * (1 + 1e-15)
-        j = 64 * np.log2(q)
+        assert lam <= q < 2 ** (1 / 16) * lam * (1 + 1e-15)
+        j = 16 * np.log2(q)
         assert abs(j - round(j)) < 1e-9
 
     def test_powers_of_two_are_fixed(self):
@@ -637,6 +676,21 @@ class TestPropagateMany:
         assert len(alone) == len(flat) and len(many) == len(chains)
         for chain, series in zip(flat + chains, alone + many):
             assert same_series(series, propagate(chain, dt=dt, t_max=t_max))
+
+    def test_a_batch_mixes_first_rungs_and_refused_ones(self):
+        # at t_max = 30 on 1000 sites the e design is certified at its
+        # first rung, gdo and edo at their second, and g only at d; each
+        # design shares the batch with a perturbed copy
+        designs = [exponential_chain(1.2, 150, 1000), gaussian_chain(150, 1000),
+                   *oscillating_pair(50, 1000, 2.0, 1.6)]
+        chains = designs + [apply_draw(c, 0.1, draw_noise(1000, 333, seed)).chain
+                            for seed, c in enumerate(designs)]
+        many = propagate_many(chains, dt=0.06, t_max=30.0)
+        rungs = [_cut_ladder(c.b, 30.0) for c in designs]
+        assert [r.index(s.sites) for r, s in zip(rungs, many)] == [0, 1, 1, 1]
+        assert [s.sites for s in many[:2]] == [664, 1000]
+        for chain, series in zip(chains, many):
+            assert same_series(series, propagate(chain, dt=0.06, t_max=30.0))
 
     def test_one_bessel_sum_per_scale(self, monkeypatch):
         # Gershgorin bounds in [1.98, 2), of the whole chain or of a prefix:

@@ -938,12 +938,14 @@ class TestDeskWorkerCounts:
     """Worker-count invariance at desk scale, d = 2000.
 
     Blocks of 6, 3 and 2 trials expand their chains in moment recursions of
-    as many rows: every row must come out the same.  Decay blocks are one
-    uncut (lambda_q, n_c) group; oscillation blocks split into several
-    groups of cut chains.  Each baseline, propagated alone by `morilab
-    propagate`, must give the run's bytes: at decay its Bessel sum runs over
-    115 chunks of J_2k rows, the last one of 26.  `morilab design` with the
-    run's defaults must write the bytes of each of the run's chains.
+    as many rows: every row must come out the same.  Decay blocks hold the
+    g chains' first-rung (lambda_q, n_c) groups, at 940 and 1024 sites, and
+    the e chains' one, at 1328; oscillation chains refuse their first rung
+    and meet again in one group at their second, 470 or 512 sites.  Each
+    baseline, propagated alone by `morilab propagate`, must give the run's
+    bytes: at decay its Bessel sum runs over 66 (g) or 81 (e) chunks of
+    J_2k rows, the last ones of 4 and 9.  `morilab design` with the run's
+    defaults must write the bytes of each of the run's chains.
     """
 
     def test_run_files_do_not_depend_on_the_worker_count(self, desk_runs):
