@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+from array import array
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
@@ -311,10 +312,11 @@ def render_all(out_dir) -> list[str]:
         summary = json.load(fh)
     if not isinstance(summary, dict):
         raise ConfigError(f"{path('summary.json')}: not a JSON object")
-    curves: dict[str, dict[int, list]] = {}
+    # raw doubles, not a list per row: the rows are most of what it holds
+    curves: dict[str, dict[int, array]] = {}
     for fam, trial, *cells in read_csv(path("curves.csv"), CURVES_HEADER,
                                        [str, int, _finite, _finite, _finite]):
-        curves.setdefault(fam, {}).setdefault(trial, []).append(cells)
+        curves.setdefault(fam, {}).setdefault(trial, array("d")).extend(cells)
     try:
         fams = sorted(summary["unperturbed"])
         figures = {
@@ -333,7 +335,8 @@ def render_all(out_dir) -> list[str]:
                     (info["A"], info["mu"], info["omega"], info["phi"]))
                 for f, info in summary["unperturbed"].items()}),
             **{f"exemplar_{f}.svg": (render_curves_svg, {
-                trial: np.array(rows).T for trial, rows in trials.items()}, f)
+                trial: np.frombuffer(cells).reshape(-1, 3).T
+                for trial, cells in trials.items()}, f)
                for f, trials in curves.items()},
         }
     except KeyError as err:     # the only lookups that can miss are summary's
@@ -379,9 +382,15 @@ def _cmd_reverse(args) -> int:
     density = fourier_of_correlation(target, n_max=args.nmax)
     result = lanczos_from_spectrum(density, args.nmax)
     LanczosChain(result.b).to_csv(args.out)
+    omega = density.omega
     _write_json(args.out + ".meta.json", {
         "achieved": result.achieved, "requested": args.nmax,
-        "stop_reason": result.stop_reason, "quadrature": result.quadrature})
+        "stop_reason": result.stop_reason,
+        "quadrature": {"n_points": int(omega.size),
+                       "omega_max": float(omega[-1]),
+                       "density": float((omega.size - 1)
+                                        / (omega[-1] - omega[0])),
+                       "source": density.source}})
     print(f"wrote {args.out} ({result.achieved}/{args.nmax} coefficients; "
           f"{result.stop_reason})")
     if args.continue_to:

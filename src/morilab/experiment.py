@@ -33,7 +33,6 @@ __all__ = [
     "FamilySummary",
     "EnsembleSummary",
     "FamilyRun",
-    "Exemplar",
     "run_scenario",
     "exemplary_trials",
     "histogram",
@@ -198,7 +197,6 @@ def histogram(values: Sequence[float], bin_width: float) -> Histogram:
 
 @dataclass
 class FamilySummary:
-    family: str
     mean_epsilon: float
     mean_sigma: float
     n_valid: int
@@ -207,7 +205,7 @@ class FamilySummary:
     histogram: Histogram
 
     def to_json_dict(self) -> dict:
-        return {"family": self.family, "mean_epsilon": self.mean_epsilon,
+        return {"mean_epsilon": self.mean_epsilon,
                 "mean_sigma": self.mean_sigma, "n_valid": self.n_valid,
                 "n_invalid": self.n_invalid,
                 "n_nonequilibrated": self.n_nonequilibrated,
@@ -218,17 +216,15 @@ class FamilySummary:
 @dataclass
 class EnsembleSummary:
     families: dict[str, FamilySummary]
-    n_trials: int
-    bin_width: float
-    # filled in by run_scenario: baselines, exemplar trials, failed trials
+    # filled in by run_scenario: baselines, (record, C(t_n)) of the exemplar
+    # trials, failed trials
     runs: dict[str, "FamilyRun"] = field(default_factory=dict, init=False)
-    exemplars: dict[str, list["Exemplar"]] = field(default_factory=dict,
-                                                   init=False)
+    exemplars: dict[str, list[tuple[TrialRecord, np.ndarray]]] = field(
+        default_factory=dict, init=False)
     failures: list[dict] = field(default_factory=list, init=False)
 
     def to_json_dict(self) -> dict:
-        return {"n_trials": self.n_trials, "bin_width": self.bin_width,
-                "families": {k: v.to_json_dict() for k, v in self.families.items()},
+        return {"families": {k: v.to_json_dict() for k, v in self.families.items()},
                 "failures": self.failures}
 
 
@@ -238,13 +234,11 @@ def summarize(records: Sequence[TrialRecord], bin_width: float) -> EnsembleSumma
     empty histogram."""
     families: dict[str, FamilySummary] = {}
     names = list(dict.fromkeys(r.family for r in records))
-    n_trials = len({r.trial for r in records})
     for name in names:
         fam = [r for r in records if r.family == name]
         valid = [r for r in fam if r.valid]
         eps_arr = np.array([r.epsilon for r in valid])
         families[name] = FamilySummary(
-            family=name,
             mean_epsilon=float(eps_arr.mean()) if valid else math.nan,
             mean_sigma=(float(np.mean([r.sigma for r in valid])) if valid
                         else math.nan),
@@ -253,7 +247,7 @@ def summarize(records: Sequence[TrialRecord], bin_width: float) -> EnsembleSumma
             n_nonequilibrated=sum(not r.equilibrated for r in fam),
             histogram=histogram(eps_arr, bin_width),
         )
-    return EnsembleSummary(families, n_trials, bin_width)
+    return EnsembleSummary(families)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +295,6 @@ class FamilyRun:
     baseline_fit: FitResult
     equilibrated: bool
     config: ScenarioConfig
-
-
-class Exemplar(NamedTuple):
-    """A trial drawn in the curves figure, with the C(t_n) it propagated."""
-
-    record: TrialRecord
-    values: np.ndarray
 
 
 def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]:
@@ -418,7 +405,7 @@ def run_scenario(config: ScenarioConfig,
     summary.runs = {run.name: run for run in runs}
     summary.failures = [f for _, _, f in results if f is not None]
     summary.exemplars = {
-        run.name: [Exemplar(rec, series[rec.family, rec.trial])
+        run.name: [(rec, series[rec.family, rec.trial])
                    for rec in exemplary_trials(records, summary, run.name)]
         for run in runs}
     return records, summary

@@ -440,7 +440,9 @@ def _decay_scan(x: np.ndarray, c: np.ndarray, extra: float | None = None,
         math.log10(SCAN_FLAT / x[-1]), math.log10(SCAN_CUT / x[1]),
         math.ceil(SCAN_PER_DECADE * decades) + 1)))
     if extra is not None:
-        grid = np.unique(np.append(grid, max(extra, 0.0)))
+        extra = max(extra, 0.0)
+        if extra not in grid:   # not np.unique: its first call imports numpy.ma
+            grid = np.insert(grid, np.searchsorted(grid, extra), extra)
     # tail[n] = sum of c^2 beyond sample n, the objective of a zero model
     tail = np.append(np.cumsum((c * c)[::-1])[::-1], 0.0)
     objective = np.empty(grid.size)

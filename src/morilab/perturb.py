@@ -27,10 +27,9 @@ POSITIVITY_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class PerturbationDraw:
-    """One realization of the truncated Fourier noise v_n, n = 1..d-1."""
+    """One realization of the truncated Fourier noise v_n, n = 1..d-1, with
+    d = v.size + 1, from its n_f = x.size amplitude pairs (x_k, y_k)."""
 
-    d: int
-    n_f: int
     x: np.ndarray
     y: np.ndarray
     v: np.ndarray
@@ -40,12 +39,8 @@ class PerturbationDraw:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not 1 <= self.n_f <= self.d:
-            raise ValueError("require 1 <= n_f <= d")
-        if self.x.size != self.n_f or self.y.size != self.n_f:
-            raise ValueError("amplitude arrays must have n_f entries")
-        if self.v.size != self.d - 1:
-            raise ValueError("v must cover n = 1..d-1")
+        if not 1 <= self.x.size == self.y.size <= self.v.size + 1:
+            raise ValueError("require 1 <= x.size == y.size <= v.size + 1")
 
     @property
     def amplitude_norm(self) -> float:
@@ -91,7 +86,7 @@ def draw_noise(d: int, n_f: int, seed) -> PerturbationDraw:
     scale = np.sqrt(np.sum(x**2) + np.sum(y**2))
     x /= scale
     y /= scale
-    return PerturbationDraw(d, n_f, x, y, _assemble(d, n_f, x, y))
+    return PerturbationDraw(x, y, _assemble(d, n_f, x, y))
 
 
 @dataclass(frozen=True)
@@ -118,8 +113,9 @@ def apply_draw(base: LanczosChain, strength: float, draw: PerturbationDraw,
         raise ValueError("perturbation strength must be nonnegative")
     if floor <= 0:
         raise ValueError("positivity floor must be positive")
-    if draw.d != base.d:
-        raise ValueError(f"draw is for d={draw.d}, chain has d={base.d}")
+    if draw.v.size != base.b.size:
+        raise ValueError(f"draw is for d={draw.v.size + 1}, "
+                         f"chain has d={base.d}")
     b = base.b + strength * draw.v
     clamped = b < floor
     if clamped.any():

@@ -202,7 +202,6 @@ class ReverseResult:
     b: np.ndarray
     achieved: int
     stop_reason: str
-    quadrature: dict
 
 
 def _recursion(omega: np.ndarray, values: np.ndarray,
@@ -276,10 +275,4 @@ def lanczos_from_spectrum(spec: SpectralDensityInput, n_max: int) -> ReverseResu
         b = b[:cut]
         stop = (f"grid-resolution disagreement at step {cut + 1}: "
                 "the grid under-resolves the basis functions")
-    return ReverseResult(
-        b, b.size, stop,
-        quadrature={"n_points": int(spec.omega.size),
-                    "omega_max": float(spec.omega[-1]),
-                    "density": float((spec.omega.size - 1)
-                                     / (spec.omega[-1] - spec.omega[0])),
-                    "source": spec.source})
+    return ReverseResult(b, b.size, stop)

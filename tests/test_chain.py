@@ -831,6 +831,23 @@ class TestDenseCorrelation:
         assert np.array_equal(got, [1.0, 1.0])
 
 
+class TestZeroMode:
+    """A dimer chain b_odd = r, b_even = 1 of d = 2J + 1 sites has the exact
+    zero mode psi_2j = (-r)^j, zero on odd sites, of site-0 weight
+    w0 = (1 - r^2) / (1 - r^(2(J+1))); it is the long-time mean of C."""
+
+    @pytest.mark.parametrize("r, d", [(0.3, 21), (0.5, 41), (0.7, 61),
+                                      (1.5, 41), (2.0, 21)])
+    def test_site_zero_weight_is_the_plateau(self, r, d):
+        J = (d - 1) // 2
+        w0 = (1 - r**2) / (1 - r**(2 * (J + 1)))
+        chain = LanczosChain(np.where(np.arange(d - 1) % 2 == 0, r, 1.0))
+        lam, V = np.linalg.eigh(dense_generator(chain))
+        assert abs(V[0, np.argmin(np.abs(lam))]**2 - w0) <= 1e-12
+        series = propagate(chain, dt=0.05, t_max=400.0)
+        assert abs(series.values[series.t >= 200.0].mean() - w0) <= 2e-3
+
+
 class TestCorrelationSeries:
     def test_csv_roundtrip(self, tmp_path):
         ch = LanczosChain(np.sqrt(np.arange(1, 40)))

@@ -71,8 +71,10 @@ def test_every_command_runs_without_scipy(tmp_path):
         "for method in ('chebyshev', 'rk4'):\n"
         "    propagate(chain, dt=0.05, t_max=2.0, method=method)\n"
         "dense_correlation(chain, [0.0, 1.0])\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-    assert printed.splitlines()[-1] == "[]"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print('numpy.ma' in sys.modules)\n")
+    # numpy.ma costs about 10 ms and 0.5 MB to import, and no command needs it
+    assert printed.splitlines()[-2:] == ["[]", "False"]
 
 
 def test_trace_harness_binds_every_name():

@@ -53,7 +53,7 @@ class TestDrawNoise:
         draw = draw_noise(100, 100, 0)
         assert draw.v.size == 99
         # all-frequency draw: no band limit remains
-        assert draw.n_f == draw.d
+        assert draw.x.size == 100
 
     def test_validation(self):
         with pytest.raises(ValueError):
