@@ -25,6 +25,7 @@ __all__ = [
     "propagate_many",
     "read_csv",
     "write_csv",
+    "finite",
     "dense_generator",
     "dense_correlation",
     "spectral_width_sum",
@@ -70,7 +71,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
-def _finite(cell: str) -> float:
+def finite(cell: str) -> float:
     value = float(cell)
     if not math.isfinite(value):
         raise ValueError(f"non-finite cell {cell!r}")
@@ -110,7 +111,7 @@ class LanczosChain:
         def index(cell: str) -> None:
             if int(cell) != (i := next(rows)):
                 raise ValueError(f"n = {cell} in row {i}")
-        return cls([b for _, b in read_csv(path, ["n", "b"], [index, _finite])])
+        return cls([b for _, b in read_csv(path, ["n", "b"], [index, finite])])
 
 
 @dataclass
@@ -146,7 +147,7 @@ class CorrelationSeries:
     @classmethod
     def from_csv(cls, path) -> "CorrelationSeries":
         """A series written by `to_csv`: its grid must be t_n = n*dt."""
-        rows = list(read_csv(path, ["t", "C"], [_finite, _finite]))
+        rows = list(read_csv(path, ["t", "C"], [finite, finite]))
         if len(rows) < 2:
             raise ValueError(f"{path}: series needs at least two samples")
         t, c = np.array(rows).T

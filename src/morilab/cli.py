@@ -17,18 +17,18 @@ import re
 import sys
 import time
 from array import array
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict, fields as dataclass_fields
 
 import numpy as np
 
 from . import __version__
 from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, PropagationError,
-                    _finite, propagate, read_csv, write_csv)
+                    finite, propagate, read_csv, write_csv)
 from .design import linear_continuation
 from .experiment import (Scenario, ScenarioConfig, TrialRecord, build_families,
-                         histogram_to_csv, records_from_csv, records_to_csv,
-                         run_scenario, scatter_to_csv, usable_cpus,
-                         worker_count)
+                         histogram_to_csv, histograms, records_from_csv,
+                         records_to_csv, run_scenario, scatter_to_csv,
+                         usable_cpus, worker_count)
 from .fitting import (EQ_THRESHOLD, EQ_WINDOW, ModelClass,
                       detect_equilibration, fit)
 from .perturb import apply_draw, draw_noise
@@ -253,41 +253,38 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
     """
     os.makedirs(out_dir, exist_ok=True)
     path = lambda name: os.path.join(out_dir, name)
-    emitted = []
+    emitted = ["records.csv", "histogram.csv", "scatter.csv", "summary.json",
+               "curves.csv"]
 
     records_to_csv(records, path("records.csv"))
-    emitted.append("records.csv")
-    histogram_to_csv(summary, path("histogram.csv"))
-    emitted.append("histogram.csv")
+    histogram_to_csv(records, config.bin_width, path("histogram.csv"))
     scatter_to_csv(records, path("scatter.csv"))
-    emitted.append("scatter.csv")
 
     unperturbed = {}
     for name, run in summary.runs.items():
         run.chain.to_csv(path(f"chain_{name}.csv"))
-        emitted.append(f"chain_{name}.csv")
         run.baseline.to_csv(path(f"unperturbed_{name}.csv"))
-        emitted.append(f"unperturbed_{name}.csv")
+        emitted += [f"chain_{name}.csv", f"unperturbed_{name}.csv"]
         c0 = run.baseline
         unperturbed[name] = {**run.baseline_fit.to_json_dict(),
                              "equilibrated": run.equilibrated,
                              "lam": c0.lam, "moments": c0.moments,
                              "sites": c0.sites, "cut_bound": c0.cut_bound}
 
-    summary_doc = {**summary.to_json_dict(), "config": config.to_json_dict(),
-                   "unperturbed": unperturbed}
-    _write_json(path("summary.json"), summary_doc)
-    emitted.append("summary.json")
-
+    _write_json(path("summary.json"), {
+        "config": config.to_json_dict(),
+        "families": {name: asdict(fam) for name, fam in summary.families.items()},
+        "failures": summary.failures,
+        "unperturbed": unperturbed})
     write_csv(path("curves.csv"), CURVES_HEADER, _curves_rows(config, summary))
-    emitted.append("curves.csv")
+    emitted += render_all(out_dir)
 
-    emitted.extend(render_all(out_dir))
-
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "tool": "morilab",
         "version": __version__,
         "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version', '')}".strip(),
         "engine": "moments",
         "nproc": usable_cpus(),
         "workers": worker_count(config),
@@ -303,6 +300,7 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
 def render_all(out_dir) -> list[str]:
     """(Re)draw the SVGs of the run whose summary.json is in out_dir, for
     the families it names, reading each input once; returns their names.
+    The histograms are counted from records.csv at the config's bin_width.
     Every summary value a figure draws is read before the first is drawn."""
     path = lambda name: os.path.join(out_dir, name)
     if os.path.exists(path("summary.json")) \
@@ -315,17 +313,18 @@ def render_all(out_dir) -> list[str]:
     # raw doubles, not a list per row: the rows are most of what it holds
     curves: dict[str, dict[int, array]] = {}
     for fam, trial, *cells in read_csv(path("curves.csv"), CURVES_HEADER,
-                                       [str, int, _finite, _finite, _finite]):
+                                       [str, int, finite, finite, finite]):
         curves.setdefault(fam, {}).setdefault(trial, array("d")).extend(cells)
+    records = records_from_csv(path("records.csv"))
     try:
         fams = sorted(summary["unperturbed"])
+        hists = histograms(records, summary["config"]["bin_width"])
         figures = {
             "histogram.svg": (render_histogram_svg, {
-                f: (info["histogram"]["edges"], info["histogram"]["counts"],
+                f: (hists[f].edges.tolist(), hists[f].counts.tolist(),
                     info["mean_epsilon"])
                 for f, info in summary["families"].items()}),
-            "scatter.svg": (render_scatter_svg,
-                            records_from_csv(path("records.csv"))),
+            "scatter.svg": (render_scatter_svg, records),
             "chains.svg": (render_chains_svg, {
                 f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fams}),
             "unperturbed.svg": (render_unperturbed_svg, {
@@ -339,7 +338,7 @@ def render_all(out_dir) -> list[str]:
                 for trial, cells in trials.items()}, f)
                for f, trials in curves.items()},
         }
-    except KeyError as err:     # the only lookups that can miss are summary's
+    except KeyError as err:     # every lookup that can miss is keyed by summary
         raise ConfigError(f"{path('summary.json')}: no key {err}") from err
     except (TypeError, AttributeError) as err:  # e.g. a number for a family
         raise ConfigError(f"{path('summary.json')}: wrongly typed entry "
@@ -431,11 +430,7 @@ def _cmd_run(args) -> int:
     if not os.path.isdir(parent):
         raise ConfigError(f"--out {args.out}: {parent} is not a directory")
     t0 = time.time()
-
-    def progress(done, total):
-        log.info("trials %d/%d", done, total)
-
-    records, summary = run_scenario(config, progress=progress)
+    records, summary = run_scenario(config)
     for name, run in summary.runs.items():
         if not run.baseline.cut_bound <= CUT_TOL:
             log.warning("baseline %s: cut bound %.3g exceeds %.0e, so C(t) is "

@@ -9,11 +9,12 @@ into histograms, scatter pairs and means.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import dataclass, asdict, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "run_scenario",
     "exemplary_trials",
     "histogram",
+    "histograms",
     "summarize",
     "build_families",
     "records_to_csv",
@@ -44,6 +46,8 @@ __all__ = [
 ]
 
 N_EXEMPLARS = 3  # perturbed trials per family kept for the curves figure
+
+log = logging.getLogger("morilab")
 
 
 class Scenario(enum.Enum):
@@ -195,59 +199,50 @@ def histogram(values: Sequence[float], bin_width: float) -> Histogram:
     return Histogram(edges, counts)
 
 
-@dataclass
+def histograms(records: Sequence[TrialRecord],
+               bin_width: float) -> dict[str, Histogram]:
+    """Each family's histogram of the epsilon of its valid trials; a family
+    with no valid trial gets the empty histogram."""
+    return {name: histogram([r.epsilon for r in records
+                             if r.family == name and r.valid], bin_width)
+            for name in dict.fromkeys(r.family for r in records)}
+
+
+@dataclass(frozen=True)
 class FamilySummary:
     mean_epsilon: float
     mean_sigma: float
     n_valid: int
     n_invalid: int
     n_nonequilibrated: int
-    histogram: Histogram
-
-    def to_json_dict(self) -> dict:
-        return {"mean_epsilon": self.mean_epsilon,
-                "mean_sigma": self.mean_sigma, "n_valid": self.n_valid,
-                "n_invalid": self.n_invalid,
-                "n_nonequilibrated": self.n_nonequilibrated,
-                "histogram": {"edges": self.histogram.edges.tolist(),
-                              "counts": self.histogram.counts.tolist()}}
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleSummary:
+    # per-family means, baselines, (record, C(t_n)) of the exemplar trials,
+    # failed trials
     families: dict[str, FamilySummary]
-    # filled in by run_scenario: baselines, (record, C(t_n)) of the exemplar
-    # trials, failed trials
-    runs: dict[str, "FamilyRun"] = field(default_factory=dict, init=False)
-    exemplars: dict[str, list[tuple[TrialRecord, np.ndarray]]] = field(
-        default_factory=dict, init=False)
-    failures: list[dict] = field(default_factory=list, init=False)
-
-    def to_json_dict(self) -> dict:
-        return {"families": {k: v.to_json_dict() for k, v in self.families.items()},
-                "failures": self.failures}
+    runs: dict[str, FamilyRun]
+    exemplars: dict[str, list[tuple[TrialRecord, np.ndarray]]]
+    failures: list[dict]
 
 
-def summarize(records: Sequence[TrialRecord], bin_width: float) -> EnsembleSummary:
-    """Per-family means and histograms; invalid trials counted but excluded.
-    A family with no valid trial keeps its counts, with NaN means and the
-    empty histogram."""
+def summarize(records: Sequence[TrialRecord]) -> dict[str, FamilySummary]:
+    """Per-family means; invalid trials counted but excluded.  A family with
+    no valid trial keeps its counts, with NaN means."""
     families: dict[str, FamilySummary] = {}
-    names = list(dict.fromkeys(r.family for r in records))
-    for name in names:
+    for name in dict.fromkeys(r.family for r in records):
         fam = [r for r in records if r.family == name]
         valid = [r for r in fam if r.valid]
-        eps_arr = np.array([r.epsilon for r in valid])
+        mean = lambda values: float(np.mean(values)) if valid else math.nan
         families[name] = FamilySummary(
-            mean_epsilon=float(eps_arr.mean()) if valid else math.nan,
-            mean_sigma=(float(np.mean([r.sigma for r in valid])) if valid
-                        else math.nan),
+            mean_epsilon=mean([r.epsilon for r in valid]),
+            mean_sigma=mean([r.sigma for r in valid]),
             n_valid=len(valid),
             n_invalid=len(fam) - len(valid),
             n_nonequilibrated=sum(not r.equilibrated for r in fam),
-            histogram=histogram(eps_arr, bin_width),
         )
-    return EnsembleSummary(families)
+    return families
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +279,15 @@ def trial_seed(base_seed: int, family_index: int, trial: int) -> int:
 class FamilyRun:
     """A family's chain, its unperturbed C0(t) and the fit to it.
 
-    Everything a worker needs: immutable and cheap to pickle.
+    A worker's job is (run, family index, config, trials), cheap to pickle.
     """
 
     name: str
-    index: int
     chain: LanczosChain
     model_class: ModelClass
     baseline: CorrelationSeries
     baseline_fit: FitResult
     equilibrated: bool
-    config: ScenarioConfig
 
 
 def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]:
@@ -303,10 +296,9 @@ def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]
     and its row is filled in as the trial runs.  A trial whose propagation
     or fit raises (a RuntimeError or ArithmeticError, or the ValueError of
     n_eq < 8) keeps the row it reached, invalid, and is reported."""
-    ctx, trials = args
-    cfg = ctx.config
+    ctx, index, cfg, trials = args
     f0 = ctx.baseline_fit.model
-    seeds = [trial_seed(cfg.base_seed, ctx.index, t) for t in trials]
+    seeds = [trial_seed(cfg.base_seed, index, t) for t in trials]
     draws = []         # (clamp_count, invalid) of each trial's draw
 
     def chains():
@@ -357,8 +349,8 @@ def worker_count(config: ScenarioConfig) -> int:
     return usable_cpus()
 
 
-def run_scenario(config: ScenarioConfig,
-                 progress=None) -> tuple[list[TrialRecord], EnsembleSummary]:
+def run_scenario(config: ScenarioConfig) -> tuple[list[TrialRecord],
+                                                 EnsembleSummary]:
     """Run the configured ensemble; deterministic for a fixed config.
 
     Each family is perturbed by its own independent seeded draws (seeds
@@ -368,12 +360,13 @@ def run_scenario(config: ScenarioConfig,
     are recorded with valid = False and excluded from the means, and so are
     trials whose propagation or fit raised (listed in `failures`).
 
-    Each worker gets one block of each family's trials.  The summary also
+    Each worker gets one block of each family's trials, and each finished
+    block is logged at INFO on the "morilab" logger.  The summary also
     carries each family's baseline (`runs`) and the C(t) of its exemplary
     trials (`exemplars`); every other trial's series is dropped here.
     """
     runs = []
-    for idx, fam in enumerate(build_families(config)):
+    for fam in build_families(config):
         c0 = propagate(fam.chain, dt=config.dt, t_max=config.t_max)
         n_eq0, eq0 = detect_equilibration(c0, config.eq_threshold,
                                           config.eq_window)
@@ -381,13 +374,14 @@ def run_scenario(config: ScenarioConfig,
             fit0 = fit(c0, fam.model_class, n_eq0)
         except ValueError as err:
             raise ValueError(f"baseline {fam.name}: {err}") from err
-        runs.append(FamilyRun(fam.name, idx, fam.chain, fam.model_class, c0,
-                              fit0, eq0, config))
+        runs.append(FamilyRun(fam.name, fam.chain, fam.model_class, c0, fit0,
+                              eq0))
 
     n_workers = worker_count(config)
     block = math.ceil(config.n_trials / n_workers)
-    jobs = [(run, range(lo, min(lo + block, config.n_trials)))
-            for run in runs for lo in range(0, config.n_trials, block)]
+    jobs = [(run, index, config, range(lo, min(lo + block, config.n_trials)))
+            for index, run in enumerate(runs)
+            for lo in range(0, config.n_trials, block)]
 
     # the pool forks all its processes at the first submit: no more than jobs
     n_procs = min(n_workers, len(jobs))
@@ -395,26 +389,27 @@ def run_scenario(config: ScenarioConfig,
     with ProcessPoolExecutor(n_procs) if n_procs > 1 else nullcontext() as pool:
         for part in (pool.map if pool else map)(_run_block, jobs):
             results.extend(part)
-            if progress:
-                progress(len(results), config.n_trials * len(runs))
+            log.info("trials %d/%d", len(results), config.n_trials * len(runs))
 
     records = sorted((rec for rec, _, _ in results),
                      key=lambda r: (r.trial, r.family))
     series = {(rec.family, rec.trial): values for rec, values, _ in results}
-    summary = summarize(records, config.bin_width)
-    summary.runs = {run.name: run for run in runs}
-    summary.failures = [f for _, _, f in results if f is not None]
-    summary.exemplars = {
-        run.name: [(rec, series[rec.family, rec.trial])
-                   for rec in exemplary_trials(records, summary, run.name)]
-        for run in runs}
-    return records, summary
+    families = summarize(records)
+    return records, EnsembleSummary(
+        families=families,
+        runs={run.name: run for run in runs},
+        exemplars={run.name: [
+            (rec, series[rec.family, rec.trial])
+            for rec in exemplary_trials(records, families, run.name)]
+            for run in runs},
+        failures=[f for _, _, f in results if f is not None])
 
 
-def exemplary_trials(records: Sequence[TrialRecord], summary: EnsembleSummary,
+def exemplary_trials(records: Sequence[TrialRecord],
+                     families: dict[str, FamilySummary],
                      family: str) -> list[TrialRecord]:
     """Valid trials closest to the family mean deviation, ties by trial."""
-    fam = summary.families[family]
+    fam = families[family]
     pool = [r for r in records if r.family == family and r.valid]
     pool.sort(key=lambda r: (abs(r.epsilon - fam.mean_epsilon), r.trial))
     return pool[:N_EXEMPLARS]
@@ -459,10 +454,10 @@ def records_from_csv(path) -> list[TrialRecord]:
         path, _header(), [_CELLS[f.type] for f in fields(TrialRecord)])]
 
 
-def histogram_to_csv(summary: EnsembleSummary, path) -> None:
+def histogram_to_csv(records: Sequence[TrialRecord], bin_width: float,
+                     path) -> None:
     rows = []
-    for name, fam in summary.families.items():
-        edges, counts = fam.histogram
+    for name, (edges, counts) in histograms(records, bin_width).items():
         rows += [(lo, hi, name, count) for lo, hi, count in zip(
             edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())]
     write_csv(path, ["bin_left", "bin_right", "family", "count"], rows)

@@ -14,7 +14,7 @@ from morilab.chain import (CorrelationSeries, LanczosChain, PropagationError,
                            read_csv)
 from morilab.cli import ConfigError, main, parse_config, parse_target
 from morilab.experiment import (Scenario, ScenarioConfig, TrialRecord,
-                                build_families, exemplary_trials,
+                                build_families, exemplary_trials, histograms,
                                 records_from_csv, summarize)
 from morilab.perturb import apply_draw, draw_noise
 
@@ -432,12 +432,12 @@ class TestOnePass:
     def test_exemplar_curves_match_fresh_propagation(self, tiny_run):
         config = parse_config(str(tiny_run / "manifest.json"), {})
         records = records_from_csv(tiny_run / "records.csv")
-        summary = summarize(records, config.bin_width)
+        families = summarize(records)
         rows = list(read_csv(tiny_run / "curves.csv",
                              ["family", "trial", "t", "C", "fit"],
                              [str, int, float, float, float]))
         for family in build_families(config):
-            exemplars = exemplary_trials(records, summary, family.name)
+            exemplars = exemplary_trials(records, families, family.name)
             assert exemplars
             shown = [r for r in rows if r[0] == family.name]
             assert list(dict.fromkeys(r[1] for r in shown)) == \
@@ -605,6 +605,13 @@ class TestRunCommand:
         for name, digest in manifest["outputs"].items():
             assert cli._sha256(tiny_run / name) == digest
 
+    def test_manifest_records_the_blas(self, tiny_run):
+        manifest = json.loads((tiny_run / "manifest.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == \
+            f"{blas.get('name')} {blas.get('version', '')}".strip()
+        assert manifest["blas"]
+
     @pytest.mark.parametrize("workers", [None, 1])
     def test_runs_where_the_platform_has_no_affinity(self, monkeypatch,
                                                      tmp_path, workers):
@@ -754,6 +761,24 @@ class TestRunCommand:
             # the scale and the moment count only the moments engine sets
             assert run.baseline.lam > 0 and run.baseline.moments > 0
 
+    def test_histogram_rows_are_counted_from_the_records(self, tiny_run):
+        # histogram.csv is the histograms of records.csv at the config's
+        # bin width; summary.json holds no second copy
+        bin_width = parse_config(str(tiny_run / "manifest.json"), {}).bin_width
+        rows = list(read_csv(tiny_run / "histogram.csv",
+                             ["bin_left", "bin_right", "family", "count"],
+                             [float, float, str, int]))
+        hists = histograms(records_from_csv(tiny_run / "records.csv"), bin_width)
+        assert rows == [[lo, hi, name, count]
+                        for name, (edges, counts) in hists.items()
+                        for lo, hi, count in zip(edges[:-1].tolist(),
+                                                 edges[1:].tolist(),
+                                                 counts.tolist())]
+        families = json.loads((tiny_run / "summary.json").read_text())["families"]
+        assert sum(count for *_, count in rows) == \
+            sum(fam["n_valid"] for fam in families.values()) > 0
+        assert all("histogram" not in fam for fam in families.values())
+
     def test_flat_file_headers(self, tiny_run):
         hist = (tiny_run / "histogram.csv").read_text().splitlines()
         assert hist[0] == "bin_left,bin_right,family,count"
@@ -803,7 +828,7 @@ class TestRunCommand:
     def test_a_family_without_valid_trials_keeps_its_entry(self, tmp_path,
                                                             capsys):
         # at strength 8 every draw is invalid: both families are summarized
-        # with their counts, NaN means and the empty histogram
+        # with their counts and NaN means, and counted in one empty bin
         out = tmp_path / "run"
         assert main(["run", "--scenario", "decay", "--d", "400", "--trials",
                      "4", "--dt", "0.05", "--tmax", "12", "--nstar", "10",
@@ -815,8 +840,9 @@ class TestRunCommand:
         for name, fam in families.items():
             assert (fam["n_valid"], fam["n_invalid"]) == (0, 4)
             assert np.isnan(fam["mean_epsilon"]) and np.isnan(fam["mean_sigma"])
-            assert fam["histogram"] == {"edges": [0.0, 5e-4], "counts": [0]}
             assert f"{name}: mean epsilon = nan" in stdout
+        assert (out / "histogram.csv").read_text().splitlines()[1:] == \
+            ["0.0,0.0005,e,0", "0.0,0.0005,g,0"]
         assert "mean " not in (out / "histogram.svg").read_text()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

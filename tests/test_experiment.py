@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import struct
@@ -10,10 +11,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from morilab import experiment
 from morilab.chain import read_csv, write_csv
 from morilab.experiment import (Scenario, ScenarioConfig, TrialRecord,
-                                build_families, histogram, records_from_csv,
-                                records_to_csv, run_scenario,
-                                scatter_to_csv, summarize, trial_seed,
-                                worker_count)
+                                build_families, histogram, histograms,
+                                records_from_csv, records_to_csv,
+                                run_scenario, scatter_to_csv, summarize,
+                                trial_seed, worker_count)
 from morilab.fitting import ModelClass
 from morilab.perturb import POSITIVITY_FLOOR
 
@@ -42,6 +43,21 @@ class TestHistogram:
             histogram([0.1], 0.0)
         with pytest.raises(ValueError):
             histogram([-0.1], 1e-3)
+
+    def test_histograms_count_each_familys_valid_trials(self):
+        rec = lambda trial, family, eps, valid: TrialRecord(
+            trial, family, 0, "exp", epsilon=eps, valid=valid)
+        records = [rec(0, "g", 7e-4, True), rec(0, "e", math.nan, False),
+                   rec(1, "g", 2e-4, True), rec(1, "e", 3e-4, False),
+                   rec(2, "g", 9e-3, False)]
+        hists = histograms(records, 5e-4)
+        # families in the order of their first record; the invalid ones
+        # are left out, and a family with none valid gets the empty bin
+        assert list(hists) == ["g", "e"]
+        assert hists["g"].counts.tolist() == [1, 1]
+        assert hists["g"].edges.tolist() == [0.0, 5e-4, 1e-3]
+        assert hists["e"].counts.tolist() == [0]
+        assert hists["e"].edges.tolist() == [0.0, 5e-4]
 
 
 class TestScenarioConfig:
@@ -237,6 +253,17 @@ class TestWorkerCount:
 
 
 class TestRunScenario:
+    def test_each_finished_block_is_logged(self, caplog):
+        cfg = ScenarioConfig(**{**FAST_DECAY, "n_trials": 3})
+        # the logger's default level filters INFO: a direct call is silent
+        run_scenario(cfg)
+        assert caplog.records == []
+        with caplog.at_level(logging.INFO, logger="morilab"):
+            run_scenario(cfg)
+        # one worker: one block per family
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] \
+            == [("morilab", "INFO", "trials 3/6"), ("morilab", "INFO", "trials 6/6")]
+
     def test_pool_has_no_more_processes_than_jobs(self, monkeypatch):
         sizes = []
 
@@ -319,10 +346,11 @@ class TestRunScenario:
     def test_summary_consistency(self):
         cfg = ScenarioConfig(**FAST_DECAY)
         records, summary = run_scenario(cfg)
+        hists = histograms(records, cfg.bin_width)
         for name, fam in summary.families.items():
             eps = [r.epsilon for r in records if r.family == name and r.valid]
             assert fam.mean_epsilon == pytest.approx(np.mean(eps), rel=1e-12)
-            assert fam.histogram.counts.sum() == fam.n_valid
+            assert hists[name].counts.sum() == fam.n_valid
 
 
 class TestSummarize:
@@ -330,8 +358,7 @@ class TestSummarize:
         cfg = ScenarioConfig(**FAST_DECAY)
         records, _ = run_scenario(cfg)
         only_e = [r for r in records if r.family == "e"]
-        summary = summarize(only_e, 5e-4)
-        assert set(summary.families) == {"e"}
+        assert set(summarize(only_e)) == {"e"}
 
     def test_scatter_pairs(self, tmp_path):
         cfg = ScenarioConfig(**FAST_DECAY)

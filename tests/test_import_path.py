@@ -1,9 +1,11 @@
-"""What a run needs, and the names the trace harness binds.
+"""What a run needs, the names the trace harness binds, and where each
+name is imported from.
 
 Each check runs in a fresh interpreter: this suite's own modules import
 scipy, and the trace harness rebinds the package's functions.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -125,3 +127,50 @@ def test_trace_measures_the_search_evaluations():
         "print(*[measure for name, *_, measure in tracer.spans\n"
         "        if name == 'fitting.least_squares'])")
     assert [int(n) > 0 for n in counts.split()] == [True]
+
+
+# the public names, each under the module that defines it
+PUBLIC = {
+    "chain": ["CorrelationSeries", "LanczosChain", "PropagationError",
+              "dense_correlation", "dense_generator", "propagate",
+              "propagate_many", "spectral_width_sum"],
+    "design": ["ContinuationResult", "edo_chain", "exponential_chain",
+               "gaussian_chain", "linear_continuation", "oscillating_pair",
+               "q_ratio"],
+    "experiment": ["EnsembleSummary", "Histogram", "Scenario",
+                   "ScenarioConfig", "TrialRecord", "histogram",
+                   "run_scenario", "summarize"],
+    "fitting": ["FitModel", "FitResult", "ModelClass", "detect_equilibration",
+                "epsilon", "fit", "sigma"],
+    "perturb": ["PerturbationDraw", "PerturbedChain", "apply_draw",
+                "draw_noise"],
+    "reverse": ["AnalyticCorrelation", "QuadratureError", "ReverseResult",
+                "SpectralDensityInput", "fourier_of_correlation",
+                "lanczos_from_spectrum"],
+}
+
+
+def test_the_package_imports_nothing():
+    # the package holds only __version__: importing it loads no submodule
+    # and not numpy, and every public name imports from its own module
+    loaded = run_python(
+        "import sys, morilab\n"
+        "print(morilab.__version__)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('morilab.')))\n"
+        "print('numpy' in sys.modules)\n"
+        + "".join(f"from morilab.{module} import {', '.join(names)}\n"
+                  for module, names in PUBLIC.items()))
+    assert loaded.splitlines()[1:] == ["[]", "False"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name that starts with "_" stays in its module; dunders such as
+    # __version__ are public
+    private = []
+    for path in sorted((Path(SRC) / "morilab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [(path.name, alias.name) for alias in node.names
+                            if alias.name.startswith("_")
+                            and not alias.name.endswith("__")]
+    assert private == []
