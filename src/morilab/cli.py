@@ -18,6 +18,7 @@ import sys
 import time
 from array import array
 from dataclasses import asdict, fields as dataclass_fields
+from itertools import repeat
 
 import numpy as np
 
@@ -25,10 +26,9 @@ from . import __version__
 from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, PropagationError,
                     finite, propagate, read_csv, write_csv)
 from .design import linear_continuation
-from .experiment import (Scenario, ScenarioConfig, TrialRecord, build_families,
-                         histogram_to_csv, histograms, records_from_csv,
-                         records_to_csv, run_scenario, scatter_to_csv,
-                         usable_cpus, worker_count)
+from .experiment import (MAX_BINS, Scenario, ScenarioConfig, TrialRecord,
+                         build_families, run_scenario, usable_cpus,
+                         worker_count)
 from .fitting import (EQ_THRESHOLD, EQ_WINDOW, ModelClass,
                       detect_equilibration, fit)
 from .perturb import apply_draw, draw_noise
@@ -138,17 +138,15 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def render_histogram_svg(families: dict) -> str:
-    """Each family's histogram (edges, counts) and mean epsilon."""
-    bins = [(right, count) for edges, counts, _ in families.values()
-            for right, count in zip(edges[1:], counts)]
-    xmax = max((right for right, count in bins if count > 0), default=1.0)
-    ymax = max((count for _, count in bins), default=1)
+    """Each family's histogram bins (left, right, count) and mean epsilon."""
+    bins = [row for rows, _ in families.values() for row in rows]
+    xmax = max((right for _, right, count in bins if count > 0), default=1.0)
+    ymax = max((count for *_, count in bins), default=1)
     fig = Figure((0.0, xmax * 1.05), (0.0, ymax * 1.1),
                  title="deviation histogram", xlabel="epsilon",
                  ylabel="count per bin")
-    for i, (fam, (edges, counts, mean)) in enumerate(families.items()):
-        fig.bars(edges[:-1], edges[1:], counts, family_color(fam, i),
-                 label=fam)
+    for i, (fam, (rows, mean)) in enumerate(families.items()):
+        fig.bars(*zip(*rows), family_color(fam, i), label=fam)
         if math.isfinite(mean):
             fig.vline(mean, family_color(fam, i),
                       label=f"mean {fam} = {mean:.4g}")
@@ -218,6 +216,60 @@ def render_unperturbed_svg(series: dict[str, CorrelationSeries],
 # run outputs
 # ---------------------------------------------------------------------------
 
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag cell {cell!r} is not 0 or 1")
+    return cell == "1"
+
+
+# TrialRecord's fields, in order, are the records.csv columns; a field's
+# annotation picks how its cells are read
+_CELLS = {
+    "int": int,
+    "str": str,
+    "bool": _flag,
+    "float": float,
+    "float | None": lambda cell: None if cell == "" else float(cell),
+}
+
+
+def records_to_csv(records, path) -> None:
+    """A flag is written as 0 or 1, every other field as csv writes it."""
+    cols = dataclass_fields(TrialRecord)
+    write_csv(path, [f.name for f in cols],
+              ([int(getattr(r, f.name)) if f.type == "bool"
+                else getattr(r, f.name) for f in cols] for r in records))
+
+
+def records_from_csv(path) -> list[TrialRecord]:
+    cols = dataclass_fields(TrialRecord)
+    return [TrialRecord(*row) for row in read_csv(
+        path, [f.name for f in cols], [_CELLS[f.type] for f in cols])]
+
+
+def histogram_rows(records, bin_width: float) -> list[tuple]:
+    """(bin_left, bin_right, family, count) rows: each family's epsilon of
+    its valid trials in left-closed bins anchored at zero, families in the
+    order of their first record.  A family with no valid trial gets one
+    empty bin, and one that needs more than MAX_BINS bins is refused."""
+    if not 0 < bin_width < math.inf:
+        raise ValueError("bin_width must be positive and finite")
+    rows = []
+    for name in dict.fromkeys(r.family for r in records):
+        eps = np.array([r.epsilon for r in records
+                        if r.family == name and r.valid])
+        if eps.size and eps.min() < 0:
+            raise ValueError("histogram values must be nonnegative")
+        if eps.size and not eps.max() / bin_width < MAX_BINS:
+            raise ValueError(f"{name}: epsilon {eps.max():g} in bins of "
+                             f"{bin_width:g} needs more than {MAX_BINS} bins")
+        counts = np.bincount(np.floor(eps / bin_width).astype(int),
+                             minlength=1)
+        edges = (np.arange(counts.size + 1) * bin_width).tolist()
+        rows += zip(edges[:-1], edges[1:], repeat(name), counts.tolist())
+    return rows
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -237,7 +289,7 @@ def _curves_rows(config: ScenarioConfig, summary):
         for rec, values in exemplars:
             t = np.arange(values.size) * config.dt
             fit_vals = ModelClass(rec.model).curve(
-                (rec.a, rec.mu, rec.omega, rec.phi), t)
+                (rec.A, rec.mu, rec.omega, rec.phi), t)
             stride = max(1, values.size // CURVE_POINTS)
             for cells in zip(t[::stride].tolist(), values[::stride].tolist(),
                              fit_vals[::stride].tolist()):
@@ -257,8 +309,11 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
                "curves.csv"]
 
     records_to_csv(records, path("records.csv"))
-    histogram_to_csv(records, config.bin_width, path("histogram.csv"))
-    scatter_to_csv(records, path("scatter.csv"))
+    write_csv(path("histogram.csv"),
+              ["bin_left", "bin_right", "family", "count"],
+              histogram_rows(records, config.bin_width))
+    write_csv(path("scatter.csv"), ["family", "sigma", "epsilon"],
+              ((r.family, r.sigma, r.epsilon) for r in records))
 
     unperturbed = {}
     for name, run in summary.runs.items():
@@ -318,11 +373,13 @@ def render_all(out_dir) -> list[str]:
     records = records_from_csv(path("records.csv"))
     try:
         fams = sorted(summary["unperturbed"])
-        hists = histograms(records, summary["config"]["bin_width"])
+        hists: dict[str, list] = {}
+        for lo, hi, fam, count in histogram_rows(
+                records, summary["config"]["bin_width"]):
+            hists.setdefault(fam, []).append((lo, hi, count))
         figures = {
             "histogram.svg": (render_histogram_svg, {
-                f: (hists[f].edges.tolist(), hists[f].counts.tolist(),
-                    info["mean_epsilon"])
+                f: (hists[f], info["mean_epsilon"])
                 for f, info in summary["families"].items()}),
             "scatter.svg": (render_scatter_svg, records),
             "chains.svg": (render_chains_svg, {

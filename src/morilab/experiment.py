@@ -3,7 +3,7 @@
 A scenario pairs two chain families (one per decay class), perturbs each
 with independent seeded draws, fits every perturbed trajectory with the
 family's model class, and aggregates the deviation/alteration quantifiers
-into histograms, scatter pairs and means.
+into means.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .chain import (CorrelationSeries, LanczosChain, PropagationError,
-                    propagate, propagate_many, read_csv, write_csv)
+                    propagate, propagate_many)
 from .design import exponential_chain, gaussian_chain, oscillating_pair
 from .fitting import (EQ_THRESHOLD, EQ_WINDOW, FitResult, ModelClass,
                       detect_equilibration, epsilon, fit, sigma)
@@ -30,24 +30,26 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "TrialRecord",
-    "Histogram",
     "FamilySummary",
     "EnsembleSummary",
     "FamilyRun",
     "run_scenario",
     "exemplary_trials",
-    "histogram",
-    "histograms",
     "summarize",
     "build_families",
-    "records_to_csv",
-    "records_from_csv",
     "worker_count",
 ]
 
 N_EXEMPLARS = 3  # perturbed trials per family kept for the curves figure
 
 log = logging.getLogger("morilab")
+
+# |C| <= 1 and |model| <= A_BOUNDS[1] = 1.5 at every sample, and epsilon
+# divides the n_eq + 1 squares by n_eq >= 8: every epsilon is at most
+# 2.5 sqrt(9/8) < EPSILON_MAX, so a bin_width of EPSILON_MAX / MAX_BINS or
+# more keeps each family's histogram within MAX_BINS bins
+EPSILON_MAX = 2.66
+MAX_BINS = 10**6
 
 
 class Scenario(enum.Enum):
@@ -134,8 +136,10 @@ class ScenarioConfig:
             raise ValueError("strength must be nonnegative")
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
+        if self.bin_width * MAX_BINS < EPSILON_MAX:
+            raise ValueError(f"bin_width must be at least "
+                             f"{EPSILON_MAX / MAX_BINS:g}, or a histogram may "
+                             f"need more than {MAX_BINS} bins")
         if self.floor <= 0:
             raise ValueError("floor must be positive")
         if not 0 < self.eq_threshold < 1:
@@ -164,7 +168,7 @@ class TrialRecord:
     family: str
     seed: int
     model: str
-    a: float = math.nan
+    A: float = math.nan
     mu: float = math.nan
     omega: float | None = None
     phi: float | None = None
@@ -176,36 +180,6 @@ class TrialRecord:
     clamp_count: int = 0
     converged: bool = False
     valid: bool = False
-
-
-class Histogram(NamedTuple):
-    """Left-closed uniform bins anchored at zero."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-
-
-def histogram(values: Sequence[float], bin_width: float) -> Histogram:
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return Histogram(np.array([0.0, bin_width]), np.zeros(1, dtype=int))
-    if values.min() < 0:
-        raise ValueError("histogram values must be nonnegative")
-    idx = np.floor(values / bin_width).astype(int)
-    counts = np.bincount(idx)
-    edges = np.arange(counts.size + 1) * bin_width
-    return Histogram(edges, counts)
-
-
-def histograms(records: Sequence[TrialRecord],
-               bin_width: float) -> dict[str, Histogram]:
-    """Each family's histogram of the epsilon of its valid trials; a family
-    with no valid trial gets the empty histogram."""
-    return {name: histogram([r.epsilon for r in records
-                             if r.family == name and r.valid], bin_width)
-            for name in dict.fromkeys(r.family for r in records)}
 
 
 @dataclass(frozen=True)
@@ -322,7 +296,7 @@ def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]
             row["n_eq"] = n_eq
             result = fit(series, ctx.model_class, n_eq, warm_start=f0)
             m = result.model
-            row.update(a=m.a, mu=m.mu, omega=m.omega, phi=m.phi,
+            row.update(A=m.a, mu=m.mu, omega=m.omega, phi=m.phi,
                        epsilon=result.epsilon, converged=result.converged)
             row["sigma"] = sigma(series, ctx.baseline, n_eq)
             row["eps0"] = epsilon(ctx.baseline, f0, n_eq)
@@ -413,56 +387,3 @@ def exemplary_trials(records: Sequence[TrialRecord],
     pool = [r for r in records if r.family == family and r.valid]
     pool.sort(key=lambda r: (abs(r.epsilon - fam.mean_epsilon), r.trial))
     return pool[:N_EXEMPLARS]
-
-
-# ---------------------------------------------------------------------------
-# flat-file exports
-# ---------------------------------------------------------------------------
-
-def _flag(cell: str) -> bool:
-    if cell not in ("0", "1"):
-        raise ValueError(f"flag cell {cell!r} is not 0 or 1")
-    return cell == "1"
-
-
-# TrialRecord's fields, in order, are the records.csv columns; a field's
-# annotation picks how its cells are read
-_CELLS = {
-    "int": int,
-    "str": str,
-    "bool": _flag,
-    "float": float,
-    "float | None": lambda cell: None if cell == "" else float(cell),
-}
-_SPELLING = {"a": "A"}  # columns not spelled as their field
-
-
-def _header() -> list[str]:
-    return [_SPELLING.get(f.name, f.name) for f in fields(TrialRecord)]
-
-
-def records_to_csv(records: Sequence[TrialRecord], path) -> None:
-    """A flag is written as 0 or 1, every other field as csv writes it."""
-    cols = fields(TrialRecord)
-    write_csv(path, _header(), ([int(getattr(r, f.name)) if f.type == "bool"
-                                 else getattr(r, f.name) for f in cols]
-                                for r in records))
-
-
-def records_from_csv(path) -> list[TrialRecord]:
-    return [TrialRecord(*row) for row in read_csv(
-        path, _header(), [_CELLS[f.type] for f in fields(TrialRecord)])]
-
-
-def histogram_to_csv(records: Sequence[TrialRecord], bin_width: float,
-                     path) -> None:
-    rows = []
-    for name, (edges, counts) in histograms(records, bin_width).items():
-        rows += [(lo, hi, name, count) for lo, hi, count in zip(
-            edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())]
-    write_csv(path, ["bin_left", "bin_right", "family", "count"], rows)
-
-
-def scatter_to_csv(records: Sequence[TrialRecord], path) -> None:
-    write_csv(path, ["family", "sigma", "epsilon"],
-              ((r.family, r.sigma, r.epsilon) for r in records))

@@ -71,7 +71,14 @@ SEARCH_DAMPING = 1e-3    # first damping, relative to diag(J^T J)
 # (the sin column tends to omega t e, so beta grows like 1/omega) and the
 # search would creep towards the face without end.  It stops once the
 # cosine shows at most a quarter period in the window, omega t_{n_eq} <=
-# pi/2, and the face is solved by the decay scan instead.
+# pi/2, and the face is solved by the decay scan instead.  Measured on cold
+# fits at dt 0.02, n_eq 900: without the stop, exp(-0.05 t) as exp_cos and
+# exp(-0.01 t^2) as gauss_cos each ran out the budget (801 evaluations, not
+# 19 and 6).  The slow cosines the stop ends short are resumed (`fit`): the
+# two exp_cos ones of the tests converge either way (16 and 15 evaluations
+# without the stop); exp(-0.05 t^2) cos(0.05 t - 0.3) as gauss_cos runs out
+# its first search either way and converges only when resumed (3 searches,
+# epsilon <= 1e-15; without stop and resume, unconverged at 3.1e-5).
 FACE_PHASE = math.pi / 2
 # Newton's method for the best pair on an amplitude's circle ends once it
 # has taken a step this small relative to its root (`_circle_pair`): the

@@ -219,7 +219,7 @@ def test_criterion_11_diagonal_edge(desk_decay, desk_oscillation,
 
 
 def test_criterion_12_determinism(tmp_path):
-    from morilab.experiment import records_to_csv
+    from morilab.cli import records_to_csv
     config = dict(scenario=Scenario.DECAY, d=400, n_trials=12, dt=0.05,
                   t_max=12.0, n_star=10, base_seed=7)
     paths = []

@@ -12,10 +12,10 @@ import pytest
 from morilab import chain, cli, experiment
 from morilab.chain import (CorrelationSeries, LanczosChain, PropagationError,
                            read_csv)
-from morilab.cli import ConfigError, main, parse_config, parse_target
+from morilab.cli import (ConfigError, histogram_rows, main, parse_config,
+                         parse_target, records_from_csv)
 from morilab.experiment import (Scenario, ScenarioConfig, TrialRecord,
-                                build_families, exemplary_trials, histograms,
-                                records_from_csv, summarize)
+                                build_families, exemplary_trials, summarize)
 from morilab.perturb import apply_draw, draw_noise
 
 
@@ -507,7 +507,7 @@ class TestFailureLocality:
         assert len(failed) == 2
         for r in failed:
             assert not r.valid and not r.converged
-            assert np.isnan([r.a, r.mu, r.epsilon, r.sigma, r.eps0]).all()
+            assert np.isnan([r.A, r.mu, r.epsilon, r.sigma, r.eps0]).all()
         # every other trial's row is the healthy run's, byte for byte
         ok_rows = lambda path: [row for row in path.read_text().splitlines()
                                 if not row.startswith(("1,g,", "2,e,"))]
@@ -762,22 +762,26 @@ class TestRunCommand:
             assert run.baseline.lam > 0 and run.baseline.moments > 0
 
     def test_histogram_rows_are_counted_from_the_records(self, tiny_run):
-        # histogram.csv is the histograms of records.csv at the config's
+        # histogram.csv is the histogram rows of records.csv at the config's
         # bin width; summary.json holds no second copy
         bin_width = parse_config(str(tiny_run / "manifest.json"), {}).bin_width
         rows = list(read_csv(tiny_run / "histogram.csv",
                              ["bin_left", "bin_right", "family", "count"],
                              [float, float, str, int]))
-        hists = histograms(records_from_csv(tiny_run / "records.csv"), bin_width)
-        assert rows == [[lo, hi, name, count]
-                        for name, (edges, counts) in hists.items()
-                        for lo, hi, count in zip(edges[:-1].tolist(),
-                                                 edges[1:].tolist(),
-                                                 counts.tolist())]
+        assert rows == [list(row) for row in histogram_rows(
+            records_from_csv(tiny_run / "records.csv"), bin_width)]
         families = json.loads((tiny_run / "summary.json").read_text())["families"]
         assert sum(count for *_, count in rows) == \
             sum(fam["n_valid"] for fam in families.values()) > 0
         assert all("histogram" not in fam for fam in families.values())
+
+    def test_scatter_pairs(self, tiny_run):
+        records = records_from_csv(tiny_run / "records.csv")
+        rows = list(read_csv(tiny_run / "scatter.csv",
+                             ["family", "sigma", "epsilon"],
+                             [str, float, float]))
+        assert rows == [[r.family, r.sigma, r.epsilon] for r in records]
+        assert len(rows) == 2 * TINY_TRIALS
 
     def test_flat_file_headers(self, tiny_run):
         hist = (tiny_run / "histogram.csv").read_text().splitlines()
@@ -823,6 +827,19 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert "eq_threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert builds == [] and not out.exists()
+
+    @pytest.mark.parametrize("bin_width", [1e-12, 2.6e-6])
+    def test_bin_width_allowing_over_a_million_bins_refused_before_any_work(
+            self, monkeypatch, tmp_path, capsys, bin_width):
+        builds = count_calls(monkeypatch, experiment.build_families)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scenario": "decay", "d": 200, "n_trials": 10, "n_star": 10,
+            "workers": 1, "bin_width": bin_width}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "bin_width must be at least 2.66e-06" in capsys.readouterr().err
         assert builds == [] and not out.exists()
 
     def test_a_family_without_valid_trials_keeps_its_entry(self, tmp_path,
@@ -1079,6 +1096,33 @@ class TestPlotCommand:
         assert main(["plot", "--from", str(run)]) == 2
         assert f"{run / 'summary.json'}: {error}" in capsys.readouterr().err
         # the summary is read whole before any figure is drawn
+        assert not [name for name in os.listdir(run) if name.endswith(".svg")]
+
+    def test_family_missing_from_the_records_exit_2(self, tiny_run, tmp_path,
+                                                    capsys):
+        run = shutil.copytree(tiny_run, tmp_path / "run",
+                              ignore=shutil.ignore_patterns("*.svg"))
+        summary = json.loads((run / "summary.json").read_text())
+        summary["families"]["zz"] = summary["families"]["g"]
+        (run / "summary.json").write_text(json.dumps(summary))
+        assert main(["plot", "--from", str(run)]) == 2
+        assert f"{run / 'summary.json'}: no key 'zz'" in capsys.readouterr().err
+        assert not [name for name in os.listdir(run) if name.endswith(".svg")]
+
+    @pytest.mark.parametrize("bin_width, message", [
+        (1e-12, "needs more than 1000000 bins"),
+        (math.inf, "bin_width must be positive and finite")])
+    def test_bin_width_needing_over_a_million_bins_exit_2(
+            self, tiny_run, tmp_path, capsys, bin_width, message):
+        # the width is read from summary.json and the epsilons from
+        # records.csv: either may have been edited since the run
+        run = shutil.copytree(tiny_run, tmp_path / "run",
+                              ignore=shutil.ignore_patterns("*.svg"))
+        summary = json.loads((run / "summary.json").read_text())
+        summary["config"]["bin_width"] = bin_width
+        (run / "summary.json").write_text(json.dumps(summary))
+        assert main(["plot", "--from", str(run)]) == 2
+        assert message in capsys.readouterr().err
         assert not [name for name in os.listdir(run) if name.endswith(".svg")]
 
     def test_summary_that_is_a_directory_exit_2(self, tiny_run, tmp_path,

@@ -8,41 +8,59 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from morilab import experiment
-from morilab.chain import read_csv, write_csv
+from morilab import cli, experiment
+from morilab.chain import CorrelationSeries, read_csv, write_csv
+from morilab.cli import histogram_rows, records_from_csv, records_to_csv
 from morilab.experiment import (Scenario, ScenarioConfig, TrialRecord,
-                                build_families, histogram, histograms,
-                                records_from_csv, records_to_csv,
-                                run_scenario, scatter_to_csv, summarize,
+                                build_families, run_scenario, summarize,
                                 trial_seed, worker_count)
-from morilab.fitting import ModelClass
+from morilab.fitting import FitModel, ModelClass, epsilon
 from morilab.perturb import POSITIVITY_FLOOR
 
 FAST_DECAY = dict(scenario=Scenario.DECAY, d=200, n_trials=6, dt=0.05,
                   t_max=12.0, n_star=10, workers=1, base_seed=3)
 
 
+def valid_trials(epsilons, family="g"):
+    return [TrialRecord(trial, family, 0, "exp", epsilon=eps, valid=True)
+            for trial, eps in enumerate(epsilons)]
+
+
 class TestHistogram:
     def test_two_values_one_bin(self):
-        h = histogram([1e-4, 3e-4], 5e-4)
-        assert h.counts.tolist() == [2]
-        assert h.edges.tolist() == [0.0, 5e-4]
+        assert histogram_rows(valid_trials([1e-4, 3e-4]), 5e-4) == \
+            [(0.0, 5e-4, "g", 2)]
 
     def test_counts_sum_to_input_size(self):
         rng = np.random.default_rng(0)
         vals = rng.exponential(0.01, 500)
-        h = histogram(vals, 5e-4)
-        assert h.counts.sum() == 500
+        rows = histogram_rows(valid_trials(vals), 5e-4)
+        assert sum(count for *_, count in rows) == 500
 
     def test_left_closed_bins(self):
-        h = histogram([0.0, 5e-4, 9.99e-4], 5e-4)
-        assert h.counts.tolist() == [1, 2]
+        rows = histogram_rows(valid_trials([0.0, 5e-4, 9.99e-4]), 5e-4)
+        assert [count for *_, count in rows] == [1, 2]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            histogram([0.1], 0.0)
+            histogram_rows(valid_trials([0.1]), 0.0)
         with pytest.raises(ValueError):
-            histogram([-0.1], 1e-3)
+            histogram_rows(valid_trials([0.1]), math.inf)
+        with pytest.raises(ValueError):
+            histogram_rows(valid_trials([-0.1]), 1e-3)
+
+    @pytest.mark.parametrize("epsilon, bin_width, bins", [
+        (0.05, 5e-4, 101), (0.05, 5e-8, None), (math.inf, 5e-4, None),
+        (math.nan, 5e-4, None)])
+    def test_at_most_a_million_bins(self, epsilon, bin_width, bins):
+        # counted from the largest epsilon: the width and the epsilons that
+        # `plot --from` reads may come from any file
+        records = valid_trials([0.0, epsilon])
+        if bins is None:
+            with pytest.raises(ValueError, match="more than 1000000 bins"):
+                histogram_rows(records, bin_width)
+        else:
+            assert len(histogram_rows(records, bin_width)) == bins
 
     def test_histograms_count_each_familys_valid_trials(self):
         rec = lambda trial, family, eps, valid: TrialRecord(
@@ -50,14 +68,10 @@ class TestHistogram:
         records = [rec(0, "g", 7e-4, True), rec(0, "e", math.nan, False),
                    rec(1, "g", 2e-4, True), rec(1, "e", 3e-4, False),
                    rec(2, "g", 9e-3, False)]
-        hists = histograms(records, 5e-4)
         # families in the order of their first record; the invalid ones
         # are left out, and a family with none valid gets the empty bin
-        assert list(hists) == ["g", "e"]
-        assert hists["g"].counts.tolist() == [1, 1]
-        assert hists["g"].edges.tolist() == [0.0, 5e-4, 1e-3]
-        assert hists["e"].counts.tolist() == [0]
-        assert hists["e"].edges.tolist() == [0.0, 5e-4]
+        assert histogram_rows(records, 5e-4) == [
+            (0.0, 5e-4, "g", 1), (5e-4, 1e-3, "g", 1), (0.0, 5e-4, "e", 0)]
 
 
 class TestScenarioConfig:
@@ -108,6 +122,29 @@ class TestScenarioConfig:
             ScenarioConfig(Scenario.DECAY, d=200, n_star=10, eq_window=-1.0)
         assert ScenarioConfig(Scenario.DECAY, d=200, n_star=10,
                               eq_window=0.0).eq_window == 0.0
+
+    @pytest.mark.parametrize("bin_width", [1e-12, 2.6e-6, 0.0, -5e-4])
+    def test_bin_width_allowing_over_a_million_bins_rejected(self, bin_width):
+        with pytest.raises(ValueError,
+                           match="bin_width must be at least 2.66e-06"):
+            ScenarioConfig(Scenario.DECAY, d=200, n_star=10,
+                           bin_width=bin_width)
+
+    @pytest.mark.parametrize("scenario, bin_width", [
+        (Scenario.DECAY, 5e-4), (Scenario.PATHOLOGICAL_DECAY, 5e-3),
+        (Scenario.DECAY, 2.7e-6)])
+    def test_default_and_narrow_bin_widths_accepted(self, scenario,
+                                                    bin_width):
+        cfg = ScenarioConfig(scenario, d=200, n_star=10, bin_width=bin_width)
+        assert cfg.bin_width == bin_width
+
+    def test_epsilon_stays_below_its_bound(self):
+        # the worst case of the bin_width bound: C = -1 against the largest
+        # amplitude, at the fewest samples a fit accepts
+        series = CorrelationSeries(0.1, -np.ones(20))
+        worst = epsilon(series, FitModel(ModelClass.GAUSS, (1.5, 0.0)), 8)
+        assert worst == pytest.approx(2.5 * math.sqrt(9 / 8))
+        assert worst < experiment.EPSILON_MAX
 
     def test_profile_on_direct_construction(self):
         cfg = ScenarioConfig(Scenario.DECAY, profile="paper")
@@ -346,11 +383,12 @@ class TestRunScenario:
     def test_summary_consistency(self):
         cfg = ScenarioConfig(**FAST_DECAY)
         records, summary = run_scenario(cfg)
-        hists = histograms(records, cfg.bin_width)
+        rows = histogram_rows(records, cfg.bin_width)
         for name, fam in summary.families.items():
             eps = [r.epsilon for r in records if r.family == name and r.valid]
             assert fam.mean_epsilon == pytest.approx(np.mean(eps), rel=1e-12)
-            assert hists[name].counts.sum() == fam.n_valid
+            assert sum(count for _, _, f, count in rows if f == name) == \
+                fam.n_valid
 
 
 class TestSummarize:
@@ -359,16 +397,6 @@ class TestSummarize:
         records, _ = run_scenario(cfg)
         only_e = [r for r in records if r.family == "e"]
         assert set(summarize(only_e)) == {"e"}
-
-    def test_scatter_pairs(self, tmp_path):
-        cfg = ScenarioConfig(**FAST_DECAY)
-        records, _ = run_scenario(cfg)
-        scatter_to_csv(records, tmp_path / "scatter.csv")
-        rows = (tmp_path / "scatter.csv").read_text().splitlines()[1:]
-        pairs = [row.split(",")[1:] for row in rows if row.startswith("g,")]
-        assert pairs == [[repr(r.sigma), repr(r.epsilon)]
-                         for r in records if r.family == "g"]
-        assert len(pairs) == cfg.n_trials
 
 
 class TestRecordsCsv:
@@ -392,8 +420,8 @@ class TestRecordsCsv:
         class Wider(TrialRecord):
             extra: "float" = 0.0
 
-        monkeypatch.setattr(experiment, "TrialRecord", Wider)
-        record = Wider(trial=1, family="g", seed=2, model="gauss", a=1.0,
+        monkeypatch.setattr(cli, "TrialRecord", Wider)
+        record = Wider(trial=1, family="g", seed=2, model="gauss", A=1.0,
                        mu=0.5, omega=None, phi=None, epsilon=0.1, sigma=0.2,
                        eps0=0.05, n_eq=9, equilibrated=True, clamp_count=0,
                        converged=True, valid=True, extra=2.5)
@@ -408,7 +436,7 @@ class TestRecordsCsv:
                              clamp_count=3)
         assert (record.trial, record.family, record.seed, record.model,
                 record.clamp_count) == (4, "e", 9, "exp", 3)
-        assert all(math.isnan(x) for x in (record.a, record.mu, record.epsilon,
+        assert all(math.isnan(x) for x in (record.A, record.mu, record.epsilon,
                                            record.sigma, record.eps0))
         assert (record.omega, record.phi, record.n_eq) == (None, None, 0)
         assert not (record.equilibrated or record.converged or record.valid)
@@ -437,7 +465,7 @@ RECORDS = st.lists(st.builds(
     family=st.sampled_from(["g", "e", "gdo", "edo"]),
     seed=st.integers(0, 2**64 - 1),
     model=st.sampled_from([m.value for m in ModelClass]),
-    a=FINITE, mu=FINITE, omega=OPTIONAL, phi=OPTIONAL, epsilon=FINITE,
+    A=FINITE, mu=FINITE, omega=OPTIONAL, phi=OPTIONAL, epsilon=FINITE,
     sigma=FINITE, eps0=FINITE, n_eq=st.integers(0, 10**6),
     equilibrated=st.booleans(), clamp_count=st.integers(0, 10**6),
     converged=st.booleans(), valid=st.booleans()), max_size=8)
@@ -475,6 +503,6 @@ class TestWriteCsvProperty:
         header = ["n", "name", "x", "y"]
         write_csv(path, header, rows)
         back = list(read_csv(path, header,
-                             [experiment._CELLS[kind] for kind in COLUMNS]))
+                             [cli._CELLS[kind] for kind in COLUMNS]))
         assert [tuple(map(bits, row)) for row in back] == \
             [tuple(map(bits, row)) for row in rows]

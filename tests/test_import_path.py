@@ -134,12 +134,12 @@ PUBLIC = {
     "chain": ["CorrelationSeries", "LanczosChain", "PropagationError",
               "dense_correlation", "dense_generator", "propagate",
               "propagate_many", "spectral_width_sum"],
+    "cli": ["histogram_rows", "main", "records_from_csv", "records_to_csv"],
     "design": ["ContinuationResult", "edo_chain", "exponential_chain",
                "gaussian_chain", "linear_continuation", "oscillating_pair",
                "q_ratio"],
-    "experiment": ["EnsembleSummary", "Histogram", "Scenario",
-                   "ScenarioConfig", "TrialRecord", "histogram",
-                   "run_scenario", "summarize"],
+    "experiment": ["EnsembleSummary", "Scenario", "ScenarioConfig",
+                   "TrialRecord", "run_scenario", "summarize"],
     "fitting": ["FitModel", "FitResult", "ModelClass", "detect_equilibration",
                 "epsilon", "fit", "sigma"],
     "perturb": ["PerturbationDraw", "PerturbedChain", "apply_draw",
@@ -174,3 +174,15 @@ def test_no_module_imports_a_private_name_of_another():
                             if alias.name.startswith("_")
                             and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_only_cli_reads_and_writes_csv():
+    # chain defines the csv codec; cli alone writes and reads the run
+    # directory, so no other module imports it
+    users = set()
+    for path in sorted((Path(SRC) / "morilab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                users |= {(path.stem, alias.name) for alias in node.names
+                          if alias.name in ("read_csv", "write_csv")}
+    assert users == {("cli", "read_csv"), ("cli", "write_csv")}
