@@ -13,7 +13,7 @@ import itertools
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -123,7 +123,7 @@ class CorrelationSeries:
     norm_drift_max: float = 0.0
     # set by the "moments" engine only: its scale, the even moments it
     # computed, the sites it expanded (d when uncut) and the certified bound
-    # on |C - C_continued| over the grid (see `_prefix_moments`)
+    # on |C - C_continued| over the grid (see `propagate_many`)
     lam: float = 0.0
     moments: int = 0
     sites: int = 0
@@ -257,11 +257,11 @@ _MILLER_SEED = 1e-300
 
 
 def _even_moments(b: np.ndarray, lam: float, count: int
-                  ) -> list[tuple[np.ndarray, float, float] | PropagationError]:
-    """For each row b_i of b (rows, n-1): mu_2k = <e0|T_2k(L_i/lam)|e0> for
-    k = 0..count, their drift bound and max_k |v_k[n-1]|, the largest
-    Chebyshev amplitude on the last site; or, for a row whose moments
-    exceed 1, the PropagationError that names the first such moment.
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """For the rows b_i of b (rows, n-1): mu (rows, count+1), whose row i
+    holds mu_2k = <e0|T_2k(L_i/lam)|e0> for k = 0..count, and edge (rows),
+    max_k |v_k[n-1]| of each, the largest Chebyshev amplitude on the last
+    site.
 
     Doubling: T_2k = 2 T_k^2 - 1, so mu_2k = 2 v_k.v_k - 1 with
     v_k = T_k(H) e0 from v_{k+1} = 2 H v_k - v_{k-1}, H = L/lam.  v_k lives
@@ -271,9 +271,8 @@ def _even_moments(b: np.ndarray, lam: float, count: int
     Each site takes (h_i v_{i+1} - v_{k-1,i}) + h_{i-1} v_{i-1}, h = 2b/lam,
     and each norm is one reduction over its own row, so a row's moments do
     not depend on the other rows, even one that overflows.  With the
-    spectrum of H inside [-1, 1], |mu_2k| <= 1 exactly; the drift is how far
-    the computed moments exceed that bound.  After the recursion, a row with
-    a moment past it by more than NORM_TOL, or not finite, gets the error.
+    spectrum of H inside [-1, 1], |mu_2k| <= 1 exactly; `propagate_many`
+    reads how far the computed moments exceed that bound.
     """
     rows = b.shape[0]
     n = b.shape[1] + 1
@@ -318,17 +317,7 @@ def _even_moments(b: np.ndarray, lam: float, count: int
             if k + 1 >= n - 1 and parity == (n - 1) % 2:
                 # v_k[n-1] = 0 before the cone reaches it, and off its parity
                 np.maximum(edge, np.abs(x[:, -1]), out=edge)
-        mu = 2.0 * norms.T - 1.0
-        drift = (mu - 1.0).max(axis=1)
-        over = ~(mu - 1.0 <= NORM_TOL)          # a NaN is an excess too
-    results: list = list(zip(mu, drift.tolist(), edge.tolist()))
-    for r in np.nonzero(over.any(axis=1))[0]:
-        i = int(np.argmax(over[r]))
-        results[r] = PropagationError(
-            f"Chebyshev moment mu_{2 * i} = {mu[r, i]:.3g} exceeds 1 by more "
-            f"than {NORM_TOL:.0e}: the scale {lam:.6g} does not bound the "
-            f"spectrum; use method='chebyshev'")
-    return results
+        return 2.0 * norms.T - 1.0, edge
 
 
 def _causal_cut(b: np.ndarray, horizon: float, factor: float) -> int:
@@ -392,12 +381,6 @@ def _quantized(lam: float) -> float:
                           exponent))
 
 
-class _Expansion(NamedTuple):
-    mu: np.ndarray      # even moments mu_0, mu_2, ...
-    drift: float        # max(0, max mu_2k - 1)
-    bound: float        # certified bound on |C - C_continued| over the grid
-
-
 def _continued_coupling(b: np.ndarray) -> float:
     """b_d, the coupling that continues the chain b_1..b_{d-1} past its end:
     b_{d-1} + max(b_{d-1} - b_{d-2}, 0), or b_{d-1} when d = 2.  On an
@@ -410,41 +393,6 @@ def _prefix_scale(b: np.ndarray, n_c: int) -> float:
     """lam of the prefix b_1..b_{n_c-1}: its Gershgorin bound, rounded up
     to the grid 2^(j/16)."""
     return _quantized(_spectral_bound(b[:n_c - 1]) * (1.0 + 1e-7))
-
-
-def _prefix_moments(bs: Sequence[np.ndarray], n_c: int, lam: float,
-                    dt: float, n_steps: int
-                    ) -> list[_Expansion | PropagationError]:
-    """The expansion of C(t_n), t_n = n*dt, on the first n_c sites of each
-    chain b in bs, all at the scale lam; or the PropagationError of a chain
-    whose moments show that lam does not bound its prefix's spectrum.
-
-    The bound compares it with the continued chain: b_1..b_{d-1}, then
-    `_continued_coupling(b)` as b_d, then any couplings at all.  The end of
-    the prefix is a cut, at n_c = d too.  With T = n_steps*dt, the doubling
-    identity C(t) = 2|cos(Lt/2)e0|^2 - 1 and Duhamel's formula give
-    |C - C_continued| <= 2 b_{n_c} T max_{s <= T/2} |psi_{n_c-1}(s)| for
-    the prefix wavefunction psi; Jacobi-Anger with H_c = L_c/lam and
-    Cauchy-Schwarz (sum_k J_k^2 <= 1) bound that amplitude by
-    2 (sqrt(K+1) max_{k<=K} |v_k[n_c-1]| + sum_{k>K} |J_k|) for any K.
-    K runs past the moment count to the Miller start order of lam*T/2,
-    where the Bessel tail is negligible.  Any bound on the spectrum works
-    as lam; `propagate_many` uses `_prefix_scale`.
-    """
-    z_end = lam * dt * n_steps
-    order = max(int(_miller_order(z_end)) // 2, int(_miller_order(z_end / 2)))
-    tail = _bessel_tail(order, z_end / 2)
-    rows = _even_moments(np.array([b[:n_c - 1] for b in bs]), lam, order)
-    out: list[_Expansion | PropagationError] = []
-    for b, row in zip(bs, rows):
-        if isinstance(row, PropagationError):
-            out.append(row)
-            continue
-        mu, drift, edge = row
-        b_cut = b[n_c - 1] if n_c <= b.size else _continued_coupling(b)
-        bound = 4.0 * b_cut * (n_steps * dt) * (np.sqrt(order + 1) * edge + tail)
-        out.append(_Expansion(mu, drift, float(bound)))
-    return out
 
 
 def _miller_order(z: np.ndarray) -> np.ndarray:
@@ -540,25 +488,29 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
     """`propagate(chain, dt, t_max)` for every chain, with the "moments"
     engine: each chain's own causal prefix and even moments.
 
-    Each chain is held at the first rung of its `_cut_ladder`; one whose
-    cut the certificate refuses (bound above CUT_TOL) is held again at its
-    next rung, and the last rung, d, is taken whatever its bound.  Chains
-    held at equal cuts n_c and equal scales lam (quantized) share one
-    moment recursion, up to GROUP_ROWS of them at a time.  Chains of one
-    lam share one Bessel sum: one Miller pass, whose J_2k each chain's own
-    moments meet in fixed-shape chunks, reading the moments in place.
-    Neither pass mixes its rows, so every series equals the one `propagate`
-    gives for its chain alone, to the bit, whatever the chains and their
-    order.  A chain whose expansion raises PropagationError gets that error
-    in its slot instead of a series and joins no Bessel sum.  At most
-    GROUP_ROWS chains are held at once, and after their recursion only
-    their moments are kept, so `chains` may be a long generator.
+    Each chain is held at the first rung of its `_cut_ladder`.  Chains held
+    at equal cuts n_c and equal scales lam (quantized) share one moment
+    recursion, up to GROUP_ROWS of them at a time, and one loop over the
+    arrays `_even_moments` returns then decides each chain's fate.  The
+    guard gives a chain whose moments exceed 1 by more than NORM_TOL, or
+    are not finite, a PropagationError in its slot instead of a series.
+    Else the certificate refuses a cut whose bound is above CUT_TOL, and
+    the chain is held again at its next rung; the last rung, d, is taken
+    whatever its bound.  Chains of one lam share one Bessel sum: one Miller
+    pass, whose J_2k each chain's own moments meet in fixed-shape chunks,
+    reading the moments in place.  Neither pass mixes its rows, so every
+    series equals the one `propagate` gives for its chain alone, to the
+    bit, whatever the chains and their order.  At most GROUP_ROWS chains
+    are held at once, and after their recursion only their moments are
+    kept, so `chains` may be a long generator.
     """
     n_steps = _step_count(dt, t_max)
+    horizon = n_steps * dt
     out: list[CorrelationSeries | PropagationError | None] = []
     pending: dict[tuple[float, int],
                   list[tuple[int, LanczosChain, list[int]]]] = {}
-    groups: dict[float, list[tuple[int, int, _Expansion]]] = {}
+    # lam -> (slot, n_c, moments, drift, cut bound) of each certified chain
+    groups: dict[float, list[tuple[int, int, np.ndarray, float, float]]] = {}
 
     def hold(slot: int, chain: LanczosChain, rungs: list[int]) -> None:
         n_c, *rest = rungs
@@ -568,33 +520,62 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
     def expand_largest() -> None:
         (lam, n_c), members = max(pending.items(), key=lambda kv: len(kv[1]))
         del pending[lam, n_c]
-        results = _prefix_moments([c.b for _, c, _ in members], n_c, lam, dt,
-                                  n_steps)
-        for (slot, chain, rest), ex in zip(members, results):
-            if isinstance(ex, PropagationError):
-                out[slot] = ex
-            elif rest and not ex.bound <= CUT_TOL:
-                hold(slot, chain, rest)      # the cut is not certified
+        # the moment count K runs to the Miller start order of lam*T/2, where
+        # the Bessel tail is negligible
+        z_end = lam * dt * n_steps
+        order = max(int(_miller_order(z_end)) // 2,
+                    int(_miller_order(z_end / 2)))
+        tail = _bessel_tail(order, z_end / 2)
+        prefixes = np.array([c.b[:n_c - 1] for _, c, _ in members])
+        mu, edge = _even_moments(prefixes, lam, order)
+        for (slot, chain, rest), mu_i, edge_i in zip(members, mu, edge):
+            excess = mu_i - 1.0
+            drift = float(excess.max())
+            if not drift <= NORM_TOL:            # a NaN is an excess too
+                i = int(np.argmax(~(excess <= NORM_TOL)))
+                out[slot] = PropagationError(
+                    f"Chebyshev moment mu_{2 * i} = {mu_i[i]:.3g} exceeds 1 "
+                    f"by more than {NORM_TOL:.0e}: the scale {lam:.6g} does "
+                    f"not bound the spectrum; use method='chebyshev'")
+                continue
+            # The bound compares the prefix with the continued chain:
+            # b_1..b_{d-1}, then `_continued_coupling(b)` as b_d, then any
+            # couplings at all; the end of the prefix is a cut, at n_c = d
+            # too.  With T the horizon, the doubling identity
+            # C(t) = 2|cos(Lt/2)e0|^2 - 1 and Duhamel's formula give
+            # |C - C_continued| <= 2 b_{n_c} T max_{s <= T/2} |psi_{n_c-1}(s)|
+            # for the prefix wavefunction psi.  Jacobi-Anger with
+            # H_c = L_c/lam and Cauchy-Schwarz (sum_k J_k^2 <= 1) bound that
+            # amplitude by 2 (sqrt(K+1) max_{k<=K} |v_k[n_c-1]|
+            # + sum_{k>K} |J_k|) for any K, and any bound on the spectrum
+            # works as lam
+            b = chain.b
+            b_cut = b[n_c - 1] if n_c <= b.size else _continued_coupling(b)
+            bound = float(4.0 * b_cut * horizon
+                          * (np.sqrt(order + 1) * edge_i + tail))
+            if rest and not bound <= CUT_TOL:
+                hold(slot, chain, rest)          # the cut is not certified
             else:
-                groups.setdefault(lam, []).append((slot, n_c, ex))
+                groups.setdefault(lam, []).append(
+                    (slot, n_c, mu_i, drift, bound))
 
     for chain in chains:
         if chain.d == 1:
             out.append(CorrelationSeries(dt, np.ones(n_steps + 1)))
             continue
-        hold(len(out), chain, _cut_ladder(chain.b, n_steps * dt))
+        hold(len(out), chain, _cut_ladder(chain.b, horizon))
         out.append(None)
         while sum(map(len, pending.values())) >= GROUP_ROWS:
             expand_largest()
     while pending:
         expand_largest()
     for lam, members in groups.items():
-        rows = _cosine_series([ex.mu for *_, ex in members],
+        rows = _cosine_series([mu for _, _, mu, _, _ in members],
                               lam * dt * np.arange(n_steps + 1))
-        for (i, n_c, ex), values in zip(members, rows):
-            out[i] = CorrelationSeries(
-                dt, values, norm_drift_max=ex.drift, lam=lam,
-                moments=ex.mu.size, sites=n_c, cut_bound=ex.bound)
+        for (slot, n_c, mu, drift, bound), values in zip(members, rows):
+            out[slot] = CorrelationSeries(
+                dt, values, norm_drift_max=drift, lam=lam, moments=mu.size,
+                sites=n_c, cut_bound=bound)
     return out
 
 

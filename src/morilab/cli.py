@@ -437,6 +437,9 @@ def _cmd_reverse(args) -> int:
               else CorrelationSeries.from_csv(args.series))
     density = fourier_of_correlation(target, n_max=args.nmax)
     result = lanczos_from_spectrum(density, args.nmax)
+    # a continuation the coefficients do not allow is refused before any write
+    cont = (linear_continuation(result.b, args.continue_to)
+            if args.continue_to is not None else None)
     LanczosChain(result.b).to_csv(args.out)
     omega = density.omega
     _write_json(args.out + ".meta.json", {
@@ -449,8 +452,7 @@ def _cmd_reverse(args) -> int:
                        "source": density.source}})
     print(f"wrote {args.out} ({result.achieved}/{args.nmax} coefficients; "
           f"{result.stop_reason})")
-    if args.continue_to:
-        cont = linear_continuation(result.b, args.continue_to)
+    if cont is not None:
         cont.chain.to_csv(args.chain_out)
         print(f"wrote {args.chain_out} (d={args.continue_to}, tail slope "
               f"{cont.slope:.5g})")

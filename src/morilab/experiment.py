@@ -334,10 +334,11 @@ def run_scenario(config: ScenarioConfig) -> tuple[list[TrialRecord],
     are recorded with valid = False and excluded from the means, and so are
     trials whose propagation or fit raised (listed in `failures`).
 
-    Each worker gets one block of each family's trials, and each finished
-    block is logged at INFO on the "morilab" logger.  The summary also
-    carries each family's baseline (`runs`) and the C(t) of its exemplary
-    trials (`exemplars`); every other trial's series is dropped here.
+    Each worker gets one block of each family's trials, run by at most
+    `usable_cpus()` processes, and each finished block is logged at INFO
+    on the "morilab" logger.  The summary also carries each family's
+    baseline (`runs`) and the C(t) of its exemplary trials (`exemplars`);
+    every other trial's series is dropped here.
     """
     runs = []
     for fam in build_families(config):
@@ -357,8 +358,9 @@ def run_scenario(config: ScenarioConfig) -> tuple[list[TrialRecord],
             for index, run in enumerate(runs)
             for lo in range(0, config.n_trials, block)]
 
-    # the pool forks all its processes at the first submit: no more than jobs
-    n_procs = min(n_workers, len(jobs))
+    # the pool forks all its processes at the first submit: no more than
+    # jobs, nor than the CPUs this process may run on
+    n_procs = min(n_workers, len(jobs), usable_cpus())
     results = []
     with ProcessPoolExecutor(n_procs) if n_procs > 1 else nullcontext() as pool:
         for part in (pool.map if pool else map)(_run_block, jobs):

@@ -230,8 +230,8 @@ def sigma(perturbed: CorrelationSeries, unperturbed: CorrelationSeries,
     """RMS alteration between two series on the identical grid, 0..n_eq."""
     if abs(perturbed.dt - unperturbed.dt) > 1e-12:
         raise ValueError("series grids differ (dt mismatch)")
-    if n_eq >= len(perturbed) or n_eq >= len(unperturbed):
-        raise ValueError("n_eq exceeds a series length")
+    if n_eq < 1 or n_eq >= min(len(perturbed), len(unperturbed)):
+        raise ValueError("n_eq must lie inside the series")
     diff = perturbed.values[: n_eq + 1] - unperturbed.values[: n_eq + 1]
     return float(np.sqrt(np.sum(diff**2) / n_eq))
 

@@ -12,8 +12,7 @@ from morilab.chain import (CUT_TOL, GROUP_ROWS, NORM_TOL,
                            PropagationError, _CHUNK_ROWS, _bessel_tail,
                            _bessel_weights, _causal_cut, _cut_ladder,
                            _continued_coupling, _cosine_series, _even_moments,
-                           _grid_sites, _miller_order, _prefix_moments,
-                           _prefix_scale,
+                           _grid_sites, _miller_order, _prefix_scale,
                            _quantized, _spectral_bound, dense_correlation, dense_generator, propagate,
                            propagate_many, spectral_width_sum)
 from morilab.design import exponential_chain, gaussian_chain, oscillating_pair
@@ -296,11 +295,13 @@ class TestMomentGuard:
         b = rng.uniform(0.5, 2.0, (3, d - 1))
         lam = max(_prefix_scale(row, d) for row in b)
         tol = 2.0 * d * np.finfo(float).eps
-        for row, (mu, drift, edge) in zip(b, _even_moments(b, lam, count)):
+        mu, edge = _even_moments(b, lam, count)
+        assert mu.shape == (3, count + 1) and edge.shape == (3,)
+        for row, mu_i, edge_i in zip(b, mu, edge):
             ref_mu, ref_drift, ref_edge = loop_moments(row, lam, count)
-            assert np.abs(mu - ref_mu).max() <= tol
-            assert abs(drift - ref_drift) <= tol
-            assert edge == ref_edge
+            assert np.abs(mu_i - ref_mu).max() <= tol
+            assert abs((mu_i - 1.0).max() - ref_drift) <= tol
+            assert edge_i == ref_edge
 
     def test_trips_when_scale_underestimates_spectrum(self):
         # uniform-ish hopping: site 0 carries weight up to the band edge
@@ -308,38 +309,47 @@ class TestMomentGuard:
         radius = eigh_tridiagonal(np.zeros(chain.d), chain.b,
                                   eigvals_only=True).max()
         # spectrum of L/lam reaches 1/0.9: the moments grow like cosh
-        [row] = _even_moments(chain.b[None], 0.9 * radius, 200)
+        lam, dt, n_steps = 0.9 * radius, 0.5, 80
+        [row] = held_at([chain], dt, n_steps, lam=lam)
         assert isinstance(row, PropagationError)
         assert "does not bound" in str(row)
         with pytest.raises(PropagationError) as ref:
-            loop_moments(chain.b, 0.9 * radius, 200)
+            loop_moments(chain.b, lam, moment_count(lam, dt, n_steps))
         assert str(row) == str(ref.value)
 
     def test_an_overflowing_row_trips_alone(self):
         # a row scaled 1e3 past the scale grows about 2e3-fold per step, so
-        # its amplitudes overflow to inf and then NaN long before step 3000;
-        # it names its first excess, mu_2, and the other rows are their
-        # B = 1 expansions to the bit
+        # its amplitudes overflow to inf and then NaN by step 100, long
+        # before the last of its ~520 moments; it names its first excess,
+        # mu_2, and the other rows are their B = 1 expansions to the bit
         b = np.random.default_rng(3).uniform(0.5, 2.0, (3, 59))
         lam = max(_prefix_scale(row, 60) for row in b)
         b[1] *= 1e3
-        batch = _even_moments(b, lam, 3000)
-        assert isinstance(batch[1], PropagationError)
-        assert "mu_2 " in str(batch[1])
-        with pytest.raises(PropagationError) as ref:
-            loop_moments(b[1], lam, 3000)
-        assert str(batch[1]) == str(ref.value)
+        dt, n_steps = 1.0, 100
+        count = moment_count(lam, dt, n_steps)
+        mu, edge = _even_moments(b, lam, count)
+        assert np.isnan(mu[1, -1])
         for i in (0, 2):
-            [(mu, drift, edge)] = _even_moments(b[i:i + 1], lam, 3000)
-            assert batch[i][0].tobytes() == mu.tobytes()
-            assert batch[i][1:] == (drift, edge)
+            alone, alone_edge = _even_moments(b[i:i + 1], lam, count)
+            assert mu[i].tobytes() == alone[0].tobytes()
+            assert edge[i] == alone_edge[0]
+        chains = [LanczosChain(row) for row in b]
+        many = held_at(chains, dt, n_steps, lam=lam)
+        assert isinstance(many[1], PropagationError)
+        assert "mu_2 " in str(many[1])
+        with pytest.raises(PropagationError) as ref:
+            loop_moments(b[1], lam, count)
+        assert str(many[1]) == str(ref.value)
+        for i in (0, 2):
+            assert same_series(many[i],
+                               held_at(chains[i:i + 1], dt, n_steps, lam=lam)[0])
 
     def test_quiet_on_desk_chain(self):
         chain = desk_trial_chain()
         lam = _spectral_bound(chain.b) * (1.0 + 1e-7)
-        [(mu, drift, _)] = _even_moments(chain.b[None], lam, 2000)
+        mu, _ = _even_moments(chain.b[None], lam, 2000)
         assert np.abs(mu).max() <= 1.0 + 1e-12
-        assert drift <= 1e-12
+        assert (mu - 1.0).max() <= 1e-12
         series = propagate(chain, dt=0.02, t_max=40.0, method="moments")
         assert series.norm_drift_max <= 1e-12
 
@@ -356,18 +366,38 @@ def uncut_engine(chain: LanczosChain, dt: float, t_max: float) -> np.ndarray:
     """The moments engine on the whole chain, as it ran before the cut."""
     lam = _prefix_scale(chain.b, chain.d)
     z = lam * dt * np.arange(int(round(t_max / dt)) + 1)
-    [(mu, _, _)] = _even_moments(chain.b[None], lam,
-                                 int(_miller_order(z[-1])) // 2)
-    return _cosine_series([mu], z)[0]
+    mu, _ = _even_moments(chain.b[None], lam, int(_miller_order(z[-1])) // 2)
+    return _cosine_series([mu[0]], z)[0]
 
 
 OSC_DT, OSC_STEPS = 0.02, 1500      # the desk oscillation grid, t_max = 30
 
 
-def prefix_moments(b: np.ndarray, n_c: int, dt: float, n_steps: int):
-    """The expansion of one chain's first n_c sites, at the prefix's scale."""
-    [ex] = _prefix_moments([b], n_c, _prefix_scale(b, n_c), dt, n_steps)
-    return ex
+def held_at(chains: list[LanczosChain], dt: float, n_steps: int,
+            n_c: int | None = None, lam: float | None = None) -> list:
+    """`propagate_many` with every chain held at the one rung n_c (its own
+    site count when None), whatever its bound, at the scale lam (its
+    prefix's when None)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain_module, "_cut_ladder",
+                      lambda b, horizon: [n_c or b.size + 1])
+        if lam is not None:
+            patch.setattr(chain_module, "_prefix_scale", lambda b, n: lam)
+        return propagate_many(chains, dt, n_steps * dt)
+
+
+def expansion(b: np.ndarray, n_c: int, dt: float,
+              n_steps: int) -> CorrelationSeries:
+    """The series of the chain b expanded on its first n_c sites alone."""
+    [series] = held_at([LanczosChain(b)], dt, n_steps, n_c)
+    return series
+
+
+def moment_count(lam: float, dt: float, n_steps: int) -> int:
+    """The highest moment index the engine computes at the scale lam: the
+    Miller start order of the horizon's lam*T/2, or half that of lam*T."""
+    z_end = lam * dt * n_steps
+    return max(int(_miller_order(z_end)) // 2, int(_miller_order(z_end / 2)))
 
 
 class TestCausalCut:
@@ -403,24 +433,20 @@ class TestCausalCut:
         # the recursion stops before v_k reaches site n_c - 1: only the
         # Bessel tail is left in the bound, and it must still be there
         b = np.ones(399)
-        ex = prefix_moments(b, 300, 0.1, 50)
-        assert ex.mu.size - 1 < 299
-        tail = _bessel_tail(ex.mu.size - 1,
-                            _prefix_scale(b, 300) * 0.1 * 50 / 2)
-        assert ex.bound == 4.0 * 1.0 * (50 * 0.1) * tail > 0.0
+        ex = expansion(b, 300, 0.1, 50)
+        assert ex.moments - 1 < 299
+        tail = _bessel_tail(ex.moments - 1, ex.lam * 0.1 * 50 / 2)
+        assert ex.cut_bound == 4.0 * 1.0 * (50 * 0.1) * tail > 0.0
 
     def test_short_cut_is_refused_and_propagate_falls_back(self, monkeypatch):
         gdo, _ = desk_oscillating_chains()
         horizon = OSC_STEPS * OSC_DT
         n_c = _causal_cut(gdo.b, horizon, 1.0)
         assert 100 <= n_c <= 140          # measured 118
-        ex = prefix_moments(gdo.b, n_c, OSC_DT, OSC_STEPS)
-        t = OSC_DT * np.arange(OSC_STEPS + 1)
-        z = _prefix_scale(gdo.b, n_c) * OSC_DT * np.arange(OSC_STEPS + 1)
-        err = np.abs(_cosine_series([ex.mu], z)[0]
-                     - dense_correlation(gdo, t)).max()
+        ex = expansion(gdo.b, n_c, OSC_DT, OSC_STEPS)
+        err = np.abs(ex.values - dense_correlation(gdo, ex.t)).max()
         assert err >= 0.05                # measured 0.069: the cut is wrong
-        assert ex.bound >= 1e3            # measured 6.2e3: and not certified
+        assert ex.cut_bound >= 1e3        # measured 6.2e3: and not certified
         monkeypatch.setattr(chain_module, "WKB_FACTORS", (1.0,))
         series = propagate(gdo, dt=OSC_DT, t_max=horizon, method="moments")
         assert series.sites == gdo.d
@@ -447,7 +473,7 @@ class TestCausalCut:
         weak = LanczosChain(b)
         assert [_causal_cut(b, 30.0, f) for f in WKB_FACTORS] == [52, 52]
         assert _cut_ladder(b, 30.0) == [54, weak.d]
-        assert prefix_moments(b, 54, OSC_DT, OSC_STEPS).bound > CUT_TOL
+        assert expansion(b, 54, OSC_DT, OSC_STEPS).cut_bound > CUT_TOL
         series = propagate(weak, dt=OSC_DT, t_max=30.0, method="moments")
         assert series.sites == weak.d
         assert 0.0 < series.cut_bound <= 1e-15
@@ -465,9 +491,7 @@ class TestCausalCut:
             assert series.sites == sites
             assert 0.0 < series.cut_bound <= CUT_TOL  # measured 6e-18..3e-17
             assert series.lam == _prefix_scale(chain.b, sites)
-            z_end = series.lam * 0.02 * 2000
-            assert series.moments == max(int(_miller_order(z_end)) // 2,
-                                         int(_miller_order(z_end / 2))) + 1
+            assert series.moments == moment_count(series.lam, 0.02, 2000) + 1
             err = np.abs(series.values - dense_correlation(chain, series.t)).max()
             assert err <= 1e-13
 
@@ -478,7 +502,7 @@ class TestCausalCut:
         chain = desk_oscillating_chains()[index]
         assert _cut_ladder(chain.b, 30.0) == rungs
         # measured 1.1e3 (gdo) and 4.8 (edo)
-        assert prefix_moments(chain.b, rungs[0], OSC_DT, OSC_STEPS).bound >= 1.0
+        assert expansion(chain.b, rungs[0], OSC_DT, OSC_STEPS).cut_bound >= 1.0
         series = propagate(chain, dt=OSC_DT, t_max=30.0)
         assert series.sites == rungs[1]
         assert 0.0 < series.cut_bound <= 1e-18      # measured 5e-22, 1.5e-21
@@ -559,13 +583,10 @@ class TestCutProperties:
         chain = random_chain(seed, d, growing)
         dt = t_max / n_steps
         n_c = _causal_cut(chain.b, n_steps * dt, factor)
-        ex = prefix_moments(chain.b, n_c, dt, n_steps)
-        t = dt * np.arange(n_steps + 1)
-        z = _prefix_scale(chain.b, n_c) * dt * np.arange(n_steps + 1)
-        series = _cosine_series([ex.mu], z)[0]
+        ex = expansion(chain.b, n_c, dt, n_steps)
         for extension in (chain, continued(chain, 2 * d)):
-            err = np.abs(series - dense_correlation(extension, t)).max()
-            assert err <= ex.bound + 1e-13
+            err = np.abs(ex.values - dense_correlation(extension, ex.t)).max()
+            assert err <= ex.cut_bound + 1e-13
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(20, 300),
@@ -635,6 +656,21 @@ def nearly_flat_chain(seed: int, d: int) -> LanczosChain:
 
 
 ROW_COUNTS = [1, 2, GROUP_ROWS - 1, GROUP_ROWS, GROUP_ROWS + 1]
+
+
+def poisoned_moments(target: LanczosChain, value, k: int = 0):
+    """`_even_moments`, but where a row is a prefix of target's couplings,
+    of n sites, its moments from mu_2k on are set to value(n), unless that
+    is None."""
+    def even_moments(b, lam, count):
+        mu, edge = _even_moments(b, lam, count)
+        for r, row in enumerate(b):
+            if row.tobytes() == target.b[:row.size].tobytes():
+                poison = value(row.size + 1)
+                if poison is not None:
+                    mu[r, k:] = poison
+        return mu, edge
+    return even_moments
 
 
 class TestPropagateMany:
@@ -723,44 +759,68 @@ class TestPropagateMany:
         # five chains expanded together at one scale, which one of them,
         # scaled by 1.5, exceeds: that row alone trips, with the message of
         # the one-chain loop, and every other row is its B = 1 expansion
-        rows = [random_chain(seed, 200, False).b for seed in range(5)]
-        lam = max(_prefix_scale(b, 200) for b in rows)
-        rows[3] = rows[3] * 1.5
+        rows = [random_chain(seed, 200, False) for seed in range(5)]
+        lam = max(_prefix_scale(c.b, 200) for c in rows)
+        rows[3] = LanczosChain(rows[3].b * 1.5)
         dt, n_steps = 0.1, 80
-        batch = _prefix_moments(rows, 200, lam, dt, n_steps)
-        z_end = lam * dt * n_steps
-        count = max(int(_miller_order(z_end)) // 2,
-                    int(_miller_order(z_end / 2)))
+        batch = held_at(rows, dt, n_steps, lam=lam)
         with pytest.raises(PropagationError, match="does not bound") as ref:
-            loop_moments(rows[3], lam, count)
+            loop_moments(rows[3].b, lam, moment_count(lam, dt, n_steps))
         assert isinstance(batch[3], PropagationError)
         assert str(batch[3]) == str(ref.value)
         for i in (0, 1, 2, 4):
-            [alone] = _prefix_moments([rows[i]], 200, lam, dt, n_steps)
-            assert batch[i].mu.tobytes() == alone.mu.tobytes()
-            assert (batch[i].drift, batch[i].bound) == \
-                (alone.drift, alone.bound)
+            [alone] = held_at(rows[i:i + 1], dt, n_steps, lam=lam)
+            assert same_series(batch[i], alone)
 
     def test_a_failing_chain_keeps_its_slot(self, monkeypatch):
-        # the moment guard trips for the middle chain only: its slot holds
-        # the error, and the chains around it, of the same scale, are
-        # propagated as if alone
+        # the moment guard trips for the middle chain only, whose moments
+        # are not finite: its slot holds the error, and the chains around
+        # it, of the same scale, are propagated as if alone
         good = [random_chain(seed, 120, False) for seed in (1, 5)]
         bad = random_chain(2, 120, False)
-        error = PropagationError("moment guard tripped")
-
-        def prefix_moments(bs, *args):
-            return [error if b.tobytes() == bad.b.tobytes() else ex
-                    for b, ex in zip(bs, _prefix_moments(bs, *args))]
-
-        monkeypatch.setattr(chain_module, "_prefix_moments", prefix_moments)
+        monkeypatch.setattr(chain_module, "_even_moments",
+                            poisoned_moments(bad, lambda n: np.nan))
         many = propagate_many([good[0], bad, good[1]], dt=0.1, t_max=8.0)
-        assert many[1] is error
+        assert isinstance(many[1], PropagationError)
+        assert str(many[1]).startswith("Chebyshev moment mu_0 = nan exceeds 1")
         assert many[0].lam == many[2].lam
         for chain, series in zip(good, many[::2]):
             assert same_series(series, propagate(chain, dt=0.1, t_max=8.0))
-        with pytest.raises(PropagationError, match="moment guard tripped"):
+        with pytest.raises(PropagationError) as alone:
             propagate(bad, dt=0.1, t_max=8.0)
+        assert str(alone.value) == str(many[1])
+
+    def test_a_chain_refused_at_its_first_rung_can_trip_at_its_next(
+            self, monkeypatch):
+        # at t_max = 30 on 1000 sites the gdo design and its perturbed
+        # copies share each rung and its scale: the first is refused, the
+        # second certified.  A NaN moment at the second, in the design's
+        # row alone, gives its slot the guard's error; the copies, expanded
+        # with it at both rungs, keep their series to the bit
+        gdo = oscillating_pair(50, 1000, 2.0, 1.6)[0]
+        copies = [apply_draw(gdo, 0.1, draw_noise(1000, 333, seed)).chain
+                  for seed in (2, 4)]
+        rungs = _cut_ladder(gdo.b, 30.0)
+        for chain in copies:
+            assert _cut_ladder(chain.b, 30.0) == rungs
+            assert [_prefix_scale(chain.b, n) for n in rungs[:2]] == \
+                [_prefix_scale(gdo.b, n) for n in rungs[:2]]
+        expanded = []
+
+        def poison(n):
+            expanded.append(n)
+            return np.nan if n == rungs[1] else None
+
+        monkeypatch.setattr(chain_module, "_even_moments",
+                            poisoned_moments(gdo, poison, k=7))
+        many = propagate_many([copies[0], gdo, copies[1]], dt=0.06, t_max=30.0)
+        assert expanded == rungs[:2]
+        assert isinstance(many[1], PropagationError)
+        assert str(many[1]).startswith("Chebyshev moment mu_14 = nan exceeds 1")
+        monkeypatch.undo()
+        for chain, series in zip(copies, many[::2]):
+            assert series.sites == rungs[1]
+            assert same_series(series, propagate(chain, dt=0.06, t_max=30.0))
 
 
 def terms_at(count: int) -> float:
@@ -805,7 +865,7 @@ class TestChunkedBesselSum:
         lam = max(_prefix_scale(b, 40) for b in bs)
         z = np.linspace(0.0, terms_at(count), 151)
         assert int(_miller_order(z[-1])) == 2 * count
-        stacked = np.array([mu for mu, _, _ in _even_moments(bs, lam, count)])
+        stacked = np.ascontiguousarray(_even_moments(bs, lam, count)[0])
         strided = np.ascontiguousarray(stacked.T).T
         assert not strided[0].flags.c_contiguous
         series = _cosine_series(list(strided), z)

@@ -179,6 +179,18 @@ class TestSubcommands:
         chain = LanczosChain.from_csv(chain_out)
         assert chain.d == 400
 
+    @pytest.mark.parametrize("continue_to", ["0", "10"])
+    def test_reverse_continuation_shorter_than_the_coefficients_exit_2(
+            self, tmp_path, capsys, continue_to):
+        # 20 coefficients need d >= 21: refused before any file is written
+        code = main(["reverse", "--target", "exp(-t^2/8)*cos(2t)",
+                     "--nmax", "20", "--out", str(tmp_path / "b.csv"),
+                     "--continue-to", continue_to,
+                     "--chain-out", str(tmp_path / "chain.csv")])
+        assert code == 2
+        assert "d too small" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_reverse_output_feeds_propagate(self, tmp_path):
         coeffs, series = tmp_path / "b.csv", tmp_path / "C.csv"
         assert main(["reverse", "--target", "exp(-t^2/8)*cos(2t)",
@@ -480,11 +492,17 @@ class TestFailureLocality:
         bad_chain = trial_chain(g, 0, 1).b.tobytes()
         bad_fit = chain.propagate(trial_chain(e, 1, 2), dt=config.dt,
                                   t_max=config.t_max).values.tobytes()
-        prefix_moments = chain._prefix_moments
-        monkeypatch.setattr(chain, "_prefix_moments", lambda bs, *args: [
-            PropagationError("moment guard tripped")
-            if b.tobytes() == bad_chain else ex
-            for b, ex in zip(bs, prefix_moments(bs, *args))])
+        even_moments = chain._even_moments
+
+        def poisoned(b, *args):
+            # a NaN moment in the bad chain's row trips the moment guard
+            mu, edge = even_moments(b, *args)
+            for r, row in enumerate(b):
+                if row.tobytes() == bad_chain[:row.nbytes]:
+                    mu[r] = np.nan
+            return mu, edge
+
+        monkeypatch.setattr(chain, "_even_moments", poisoned)
         monkeypatch.setattr(experiment, "fit", failing_where(
             experiment.fit, lambda s: s.values.tobytes() == bad_fit,
             RuntimeError("no fit restart could be evaluated")))
@@ -495,11 +513,13 @@ class TestFailureLocality:
         assert "g trial 1: PropagationError" in capsys.readouterr().err
         assert set(os.listdir(tiny_run)) == set(os.listdir(tmp_path))
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["failures"] == [
-            {"family": "g", "trial": 1,
-             "error": "PropagationError: moment guard tripped"},
-            {"family": "e", "trial": 2,
-             "error": "RuntimeError: no fit restart could be evaluated"}]
+        [g_failure, e_failure] = summary["failures"]
+        assert g_failure.pop("error").startswith(
+            "PropagationError: Chebyshev moment mu_0 = nan exceeds 1")
+        assert g_failure == {"family": "g", "trial": 1}
+        assert e_failure == {
+            "family": "e", "trial": 2,
+            "error": "RuntimeError: no fit restart could be evaluated"}
         assert summary["families"]["g"]["n_invalid"] == 1
         records = records_from_csv(tmp_path / "records.csv")
         failed = [r for r in records if (r.family, r.trial) in

@@ -289,6 +289,28 @@ class TestWorkerCount:
         assert worker_count(cfg) == 2
 
 
+def in_process_pool(monkeypatch) -> list[int]:
+    """Replace the process pool by one that maps in this process; the list
+    returned receives the process count each pool was asked for."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
 class TestRunScenario:
     def test_each_finished_block_is_logged(self, caplog):
         cfg = ScenarioConfig(**{**FAST_DECAY, "n_trials": 3})
@@ -302,27 +324,26 @@ class TestRunScenario:
             == [("morilab", "INFO", "trials 3/6"), ("morilab", "INFO", "trials 6/6")]
 
     def test_pool_has_no_more_processes_than_jobs(self, monkeypatch):
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        sizes = in_process_pool(monkeypatch)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 8)
         cfg = ScenarioConfig(**{**FAST_DECAY, "n_trials": 2, "workers": 64})
         records, _ = run_scenario(cfg)
         assert sizes == [4]         # 2 families x 2 one-trial blocks
         assert worker_count(cfg) == 64
         serial = ScenarioConfig(**{**FAST_DECAY, "n_trials": 2})
+        assert records == run_scenario(serial)[0]
+
+    def test_pool_has_no_more_processes_than_cpus(self, monkeypatch, caplog):
+        # 64 workers on 2 CPUs: one-trial blocks, as before, run by a pool
+        # of 2
+        sizes = in_process_pool(monkeypatch)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        cfg = ScenarioConfig(**{**FAST_DECAY, "n_trials": 3, "workers": 64})
+        with caplog.at_level(logging.INFO, logger="morilab"):
+            records, _ = run_scenario(cfg)
+        assert sizes == [2]
+        assert len(caplog.records) == 6     # 2 families x 3 one-trial blocks
+        serial = ScenarioConfig(**{**FAST_DECAY, "n_trials": 3})
         assert records == run_scenario(serial)[0]
 
     def test_zero_strength_degeneracy(self):

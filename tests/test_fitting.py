@@ -121,6 +121,22 @@ class TestSigma:
         manual = np.sqrt(np.sum((a.values[:61] - b.values[:61]) ** 2) / 60)
         assert sigma(a, b, n_eq) == pytest.approx(manual, rel=1e-14)
 
+    @pytest.mark.parametrize("n_eq", [0, -1, 101])
+    def test_n_eq_outside_the_series_rejected(self, n_eq):
+        # the same check as epsilon's: 1 <= n_eq < len
+        a = series_from(lambda t: np.exp(-t), dt=0.1, t_max=10.0)
+        b = series_from(lambda t: np.exp(-1.2 * t), dt=0.1, t_max=10.0)
+        with pytest.raises(ValueError, match="n_eq must lie inside the series"):
+            sigma(a, b, n_eq)
+        with pytest.raises(ValueError, match="n_eq must lie inside the series"):
+            epsilon(a, FitModel(ModelClass.EXP, (1.0, 1.0)), n_eq)
+
+    def test_n_eq_of_one_accepted(self):
+        a = series_from(lambda t: np.exp(-t), dt=0.1, t_max=10.0)
+        b = series_from(lambda t: np.exp(-1.2 * t), dt=0.1, t_max=10.0)
+        assert sigma(a, b, 1) == pytest.approx(
+            abs(a.values[1] - b.values[1]), rel=1e-14)
+
 
 class TestCurve:
     T = np.arange(2001) * 0.02
