@@ -1,14 +1,14 @@
 """Command-line front end: design, propagate, reverse, perturb, fit, run, plot.
 
 `run` composes the others into a full scenario and emits CSV + SVG + a
-manifest with file digests; `plot` re-renders the SVGs from the run's
-summary.json and CSVs, byte-identically for a given tool version.
+manifest with file digests, drawing the SVGs from the values it holds;
+`plot` reads the run's summary.json and CSVs back and redraws the SVGs,
+byte-identically for a given tool version.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -17,6 +17,7 @@ import re
 import sys
 import time
 from array import array
+from contextlib import contextmanager
 from dataclasses import asdict, fields as dataclass_fields
 from itertools import repeat
 
@@ -134,7 +135,8 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# rendering from flat files (shared by `run` and `plot`)
+# figures, drawn from a run's values: `run` passes what it holds, `plot`
+# what `read_run` read back from a run directory
 # ---------------------------------------------------------------------------
 
 def render_histogram_svg(families: dict) -> str:
@@ -182,7 +184,8 @@ def render_chains_svg(chains: dict[str, LanczosChain]) -> str:
 
 
 def render_curves_svg(trials: dict, family: str) -> str:
-    """One family's trials in curves.csv, each as its (t, C, fit) columns."""
+    """One family's exemplary trials, each as the (t, C, fit) rows of one
+    array, as curves.csv holds them."""
     tmax = max(cols[0].max() for cols in trials.values())
     lo = min([*(cols[1:].min() for cols in trials.values()), 0.0])
     hi = max([*(cols[1:].max() for cols in trials.values()), 1.0])
@@ -271,6 +274,9 @@ def histogram_rows(records, bin_width: float) -> list[tuple]:
 
 
 def _sha256(path) -> str:
+    # imported here, once every file of a run is written: hashlib maps
+    # OpenSSL, which no other step needs, into the process and each worker
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):
@@ -283,17 +289,23 @@ def _write_json(path, doc: dict) -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
-def _curves_rows(config: ScenarioConfig, summary):
-    """The exemplary trials' C(t), as the ensemble propagated it, + fit."""
-    for name, exemplars in summary.exemplars.items():
-        for rec, values in exemplars:
-            t = np.arange(values.size) * config.dt
-            fit_vals = ModelClass(rec.model).curve(
-                (rec.A, rec.mu, rec.omega, rec.phi), t)
-            stride = max(1, values.size // CURVE_POINTS)
-            for cells in zip(t[::stride].tolist(), values[::stride].tolist(),
-                             fit_vals[::stride].tolist()):
-                yield name, rec.trial, *cells
+def _exemplar_curves(rec: TrialRecord, values: np.ndarray,
+                     dt: float) -> np.ndarray:
+    """A trial's C(t), as the ensemble propagated it, and its fit: the
+    (t, C, fit) rows that curves.csv holds, every stride-th sample."""
+    t = np.arange(values.size) * dt
+    fit_vals = ModelClass(rec.model).curve((rec.A, rec.mu, rec.omega, rec.phi),
+                                           t)
+    stride = max(1, values.size // CURVE_POINTS)
+    return np.stack([col[::stride] for col in (t, values, fit_vals)])
+
+
+def _curves_rows(exemplars: dict):
+    """curves.csv's rows, one at a time, from each family's exemplars."""
+    for name, trials in exemplars.items():
+        for trial, cols in trials.items():
+            for cells in zip(*cols.tolist()):
+                yield name, trial, *cells
 
 
 def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
@@ -301,7 +313,9 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
     """Write every CSV/SVG/manifest artifact for a finished scenario run.
 
     Writes only what `run_scenario` handed over: the records and the
-    summary with its family baselines and exemplar trials.
+    summary with its family baselines and exemplar trials.  The figures
+    are drawn from those values, not from the files; the digests are taken
+    once every file is written.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = lambda name: os.path.join(out_dir, name)
@@ -326,13 +340,22 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
                              "lam": c0.lam, "moments": c0.moments,
                              "sites": c0.sites, "cut_bound": c0.cut_bound}
 
-    _write_json(path("summary.json"), {
-        "config": config.to_json_dict(),
-        "families": {name: asdict(fam) for name, fam in summary.families.items()},
-        "failures": summary.failures,
-        "unperturbed": unperturbed})
-    write_csv(path("curves.csv"), CURVES_HEADER, _curves_rows(config, summary))
-    emitted += render_all(out_dir)
+    doc = {"config": config.to_json_dict(),
+           "families": {name: asdict(fam)
+                        for name, fam in summary.families.items()},
+           "failures": summary.failures,
+           "unperturbed": unperturbed}
+    _write_json(path("summary.json"), doc)
+    # a family with no valid trial has no exemplar, and no exemplar figure
+    exemplars = {name: {rec.trial: _exemplar_curves(rec, values, config.dt)
+                        for rec, values in pairs}
+                 for name, pairs in summary.exemplars.items() if pairs}
+    write_csv(path("curves.csv"), CURVES_HEADER, _curves_rows(exemplars))
+    emitted += render_all(
+        out_dir, doc, records,
+        {name: run.chain for name, run in summary.runs.items()},
+        {name: run.baseline for name, run in summary.runs.items()},
+        exemplars)
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
@@ -352,11 +375,42 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
     return manifest
 
 
-def render_all(out_dir) -> list[str]:
-    """(Re)draw the SVGs of the run whose summary.json is in out_dir, for
-    the families it names, reading each input once; returns their names.
-    The histograms are counted from records.csv at the config's bin_width.
-    Every summary value a figure draws is read before the first is drawn."""
+@contextmanager
+def _summary_entries(out_dir):
+    """Refuses, as a ConfigError, a lookup in the summary.json document of
+    out_dir that misses a key or meets an entry of the wrong type."""
+    summary_json = os.path.join(out_dir, "summary.json")
+    try:
+        yield
+    except KeyError as err:     # every lookup that can miss is keyed by summary
+        raise ConfigError(f"{summary_json}: no key {err}") from err
+    except (TypeError, AttributeError) as err:  # e.g. a number for a family
+        raise ConfigError(f"{summary_json}: wrongly typed entry ({err})") \
+            from err
+
+
+def _number(value):
+    """A number that summary.json holds for a figure, or a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return value
+
+
+def _summary_fit(info: dict) -> tuple:
+    """A baseline fit that summary.json holds: its model class, and its
+    (A, mu, omega, phi), of which the class draws the first n_params."""
+    kind = ModelClass(info["model"])
+    params = tuple(info[k] for k in ("A", "mu", "omega", "phi"))
+    for value in params[:kind.n_params]:
+        _number(value)
+    return kind, params
+
+
+def read_run(out_dir) -> tuple:
+    """What `render_all` draws, read back from the run directory out_dir,
+    each input once, in its argument order: the summary.json document, the
+    records, and the chain, the unperturbed C(t) and the exemplar curves of
+    each family the summary names."""
     path = lambda name: os.path.join(out_dir, name)
     if os.path.exists(path("summary.json")) \
             and not os.path.isfile(path("summary.json")):
@@ -371,7 +425,35 @@ def render_all(out_dir) -> list[str]:
                                        [str, int, finite, finite, finite]):
         curves.setdefault(fam, {}).setdefault(trial, array("d")).extend(cells)
     records = records_from_csv(path("records.csv"))
-    try:
+    with _summary_entries(out_dir):
+        fams = sorted(summary["unperturbed"])
+    return (summary, records,
+            {f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fams},
+            {f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
+             for f in fams},
+            {f: {trial: np.frombuffer(cells).reshape(-1, 3).T
+                 for trial, cells in trials.items()}
+             for f, trials in curves.items()})
+
+
+def render_all(out_dir, summary: dict, records: list[TrialRecord],
+               chains: dict[str, LanczosChain],
+               baselines: dict[str, CorrelationSeries],
+               exemplars: dict[str, dict]) -> list[str]:
+    """Draw a run's SVGs into out_dir, for the families its summary names;
+    returns their names.
+
+    `summary` is the document summary.json holds; the histograms are
+    counted from `records` at its config's bin_width.  `chains` and
+    `baselines` hold each family's chain and unperturbed C(t), and
+    `exemplars` each family's exemplary trials, by trial, as the (t, C,
+    fit) rows of one array.  Every value a figure draws is looked up, and
+    each number the summary gives it checked to be one, before the first
+    is drawn: a summary that lacks one or holds a wrongly typed one is
+    refused (a ConfigError) and leaves no figure behind.  Each figure is
+    drawn whole before its file is opened.
+    """
+    with _summary_entries(out_dir):
         fams = sorted(summary["unperturbed"])
         hists: dict[str, list] = {}
         for lo, hi, fam, count in histogram_rows(
@@ -379,30 +461,21 @@ def render_all(out_dir) -> list[str]:
             hists.setdefault(fam, []).append((lo, hi, count))
         figures = {
             "histogram.svg": (render_histogram_svg, {
-                f: (hists[f], info["mean_epsilon"])
-                for f, info in summary["families"].items()}),
+                f: (hists[f], _number(info["mean_epsilon"]))
+                for f, info in sorted(summary["families"].items())}),
             "scatter.svg": (render_scatter_svg, records),
-            "chains.svg": (render_chains_svg, {
-                f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fams}),
+            "chains.svg": (render_chains_svg, {f: chains[f] for f in fams}),
             "unperturbed.svg": (render_unperturbed_svg, {
-                f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
-                for f in fams}, {
-                f: (ModelClass(info["model"]),
-                    (info["A"], info["mu"], info["omega"], info["phi"]))
+                f: baselines[f] for f in fams}, {
+                f: _summary_fit(info)
                 for f, info in summary["unperturbed"].items()}),
-            **{f"exemplar_{f}.svg": (render_curves_svg, {
-                trial: np.frombuffer(cells).reshape(-1, 3).T
-                for trial, cells in trials.items()}, f)
-               for f, trials in curves.items()},
+            **{f"exemplar_{f}.svg": (render_curves_svg, trials, f)
+               for f, trials in exemplars.items()},
         }
-    except KeyError as err:     # every lookup that can miss is keyed by summary
-        raise ConfigError(f"{path('summary.json')}: no key {err}") from err
-    except (TypeError, AttributeError) as err:  # e.g. a number for a family
-        raise ConfigError(f"{path('summary.json')}: wrongly typed entry "
-                          f"({err})") from err
     for name, (render, *data) in figures.items():
-        with open(path(name), "w") as fh:
-            fh.write(render(*data))
+        svg = render(*data)
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(svg)
     return list(figures)
 
 
@@ -437,9 +510,19 @@ def _cmd_reverse(args) -> int:
               else CorrelationSeries.from_csv(args.series))
     density = fourier_of_correlation(target, n_max=args.nmax)
     result = lanczos_from_spectrum(density, args.nmax)
-    # a continuation the coefficients do not allow is refused before any write
+    # a continuation the coefficients do not allow, and an output that is a
+    # directory or whose directory is missing, are refused before any write
     cont = (linear_continuation(result.b, args.continue_to)
             if args.continue_to is not None else None)
+    outs = [("--out", args.out), ("--out", args.out + ".meta.json")]
+    if cont is not None:
+        outs.append(("--chain-out", args.chain_out))
+    for flag, out in outs:
+        folder = os.path.dirname(os.path.abspath(out))
+        if not os.path.isdir(folder):
+            raise ConfigError(f"{flag} {out}: {folder} is not a directory")
+        if os.path.isdir(out):
+            raise ConfigError(f"{flag} {out}: is a directory")
     LanczosChain(result.b).to_csv(args.out)
     omega = density.omega
     _write_json(args.out + ".meta.json", {
@@ -510,7 +593,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    made = render_all(args.src)
+    made = render_all(args.src, *read_run(args.src))
     print(f"re-rendered {', '.join(made)} in {args.src}")
     return 0
 

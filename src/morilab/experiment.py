@@ -19,8 +19,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import (CorrelationSeries, LanczosChain, PropagationError,
-                    propagate, propagate_many)
+from .chain import (GROUP_ROWS, CorrelationSeries, LanczosChain,
+                    PropagationError, propagate, propagate_many)
 from .design import exponential_chain, gaussian_chain, oscillating_pair
 from .fitting import (EQ_THRESHOLD, EQ_WINDOW, FitResult, ModelClass,
                       detect_equilibration, epsilon, fit, sigma)
@@ -334,11 +334,18 @@ def run_scenario(config: ScenarioConfig) -> tuple[list[TrialRecord],
     are recorded with valid = False and excluded from the means, and so are
     trials whose propagation or fit raised (listed in `failures`).
 
-    Each worker gets one block of each family's trials, run by at most
-    `usable_cpus()` processes, and each finished block is logged at INFO
-    on the "morilab" logger.  The summary also carries each family's
-    baseline (`runs`) and the C(t) of its exemplary trials (`exemplars`);
-    every other trial's series is dropped here.
+    Each family's trials are split into `parts` blocks of ceil(n_trials /
+    parts) trials, run by at most `usable_cpus()` processes, and each
+    finished block is logged at INFO on the "morilab" logger.  Where the
+    families alone give every process a job (no fewer families than
+    min(workers, usable_cpus())), parts = min(workers, n_trials //
+    GROUP_ROWS), at least one: every block pays again for the step loops
+    and Bessel sums of its moment recursions, so a family is split only
+    into blocks that each fill a recursion of GROUP_ROWS chains.
+    Otherwise parts = workers, so that no process waits for a job.  The
+    summary also carries each family's baseline (`runs`) and the C(t) of
+    its exemplary trials (`exemplars`); every other trial's series is
+    dropped here.
     """
     runs = []
     for fam in build_families(config):
@@ -353,7 +360,10 @@ def run_scenario(config: ScenarioConfig) -> tuple[list[TrialRecord],
                               eq0))
 
     n_workers = worker_count(config)
-    block = math.ceil(config.n_trials / n_workers)
+    parts = n_workers
+    if len(runs) >= min(n_workers, usable_cpus()):
+        parts = max(1, min(n_workers, config.n_trials // GROUP_ROWS))
+    block = math.ceil(config.n_trials / parts)
     jobs = [(run, index, config, range(lo, min(lo + block, config.n_trials)))
             for index, run in enumerate(runs)
             for lo in range(0, config.n_trials, block)]

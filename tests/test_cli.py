@@ -191,6 +191,28 @@ class TestSubcommands:
         assert "d too small" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("out, chain_out, error", [
+        ("b.csv", "missing/chain.csv",
+         "--chain-out {tmp}/missing/chain.csv: {tmp}/missing is not a directory"),
+        ("adir", "chain.csv", "--out {tmp}/adir: is a directory"),
+        ("missing/b.csv", "chain.csv",
+         "--out {tmp}/missing/b.csv: {tmp}/missing is not a directory"),
+        ("b.csv", "adir", "--chain-out {tmp}/adir: is a directory"),
+        ("meta", "chain.csv", "--out {tmp}/meta.meta.json: is a directory")])
+    def test_reverse_output_that_cannot_be_written_exit_2(
+            self, tmp_path, capsys, out, chain_out, error):
+        # every output is checked before the first is written
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "meta.meta.json").mkdir()
+        code = main(["reverse", "--target", "exp(-t^2/8)*cos(2t)",
+                     "--nmax", "20", "--out", str(tmp_path / out),
+                     "--continue-to", "400",
+                     "--chain-out", str(tmp_path / chain_out)])
+        assert code == 2
+        assert error.format(tmp=tmp_path) in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["adir", "meta.meta.json"]
+        assert os.listdir(tmp_path / "adir") == []
+
     def test_reverse_output_feeds_propagate(self, tmp_path):
         coeffs, series = tmp_path / "b.csv", tmp_path / "C.csv"
         assert main(["reverse", "--target", "exp(-t^2/8)*cos(2t)",
@@ -440,6 +462,21 @@ class TestOnePass:
             [1, 1, TINY_TRIALS, TINY_TRIALS]
         # each trial is drawn once
         assert len(draws) == 2 * TINY_TRIALS
+
+    def test_run_parses_back_nothing_it_wrote(self, monkeypatch, tmp_path):
+        # the figures are drawn from the values the run holds: every reader
+        # of a run file raises, and the run still writes every file
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"read back {args[:1]}")
+
+        for module, name in [(chain, "read_csv"), (cli, "read_csv"),
+                             (cli, "records_from_csv"), (cli, "read_run"),
+                             (json, "load")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert main(TINY_RUN + ["--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert {"curves.csv", "exemplar_g.svg", "unperturbed.svg"} <= \
+            set(manifest["outputs"])
 
     def test_exemplar_curves_match_fresh_propagation(self, tiny_run):
         config = parse_config(str(tiny_run / "manifest.json"), {})
@@ -986,14 +1023,17 @@ DESK_TMAX = {"decay": "40", "oscillation": "30"}
 
 @pytest.fixture(scope="module", params=sorted(DESK_FAMILIES))
 def desk_runs(request, tmp_path_factory):
-    """The scenario's desk run of 6 trials, seed 3, with 1, 2 and 3 workers."""
+    """The scenario's desk run of 6 trials, seed 3, with 1, 2 and 3 workers,
+    each family split into one block per worker, as GROUP_ROWS 1 allows."""
     runs = []
-    for workers in (1, 2, 3):
-        out = tmp_path_factory.mktemp(f"{request.param}-workers-{workers}")
-        assert main(["run", "--scenario", request.param, "--profile", "desk",
-                     "--trials", "6", "--seed", "3", "--workers", str(workers),
-                     "--out", str(out)]) == 0
-        runs.append(out)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "GROUP_ROWS", 1)
+        for workers in (1, 2, 3):
+            out = tmp_path_factory.mktemp(f"{request.param}-workers-{workers}")
+            assert main(["run", "--scenario", request.param, "--profile",
+                         "desk", "--trials", "6", "--seed", "3", "--workers",
+                         str(workers), "--out", str(out)]) == 0
+            runs.append(out)
     return request.param, runs
 
 
@@ -1042,7 +1082,7 @@ class TestDeskWorkerCounts:
 
 
 class TestRenderAll:
-    def test_each_input_is_read_once(self, tiny_run, monkeypatch):
+    def test_each_input_is_read_once(self, tiny_run, tmp_path, monkeypatch):
         reads = {}
         real_open = open
 
@@ -1053,8 +1093,12 @@ class TestRenderAll:
             return real_open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr("builtins.open", counting_open)
-        cli.render_all(tiny_run)
+        data = cli.read_run(tiny_run)
+        # drawing reads nothing: it is handed every value it draws
+        cli.render_all(tmp_path, *data)
         monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            name for name in os.listdir(tiny_run) if name.endswith(".svg"))
         inputs = ["summary.json", "records.csv", "curves.csv", "chain_e.csv",
                   "chain_g.csv", "unperturbed_e.csv", "unperturbed_g.csv"]
         assert reads == {os.path.join(tiny_run, name): 1 for name in inputs}
@@ -1155,16 +1199,40 @@ class TestPlotCommand:
         assert f"{run / 'summary.json'}: not a file" in capsys.readouterr().err
         assert not [name for name in os.listdir(run) if name.endswith(".svg")]
 
-    @pytest.mark.parametrize("section, entry", [
-        ("families", {"g": 1}), ("families", []), ("unperturbed", {"g": 1})])
+    @pytest.mark.parametrize("keys, entry", [
+        (["families"], {"g": 1}), (["families"], []),
+        (["unperturbed"], {"g": 1}),
+        # each number a figure draws is checked before the first is drawn
+        (["unperturbed", "g", "A"], "1.0"),
+        (["unperturbed", "e", "mu"], None),
+        (["families", "e", "mean_epsilon"], "0.1"),
+        (["families", "g", "mean_epsilon"], True)])
     def test_wrongly_typed_summary_entry_exit_2(self, tiny_run, tmp_path,
-                                                capsys, section, entry):
+                                                capsys, keys, entry):
         run = shutil.copytree(tiny_run, tmp_path / "run",
                               ignore=shutil.ignore_patterns("*.svg"))
         summary = json.loads((run / "summary.json").read_text())
-        summary[section] = entry
+        section = summary
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = entry
         (run / "summary.json").write_text(json.dumps(summary))
         assert main(["plot", "--from", str(run)]) == 2
         assert f"{run / 'summary.json'}: wrongly typed entry" in \
             capsys.readouterr().err
         assert not [name for name in os.listdir(run) if name.endswith(".svg")]
+
+    def test_a_figure_is_drawn_before_its_file_is_opened(
+            self, tiny_run, tmp_path, monkeypatch):
+        # a fault in drawing is not a config error, and leaves no empty file
+        run = shutil.copytree(tiny_run, tmp_path / "run",
+                              ignore=shutil.ignore_patterns("*.svg"))
+
+        def broken(records):
+            raise TypeError("a fault in the scatter plot")
+
+        monkeypatch.setattr(cli, "render_scatter_svg", broken)
+        with pytest.raises(TypeError, match="a fault in the scatter plot"):
+            main(["plot", "--from", str(run)])
+        assert [name for name in os.listdir(run) if name.endswith(".svg")] \
+            == ["histogram.svg"]

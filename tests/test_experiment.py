@@ -323,6 +323,32 @@ class TestRunScenario:
         assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] \
             == [("morilab", "INFO", "trials 3/6"), ("morilab", "INFO", "trials 6/6")]
 
+    @pytest.mark.parametrize("n_trials, workers, cpus, blocks, pool", [
+        # the 2 families fill the pool: a family is split only into blocks
+        # of GROUP_ROWS trials or more, at most one per worker
+        (16, 2, 2, [16], 2), (200, 2, 2, [100, 100], 2),
+        (1000, 2, 2, [500, 500], 2), (3, 64, 2, [3], 2),
+        # more processes than families: one block per worker
+        (16, 8, 8, [2] * 8, 8)])
+    def test_block_sizes(
+            self, monkeypatch, n_trials, workers, cpus, blocks, pool):
+        # each block is recorded, not run
+        sizes = in_process_pool(monkeypatch)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: cpus)
+        seen = []
+
+        def record_block(args):
+            run, _, _, trials = args
+            seen.append((run.name, len(trials)))
+            return [(TrialRecord(t, run.name, 0, run.model_class.value),
+                     None, None) for t in trials]
+
+        monkeypatch.setattr(experiment, "_run_block", record_block)
+        run_scenario(ScenarioConfig(**{**FAST_DECAY, "n_trials": n_trials,
+                                       "workers": workers}))
+        assert seen == [(name, size) for name in ("g", "e") for size in blocks]
+        assert sizes == [pool]
+
     def test_pool_has_no_more_processes_than_jobs(self, monkeypatch):
         sizes = in_process_pool(monkeypatch)
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 8)
@@ -334,15 +360,16 @@ class TestRunScenario:
         assert records == run_scenario(serial)[0]
 
     def test_pool_has_no_more_processes_than_cpus(self, monkeypatch, caplog):
-        # 64 workers on 2 CPUs: one-trial blocks, as before, run by a pool
-        # of 2
+        # 64 workers on 2 CPUs: the 2 families fill the pool, so each is
+        # one block of 3, run by a pool of 2
         sizes = in_process_pool(monkeypatch)
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
         cfg = ScenarioConfig(**{**FAST_DECAY, "n_trials": 3, "workers": 64})
         with caplog.at_level(logging.INFO, logger="morilab"):
             records, _ = run_scenario(cfg)
         assert sizes == [2]
-        assert len(caplog.records) == 6     # 2 families x 3 one-trial blocks
+        assert [r.getMessage() for r in caplog.records] == \
+            ["trials 3/6", "trials 6/6"]
         serial = ScenarioConfig(**{**FAST_DECAY, "n_trials": 3})
         assert records == run_scenario(serial)[0]
 
@@ -391,11 +418,14 @@ class TestRunScenario:
     @given(base_seed=st.integers(0, 2**32 - 1))
     def test_seed_and_worker_count_invariance(self, base_seed):
         # blocks of 5, 3 and 2 trials group the chains differently, and a
-        # longer run only adds trials: no record depends on either
+        # longer run only adds trials: no record depends on either;
+        # GROUP_ROWS 1 lets a family be split into one block per worker
         tiny = dict(FAST_DECAY, d=120, dt=0.1, t_max=8.0, base_seed=base_seed)
-        runs = [run_scenario(ScenarioConfig(**{**tiny, "workers": w,
-                                               "n_trials": 5}))[0]
-                for w in (1, 2, 3)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "GROUP_ROWS", 1)
+            runs = [run_scenario(ScenarioConfig(**{**tiny, "workers": w,
+                                                   "n_trials": 5}))[0]
+                    for w in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
         assert all(r.valid for r in runs[0])
         longer, _ = run_scenario(ScenarioConfig(**{**tiny, "n_trials": 7}))

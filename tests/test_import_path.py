@@ -65,6 +65,7 @@ def test_every_command_runs_without_scipy(tmp_path):
     printed = run_python(
         NO_SCIPY
         + "from morilab.cli import main\n"
+        "hashlib_at_import = '_hashlib' in sys.modules\n"
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "from morilab.chain import (LanczosChain, dense_correlation,\n"
@@ -74,9 +75,12 @@ def test_every_command_runs_without_scipy(tmp_path):
         "    propagate(chain, dt=0.05, t_max=2.0, method=method)\n"
         "dense_correlation(chain, [0.0, 1.0])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-        "print('numpy.ma' in sys.modules)\n")
-    # numpy.ma costs about 10 ms and 0.5 MB to import, and no command needs it
-    assert printed.splitlines()[-2:] == ["[]", "False"]
+        "print('numpy.ma' in sys.modules)\n"
+        "print(hashlib_at_import)\n")
+    # numpy.ma costs about 10 ms and 0.5 MB to import, and no command needs
+    # it; hashlib maps OpenSSL, which only the manifest's digests need, so
+    # that it stays out of every forked worker
+    assert printed.splitlines()[-3:] == ["[]", "False", "False"]
 
 
 def test_trace_harness_binds_every_name():
@@ -102,6 +106,28 @@ def test_trace_harness_binds_every_name():
     assert {"fitting.least_squares", "cli.render_all", "fitting.fit",
             "chain.propagate"} <= set(bound)
     assert set(bound.values()) == {"True"}
+
+
+def test_trace_harness_output_feeds_the_layer_metrics(tmp_path):
+    # benchmarks/run.py --trace 1 turns the spans of one traced run into
+    # its per-layer metrics; a run that never calls `chain.propagate`
+    # breaks them (the useful ratio divides by its call count)
+    spans = tmp_path / "spans.json"
+    argv = ["run", "--scenario", "decay", "--d", "400", "--trials", "2",
+            "--dt", "0.05", "--tmax", "12", "--nstar", "10", "--seed", "7",
+            "--workers", "1", "--out", str(tmp_path / "run")]
+    calls = run_python(
+        "import json, subprocess, sys, time\n"
+        "start = time.perf_counter()\n"
+        "subprocess.run([sys.executable, 'benchmarks/trace_run.py',\n"
+        f"                {str(spans)!r}, *{argv!r}], check=True)\n"
+        "wall = time.perf_counter() - start\n"
+        "sys.path.insert(0, 'benchmarks')\n"
+        "import run\n"
+        f"with open({str(spans)!r}) as fh:\n"
+        "    metrics = run.layer_metrics(json.load(fh), wall, 2)\n"
+        "print(metrics['chain.propagate.calls'][0])")
+    assert int(calls.split()[-1]) >= 1
 
 
 def test_trace_measures_the_search_evaluations():
