@@ -20,6 +20,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, fields as dataclass_fields
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -406,11 +407,20 @@ def _summary_fit(info: dict) -> tuple:
     return kind, params
 
 
-def read_run(out_dir) -> tuple:
+class RunData(NamedTuple):
+    """What `render_all` draws, by its parameter names."""
+    summary: dict
+    records: list[TrialRecord]
+    chains: dict[str, LanczosChain]
+    baselines: dict[str, CorrelationSeries]
+    exemplars: dict[str, dict]
+
+
+def read_run(out_dir) -> RunData:
     """What `render_all` draws, read back from the run directory out_dir,
-    each input once, in its argument order: the summary.json document, the
-    records, and the chain, the unperturbed C(t) and the exemplar curves of
-    each family the summary names."""
+    each input once: the summary.json document, the records, and the
+    chain, the unperturbed C(t) and the exemplar curves of each family the
+    summary names."""
     path = lambda name: os.path.join(out_dir, name)
     if os.path.exists(path("summary.json")) \
             and not os.path.isfile(path("summary.json")):
@@ -425,15 +435,17 @@ def read_run(out_dir) -> tuple:
                                        [str, int, finite, finite, finite]):
         curves.setdefault(fam, {}).setdefault(trial, array("d")).extend(cells)
     records = records_from_csv(path("records.csv"))
-    with _summary_entries(out_dir):
-        fams = sorted(summary["unperturbed"])
-    return (summary, records,
-            {f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fams},
-            {f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
-             for f in fams},
-            {f: {trial: np.frombuffer(cells).reshape(-1, 3).T
-                 for trial, cells in trials.items()}
-             for f, trials in curves.items()})
+    # render_all refuses an "unperturbed" entry that is missing or no object
+    unperturbed = summary.get("unperturbed")
+    fams = sorted(unperturbed) if isinstance(unperturbed, dict) else []
+    return RunData(
+        summary, records,
+        {f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fams},
+        {f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
+         for f in fams},
+        {f: {trial: np.frombuffer(cells).reshape(-1, 3).T
+             for trial, cells in trials.items()}
+         for f, trials in curves.items()})
 
 
 def render_all(out_dir, summary: dict, records: list[TrialRecord],
@@ -454,7 +466,7 @@ def render_all(out_dir, summary: dict, records: list[TrialRecord],
     drawn whole before its file is opened.
     """
     with _summary_entries(out_dir):
-        fams = sorted(summary["unperturbed"])
+        fams = sorted(summary["unperturbed"].keys())    # refuses a list
         hists: dict[str, list] = {}
         for lo, hi, fam, count in histogram_rows(
                 records, summary["config"]["bin_width"]):
@@ -593,7 +605,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    made = render_all(args.src, *read_run(args.src))
+    made = render_all(args.src, **read_run(args.src)._asdict())
     print(f"re-rendered {', '.join(made)} in {args.src}")
     return 0
 

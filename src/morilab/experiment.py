@@ -341,7 +341,9 @@ def run_scenario(config: ScenarioConfig) -> tuple[list[TrialRecord],
     min(workers, usable_cpus())), parts = min(workers, n_trials //
     GROUP_ROWS), at least one: every block pays again for the step loops
     and Bessel sums of its moment recursions, so a family is split only
-    into blocks that each fill a recursion of GROUP_ROWS chains.
+    into blocks that each fill a recursion of GROUP_ROWS chains, but into
+    as many as the workers allow: a smaller block keeps less of the run in
+    one process at once.
     Otherwise parts = workers, so that no process waits for a job.  The
     summary also carries each family's baseline (`runs`) and the C(t) of
     its exemplary trials (`exemplars`); every other trial's series is

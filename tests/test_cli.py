@@ -1095,7 +1095,7 @@ class TestRenderAll:
         monkeypatch.setattr("builtins.open", counting_open)
         data = cli.read_run(tiny_run)
         # drawing reads nothing: it is handed every value it draws
-        cli.render_all(tmp_path, *data)
+        cli.render_all(tmp_path, **data._asdict())
         monkeypatch.undo()
         assert sorted(os.listdir(tmp_path)) == sorted(
             name for name in os.listdir(tiny_run) if name.endswith(".svg"))

@@ -311,6 +311,22 @@ def in_process_pool(monkeypatch) -> list[int]:
     return sizes
 
 
+def record_blocks(monkeypatch) -> list[tuple[str, int]]:
+    """Replace the running of a block by its recording; the list returned
+    receives each block's (family, trial count), and each trial is given
+    an empty record."""
+    seen = []
+
+    def record_block(args):
+        run, _, _, trials = args
+        seen.append((run.name, len(trials)))
+        return [(TrialRecord(t, run.name, 0, run.model_class.value),
+                 None, None) for t in trials]
+
+    monkeypatch.setattr(experiment, "_run_block", record_block)
+    return seen
+
+
 class TestRunScenario:
     def test_each_finished_block_is_logged(self, caplog):
         cfg = ScenarioConfig(**{**FAST_DECAY, "n_trials": 3})
@@ -332,18 +348,9 @@ class TestRunScenario:
         (16, 8, 8, [2] * 8, 8)])
     def test_block_sizes(
             self, monkeypatch, n_trials, workers, cpus, blocks, pool):
-        # each block is recorded, not run
         sizes = in_process_pool(monkeypatch)
         monkeypatch.setattr(experiment, "usable_cpus", lambda: cpus)
-        seen = []
-
-        def record_block(args):
-            run, _, _, trials = args
-            seen.append((run.name, len(trials)))
-            return [(TrialRecord(t, run.name, 0, run.model_class.value),
-                     None, None) for t in trials]
-
-        monkeypatch.setattr(experiment, "_run_block", record_block)
+        seen = record_blocks(monkeypatch)
         run_scenario(ScenarioConfig(**{**FAST_DECAY, "n_trials": n_trials,
                                        "workers": workers}))
         assert seen == [(name, size) for name in ("g", "e") for size in blocks]
@@ -360,18 +367,20 @@ class TestRunScenario:
         assert records == run_scenario(serial)[0]
 
     def test_pool_has_no_more_processes_than_cpus(self, monkeypatch, caplog):
-        # 64 workers on 2 CPUs: the 2 families fill the pool, so each is
-        # one block of 3, run by a pool of 2
+        # 64 workers on 2 CPUs: each family is split into 200 // GROUP_ROWS
+        # = 6 blocks (5 of 34 trials, 1 of 30), so the 12 jobs and the 64
+        # workers both exceed the CPUs, and only they cap the pool at 2
         sizes = in_process_pool(monkeypatch)
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
-        cfg = ScenarioConfig(**{**FAST_DECAY, "n_trials": 3, "workers": 64})
+        seen = record_blocks(monkeypatch)
+        cfg = ScenarioConfig(**{**FAST_DECAY, "n_trials": 200, "workers": 64})
         with caplog.at_level(logging.INFO, logger="morilab"):
-            records, _ = run_scenario(cfg)
+            run_scenario(cfg)
+        assert len(seen) == 12
         assert sizes == [2]
         assert [r.getMessage() for r in caplog.records] == \
-            ["trials 3/6", "trials 6/6"]
-        serial = ScenarioConfig(**{**FAST_DECAY, "n_trials": 3})
-        assert records == run_scenario(serial)[0]
+            [f"trials {n}/400" for n in (34, 68, 102, 136, 170, 200,
+                                         234, 268, 302, 336, 370, 400)]
 
     def test_zero_strength_degeneracy(self):
         cfg = ScenarioConfig(**{**FAST_DECAY, "strength": 0.0, "n_trials": 3})
