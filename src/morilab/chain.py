@@ -199,8 +199,6 @@ def _spectral_bound(b: np.ndarray) -> float:
     """Gershgorin bound on the spectral radius of the generator."""
     if b.size == 0:
         return 0.0
-    if b.size == 1:
-        return float(b[0])
     rows = np.concatenate(([b[0]], b[:-1] + b[1:], [b[-1]]))
     return float(rows.max())
 
@@ -634,14 +632,10 @@ def propagate(
             raise series
         return series
 
-    d = chain.d
     n_steps = _step_count(dt, t_max)
-    if d == 1:
-        return CorrelationSeries(dt, np.ones(n_steps + 1))
-
     values = np.empty(n_steps + 1)
     values[0] = 1.0
-    phi = np.zeros(d)
+    phi = np.zeros(chain.d)
     phi[0] = 1.0
     lam_max = _spectral_bound(chain.b) * (1.0 + 1e-7)
     drift_max = 0.0

@@ -2,8 +2,8 @@
 
 `run` composes the others into a full scenario and emits CSV + SVG + a
 manifest with file digests, drawing the SVGs from the values it holds;
-`plot` reads the run's summary.json and CSVs back and redraws the SVGs,
-byte-identically for a given tool version.
+`plot` reads the run's summary.json and CSVs back, checks them, and
+redraws the SVGs, byte-identically for a given tool version.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import re
 import sys
 import time
 from array import array
-from contextlib import contextmanager
 from dataclasses import asdict, fields as dataclass_fields
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -136,8 +134,8 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# figures, drawn from a run's values: `run` passes what it holds, `plot`
-# what `read_run` read back from a run directory
+# figures, drawn from plain values: `run` passes what it holds, `plot`
+# what `read_run` read back from a run directory and checked
 # ---------------------------------------------------------------------------
 
 def render_histogram_svg(families: dict) -> str:
@@ -324,14 +322,15 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
                "curves.csv"]
 
     records_to_csv(records, path("records.csv"))
+    hist_rows = histogram_rows(records, config.bin_width)
     write_csv(path("histogram.csv"),
-              ["bin_left", "bin_right", "family", "count"],
-              histogram_rows(records, config.bin_width))
+              ["bin_left", "bin_right", "family", "count"], hist_rows)
     write_csv(path("scatter.csv"), ["family", "sigma", "epsilon"],
               ((r.family, r.sigma, r.epsilon) for r in records))
 
+    runs = dict(sorted(summary.runs.items()))   # the order `plot` reads
     unperturbed = {}
-    for name, run in summary.runs.items():
+    for name, run in runs.items():
         run.chain.to_csv(path(f"chain_{name}.csv"))
         run.baseline.to_csv(path(f"unperturbed_{name}.csv"))
         emitted += [f"chain_{name}.csv", f"unperturbed_{name}.csv"]
@@ -353,9 +352,11 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
                  for name, pairs in summary.exemplars.items() if pairs}
     write_csv(path("curves.csv"), CURVES_HEADER, _curves_rows(exemplars))
     emitted += render_all(
-        out_dir, doc, records,
-        {name: run.chain for name, run in summary.runs.items()},
-        {name: run.baseline for name, run in summary.runs.items()},
+        out_dir, _histograms(hist_rows, {name: fam.mean_epsilon for name, fam
+                                         in sorted(summary.families.items())}),
+        records, {f: run.chain for f, run in runs.items()},
+        {f: run.baseline for f, run in runs.items()},
+        {f: _baseline_fit(entry) for f, entry in unperturbed.items()},
         exemplars)
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -376,20 +377,6 @@ def emit_run_outputs(config: ScenarioConfig, records, summary, out_dir,
     return manifest
 
 
-@contextmanager
-def _summary_entries(out_dir):
-    """Refuses, as a ConfigError, a lookup in the summary.json document of
-    out_dir that misses a key or meets an entry of the wrong type."""
-    summary_json = os.path.join(out_dir, "summary.json")
-    try:
-        yield
-    except KeyError as err:     # every lookup that can miss is keyed by summary
-        raise ConfigError(f"{summary_json}: no key {err}") from err
-    except (TypeError, AttributeError) as err:  # e.g. a number for a family
-        raise ConfigError(f"{summary_json}: wrongly typed entry ({err})") \
-            from err
-
-
 def _number(value):
     """A number that summary.json holds for a figure, or a TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -397,30 +384,28 @@ def _number(value):
     return value
 
 
-def _summary_fit(info: dict) -> tuple:
-    """A baseline fit that summary.json holds: its model class, and its
-    (A, mu, omega, phi), of which the class draws the first n_params."""
-    kind = ModelClass(info["model"])
-    params = tuple(info[k] for k in ("A", "mu", "omega", "phi"))
-    for value in params[:kind.n_params]:
-        _number(value)
-    return kind, params
+def _baseline_fit(info: dict) -> tuple:
+    """An `unperturbed` entry's fit: its model class, and its (A, mu, omega,
+    phi), of which the class draws the first n_params."""
+    return (ModelClass(info["model"]),
+            tuple(info[k] for k in ("A", "mu", "omega", "phi")))
 
 
-class RunData(NamedTuple):
-    """What `render_all` draws, by its parameter names."""
-    summary: dict
-    records: list[TrialRecord]
-    chains: dict[str, LanczosChain]
-    baselines: dict[str, CorrelationSeries]
-    exemplars: dict[str, dict]
+def _histograms(rows, means: dict) -> dict:
+    """{family: (bins, mean epsilon)} for each family of `means`, in its
+    order: the (left, right, count) bins of histogram_rows' rows."""
+    bins: dict[str, list] = {}
+    for lo, hi, fam, count in rows:
+        bins.setdefault(fam, []).append((lo, hi, count))
+    return {fam: (bins[fam], mean) for fam, mean in means.items()}
 
 
-def read_run(out_dir) -> RunData:
-    """What `render_all` draws, read back from the run directory out_dir,
-    each input once: the summary.json document, the records, and the
-    chain, the unperturbed C(t) and the exemplar curves of each family the
-    summary names."""
+def read_run(out_dir) -> dict:
+    """`render_all`'s keyword arguments, read back from the run directory
+    out_dir, each input once, for the families summary.json's `unperturbed`
+    names.  The one check of a run directory: a summary.json that misses a
+    key or holds a wrongly typed entry, and a family in records.csv or
+    curves.csv that it does not name, are refused as a ConfigError."""
     path = lambda name: os.path.join(out_dir, name)
     if os.path.exists(path("summary.json")) \
             and not os.path.isfile(path("summary.json")):
@@ -435,55 +420,59 @@ def read_run(out_dir) -> RunData:
                                        [str, int, finite, finite, finite]):
         curves.setdefault(fam, {}).setdefault(trial, array("d")).extend(cells)
     records = records_from_csv(path("records.csv"))
-    # render_all refuses an "unperturbed" entry that is missing or no object
-    unperturbed = summary.get("unperturbed")
-    fams = sorted(unperturbed) if isinstance(unperturbed, dict) else []
-    return RunData(
-        summary, records,
-        {f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fams},
-        {f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
-         for f in fams},
-        {f: {trial: np.frombuffer(cells).reshape(-1, 3).T
-             for trial, cells in trials.items()}
-         for f, trials in curves.items()})
+    try:
+        fits = {f: _baseline_fit(info)                  # refuses a list
+                for f, info in sorted(summary["unperturbed"].items())}
+        for kind, params in fits.values():
+            for value in params[:kind.n_params]:
+                _number(value)
+        histograms = _histograms(
+            histogram_rows(records, summary["config"]["bin_width"]),
+            {f: _number(info["mean_epsilon"])
+             for f, info in sorted(summary["families"].items())})
+    except KeyError as err:
+        raise ConfigError(f"{path('summary.json')}: no key {err}") from err
+    except (TypeError, AttributeError) as err:  # e.g. a number for a family
+        raise ConfigError(f"{path('summary.json')}: wrongly typed entry "
+                          f"({err})") from err
+    for name, named in (("records.csv", [r.family for r in records]),
+                        ("curves.csv", curves)):
+        for fam in named:
+            if fam not in fits:
+                raise ConfigError(f"{path(name)}: family {fam!r} is not "
+                                  "named in summary.json")
+    return dict(
+        histograms=histograms, records=records, fits=fits,
+        chains={f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fits},
+        baselines={f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
+                   for f in fits},
+        exemplars={f: {trial: np.frombuffer(cells).reshape(-1, 3).T
+                       for trial, cells in trials.items()}
+                   for f, trials in curves.items()})
 
 
-def render_all(out_dir, summary: dict, records: list[TrialRecord],
+def render_all(out_dir, histograms: dict, records: list[TrialRecord],
                chains: dict[str, LanczosChain],
-               baselines: dict[str, CorrelationSeries],
+               baselines: dict[str, CorrelationSeries], fits: dict,
                exemplars: dict[str, dict]) -> list[str]:
-    """Draw a run's SVGs into out_dir, for the families its summary names;
-    returns their names.
+    """Draw a run's SVGs into out_dir from the values it is handed, and
+    check none of them; returns their names.
 
-    `summary` is the document summary.json holds; the histograms are
-    counted from `records` at its config's bin_width.  `chains` and
-    `baselines` hold each family's chain and unperturbed C(t), and
-    `exemplars` each family's exemplary trials, by trial, as the (t, C,
-    fit) rows of one array.  Every value a figure draws is looked up, and
-    each number the summary gives it checked to be one, before the first
-    is drawn: a summary that lacks one or holds a wrongly typed one is
-    refused (a ConfigError) and leaves no figure behind.  Each figure is
-    drawn whole before its file is opened.
+    `histograms` holds each family's (left, right, count) bins and mean
+    epsilon; `chains`, `baselines` and `fits` each family's chain, its
+    unperturbed C(t) and that C(t)'s fit, as (model class, (A, mu, omega,
+    phi)); `exemplars` each family's exemplary trials, by trial, as the
+    (t, C, fit) rows of one array.  Each figure is drawn whole before its
+    file is opened.
     """
-    with _summary_entries(out_dir):
-        fams = sorted(summary["unperturbed"].keys())    # refuses a list
-        hists: dict[str, list] = {}
-        for lo, hi, fam, count in histogram_rows(
-                records, summary["config"]["bin_width"]):
-            hists.setdefault(fam, []).append((lo, hi, count))
-        figures = {
-            "histogram.svg": (render_histogram_svg, {
-                f: (hists[f], _number(info["mean_epsilon"]))
-                for f, info in sorted(summary["families"].items())}),
-            "scatter.svg": (render_scatter_svg, records),
-            "chains.svg": (render_chains_svg, {f: chains[f] for f in fams}),
-            "unperturbed.svg": (render_unperturbed_svg, {
-                f: baselines[f] for f in fams}, {
-                f: _summary_fit(info)
-                for f, info in summary["unperturbed"].items()}),
-            **{f"exemplar_{f}.svg": (render_curves_svg, trials, f)
-               for f, trials in exemplars.items()},
-        }
+    figures = {
+        "histogram.svg": (render_histogram_svg, histograms),
+        "scatter.svg": (render_scatter_svg, records),
+        "chains.svg": (render_chains_svg, chains),
+        "unperturbed.svg": (render_unperturbed_svg, baselines, fits),
+        **{f"exemplar_{f}.svg": (render_curves_svg, trials, f)
+           for f, trials in exemplars.items()},
+    }
     for name, (render, *data) in figures.items():
         svg = render(*data)
         with open(os.path.join(out_dir, name), "w") as fh:
@@ -605,7 +594,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    made = render_all(args.src, **read_run(args.src)._asdict())
+    made = render_all(args.src, **read_run(args.src))
     print(f"re-rendered {', '.join(made)} in {args.src}")
     return 0
 
@@ -704,8 +693,7 @@ def main(argv=None) -> int:
     except (PropagationError, QuadratureError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, FileNotFoundError, NotADirectoryError,
-            ValueError) as err:
+    except (ConfigError, OSError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, RuntimeError) as err:

@@ -107,9 +107,12 @@ class TestSpectralWidthSum:
 
 
 class TestPropagate:
-    def test_trivial_single_site(self):
-        series = propagate(LanczosChain(np.array([])), dt=0.1, t_max=5.0)
+    @pytest.mark.parametrize("method", ["chebyshev", "rk4", "moments"])
+    def test_trivial_single_site(self, method):
+        series = propagate(LanczosChain(np.array([])), dt=0.1, t_max=5.0,
+                           method=method)
         assert np.array_equal(series.values, np.ones(51))
+        assert series.norm_drift_max == 0.0
 
     @pytest.mark.parametrize("method", ["chebyshev", "rk4", "moments"])
     def test_two_site_cosine(self, method):

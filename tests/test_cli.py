@@ -213,6 +213,27 @@ class TestSubcommands:
         assert sorted(os.listdir(tmp_path)) == ["adir", "meta.meta.json"]
         assert os.listdir(tmp_path / "adir") == []
 
+    @pytest.mark.parametrize("argv", [
+        ["design", "--family", "g", "--d", "300", "--out", "{dir}"],
+        ["propagate", "--chain", "{chain}", "--tmax", "1", "--out", "{dir}"],
+        ["propagate", "--chain", "{dir}", "--tmax", "1", "--out", "{out}"],
+        ["perturb", "--chain", "{chain}", "--lambda", "0.5", "--seed", "1",
+         "--out", "{dir}"],
+        ["fit", "--series", "{dir}", "--model", "exp", "--out", "{out}"],
+        ["reverse", "--series", "{dir}", "--out", "{out}"],
+        ["run", "--config", "{dir}", "--out", "{out}"]],
+        ids=lambda argv: f"{argv[0]} {argv[argv.index('{dir}') - 1]}")
+    def test_path_that_is_a_directory_exit_2(self, tmp_path, capsys, argv):
+        paths = {"dir": tmp_path / "adir", "chain": tmp_path / "chain.csv",
+                 "out": tmp_path / "out"}
+        paths["dir"].mkdir()
+        LanczosChain(np.ones(5)).to_csv(paths["chain"])
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert f"config error: [Errno 21] Is a directory: '{paths['dir']}'" \
+            in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["adir", "chain.csv"]
+        assert os.listdir(paths["dir"]) == []
+
     def test_reverse_output_feeds_propagate(self, tmp_path):
         coeffs, series = tmp_path / "b.csv", tmp_path / "C.csv"
         assert main(["reverse", "--target", "exp(-t^2/8)*cos(2t)",
@@ -462,6 +483,12 @@ class TestOnePass:
             [1, 1, TINY_TRIALS, TINY_TRIALS]
         # each trial is drawn once
         assert len(draws) == 2 * TINY_TRIALS
+
+    def test_histogram_counted_once(self, monkeypatch, tmp_path):
+        # histogram.csv and histogram.svg are drawn from the same rows
+        counts = count_calls(monkeypatch, cli.histogram_rows)
+        assert main(TINY_RUN + ["--out", str(tmp_path)]) == 0
+        assert len(counts) == 1
 
     def test_run_parses_back_nothing_it_wrote(self, monkeypatch, tmp_path):
         # the figures are drawn from the values the run holds: every reader
@@ -1095,7 +1122,7 @@ class TestRenderAll:
         monkeypatch.setattr("builtins.open", counting_open)
         data = cli.read_run(tiny_run)
         # drawing reads nothing: it is handed every value it draws
-        cli.render_all(tmp_path, **data._asdict())
+        cli.render_all(tmp_path, **data)
         monkeypatch.undo()
         assert sorted(os.listdir(tmp_path)) == sorted(
             name for name in os.listdir(tiny_run) if name.endswith(".svg"))
@@ -1171,6 +1198,27 @@ class TestPlotCommand:
         (run / "summary.json").write_text(json.dumps(summary))
         assert main(["plot", "--from", str(run)]) == 2
         assert f"{run / 'summary.json'}: no key 'zz'" in capsys.readouterr().err
+        assert not [name for name in os.listdir(run) if name.endswith(".svg")]
+
+    @pytest.mark.parametrize("edited", ["curves.csv", "records.csv"])
+    def test_family_summary_does_not_name_exit_2(self, tiny_run, tmp_path,
+                                                 capsys, edited):
+        # a family drawn from a CSV alone would be missing from the other
+        # figures: g's curves renamed, or a record added
+        run = shutil.copytree(tiny_run, tmp_path / "run",
+                              ignore=shutil.ignore_patterns("*.svg"))
+        lines = (run / edited).read_text().splitlines(keepends=True)
+        if edited == "curves.csv":
+            lines = [line.replace("g,", "zz,", 1) if line.startswith("g,")
+                     else line for line in lines]
+        else:
+            cells = lines[-1].split(",")
+            cells[lines[0].split(",").index("family")] = "zz"
+            lines.append(",".join(cells))
+        (run / edited).write_text("".join(lines))
+        assert main(["plot", "--from", str(run)]) == 2
+        assert f"{run / edited}: family 'zz' is not named in summary.json" in \
+            capsys.readouterr().err
         assert not [name for name in os.listdir(run) if name.endswith(".svg")]
 
     @pytest.mark.parametrize("bin_width, message", [
