@@ -473,10 +473,10 @@ def _rk4_substep_count(dt: float, t_max: float, lam_max: float, tol: float) -> i
 
 def _step_count(dt: float, t_max: float) -> int:
     """The last index of the output grid t_n = n*dt: round(t_max/dt)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not 0 <= t_max < math.inf:
+        raise ValueError("t_max must be nonnegative and finite")
     return int(round(t_max / dt))
 
 

@@ -55,14 +55,14 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# analytic target grammar: products of exp(a t), exp(a t^2), cos(b t)
+# analytic target grammar: products of exp(a t^2) and one cos(b t)
 # ---------------------------------------------------------------------------
 
-# one factor: exp(a t) or exp(a t^2), either over a divisor, or cos(b t); an
-# omitted coefficient a or b is 1 and keeps its sign
+# one factor: exp(a t^2), optionally over a divisor, or cos(b t); an omitted
+# coefficient a or b is 1 and keeps its sign
 _FACTOR = re.compile(
     r"(?:(?P<exp>exp)|cos)\((?P<sign>[+-]?)(?P<num>\d+\.?\d*|\.\d+)?\*?t"
-    r"(?(exp)(?P<sq>\^2)?(?:/(?P<den>\d+\.?\d*))?)\)")
+    r"(?(exp)\^2(?:/(?P<den>\d+\.?\d*))?)\)")
 
 
 def parse_target(expr: str) -> AnalyticCorrelation:
@@ -73,9 +73,9 @@ def parse_target(expr: str) -> AnalyticCorrelation:
     factors = list(_FACTOR.finditer(cleaned))
     if not factors or "*".join(m[0] for m in factors) != cleaned:
         raise ConfigError(f"cannot parse target {expr!r}; grammar: factors "
-                          "exp(a t), exp(a t^2), either over /n, and cos(b t), "
+                          "exp(a t^2), optionally over /n, and one cos(b t), "
                           "joined by single *s")
-    gauss = exp_r = 0.0
+    gauss = 0.0
     cos_f = None
     for m in factors:
         den = float(m["den"] or 1)
@@ -86,13 +86,10 @@ def parse_target(expr: str) -> AnalyticCorrelation:
             if cos_f is not None:
                 raise ConfigError("at most one cosine factor is supported")
             cos_f = abs(rate)
-        elif m["sq"]:
-            gauss += rate
         else:
-            exp_r += rate
+            gauss += rate
     try:
-        return AnalyticCorrelation(gauss_rate=gauss, exp_rate=exp_r,
-                                   cos_freq=cos_f or 0.0)
+        return AnalyticCorrelation(gauss_rate=gauss, cos_freq=cos_f or 0.0)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -108,8 +105,6 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
     """Structured JSON config (or a manifest) merged with flag overrides."""
     data: dict = {}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
         with open(path) as fh:
             try:
                 data = json.load(fh)
@@ -507,9 +502,8 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_reverse(args) -> int:
-    target = (parse_target(args.target) if args.target is not None
-              else CorrelationSeries.from_csv(args.series))
-    density = fourier_of_correlation(target, n_max=args.nmax)
+    density = fourier_of_correlation(parse_target(args.target),
+                                     n_max=args.nmax)
     result = lanczos_from_spectrum(density, args.nmax)
     # a continuation the coefficients do not allow, and an output that is a
     # directory or whose directory is missing, are refused before any write
@@ -532,8 +526,7 @@ def _cmd_reverse(args) -> int:
         "quadrature": {"n_points": int(omega.size),
                        "omega_max": float(omega[-1]),
                        "density": float((omega.size - 1)
-                                        / (omega[-1] - omega[0])),
-                       "source": density.source}})
+                                        / (omega[-1] - omega[0]))}})
     print(f"wrote {args.out} ({result.achieved}/{args.nmax} coefficients; "
           f"{result.stop_reason})")
     if cont is not None:
@@ -628,9 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("reverse", help="correlation target -> coefficients")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--target", help="e.g. \"exp(-t^2/8)*cos(2t)\"")
-    src.add_argument("--series", help="sampled C(t) CSV")
+    p.add_argument("--target", required=True,
+                   help="e.g. \"exp(-t^2/8)*cos(2t)\"")
     p.add_argument("--nmax", type=int, default=50)
     p.add_argument("--out", required=True)
     p.add_argument("--continue-to", type=int, default=None, dest="continue_to")

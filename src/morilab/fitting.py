@@ -197,8 +197,8 @@ def detect_equilibration(series: CorrelationSeries,
         raise ValueError("empty series")
     if not 0 < threshold < 1:
         raise ValueError("equilibration threshold must lie in (0, 1)")
-    if window < 0:
-        raise ValueError("equilibration window must be nonnegative")
+    if not 0 <= window < math.inf:
+        raise ValueError("equilibration window must be nonnegative and finite")
     below = np.abs(c) < threshold
     ws = int(round(window / series.dt))
     if c.size > ws:

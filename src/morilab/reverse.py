@@ -1,19 +1,19 @@
 """Recovering chain coefficients from a target correlation function.
 
-The route is spectral: Fourier-transform C(t), seed the three-term
-recursion with the normalized square root of the density, and apply the
-frequency-multiplication operator.  The recursion coefficients are the
-chain's hopping amplitudes.
+The route is spectral: the target C(t), a Gaussian envelope times at most
+one cosine, has a closed-form density on the frequency axis; seed the
+three-term recursion with the normalized square root of that density and
+apply the frequency-multiplication operator.  The recursion coefficients
+are the chain's hopping amplitudes.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .chain import CorrelationSeries
 
 __all__ = [
     "AnalyticCorrelation",
@@ -37,68 +37,30 @@ class QuadratureError(ValueError):
 
 @dataclass(frozen=True)
 class AnalyticCorrelation:
-    """C(t) = exp(gauss_rate*t^2) * exp(exp_rate*|t|) * cos(cos_freq*t).
+    """C(t) = exp(gauss_rate*t^2) * cos(cos_freq*t), with gauss_rate < 0.
 
-    Rates are signed; decaying targets use negative rates.  The transform is
-    closed-form unless both damping factors are present, in which case the
-    sampled cosine transform is used.
+    Such a C(t) is smooth at t = 0, so every moment of its density is
+    finite; a kinked factor such as exp(-r|t|) would leave b_1 infinite.
     """
 
-    gauss_rate: float = 0.0
-    exp_rate: float = 0.0
+    gauss_rate: float
     cos_freq: float = 0.0
 
     def __post_init__(self):
-        if self.gauss_rate > 0 or self.exp_rate > 0:
-            raise ValueError("growth rates correspond to a non-decaying C(t)")
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        c = np.ones_like(t)
-        if self.gauss_rate:
-            c = c * np.exp(self.gauss_rate * t**2)
-        if self.exp_rate:
-            c = c * np.exp(self.exp_rate * np.abs(t))
-        if self.cos_freq:
-            c = c * np.cos(self.cos_freq * t)
-        return c
-
-    @property
-    def has_closed_form(self) -> bool:
-        return not (self.gauss_rate and self.exp_rate)
-
-    @property
-    def decaying(self) -> bool:
-        return bool(self.gauss_rate or self.exp_rate)
-
-    def rms_width(self) -> float:
-        """RMS frequency width of the induced density (for window sizing)."""
-        if self.gauss_rate:
-            var = -2.0 * self.gauss_rate  # transform of e^{-p t^2} has var 2p
-        elif self.exp_rate:
-            var = 2.0 * self.exp_rate**2  # Lorentzian proxy: use 2r^2 scale
-        else:
-            var = 1.0
-        return float(np.sqrt(var + self.cos_freq**2))
+        if not (math.isfinite(self.gauss_rate)
+                and math.isfinite(self.cos_freq)):
+            raise ValueError("gauss_rate and cos_freq must be finite")
+        if not self.gauss_rate < 0:
+            raise ValueError(f"gauss_rate {self.gauss_rate:g} is not negative: "
+                             "C(t) is non-decaying and its density singular")
 
     def spectral_values(self, omega: np.ndarray) -> np.ndarray:
-        """Closed-form transform on a grid (pure Gaussian / pure exponential)."""
+        """Closed-form transform on a grid: the Gaussian's transform, split
+        into halves centred at -cos_freq and +cos_freq."""
         omega = np.asarray(omega, dtype=float)
-        if not self.decaying:
-            raise ValueError("constant or pure-cosine C(t) has a singular density")
-        if not self.has_closed_form:
-            raise ValueError("mixed damping has no closed form; sample C(t) instead")
-
-        def base(w):
-            if self.gauss_rate:
-                p = -self.gauss_rate
-                return np.sqrt(np.pi / p) * np.exp(-w**2 / (4 * p))
-            r = -self.exp_rate
-            return 2 * r / (w**2 + r**2)
-
-        if self.cos_freq:
-            return 0.5 * (base(omega - self.cos_freq) + base(omega + self.cos_freq))
-        return base(omega)
+        p = -self.gauss_rate
+        base = lambda w: np.sqrt(np.pi / p) * np.exp(-w**2 / (4 * p))
+        return 0.5 * (base(omega - self.cos_freq) + base(omega + self.cos_freq))
 
 
 @dataclass
@@ -107,7 +69,6 @@ class SpectralDensityInput:
 
     omega: np.ndarray
     values: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
@@ -135,64 +96,26 @@ def spectral_grid_for(corr: AnalyticCorrelation, n_max: int) -> np.ndarray:
 
     The window is the support rule (density below 1e-16 of its maximum)
     widened by the reach of the n-th basis function, ~ sqrt(2n) times the
-    measure's RMS width; without the widening the recursion error is
+    measure's RMS width sigma; without the widening the recursion error is
     quadrature-dominated well before n_max.
     """
-    sigma = corr.rms_width()
-    if corr.gauss_rate:
-        p = -corr.gauss_rate
-        half = np.sqrt(np.log(1.0 / SUPPORT_CUT) * 4 * p) / (2 * p)
-    else:
-        r = -corr.exp_rate
-        half = r / np.sqrt(SUPPORT_CUT)  # Lorentzian tail 2r/w^2
-        half = min(half, 2000.0 * max(sigma, 1.0))
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    # the transform of e^{-p t^2} has variance 2p; the cosine adds cos_freq^2
+    p = -corr.gauss_rate
+    sigma = np.sqrt(2.0 * p + corr.cos_freq**2)
+    half = np.sqrt(np.log(1.0 / SUPPORT_CUT) * 4 * p) / (2 * p)
     w0 = abs(corr.cos_freq) + half
     w = w0 + np.sqrt(2.0 * (n_max + 5)) * sigma
     n_pts = int(np.ceil(2 * w * GRID_DENSITY)) + 1
     return np.linspace(-w, w, n_pts)
 
 
-def fourier_of_correlation(source, n_max: int = 50) -> SpectralDensityInput:
-    """Density of a correlation function, analytic form preferred.
-
-    `source` is an AnalyticCorrelation (closed form when available, sampled
-    cosine transform otherwise) or a CorrelationSeries (cosine transform of
-    the sampled half-line, using evenness).  Non-decaying input is rejected:
-    its density is a delta comb that no grid represents.
-    """
-    if isinstance(source, AnalyticCorrelation):
-        if not source.decaying:
-            raise ValueError("non-decaying correlation function; density is singular")
-        grid = spectral_grid_for(source, n_max)
-        if source.has_closed_form:
-            vals = source.spectral_values(grid)
-            return SpectralDensityInput(grid, vals, source="analytic")
-        # sample until the product has decayed, then transform numerically
-        scale = max(-source.gauss_rate, -source.exp_rate, 0.25)
-        t_max = np.sqrt(np.log(1e18) / scale) if source.gauss_rate else np.log(1e18) / scale
-        dt = 0.5 * np.pi / grid[-1]
-        t = np.arange(0.0, t_max, dt)
-        series = CorrelationSeries(dt, source(t))
-        return _cosine_transform(series, grid, source="analytic-sampled")
-
-    if isinstance(source, CorrelationSeries):
-        c_end = abs(source.values[-1])
-        if c_end > 0.05:
-            raise ValueError(
-                f"series has not decayed within the window (|C_end| = {c_end:.3g})")
-        w_max = min(np.pi / source.dt / 2, 64.0)
-        omega = np.linspace(-w_max, w_max, int(np.ceil(2 * w_max * GRID_DENSITY)) + 1)
-        return _cosine_transform(source, omega, source="series")
-
-    raise TypeError("source must be an AnalyticCorrelation or CorrelationSeries")
-
-
-def _cosine_transform(series: CorrelationSeries, omega: np.ndarray,
-                      source: str) -> SpectralDensityInput:
-    t = series.t
-    vals = 2.0 * np.trapezoid(np.cos(np.outer(omega, t)) * series.values,
-                              t, axis=1)
-    return SpectralDensityInput(omega, vals, source=source)
+def fourier_of_correlation(corr: AnalyticCorrelation,
+                           n_max: int = 50) -> SpectralDensityInput:
+    """The target's closed-form density on `spectral_grid_for`'s grid."""
+    grid = spectral_grid_for(corr, n_max)
+    return SpectralDensityInput(grid, corr.spectral_values(grid))
 
 
 @dataclass

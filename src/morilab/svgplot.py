@@ -35,12 +35,14 @@ class Figure:
 
     # -- coordinate handling ------------------------------------------------
     # each maps data coordinates, a number or an array, to pixels, with the
-    # arithmetic of one float at a time
+    # arithmetic of one float at a time: quiet overflow to inf and inf - inf
+    @np.errstate(over="ignore", invalid="ignore")
     def _sx(self, x) -> np.ndarray:
         lo, hi = self._xlim
         return LEFT + (np.asarray(x, dtype=float) - lo) / (hi - lo) * (
             WIDTH - LEFT - RIGHT)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _sy(self, y) -> np.ndarray:
         lo, hi = self._ylim
         h = HEIGHT - TOP - BOTTOM
@@ -66,6 +68,7 @@ class Figure:
         self._mark(map(circle.format, self._sx(x).tolist(),
                        self._sy(y).tolist()), color, label)
 
+    @np.errstate(invalid="ignore")  # inf - inf, as in _sx
     def bars(self, lefts, rights, heights, color: str, label: str = "") -> None:
         heights = np.asarray(heights)
         drawn = heights > 0

@@ -21,21 +21,19 @@ from morilab.perturb import apply_draw, draw_noise
 
 class TestParseTarget:
     # every target the tests and README use, and corners of the coefficient
-    # and divisor spellings: (gauss_rate, exp_rate, cos_freq) as the
-    # character-level parser of earlier versions read them
+    # and divisor spellings: (gauss_rate, cos_freq)
     @pytest.mark.parametrize("target, rates", [
-        ("exp(-t^2/8)*cos(2t)", (-0.125, 0.0, 2.0)),
-        ("exp(-0.24*t)", (0.0, -0.24, 0.0)),
-        ("exp(-t)*exp(-0.5*t^2)", (-0.5, -1.0, 0.0)),
-        ("exp(-t^2 / 8) * cos(2 t)", (-0.125, 0.0, 2.0)),
-        ("exp(-.5t)", (0.0, -0.5, 0.0)),
-        ("exp(+t)*exp(-2t)", (0.0, -1.0, 0.0)),
-        ("exp(-2*t^2/8)", (-0.25, 0.0, 0.0)),
-        ("cos(-3t)*exp(-t)", (0.0, -1.0, 3.0)),
-        ("exp(-1.t)", (0.0, -1.0, 0.0))])
+        ("exp(-t^2/8)*cos(2t)", (-0.125, 2.0)),
+        ("exp(-0.5*t^2)", (-0.5, 0.0)),
+        ("exp(-t^2 / 8) * cos(2 t)", (-0.125, 2.0)),
+        ("exp(-.5t^2)", (-0.5, 0.0)),
+        ("exp(+t^2)*exp(-2t^2)", (-1.0, 0.0)),
+        ("exp(-2*t^2/8)", (-0.25, 0.0)),
+        ("cos(-3t)*exp(-t^2)", (-1.0, 3.0)),
+        ("exp(-1.t^2)", (-1.0, 0.0))])
     def test_accepted_target(self, target, rates):
         c = parse_target(target)
-        assert (c.gauss_rate, c.exp_rate, c.cos_freq) == rates
+        assert (c.gauss_rate, c.cos_freq) == rates
 
     @pytest.mark.parametrize("target, error", [
         ("sinh(t)", "cannot parse target"),
@@ -47,8 +45,20 @@ class TestParseTarget:
         ("*exp(-t)", "cannot parse target"),
         ("cos(2t^2)", "cannot parse target"),
         ("exp(-t^2/0)", "zero divisor in 'exp(-t^2/0)'"),
-        ("exp(-t/0.0)", "zero divisor in 'exp(-t/0.0)'"),
-        ("exp(t)", "growth rates"),
+        ("exp(-t^2/0.0)", "zero divisor in 'exp(-t^2/0.0)'"),
+        # exp(a t) has a kink at t = 0, so its b_1 is infinite
+        ("exp(-0.24*t)", "cannot parse target"),
+        ("exp(-t)", "cannot parse target"),
+        ("exp(-t)*exp(-0.5*t^2)", "cannot parse target"),
+        ("exp(-t^2)*exp(-t)", "cannot parse target"),
+        ("cos(-3t)*exp(-t)", "cannot parse target"),
+        ("exp(t)", "cannot parse target"),
+        ("exp(-t/8)", "cannot parse target"),
+        ("exp(t^2)", "non-decaying"),
+        ("exp(t^2)*exp(-t^2)", "non-decaying"),
+        ("cos(2t)", "non-decaying"),
+        pytest.param("exp(-" + "9" * 400 + "t^2)", "must be finite",
+                     id="exp(-huge t^2)"),
         ("cos(t)*cos(2t)", "at most one cosine factor")])
     def test_rejected_target_exit_2(self, tmp_path, capsys, target, error):
         out = tmp_path / "b.csv"
@@ -163,6 +173,19 @@ class TestSubcommands:
         assert main(["design", "--family", "g", "--d", "151",
                      "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("family, flags, error", [
+        ("e", ["--nstar", "0"], "require 1 <= n_star < d"),
+        ("g", ["--nstar", "300"], "require 1 <= n_star < d"),
+        ("e", ["--a", "0"], "a must be positive"),
+        ("edo", ["--b1", "-1"], "head coefficients must be positive")])
+    def test_design_parameter_out_of_range_exit_2(self, tmp_path, capsys,
+                                                  family, flags, error):
+        out = tmp_path / "design.csv"
+        assert main(["design", "--family", family, *flags, "--d", "300",
+                     "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_reverse_with_continuation(self, tmp_path):
         coeffs = tmp_path / "b.csv"
         chain_out = tmp_path / "chain.csv"
@@ -178,6 +201,19 @@ class TestSubcommands:
                               "stop_reason"]
         chain = LanczosChain.from_csv(chain_out)
         assert chain.d == 400
+        # `reverse --continue-to` and `design` build one gdo chain
+        design = tmp_path / "design.csv"
+        assert main(["design", "--family", "gdo", "--d", "400",
+                     "--out", str(design)]) == 0
+        assert design.read_bytes() == chain_out.read_bytes()
+
+    @pytest.mark.parametrize("nmax", ["0", "-10"])
+    def test_reverse_nmax_below_one_exit_2(self, tmp_path, capsys, nmax):
+        code = main(["reverse", "--target", "exp(-t^2/8)*cos(2t)",
+                     "--nmax", nmax, "--out", str(tmp_path / "b.csv")])
+        assert code == 2
+        assert "config error: n_max must be >= 1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("continue_to", ["0", "10"])
     def test_reverse_continuation_shorter_than_the_coefficients_exit_2(
@@ -220,7 +256,6 @@ class TestSubcommands:
         ["perturb", "--chain", "{chain}", "--lambda", "0.5", "--seed", "1",
          "--out", "{dir}"],
         ["fit", "--series", "{dir}", "--model", "exp", "--out", "{out}"],
-        ["reverse", "--series", "{dir}", "--out", "{out}"],
         ["run", "--config", "{dir}", "--out", "{out}"]],
         ids=lambda argv: f"{argv[0]} {argv[argv.index('{dir}') - 1]}")
     def test_path_that_is_a_directory_exit_2(self, tmp_path, capsys, argv):
@@ -254,6 +289,22 @@ class TestSubcommands:
         pert = LanczosChain.from_csv(out1)
         base = LanczosChain.from_csv(chain_csv)
         assert not np.array_equal(pert.b, base.b)
+
+    @pytest.mark.parametrize("rows, flags, error", [
+        ("", [], "d must be >= 2"),
+        ("1,1.0\n2,1.5\n", ["--nf", "0"], "require 1 <= n_f <= d"),
+        ("1,1.0\n2,1.5\n", ["--lambda", "-1"],
+         "perturbation strength must be nonnegative")],
+        ids=["header-only", "nf-0", "lambda-negative"])
+    def test_perturb_refusal_exit_2(self, tmp_path, capsys, rows, flags,
+                                    error):
+        chain_csv = tmp_path / "chain.csv"
+        chain_csv.write_text("n,b\n" + rows)
+        out = tmp_path / "p.csv"
+        assert main(["perturb", "--chain", str(chain_csv), "--lambda", "0.5",
+                     "--seed", "1", *flags, "--out", str(out)]) == 2
+        assert f"config error: {error}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["chain.csv"]
 
     def test_missing_chain_file_exit_2(self, tmp_path):
         code = main(["propagate", "--chain", str(tmp_path / "nope.csv"),
@@ -311,8 +362,7 @@ class TestSubcommands:
         assert f"{chain_csv}: line 3: 1 cells" in capsys.readouterr().err
 
     SERIES_COMMANDS = [["fit", "--model", "gauss"],
-                       ["fit", "--model", "gauss_cos"],
-                       ["reverse", "--nmax", "10"]]
+                       ["fit", "--model", "gauss_cos"]]
 
     @pytest.fixture
     def gdo_series(self, tmp_path):
@@ -327,20 +377,30 @@ class TestSubcommands:
         assert main([command[0], "--series", str(gdo_series), *command[1:],
                      "--out", str(tmp_path / "out")]) == 0
 
-    @pytest.mark.parametrize("start, dt, error", [
-        (5.0, 0.05, "series starts at t = 5, not 0"),
-        (1e-6, 0.05, "series starts at t = 1e-06, not 0"),
-        (0.0, 0.0, "time column does not increase"),
-        (0.0, -0.05, "time column does not increase")])
+    @pytest.mark.parametrize("times, error", [
+        pytest.param(lambda n: 5.0 + n * 0.05,
+                     "series starts at t = 5, not 0", id="start-5"),
+        pytest.param(lambda n: 1e-6 + n * 0.05,
+                     "series starts at t = 1e-06, not 0", id="start-1e-06"),
+        pytest.param(lambda n: n * 0.0,
+                     "time column does not increase", id="dt-0"),
+        pytest.param(lambda n: n * -0.05,
+                     "time column does not increase", id="dt-negative"),
+        pytest.param(lambda n: n * 0.05 + (n == 7) * 0.01,
+                     "time grid is not uniform", id="non-uniform"),
+        pytest.param(lambda n: n[:1] * 0.05,
+                     "series needs at least two samples", id="one-row")])
     @pytest.mark.parametrize("command", SERIES_COMMANDS,
                              ids=lambda command: command[0] + "-" + command[-1])
     def test_series_off_the_grid_exit_2(self, gdo_series, tmp_path, capsys,
-                                        command, start, dt, error):
-        # the readers take t_n = n*dt with dt > 0: a later start would shift
-        # every time, and times that do not increase have no such dt
-        rows = [line.split(",") for line in gdo_series.read_text().split()]
+                                        command, times, error):
+        # the readers take t_n = n*dt with dt > 0 and at least two samples: a
+        # later start would shift every time, and times that do not increase
+        # evenly have no such dt; `times` maps the sample numbers to times
+        rows = [line.split(",") for line in gdo_series.read_text().split()][1:]
         gdo_series.write_text("t,C\n" + "".join(
-            f"{start + n * dt!r},{c}\n" for n, (_, c) in enumerate(rows[1:])))
+            f"{t!r},{c}\n"
+            for t, (_, c) in zip(times(np.arange(len(rows))).tolist(), rows)))
         out = tmp_path / "out"
         assert main([command[0], "--series", str(gdo_series), *command[1:],
                      "--out", str(out)]) == 2
@@ -388,6 +448,26 @@ class TestSubcommands:
         assert main(["fit", "--series", str(exp_series), "--model", "exp",
                      "--threshold", threshold, "--out", str(out)]) == 2
         assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, error", [
+        ("propagate", "--tmax", "inf", "t_max must be nonnegative and finite"),
+        ("propagate", "--dt", "inf", "dt must be positive and finite"),
+        ("propagate", "--dt", "nan", "dt must be positive and finite"),
+        ("fit", "--window", "inf",
+         "equilibration window must be nonnegative and finite"),
+        ("fit", "--window", "nan",
+         "equilibration window must be nonnegative and finite")])
+    def test_non_finite_step_or_window_exit_2(self, exp_series, tmp_path,
+                                              capsys, command, flag, value,
+                                              error):
+        chain_csv, out = tmp_path / "chain.csv", tmp_path / "out"
+        LanczosChain(np.sqrt(np.arange(1, 40))).to_csv(chain_csv)
+        argv = {"propagate": ["propagate", "--chain", str(chain_csv),
+                              "--tmax", "5"],
+                "fit": ["fit", "--series", str(exp_series), "--model", "exp"]}
+        assert main(argv[command] + [flag, value, "--out", str(out)]) == 2
+        assert f"config error: {error}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fit_threshold_inside_unit_interval_runs(self, exp_series,
@@ -946,14 +1026,17 @@ class TestRunCommand:
             ["0.0,0.0005,e,0", "0.0,0.0005,g,0"]
         assert "mean " not in (out / "histogram.svg").read_text()
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_refused_before_any_work(self, monkeypatch,
-                                                       tmp_path, capsys,
-                                                       workers):
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--workers", "0", "workers must be >= 1"),
+        ("--workers", "-3", "workers must be >= 1"),
+        ("--d", "3", "d must be >= 4"),
+        ("--dt", "0", "dt and t_max must be positive")])
+    def test_flag_out_of_range_refused_before_any_work(
+            self, monkeypatch, tmp_path, capsys, flag, value, error):
         builds = count_calls(monkeypatch, experiment.build_families)
         out = tmp_path / "out"
-        assert main(TINY_RUN + ["--workers", workers, "--out", str(out)]) == 2
-        assert "workers must be >= 1" in capsys.readouterr().err
+        assert main(TINY_RUN + [flag, value, "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
         assert builds == [] and not out.exists()
 
     @pytest.mark.parametrize("n_star", [[], ["--nstar", "120"],
@@ -977,15 +1060,23 @@ class TestRunCommand:
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["d"], config["n_star"]) == (120, 150)
 
-    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"decay"'])
-    def test_non_object_config_refused_before_any_work(self, monkeypatch,
-                                                       tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, error", [
+        ("[1, 2]", "config {path} must be a JSON object"),
+        ("3", "config {path} must be a JSON object"),
+        ("null", "config {path} must be a JSON object"),
+        ('"decay"', "config {path} must be a JSON object"),
+        ("{bad", "malformed config {path}: Expecting property name"),
+        (None, "config error: [Errno 2] No such file or directory: '{path}'")],
+        ids=["[1, 2]", "3", "null", '"decay"', "malformed", "missing"])
+    def test_non_object_config_refused_before_any_work(
+            self, monkeypatch, tmp_path, capsys, text, error):
         builds = count_calls(monkeypatch, experiment.build_families)
         path = tmp_path / "cfg.json"
-        path.write_text(text)
+        if text is not None:
+            path.write_text(text)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-        assert f"config {path} must be a JSON object" in capsys.readouterr().err
+        assert error.format(path=path) in capsys.readouterr().err
         assert builds == [] and not out.exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -16,15 +16,26 @@ def second_moment(den):
 
 class TestAnalyticCorrelation:
     def test_growth_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-decaying"):
             AnalyticCorrelation(gauss_rate=0.5)
-        with pytest.raises(ValueError):
-            AnalyticCorrelation(exp_rate=0.1)
+        with pytest.raises(ValueError, match="non-decaying"):
+            AnalyticCorrelation(gauss_rate=0.5, cos_freq=2.0)
+
+    @pytest.mark.parametrize("gauss_rate, cos_freq", [
+        (float("nan"), 0.0), (-float("inf"), 0.0), (-0.5, float("inf")),
+        (-0.5, float("nan"))])
+    def test_non_finite_rejected(self, gauss_rate, cos_freq):
+        with pytest.raises(ValueError, match="must be finite"):
+            AnalyticCorrelation(gauss_rate, cos_freq)
 
     def test_evaluation(self):
+        # the inverse transform of the density is C(t) itself
         c = AnalyticCorrelation(gauss_rate=-0.125, cos_freq=2.0)
+        omega = np.linspace(-20, 20, 4001)
         t = np.linspace(0, 5, 11)
-        assert np.allclose(c(t), np.exp(-t**2 / 8) * np.cos(2 * t), atol=1e-14)
+        back = np.trapezoid(np.cos(np.outer(t, omega)) * c.spectral_values(omega),
+                            omega, axis=1) / (2 * np.pi)
+        assert np.allclose(back, np.exp(-t**2 / 8) * np.cos(2 * t), atol=1e-12)
 
     def test_gaussian_closed_form_vs_quadrature(self):
         # oracle: direct numeric transform of the sampled correlation function
@@ -46,43 +57,24 @@ class TestAnalyticCorrelation:
                          + np.sqrt(8 * np.pi) * np.exp(-2 * (omega + 2) ** 2))
         assert np.abs(closed - shifted).max() < 1e-12
         t = np.linspace(0, 14, 7001)
-        quad = 2 * np.trapezoid(np.cos(np.outer(omega, t)) * c(t), t, axis=1)
+        quad = 2 * np.trapezoid(np.cos(np.outer(omega, t))
+                                * np.exp(-t**2 / 8) * np.cos(2 * t), t, axis=1)
         assert np.abs(closed - quad).max() < 1e-9
-
-    def test_mixed_damping_has_no_closed_form(self):
-        c = AnalyticCorrelation(gauss_rate=-0.2, exp_rate=-0.1)
-        assert not c.has_closed_form
-        with pytest.raises(ValueError):
-            c.spectral_values(np.linspace(-2, 2, 9))
 
 
 class TestFourierOfCorrelation:
     def test_non_decaying_rejected(self):
+        # a constant or a pure cosine has a delta comb for its density
         with pytest.raises(ValueError, match="non-decaying"):
-            fourier_of_correlation(AnalyticCorrelation())
+            AnalyticCorrelation(gauss_rate=0.0)
         with pytest.raises(ValueError, match="non-decaying"):
-            fourier_of_correlation(AnalyticCorrelation(cos_freq=1.0))
+            AnalyticCorrelation(gauss_rate=0.0, cos_freq=1.0)
 
-    def test_series_path_matches_analytic(self):
-        ch = LanczosChain(np.sqrt(np.arange(1, 400)))
-        series = propagate(ch, dt=0.02, t_max=10.0)
-        den = fourier_of_correlation(series)
-        target = np.sqrt(2 * np.pi) * np.exp(-den.omega**2 / 2)
-        assert np.abs(den.values - target).max() < 1e-5
-
-    def test_undecayed_series_rejected(self):
-        series = propagate(LanczosChain(np.sqrt(np.arange(1, 50))),
-                           dt=0.02, t_max=0.4)
-        with pytest.raises(ValueError, match="not decayed"):
-            fourier_of_correlation(series)
-
-    def test_mixed_analytic_sampled_route(self):
-        c = AnalyticCorrelation(gauss_rate=-0.25, exp_rate=-0.3)
-        den = fourier_of_correlation(c, n_max=12)
-        assert den.values.min() >= 0
-        # density should be normalized to (1/2pi) integral = 1
-        total = np.trapezoid(den.values, den.omega) / (2 * np.pi)
-        assert abs(total - 1.0) < 1e-9
+    @pytest.mark.parametrize("n_max", [0, -10])
+    def test_nmax_below_one_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.5),
+                                   n_max=n_max)
 
     def test_normalization_applied(self):
         den = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.5))

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from morilab import svgplot
 from morilab.svgplot import Figure
@@ -23,6 +23,10 @@ def scalar_sy(fig: Figure, y: float) -> float:
 
 @given(xlim=st.tuples(coords, coords), ylim=st.tuples(coords, coords),
        pts=points)
+# a point far outside a subnormal span overflows to inf
+@example(xlim=(-5e-324, 0.0), ylim=(0.0, 0.0), pts=[(1.0, 0.0, 0)])
+@example(xlim=(-5e-324, 0.0), ylim=(0.0, 0.0), pts=[(1.0, 1.0, 1)])
+@example(xlim=(0.0, 0.0), ylim=(-5e-324, 0.0), pts=[(0.0, 1e6, 3)])
 def test_marks_write_each_point_as_the_scalar_formulas(xlim, ylim, pts):
     # the marks scale whole arrays; every number they write must be the
     # f"{v:.6g}" of the same formula applied to one float at a time
