@@ -90,7 +90,7 @@ class LanczosChain:
         object.__setattr__(self, "b", b)
         if b.ndim != 1:
             raise ValueError("b must be a one-dimensional sequence")
-        if b.size and not np.all(b > 0):
+        if not np.all(b > 0):
             raise ValueError("all hopping amplitudes must be positive")
         if not np.all(np.isfinite(b)):
             raise ValueError("hopping amplitudes must be finite")
@@ -168,13 +168,7 @@ class CorrelationSeries:
 
 def dense_generator(chain: LanczosChain) -> np.ndarray:
     """Dense symmetric tridiagonal matrix L with zero diagonal (oracle use)."""
-    d = chain.d
-    L = np.zeros((d, d))
-    if d > 1:
-        idx = np.arange(d - 1)
-        L[idx, idx + 1] = chain.b
-        L[idx + 1, idx] = chain.b
-    return L
+    return np.diag(chain.b, 1) + np.diag(chain.b, -1)
 
 
 def spectral_width_sum(chain: LanczosChain) -> float:
@@ -197,10 +191,7 @@ def dense_correlation(chain: LanczosChain, times: np.ndarray) -> np.ndarray:
 
 def _spectral_bound(b: np.ndarray) -> float:
     """Gershgorin bound on the spectral radius of the generator."""
-    if b.size == 0:
-        return 0.0
-    rows = np.concatenate(([b[0]], b[:-1] + b[1:], [b[-1]]))
-    return float(rows.max())
+    return float((np.append(b, 0.0) + np.insert(b, 0, 0.0)).max())
 
 
 def _apply_generator(b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -283,6 +274,7 @@ def _even_moments(b: np.ndarray, lam: float, count: int
     even, odd = np.zeros((rows, no + 1)), np.zeros((rows, ne))
     tmp = np.empty((rows, ne))
     even[:, 0] = 1.0                        # v_0 = e0
+    odd[:, 0] = 0.5 * he[:, 0]              # v_-1 := v_1, as T_-1 = T_1
     norms = np.empty((count + 1, rows))     # v_k.v_k, one row per k
     norms[0] = 1.0
     edge = np.zeros(rows)
@@ -299,18 +291,14 @@ def _even_moments(b: np.ndarray, lam: float, count: int
     full = (step_views(0, ne), step_views(1, no))   # once the cone is full
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(count):
-            parity = (k + 1) % 2
-            if k == 0:                      # v_1 = H e0
-                odd[:, 0] = 0.5 * he[:, 0]
-                x = odd[:, :1]
-            else:                           # v_{k+1} = 2 H v_k - v_{k-1}
-                rc, rs, x, lc, ls, lx, tr, tl = (
-                    step_views(parity, (k + 1) // 2 + 1) if k + 1 < n - 1
-                    else full[parity])
-                np.multiply(rc, rs, out=tr)
-                np.subtract(tr, x, out=x)
-                np.multiply(lc, ls, out=tl)
-                np.add(lx, tl, out=lx)
+            parity = (k + 1) % 2            # v_{k+1} = 2 H v_k - v_{k-1}
+            rc, rs, x, lc, ls, lx, tr, tl = (
+                step_views(parity, (k + 1) // 2 + 1) if k + 1 < n - 1
+                else full[parity])
+            np.multiply(rc, rs, out=tr)
+            np.subtract(tr, x, out=x)
+            np.multiply(lc, ls, out=tl)
+            np.add(lx, tl, out=lx)
             np.vecdot(x, x, out=norms[k + 1])
             if k + 1 >= n - 1 and parity == (n - 1) % 2:
                 # v_k[n-1] = 0 before the cone reaches it, and off its parity

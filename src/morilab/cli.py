@@ -50,10 +50,6 @@ CURVES_HEADER = ["family", "trial", "t", "C", "fit"]
 log = logging.getLogger("morilab")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # analytic target grammar: products of exp(a t^2) and one cos(b t)
 # ---------------------------------------------------------------------------
@@ -72,26 +68,23 @@ def parse_target(expr: str) -> AnalyticCorrelation:
     cleaned = expr.replace(" ", "")
     factors = list(_FACTOR.finditer(cleaned))
     if not factors or "*".join(m[0] for m in factors) != cleaned:
-        raise ConfigError(f"cannot parse target {expr!r}; grammar: factors "
-                          "exp(a t^2), optionally over /n, and one cos(b t), "
-                          "joined by single *s")
+        raise ValueError(f"cannot parse target {expr!r}; grammar: factors "
+                         "exp(a t^2), optionally over /n, and one cos(b t), "
+                         "joined by single *s")
     gauss = 0.0
     cos_f = None
     for m in factors:
         den = float(m["den"] or 1)
         if den == 0:
-            raise ConfigError(f"zero divisor in {m[0]!r}")
+            raise ValueError(f"zero divisor in {m[0]!r}")
         rate = float(m["sign"] + (m["num"] or "1")) / den
         if m["exp"] is None:
             if cos_f is not None:
-                raise ConfigError("at most one cosine factor is supported")
+                raise ValueError("at most one cosine factor is supported")
             cos_f = abs(rate)
         else:
             gauss += rate
-    try:
-        return AnalyticCorrelation(gauss_rate=gauss, cos_freq=cos_f or 0.0)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return AnalyticCorrelation(gauss_rate=gauss, cos_freq=cos_f or 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,23 +102,23 @@ def parse_config(path: str | None, overrides: dict) -> ScenarioConfig:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as err:
-                raise ConfigError(f"malformed config {path}: {err}") from err
+                raise ValueError(f"malformed config {path}: {err}") from err
         if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must be a JSON object, not "
-                              f"{type(data).__name__}")
+            raise ValueError(f"config {path} must be a JSON object, not "
+                             f"{type(data).__name__}")
         if "config" in data and isinstance(data["config"], dict):
             data = data["config"]
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     merged = dict(data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     if "scenario" not in merged:
-        raise ConfigError("missing required key: scenario")
+        raise ValueError("missing required key: scenario")
     try:
         return ScenarioConfig(**merged)
-    except (ValueError, TypeError) as err:
-        raise ConfigError(str(err)) from err
+    except TypeError as err:  # e.g. an unhashable profile
+        raise ValueError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +392,17 @@ def read_run(out_dir) -> dict:
     """`render_all`'s keyword arguments, read back from the run directory
     out_dir, each input once, for the families summary.json's `unperturbed`
     names.  The one check of a run directory: a summary.json that misses a
-    key or holds a wrongly typed entry, and a family in records.csv or
-    curves.csv that it does not name, are refused as a ConfigError."""
+    key or holds a wrongly typed entry, a family it names that records.csv
+    has no row of, and a family in records.csv or curves.csv that it does
+    not name, are refused as a ValueError."""
     path = lambda name: os.path.join(out_dir, name)
     if os.path.exists(path("summary.json")) \
             and not os.path.isfile(path("summary.json")):
-        raise ConfigError(f"{path('summary.json')}: not a file")
+        raise ValueError(f"{path('summary.json')}: not a file")
     with open(path("summary.json")) as fh:
         summary = json.load(fh)
     if not isinstance(summary, dict):
-        raise ConfigError(f"{path('summary.json')}: not a JSON object")
+        raise ValueError(f"{path('summary.json')}: not a JSON object")
     # raw doubles, not a list per row: the rows are most of what it holds
     curves: dict[str, dict[int, array]] = {}
     for fam, trial, *cells in read_csv(path("curves.csv"), CURVES_HEADER,
@@ -421,23 +415,26 @@ def read_run(out_dir) -> dict:
         for kind, params in fits.values():
             for value in params[:kind.n_params]:
                 _number(value)
-        histograms = _histograms(
-            histogram_rows(records, summary["config"]["bin_width"]),
-            {f: _number(info["mean_epsilon"])
-             for f, info in sorted(summary["families"].items())})
+        means = {f: _number(info["mean_epsilon"])
+                 for f, info in sorted(summary["families"].items())}
+        bin_width = _number(summary["config"]["bin_width"])
     except KeyError as err:
-        raise ConfigError(f"{path('summary.json')}: no key {err}") from err
+        raise ValueError(f"{path('summary.json')}: no key {err}") from err
     except (TypeError, AttributeError) as err:  # e.g. a number for a family
-        raise ConfigError(f"{path('summary.json')}: wrongly typed entry "
-                          f"({err})") from err
-    for name, named in (("records.csv", [r.family for r in records]),
-                        ("curves.csv", curves)):
+        raise ValueError(f"{path('summary.json')}: wrongly typed entry "
+                         f"({err})") from err
+    recorded = dict.fromkeys(r.family for r in records)
+    if missing := [fam for fam in means if fam not in recorded]:
+        raise ValueError(f"{path('records.csv')}: no row of family "
+                         f"{missing[0]!r}, which summary.json names")
+    for name, named in (("records.csv", recorded), ("curves.csv", curves)):
         for fam in named:
             if fam not in fits:
-                raise ConfigError(f"{path(name)}: family {fam!r} is not "
-                                  "named in summary.json")
+                raise ValueError(f"{path(name)}: family {fam!r} is not "
+                                 "named in summary.json")
     return dict(
-        histograms=histograms, records=records, fits=fits,
+        histograms=_histograms(histogram_rows(records, bin_width), means),
+        records=records, fits=fits,
         chains={f: LanczosChain.from_csv(path(f"chain_{f}.csv")) for f in fits},
         baselines={f: CorrelationSeries.from_csv(path(f"unperturbed_{f}.csv"))
                    for f in fits},
@@ -515,9 +512,9 @@ def _cmd_reverse(args) -> int:
     for flag, out in outs:
         folder = os.path.dirname(os.path.abspath(out))
         if not os.path.isdir(folder):
-            raise ConfigError(f"{flag} {out}: {folder} is not a directory")
+            raise ValueError(f"{flag} {out}: {folder} is not a directory")
         if os.path.isdir(out):
-            raise ConfigError(f"{flag} {out}: is a directory")
+            raise ValueError(f"{flag} {out}: is a directory")
     LanczosChain(result.b).to_csv(args.out)
     omega = density.omega
     _write_json(args.out + ".meta.json", {
@@ -564,7 +561,7 @@ def _cmd_run(args) -> int:
     while not os.path.exists(parent):
         parent = os.path.dirname(parent)
     if not os.path.isdir(parent):
-        raise ConfigError(f"--out {args.out}: {parent} is not a directory")
+        raise ValueError(f"--out {args.out}: {parent} is not a directory")
     t0 = time.time()
     records, summary = run_scenario(config)
     for name, run in summary.runs.items():
@@ -685,7 +682,7 @@ def main(argv=None) -> int:
     except (PropagationError, QuadratureError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, RuntimeError) as err:

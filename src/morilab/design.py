@@ -128,20 +128,22 @@ def linear_continuation(prefix, d: int) -> ContinuationResult:
     Raises
     ------
     ValueError
-        If the fitted slope is nonpositive (the continuation would violate
-        asymptotically linear growth) or the tail would be nonpositive.
+        If the prefix has fewer than two coefficients, or the fitted slope
+        is nonpositive (the continuation would violate asymptotically
+        linear growth).
     """
     prefix = np.asarray(prefix, dtype=float)
-    if prefix.size == 0:
-        raise ValueError("prefix must be non-empty")
+    p = prefix.size
+    if p < 2:
+        raise ValueError(f"a tail needs at least two coefficients, got {p}")
     if np.any(prefix <= 0):
         raise ValueError("prefix coefficients must be positive")
-    if d - 1 < prefix.size:
-        raise ValueError("d too small for the given prefix")
-    m = min(FIT_POINTS, prefix.size)
-    p = prefix.size
+    if d - 1 < p:
+        raise ValueError(f"d too small for the given prefix: d = {d}, and "
+                         f"{p} coefficients need d >= {p + 1}")
+    m = min(FIT_POINTS, p)
     idx = np.arange(p - m + 1, p + 1, dtype=float)
-    slope, intercept = np.polyfit(idx, prefix[-m:], 1) if m > 1 else (0.0, prefix[-1])
+    slope, intercept = np.polyfit(idx, prefix[-m:], 1)
     if slope <= 0:
         raise ValueError(f"fitted tail slope {slope:.4g} <= 0 violates linear growth")
     n_tail = np.arange(p + 1, d, dtype=float)
@@ -149,8 +151,6 @@ def linear_continuation(prefix, d: int) -> ContinuationResult:
     residual = prefix[-1] - (slope * p + intercept)
     j = np.arange(1, tail.size + 1, dtype=float)
     tail += residual * np.clip(1.0 - j / (BLEND + 1.0), 0.0, None)
-    if tail.size and tail.min() <= 0:
-        raise ValueError("continuation produced nonpositive coefficients")
     return ContinuationResult(LanczosChain(np.concatenate([prefix, tail])),
                               float(slope), float(intercept))
 

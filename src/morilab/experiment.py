@@ -99,8 +99,7 @@ class ScenarioConfig:
     profile: str = "desk"
 
     def __post_init__(self):
-        if isinstance(self.scenario, str):
-            self.scenario = Scenario(self.scenario)
+        self.scenario = Scenario(self.scenario)   # a member maps to itself
         if self.profile not in _PROFILES:
             raise ValueError(f"unknown profile {self.profile!r} (desk or paper)")
         for key, value in _PROFILES[self.profile].items():

@@ -118,6 +118,5 @@ def apply_draw(base: LanczosChain, strength: float, draw: PerturbationDraw,
                          f"chain has d={base.d}")
     b = base.b + strength * draw.v
     clamped = b < floor
-    if clamped.any():
-        b = np.where(clamped, floor, b)
-    return PerturbedChain(LanczosChain(b), int(clamped.sum()))
+    return PerturbedChain(LanczosChain(np.where(clamped, floor, b)),
+                          int(clamped.sum()))

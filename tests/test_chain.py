@@ -44,6 +44,8 @@ class TestLanczosChain:
             LanczosChain(np.array([0.0]))
         with pytest.raises(ValueError):
             LanczosChain(np.array([[1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            LanczosChain(np.array([1.0, np.inf]))
 
     def test_dimension(self):
         assert LanczosChain(np.array([])).d == 1
@@ -189,6 +191,14 @@ class TestPropagate:
         ch = LanczosChain(np.sqrt(np.arange(1, 60)))
         with pytest.raises(PropagationError, match="chebyshev"):
             propagate(ch, dt=1.0, t_max=30.0, method="rk4")
+
+    def test_chebyshev_drift_reported(self, monkeypatch):
+        # each step is exact to round-off, so only a budget below round-off
+        # trips it; the hint halves dt
+        monkeypatch.setattr(chain_module, "NORM_TOL", 1e-18)
+        ch = LanczosChain(np.sqrt(np.arange(1, 60)))
+        with pytest.raises(PropagationError, match="shrink dt below 0.05$"):
+            propagate(ch, dt=0.1, t_max=30.0, method="chebyshev")
 
     def test_input_validation(self):
         ch = LanczosChain(np.array([1.0]))
@@ -912,6 +922,11 @@ class TestZeroMode:
 
 
 class TestCorrelationSeries:
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            CorrelationSeries(dt, np.ones(3))
+
     def test_csv_roundtrip(self, tmp_path):
         ch = LanczosChain(np.sqrt(np.arange(1, 40)))
         series = propagate(ch, dt=0.04, t_max=3.0)

@@ -12,8 +12,8 @@ import pytest
 from morilab import chain, cli, experiment
 from morilab.chain import (CorrelationSeries, LanczosChain, PropagationError,
                            read_csv)
-from morilab.cli import (ConfigError, histogram_rows, main, parse_config,
-                         parse_target, records_from_csv)
+from morilab.cli import (histogram_rows, main, parse_config, parse_target,
+                         records_from_csv)
 from morilab.experiment import (Scenario, ScenarioConfig, TrialRecord,
                                 build_families, exemplary_trials, summarize)
 from morilab.perturb import apply_draw, draw_noise
@@ -81,21 +81,21 @@ class TestParseConfig:
     def test_unknown_profile_in_config_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "decay", "profile": "bogus"}))
-        with pytest.raises(ConfigError, match="bogus"):
+        with pytest.raises(ValueError, match="bogus"):
             parse_config(str(path), {})
 
     def test_negative_strength_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_config(None, {"scenario": "decay", "strength": -1.0})
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "decay", "bogus_key": 1}))
-        with pytest.raises(ConfigError, match="bogus_key"):
+        with pytest.raises(ValueError, match="bogus_key"):
             parse_config(str(path), {})
 
     def test_missing_scenario(self):
-        with pytest.raises(ConfigError, match="scenario"):
+        with pytest.raises(ValueError, match="scenario"):
             parse_config(None, {})
 
     def test_manifest_accepted(self, tmp_path):
@@ -224,7 +224,8 @@ class TestSubcommands:
                      "--continue-to", continue_to,
                      "--chain-out", str(tmp_path / "chain.csv")])
         assert code == 2
-        assert "d too small" in capsys.readouterr().err
+        assert (f"d too small for the given prefix: d = {continue_to}, and 20 "
+                "coefficients need d >= 21") in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("out, chain_out, error", [
@@ -1066,8 +1067,13 @@ class TestRunCommand:
         ("null", "config {path} must be a JSON object"),
         ('"decay"', "config {path} must be a JSON object"),
         ("{bad", "malformed config {path}: Expecting property name"),
-        (None, "config error: [Errno 2] No such file or directory: '{path}'")],
-        ids=["[1, 2]", "3", "null", '"decay"', "malformed", "missing"])
+        (None, "config error: [Errno 2] No such file or directory: '{path}'"),
+        ('{"scenario": 3}', "config error: 3 is not a valid Scenario"),
+        ('{"scenario": null}', "config error: None is not a valid Scenario"),
+        ('{"scenario": ["decay"]}',
+         "config error: ['decay'] is not a valid Scenario")],
+        ids=["[1, 2]", "3", "null", '"decay"', "malformed", "missing",
+             "scenario 3", "scenario null", "scenario list"])
     def test_non_object_config_refused_before_any_work(
             self, monkeypatch, tmp_path, capsys, text, error):
         builds = count_calls(monkeypatch, experiment.build_families)
@@ -1280,15 +1286,26 @@ class TestPlotCommand:
         # the summary is read whole before any figure is drawn
         assert not [name for name in os.listdir(run) if name.endswith(".svg")]
 
+    @pytest.mark.parametrize("edited, family", [("summary.json", "zz"),
+                                                ("records.csv", "e")])
     def test_family_missing_from_the_records_exit_2(self, tiny_run, tmp_path,
-                                                    capsys):
+                                                    capsys, edited, family):
+        # a family named in summary.json, or e's rows deleted from the records
         run = shutil.copytree(tiny_run, tmp_path / "run",
                               ignore=shutil.ignore_patterns("*.svg"))
-        summary = json.loads((run / "summary.json").read_text())
-        summary["families"]["zz"] = summary["families"]["g"]
-        (run / "summary.json").write_text(json.dumps(summary))
+        if edited == "summary.json":
+            summary = json.loads((run / "summary.json").read_text())
+            summary["families"]["zz"] = summary["families"]["g"]
+            (run / "summary.json").write_text(json.dumps(summary))
+        else:
+            lines = (run / "records.csv").read_text().splitlines(keepends=True)
+            family_col = lines[0].split(",").index("family")
+            (run / "records.csv").write_text("".join(
+                line for line in lines
+                if line.split(",")[family_col] != "e"))
         assert main(["plot", "--from", str(run)]) == 2
-        assert f"{run / 'summary.json'}: no key 'zz'" in capsys.readouterr().err
+        assert f"{run / 'records.csv'}: no row of family {family!r}, which " \
+            "summary.json names" in capsys.readouterr().err
         assert not [name for name in os.listdir(run) if name.endswith(".svg")]
 
     @pytest.mark.parametrize("edited", ["curves.csv", "records.csv"])
@@ -1345,7 +1362,8 @@ class TestPlotCommand:
         (["unperturbed", "g", "A"], "1.0"),
         (["unperturbed", "e", "mu"], None),
         (["families", "e", "mean_epsilon"], "0.1"),
-        (["families", "g", "mean_epsilon"], True)])
+        (["families", "g", "mean_epsilon"], True),
+        (["config", "bin_width"], True)])
     def test_wrongly_typed_summary_entry_exit_2(self, tiny_run, tmp_path,
                                                 capsys, keys, entry):
         run = shutil.copytree(tiny_run, tmp_path / "run",

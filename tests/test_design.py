@@ -70,6 +70,8 @@ class TestExponentialChain:
     def test_validation(self):
         with pytest.raises(ValueError):
             exponential_chain(-1.0, 10, 50)
+        with pytest.raises(ValueError, match="n_star"):
+            exponential_chain(1.2, 50, 50)
 
 
 class TestEdoChain:
@@ -86,6 +88,10 @@ class TestEdoChain:
             edo_chain(2.0, 1.6, (0.0, 2.0), 40)
         with pytest.raises(ValueError):
             edo_chain(2.0, 1.6, (-0.1, 2.0), 40)
+
+    def test_requires_four_sites(self):
+        with pytest.raises(ValueError, match="d must be >= 4"):
+            edo_chain(2.0, 1.6, (0.05, 2.0), 3)
 
 
 class TestLinearContinuation:
@@ -127,6 +133,14 @@ class TestLinearContinuation:
     def test_empty_prefix_rejected(self):
         with pytest.raises(ValueError):
             linear_continuation(np.array([]), 40)
+
+    @pytest.mark.parametrize("prefix, error", [
+        ([1.0], "at least two coefficients, got 1"),
+        ([1.0, 0.0, 2.0], "prefix coefficients must be positive")])
+    def test_prefix_without_a_tail_line_rejected(self, prefix, error):
+        # one coefficient fits no line; a slope of 0 would claim one
+        with pytest.raises(ValueError, match=error):
+            linear_continuation(np.array(prefix), 40)
 
     def test_result_type(self):
         result = linear_continuation(np.sqrt(np.arange(1.0, 12.0)), 30)

@@ -73,6 +73,10 @@ class TestDetectEquilibration:
         assert detect_equilibration(series, 0.01, 0.0) == (2, True)
         assert detect_equilibration(series, 0.99, 0.0) == (1, True)
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="empty series"):
+            detect_equilibration(CorrelationSeries(1.0, np.array([])))
+
     def test_negative_window_rejected(self):
         series = CorrelationSeries(1.0, np.array([1.0, 0.5, 0.001, 0.5]))
         with pytest.raises(ValueError, match="window"):
@@ -392,6 +396,24 @@ class TestFit:
         series = series_from(lambda t: np.exp(-t), dt=0.1, t_max=5.0)
         with pytest.raises(ValueError):
             fit(series, ModelClass.EXP, 5)
+
+    def test_n_eq_beyond_the_series_rejected(self):
+        series = series_from(lambda t: np.exp(-t), dt=0.1, t_max=5.0)
+        with pytest.raises(ValueError, match="n_eq exceeds series length"):
+            fit(series, ModelClass.EXP, len(series))
+
+    def test_envelope_of_fewer_than_four_samples_is_the_default_rate(self):
+        # three samples above 2% of the peak fit no log-envelope line
+        t = np.arange(10) * 0.1
+        c = np.array([1.0, 0.5, 0.25] + [0.0] * 7)
+        assert fitting._envelope_rate(t, c, False) == 0.1
+
+    def test_refinement_out_of_steps_is_unconverged(self, monkeypatch):
+        series = series_from(lambda t: np.exp(-0.3 * t), dt=0.02, t_max=20.0)
+        assert fit(series, ModelClass.EXP, 800).converged
+        monkeypatch.setattr(fitting, "REFINE_MAX", 1)
+        result = fit(series, ModelClass.EXP, 800)
+        assert not result.converged and result.model.mu > 0
 
     def test_amplitude_bounds_respected(self):
         series = series_from(lambda t: 3.0 * np.exp(-0.5 * t), dt=0.05,

@@ -3,7 +3,8 @@ import pytest
 
 from morilab.chain import LanczosChain
 from morilab.design import gaussian_chain
-from morilab.perturb import POSITIVITY_FLOOR, apply_draw, draw_noise
+from morilab.perturb import (POSITIVITY_FLOOR, PerturbationDraw, apply_draw,
+                             draw_noise)
 
 
 def literal_noise(d, x, y):
@@ -60,6 +61,12 @@ class TestDrawNoise:
             draw_noise(100, 0, 1)
         with pytest.raises(ValueError):
             draw_noise(100, 101, 1)
+
+    @pytest.mark.parametrize("n_x, n_y, n_v", [(0, 0, 5), (2, 3, 5),
+                                               (7, 7, 5)])
+    def test_draw_of_mismatched_sizes_rejected(self, n_x, n_y, n_v):
+        with pytest.raises(ValueError, match="x.size == y.size"):
+            PerturbationDraw(np.ones(n_x), np.ones(n_y), np.ones(n_v))
 
 
 class TestApplyDraw:

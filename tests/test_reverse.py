@@ -5,8 +5,9 @@ from morilab.chain import LanczosChain, propagate
 from morilab.design import linear_continuation
 from morilab.fitting import detect_equilibration
 from morilab.reverse import (AnalyticCorrelation, QuadratureError,
-                             SpectralDensityInput, fourier_of_correlation,
-                             lanczos_from_spectrum, spectral_grid_for)
+                             SpectralDensityInput, _recursion,
+                             fourier_of_correlation, lanczos_from_spectrum,
+                             spectral_grid_for)
 
 
 def second_moment(den):
@@ -97,6 +98,15 @@ class TestSpectralDensityInput:
             den = SpectralDensityInput(om, vals)
         assert den.values.min() >= 0
 
+    @pytest.mark.parametrize("omega, values, error", [
+        (np.linspace(-1, 1, 7), np.ones(7), "at least 8 nodes"),
+        (np.ones((2, 8)), np.ones((2, 8)), "one-dimensional"),
+        (np.r_[0.0, np.linspace(-1, 1, 8)], np.ones(9), "strictly increasing"),
+        (np.linspace(-1, 1, 9), np.zeros(9), "positive mass")])
+    def test_invalid_grid_or_density_rejected(self, omega, values, error):
+        with pytest.raises(ValueError, match=error):
+            SpectralDensityInput(omega, values)
+
     def test_gross_negatives_rejected(self):
         om = np.linspace(-4, 4, 81)
         vals = np.exp(-om**2)
@@ -150,6 +160,26 @@ class TestLanczosFromSpectrum:
         rr = lanczos_from_spectrum(den, 20)
         assert rr.achieved < 20
         assert "under-resolves" in rr.stop_reason
+
+    @pytest.mark.parametrize("n_max", [0, -10])
+    def test_nmax_below_one_rejected(self, n_max):
+        den = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.5),
+                                     n_max=8)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            lanczos_from_spectrum(den, n_max)
+
+    @pytest.mark.parametrize("scale, stop", [
+        (1.0, "b_9^2 below stability cutoff"),
+        (1e24, "orthogonality residual exceeded at step 9")])
+    def test_nine_nodes_end_the_recursion_at_step_nine(self, scale, stop):
+        # a grid of 9 nodes spans 9 basis functions, so r_9 is round-off
+        # after the reorthogonalization.  That round-off scales with the
+        # frequencies while the b^2 cutoff does not: at 1e24 it passes the
+        # cutoff and its direction is caught by the orthogonality test
+        rng = np.random.default_rng(1)
+        omega = np.sort(rng.uniform(-1.0, 1.0, 9)) * scale
+        b, reason = _recursion(omega, rng.uniform(0.5, 1.0, 9), 12)
+        assert b.size == 8 and reason == stop
 
     def test_rough_density_quadrature_error(self):
         rng = np.random.default_rng(5)
