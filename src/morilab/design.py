@@ -103,7 +103,8 @@ def oscillating_pair(n_max: int, d: int, b1: float,
                      b2: float) -> tuple[LanczosChain, LanczosChain]:
     """The gdo and edo chains of the damped-oscillation scenarios.
 
-    gdo is the reverse recursion of GDO_TARGET to n_max coefficients,
+    gdo is GDO_TARGET's first n_max Lanczos coefficients, from the exact
+    Hermite moments of its density (`reverse.lanczos_from_spectrum`),
     continued linearly to d sites; edo's ramp is that fitted tail.
     """
     density = fourier_of_correlation(GDO_TARGET, n_max=n_max)

@@ -197,8 +197,7 @@ class TestSubcommands:
         assert rows[0] == "n,b"
         assert len(rows) == 51  # 50 coefficients
         meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
-        assert list(meta) == ["achieved", "quadrature", "requested",
-                              "stop_reason"]
+        assert meta == {"achieved": 50, "digits": [61, 122], "requested": 50}
         chain = LanczosChain.from_csv(chain_out)
         assert chain.d == 400
         # `reverse --continue-to` and `design` build one gdo chain

@@ -1,18 +1,31 @@
+import math
+import os
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial.hermite_e import hermegauss, hermeval
 
+from morilab import reverse
 from morilab.chain import LanczosChain, propagate
-from morilab.design import linear_continuation
+from morilab.cli import main
+from morilab.design import GDO_TARGET, linear_continuation
 from morilab.fitting import detect_equilibration
-from morilab.reverse import (AnalyticCorrelation, QuadratureError,
-                             SpectralDensityInput, _recursion,
-                             fourier_of_correlation, lanczos_from_spectrum,
-                             spectral_grid_for)
+from morilab.reverse import (AnalyticCorrelation, fourier_of_correlation,
+                             lanczos_from_spectrum)
 
 
-def second_moment(den):
-    """Second moment of the normalized measure (equals b_1^2)."""
-    return np.trapezoid(den.omega**2 * den.values, den.omega) / (2 * np.pi)
+def coefficients(corr, n_max):
+    return lanczos_from_spectrum(fourier_of_correlation(corr, n_max), n_max)
+
+
+def gauss_hermite(degree):
+    """Nodes and weights of N(0, 1): exact for polynomials of degree below
+    2 * degree."""
+    x, w = hermegauss(degree)
+    return x, w / math.sqrt(2 * math.pi)
 
 
 class TestAnalyticCorrelation:
@@ -29,39 +42,6 @@ class TestAnalyticCorrelation:
         with pytest.raises(ValueError, match="must be finite"):
             AnalyticCorrelation(gauss_rate, cos_freq)
 
-    def test_evaluation(self):
-        # the inverse transform of the density is C(t) itself
-        c = AnalyticCorrelation(gauss_rate=-0.125, cos_freq=2.0)
-        omega = np.linspace(-20, 20, 4001)
-        t = np.linspace(0, 5, 11)
-        back = np.trapezoid(np.cos(np.outer(t, omega)) * c.spectral_values(omega),
-                            omega, axis=1) / (2 * np.pi)
-        assert np.allclose(back, np.exp(-t**2 / 8) * np.cos(2 * t), atol=1e-12)
-
-    def test_gaussian_closed_form_vs_quadrature(self):
-        # oracle: direct numeric transform of the sampled correlation function
-        c = AnalyticCorrelation(gauss_rate=-0.5)
-        omega = np.linspace(-6, 6, 121)
-        closed = c.spectral_values(omega)
-        t = np.linspace(0, 12, 6001)
-        quad = 2 * np.trapezoid(np.cos(np.outer(omega, t)) * np.exp(-t**2 / 2),
-                                t, axis=1)
-        assert np.abs(closed - quad).max() < 1e-10
-        assert np.abs(closed - np.sqrt(2 * np.pi) * np.exp(-omega**2 / 2)).max() < 1e-12
-
-    def test_modulation_shifts_density(self):
-        # cos(2t) factor splits the Gaussian into two shifted halves
-        c = AnalyticCorrelation(gauss_rate=-0.125, cos_freq=2.0)
-        omega = np.linspace(-8, 8, 161)
-        closed = c.spectral_values(omega)
-        shifted = 0.5 * (np.sqrt(8 * np.pi) * np.exp(-2 * (omega - 2) ** 2)
-                         + np.sqrt(8 * np.pi) * np.exp(-2 * (omega + 2) ** 2))
-        assert np.abs(closed - shifted).max() < 1e-12
-        t = np.linspace(0, 14, 7001)
-        quad = 2 * np.trapezoid(np.cos(np.outer(omega, t))
-                                * np.exp(-t**2 / 8) * np.cos(2 * t), t, axis=1)
-        assert np.abs(closed - quad).max() < 1e-9
-
 
 class TestFourierOfCorrelation:
     def test_non_decaying_rejected(self):
@@ -77,89 +57,98 @@ class TestFourierOfCorrelation:
             fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.5),
                                    n_max=n_max)
 
-    def test_normalization_applied(self):
-        den = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.5))
-        assert abs(np.trapezoid(den.values, den.omega) / (2 * np.pi) - 1.0) < 1e-12
+    @pytest.mark.parametrize("gauss_rate, cos_freq", [
+        (-0.5, 0.0), (-0.125, 2.0), (-0.13, -2.3), (-2.0, 0.7)])
+    def test_density_transforms_back_to_the_target(self, gauss_rate, cos_freq):
+        # C(t) is the mean of cos(omega t) over the density's two halves
+        corr = AnalyticCorrelation(gauss_rate, cos_freq)
+        s, c = fourier_of_correlation(corr)
+        x, w = gauss_hermite(80)
+        t = np.linspace(0.0, 4.0, 17)[:, None]
+        back = 0.5 * (np.cos(s * (x + c) * t) + np.cos(s * (x - c) * t)) @ w
+        target = np.exp(gauss_rate * t[:, 0]**2) * np.cos(cos_freq * t[:, 0])
+        assert np.abs(back - target).max() < 1e-13
+
+    def test_sign_of_the_frequency_does_not_matter(self):
+        assert (fourier_of_correlation(AnalyticCorrelation(-0.125, -2.0))
+                == fourier_of_correlation(AnalyticCorrelation(-0.125, 2.0))
+                == (0.5, 4.0))
 
 
-class TestSpectralDensityInput:
-    def test_small_negatives_clipped_silently(self):
-        om = np.linspace(-4, 4, 81)
-        vals = np.exp(-om**2)
-        vals[3] = -5e-11
-        den = SpectralDensityInput(om, vals)
-        assert den.values.min() >= 0
+class TestModifiedMoments:
+    @pytest.mark.parametrize("c", [0.0, 0.7, 4.0])
+    def test_hermite_moments_against_gauss_hermite(self, c):
+        # the algorithm's moments: E[He_l(Y)] over Y ~ 1/2 [N(-c, 1) + N(c, 1)]
+        # is c^l for even l and 0 for odd l; the quadrature's round-off is
+        # measured against He_l's norm sqrt(l!), and was below 4e-16 of it
+        x, w = gauss_hermite(60)
+        for l in range(21):
+            he = np.eye(l + 1)[l]
+            quad = 0.5 * (hermeval(x + c, he) + hermeval(x - c, he)) @ w
+            exact = c**l if l % 2 == 0 else 0.0
+            scale = math.sqrt(math.factorial(l)) * max(1.0, c**l)
+            assert abs(quad - exact) <= 1e-14 * scale
 
-    def test_moderate_negatives_warn(self):
-        om = np.linspace(-4, 4, 81)
-        vals = np.exp(-om**2)
-        vals[3] = -1e-8
-        with pytest.warns(UserWarning):
-            den = SpectralDensityInput(om, vals)
-        assert den.values.min() >= 0
-
-    @pytest.mark.parametrize("omega, values, error", [
-        (np.linspace(-1, 1, 7), np.ones(7), "at least 8 nodes"),
-        (np.ones((2, 8)), np.ones((2, 8)), "one-dimensional"),
-        (np.r_[0.0, np.linspace(-1, 1, 8)], np.ones(9), "strictly increasing"),
-        (np.linspace(-1, 1, 9), np.zeros(9), "positive mass")])
-    def test_invalid_grid_or_density_rejected(self, omega, values, error):
-        with pytest.raises(ValueError, match=error):
-            SpectralDensityInput(omega, values)
-
-    def test_gross_negatives_rejected(self):
-        om = np.linspace(-4, 4, 81)
-        vals = np.exp(-om**2)
-        vals[3] = -0.01
-        with pytest.raises(ValueError, match="negative"):
-            SpectralDensityInput(om, vals)
-
-    def test_second_moment(self):
-        om = np.linspace(-10, 10, 2001)
-        den = SpectralDensityInput(om, np.sqrt(2 * np.pi) * np.exp(-om**2 / 2))
-        assert second_moment(den) == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("gauss_rate, cos_freq", [
+        (-0.5, 0.0), (-0.125, 2.0), (-0.13, 2.3), (-2.0, 0.7)])
+    def test_against_stieltjes_on_gauss_hermite_nodes(self, gauss_rate,
+                                                      cos_freq):
+        # an independent route: the three-term recursion run on the discrete
+        # measure of 2 x 100 Gauss-Hermite nodes, exact for these degrees
+        corr = AnalyticCorrelation(gauss_rate, cos_freq)
+        s, c = fourier_of_correlation(corr)
+        x, w = gauss_hermite(100)
+        nodes, weights = s * np.r_[x - c, x + c], 0.5 * np.r_[w, w]
+        p_prev, p, norm, b2 = 0.0 * nodes, 1.0 + 0.0 * nodes, 1.0, 0.0
+        expected = []
+        for _ in range(12):
+            p_prev, p = p, nodes * p - b2 * p_prev
+            norm, b2 = weights @ p**2, weights @ p**2 / norm
+            expected.append(math.sqrt(b2))
+        got = coefficients(corr, 12).b
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 class TestLanczosFromSpectrum:
-    def test_gaussian_recovers_sqrt_n(self):
-        den = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.5),
-                                     n_max=55)
-        rr = lanczos_from_spectrum(den, 55)
-        assert rr.achieved >= 50
-        n = np.arange(1, 31)
-        rel = np.abs(rr.b[:30] - np.sqrt(n)) / np.sqrt(n)
-        assert rel.max() <= 1e-3
+    def test_gaussian_recovers_sqrt_n_to_the_bit(self):
+        rr = coefficients(AnalyticCorrelation(gauss_rate=-0.5), 50)
+        assert rr.achieved == 50
+        assert np.array_equal(rr.b, np.sqrt(np.arange(1, 51)))
 
-    def test_reflection_invariance(self):
-        # even measure: flipping the frequency axis leaves the b_n unchanged
-        den = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.125,
-                                                         cos_freq=2.0), n_max=20)
-        rr = lanczos_from_spectrum(den, 20)
-        flipped = SpectralDensityInput(den.omega, den.values[::-1].copy())
-        rr_f = lanczos_from_spectrum(flipped, 20)
-        assert np.allclose(rr.b, rr_f.b, rtol=1e-9)
+    @pytest.mark.parametrize("gauss_rate, cos_freq", [
+        (-0.5, 0.0), (-0.125, 2.0), (-0.13, 2.3), (-0.01, 3.0), (-1e-7, 2.0)])
+    def test_first_two_coefficients(self, gauss_rate, cos_freq):
+        # b_1^2 = mu2 and b_2^2 = mu4/mu2 - mu2 for an even measure, with
+        # mu2 = s^2 + w^2 and mu4 = 3 s^4 + 6 s^2 w^2 + w^4, in exact
+        # arithmetic since mu4/mu2 - mu2 cancels most digits when w >> s
+        corr = AnalyticCorrelation(gauss_rate, cos_freq)
+        s, _ = fourier_of_correlation(corr)
+        s2, w2 = Fraction(s)**2, Fraction(cos_freq)**2
+        mu2, mu4 = s2 + w2, 3 * s2**2 + 6 * s2 * w2 + w2**2
+        b = coefficients(corr, 2).b
+        assert b[0] == pytest.approx(math.sqrt(mu2), rel=1e-15)
+        assert b[1] == pytest.approx(math.sqrt(mu4 / mu2 - mu2), rel=1e-15)
 
-    def test_b1_equals_sqrt_second_moment(self):
-        den = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.125,
-                                                         cos_freq=2.0), n_max=10)
-        rr = lanczos_from_spectrum(den, 10)
-        assert rr.b[0] == pytest.approx(np.sqrt(second_moment(den)), rel=1e-9)
+    @pytest.mark.parametrize("k", [1e-11, 0.5, 2.0, 1e24])
+    def test_scale_covariance(self, k):
+        # rate x k^2 and frequency x k scale the density, and so b, by k
+        base = coefficients(GDO_TARGET, 50).b
+        scaled = coefficients(AnalyticCorrelation(GDO_TARGET.gauss_rate * k**2,
+                                                  GDO_TARGET.cos_freq * k), 50)
+        assert scaled.achieved == 50
+        assert np.all(np.abs(scaled.b - k * base) <= 2 * np.spacing(scaled.b))
 
-    @pytest.mark.parametrize("c", [0.5, 2.0])
-    def test_scale_covariance(self, c):
-        base = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.5),
-                                      n_max=15)
-        rr = lanczos_from_spectrum(base, 15)
-        scaled = SpectralDensityInput(base.omega * c, base.values / c)
-        rr_c = lanczos_from_spectrum(scaled, 15)
-        assert np.allclose(rr_c.b, c * rr.b, rtol=1e-8)
-
-    def test_coarse_grid_truncates_honestly(self):
-        om = np.linspace(-9, 9, 55)
-        den = SpectralDensityInput(om, np.sqrt(2 * np.pi) * np.exp(-om**2 / 2))
-        rr = lanczos_from_spectrum(den, 20)
-        assert rr.achieved < 20
-        assert "under-resolves" in rr.stop_reason
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gauss_rate=st.floats(-4.0, -0.01), cos_freq=st.floats(0.0, 4.0),
+           j=st.integers(-60, 60))
+    def test_scale_covariance_by_powers_of_two_is_exact(self, gauss_rate,
+                                                        cos_freq, j):
+        # a power of two scales s and leaves c, so b scales without rounding
+        k = 2.0**j
+        base = coefficients(AnalyticCorrelation(gauss_rate, cos_freq), 12).b
+        scaled = coefficients(AnalyticCorrelation(gauss_rate * k**2,
+                                                  cos_freq * k), 12).b
+        assert np.array_equal(scaled, k * base)
 
     @pytest.mark.parametrize("n_max", [0, -10])
     def test_nmax_below_one_rejected(self, n_max):
@@ -168,39 +157,67 @@ class TestLanczosFromSpectrum:
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             lanczos_from_spectrum(den, n_max)
 
-    @pytest.mark.parametrize("scale, stop", [
-        (1.0, "b_9^2 below stability cutoff"),
-        (1e24, "orthogonality residual exceeded at step 9")])
-    def test_nine_nodes_end_the_recursion_at_step_nine(self, scale, stop):
-        # a grid of 9 nodes spans 9 basis functions, so r_9 is round-off
-        # after the reorthogonalization.  That round-off scales with the
-        # frequencies while the b^2 cutoff does not: at 1e24 it passes the
-        # cutoff and its direction is caught by the orthogonality test
-        rng = np.random.default_rng(1)
-        omega = np.sort(rng.uniform(-1.0, 1.0, 9)) * scale
-        b, reason = _recursion(omega, rng.uniform(0.5, 1.0, 9), 12)
-        assert b.size == 8 and reason == stop
-
-    def test_rough_density_quadrature_error(self):
-        rng = np.random.default_rng(5)
-        om = np.linspace(-6, 6, 301)
-        vals = np.exp(-om**2 / 2) * (1.0 + 0.5 * rng.random(om.size))
-        with pytest.raises(QuadratureError, match="drift"):
-            lanczos_from_spectrum(SpectralDensityInput(om, vals), 10)
+    @pytest.mark.parametrize("gauss_rate, cos_freq", [(-1e-7, 0.0),
+                                                      (-1e-7, 2.0)])
+    def test_narrow_density_is_cheap(self, gauss_rate, cos_freq):
+        # no grid: a density 1/sqrt(2e-7) narrower than exp(-t^2/2)'s costs
+        # no more memory (a frequency grid for it held over 600 MB)
+        corr = AnalyticCorrelation(gauss_rate, cos_freq)
+        tracemalloc.start()
+        try:
+            rr = coefficients(corr, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rr.achieved == 50 and np.all(rr.b > 0)
+        assert peak < 10e6
+        if cos_freq == 0.0:
+            s, _ = fourier_of_correlation(corr)
+            assert np.array_equal(rr.b, s * np.sqrt(np.arange(1, 51)))
 
     def test_csv(self, tmp_path):
-        den = fourier_of_correlation(AnalyticCorrelation(gauss_rate=-0.5),
-                                     n_max=8)
-        rr = lanczos_from_spectrum(den, 8)
+        rr = coefficients(AnalyticCorrelation(gauss_rate=-0.5), 8)
         LanczosChain(rr.b).to_csv(tmp_path / "b.csv")
         rows = (tmp_path / "b.csv").read_text().strip().splitlines()
         assert rows[0] == "n,b"
         assert len(rows) == rr.achieved + 1
 
 
+class TestPrecisionCheck:
+    @pytest.mark.parametrize("n_max", [50, 200])
+    @pytest.mark.parametrize("corr", [
+        GDO_TARGET, AnalyticCorrelation(-0.13, 2.3),
+        AnalyticCorrelation(-0.01, 3.0)], ids=["gdo", "c=4.5", "c=21.2"])
+    def test_quiet_where_the_rule_holds(self, corr, n_max):
+        _, c = fourier_of_correlation(corr)
+        digits = 30 + math.ceil(n_max * math.log10(c))
+        rr = coefficients(corr, n_max)
+        assert rr.achieved == n_max and np.all(rr.b > 0)
+        assert rr.digits == (digits, 2 * digits)
+
+    def test_trips_when_the_digits_are_too_few(self, monkeypatch):
+        monkeypatch.setattr(reverse, "_digits", lambda c, n: 10)
+        with pytest.raises(ArithmeticError,
+                           match=r"^b_1/s is .* at 10 digits and .* at 20: "
+                                 r"the working precision does not hold for "
+                                 r"c = 21\.2132 at n_max = 50$"):
+            coefficients(AnalyticCorrelation(-0.01, 3.0), 50)
+
+    def test_cli_exits_with_the_numerical_failure_code(self, monkeypatch,
+                                                       tmp_path, capsys):
+        monkeypatch.setattr(reverse, "_digits", lambda c, n: 10)
+        code = main(["reverse", "--target", "exp(-0.01t^2)*cos(3t)",
+                     "--nmax", "50", "--out", str(tmp_path / "b.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: b_1/s is ")
+        assert " at 10 digits and " in err and " at 20: " in err
+        assert os.listdir(tmp_path) == []
+
+
 class TestGdoPipeline:
     def test_prefix_values_frozen(self):
-        # converged against window padding x1.5-2.5 and density 40->80
+        # b_48 and b_50 as a converged frequency-grid quadrature gave them
         den = fourier_of_correlation(
             AnalyticCorrelation(gauss_rate=-0.125, cos_freq=2.0), n_max=50)
         rr = lanczos_from_spectrum(den, 50)
@@ -220,12 +237,3 @@ class TestGdoPipeline:
         n_eq, _ = detect_equilibration(series)
         rms = np.sqrt(np.sum((series.values - target)[: n_eq + 1] ** 2) / n_eq)
         assert rms <= 0.01
-
-
-class TestSpectralGrid:
-    def test_window_covers_basis_support(self):
-        c = AnalyticCorrelation(gauss_rate=-0.5)
-        grid = spectral_grid_for(c, n_max=50)
-        # basis functions reach ~ sqrt(2n) for the unit Gaussian
-        assert grid[-1] >= np.sqrt(2 * 50)
-        assert grid.size >= 2 * grid[-1] * 40
