@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .chain import (CUT_TOL, CorrelationSeries, LanczosChain, finite,
                     propagate, read_csv, write_csv)
-from .design import linear_continuation
 from .experiment import (MAX_BINS, Scenario, ScenarioConfig, TrialRecord,
                          build_families, run_scenario, usable_cpus,
                          worker_count)
@@ -55,9 +54,11 @@ log = logging.getLogger("morilab")
 # ---------------------------------------------------------------------------
 
 # one factor: exp(a t^2), optionally over a divisor, or cos(b t); an omitted
-# coefficient a or b is 1 and keeps its sign
+# coefficient a or b is 1 and keeps its sign, and a given one may carry an
+# exponent, as in 1e-7
 _FACTOR = re.compile(
-    r"(?:(?P<exp>exp)|cos)\((?P<sign>[+-]?)(?P<num>\d+\.?\d*|\.\d+)?\*?t"
+    r"(?:(?P<exp>exp)|cos)\((?P<sign>[+-]?)"
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\*?t"
     r"(?(exp)\^2(?:/(?P<den>\d+\.?\d*))?)\)")
 
 
@@ -502,29 +503,9 @@ def _cmd_reverse(args) -> int:
     density = fourier_of_correlation(parse_target(args.target),
                                      n_max=args.nmax)
     result = lanczos_from_spectrum(density, args.nmax)
-    # a continuation the coefficients do not allow, and an output that is a
-    # directory or whose directory is missing, are refused before any write
-    cont = (linear_continuation(result.b, args.continue_to)
-            if args.continue_to is not None else None)
-    outs = [("--out", args.out), ("--out", args.out + ".meta.json")]
-    if cont is not None:
-        outs.append(("--chain-out", args.chain_out))
-    for flag, out in outs:
-        folder = os.path.dirname(os.path.abspath(out))
-        if not os.path.isdir(folder):
-            raise ValueError(f"{flag} {out}: {folder} is not a directory")
-        if os.path.isdir(out):
-            raise ValueError(f"{flag} {out}: is a directory")
     LanczosChain(result.b).to_csv(args.out)
-    _write_json(args.out + ".meta.json", {
-        "achieved": result.achieved, "requested": args.nmax,
-        "digits": list(result.digits)})
     print(f"wrote {args.out} ({result.achieved} coefficients, equal at "
           f"{result.digits[0]} and {result.digits[1]} digits)")
-    if cont is not None:
-        cont.chain.to_csv(args.chain_out)
-        print(f"wrote {args.chain_out} (d={args.continue_to}, tail slope "
-              f"{cont.slope:.5g})")
     return 0
 
 
@@ -617,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. \"exp(-t^2/8)*cos(2t)\"")
     p.add_argument("--nmax", type=int, default=50)
     p.add_argument("--out", required=True)
-    p.add_argument("--continue-to", type=int, default=None, dest="continue_to")
-    p.add_argument("--chain-out", default="chain_continued.csv")
     p.set_defaults(func=_cmd_reverse)
 
     p = sub.add_parser("perturb", help="apply one seeded draw to a chain")

@@ -30,7 +30,9 @@ class TestParseTarget:
         ("exp(+t^2)*exp(-2t^2)", (-1.0, 0.0)),
         ("exp(-2*t^2/8)", (-0.25, 0.0)),
         ("cos(-3t)*exp(-t^2)", (-1.0, 3.0)),
-        ("exp(-1.t^2)", (-1.0, 0.0))])
+        ("exp(-1.t^2)", (-1.0, 0.0)),
+        ("exp(-1e-7t^2)", (-1e-7, 0.0)),
+        ("cos(2.5E+1t)*exp(-t^2)", (-1.0, 25.0))])
     def test_accepted_target(self, target, rates):
         c = parse_target(target)
         assert (c.gauss_rate, c.cos_freq) == rates
@@ -44,6 +46,10 @@ class TestParseTarget:
         ("exp(-t)*", "cannot parse target"),
         ("*exp(-t)", "cannot parse target"),
         ("cos(2t^2)", "cannot parse target"),
+        # an exponent needs digits, and a mantissa before it
+        ("exp(-1et^2)", "cannot parse target"),
+        ("exp(-1e-t^2)", "cannot parse target"),
+        ("exp(-e5t^2)", "cannot parse target"),
         ("exp(-t^2/0)", "zero divisor in 'exp(-t^2/0)'"),
         ("exp(-t^2/0.0)", "zero divisor in 'exp(-t^2/0.0)'"),
         # exp(a t) has a kink at t = 0, so its b_1 is infinite
@@ -177,34 +183,45 @@ class TestSubcommands:
         ("e", ["--nstar", "0"], "require 1 <= n_star < d"),
         ("g", ["--nstar", "300"], "require 1 <= n_star < d"),
         ("e", ["--a", "0"], "a must be positive"),
-        ("edo", ["--b1", "-1"], "head coefficients must be positive")])
+        ("edo", ["--b1", "-1"], "head coefficients must be positive"),
+        ("gdo", ["--nmax", "1"], "a tail needs at least two coefficients, "
+         "got 1"),
+        ("gdo", ["--d", "40"], "d too small for the given prefix: d = 40, "
+         "and 50 coefficients need d >= 51")])
     def test_design_parameter_out_of_range_exit_2(self, tmp_path, capsys,
                                                   family, flags, error):
+        # the flags come after --d 300, so that a --d among them wins
         out = tmp_path / "design.csv"
-        assert main(["design", "--family", family, *flags, "--d", "300",
+        assert main(["design", "--family", family, "--d", "300", *flags,
                      "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    def test_reverse_with_continuation(self, tmp_path):
+    def test_design_gdo_continues_the_reverse_coefficients(self, tmp_path,
+                                                           capsys):
+        # `design` is the one builder of the gdo chain: its first 50
+        # coefficients are the bytes `reverse` writes, its only output, for
+        # the target, and `reverse` continues no chain
         coeffs = tmp_path / "b.csv"
-        chain_out = tmp_path / "chain.csv"
-        code = main(["reverse", "--target", "exp(-t^2/8)*cos(2t)",
-                     "--nmax", "50", "--out", str(coeffs),
-                     "--continue-to", "400", "--chain-out", str(chain_out)])
-        assert code == 0
-        rows = coeffs.read_text().strip().splitlines()
-        assert rows[0] == "n,b"
-        assert len(rows) == 51  # 50 coefficients
-        meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
-        assert meta == {"achieved": 50, "digits": [61, 122], "requested": 50}
-        chain = LanczosChain.from_csv(chain_out)
-        assert chain.d == 400
-        # `reverse --continue-to` and `design` build one gdo chain
-        design = tmp_path / "design.csv"
-        assert main(["design", "--family", "gdo", "--d", "400",
-                     "--out", str(design)]) == 0
-        assert design.read_bytes() == chain_out.read_bytes()
+        reverse = ["reverse", "--target", "exp(-t^2/8)*cos(2t)",
+                   "--nmax", "50", "--out", str(coeffs)]
+        for flag in ("--continue-to", "--chain-out"):
+            with pytest.raises(SystemExit) as exit_:
+                main(reverse + [flag, "400"])
+            assert exit_.value.code == 2
+        assert os.listdir(tmp_path) == []
+        assert main(reverse) == 0
+        assert "(50 coefficients, equal at 61 and 122 digits)" in \
+            capsys.readouterr().out
+        assert os.listdir(tmp_path) == ["b.csv"]
+        rows = coeffs.read_bytes().splitlines(keepends=True)
+        assert rows[0] == b"n,b\r\n" and len(rows) == 51
+        for d in ("51", "400"):
+            design = tmp_path / f"design_{d}.csv"
+            assert main(["design", "--family", "gdo", "--d", d,
+                         "--out", str(design)]) == 0
+            built = design.read_bytes().splitlines(keepends=True)
+            assert len(built) == int(d) and built[:51] == rows
 
     @pytest.mark.parametrize("nmax", ["0", "-10"])
     def test_reverse_nmax_below_one_exit_2(self, tmp_path, capsys, nmax):
@@ -214,41 +231,6 @@ class TestSubcommands:
         assert "config error: n_max must be >= 1" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("continue_to", ["0", "10"])
-    def test_reverse_continuation_shorter_than_the_coefficients_exit_2(
-            self, tmp_path, capsys, continue_to):
-        # 20 coefficients need d >= 21: refused before any file is written
-        code = main(["reverse", "--target", "exp(-t^2/8)*cos(2t)",
-                     "--nmax", "20", "--out", str(tmp_path / "b.csv"),
-                     "--continue-to", continue_to,
-                     "--chain-out", str(tmp_path / "chain.csv")])
-        assert code == 2
-        assert (f"d too small for the given prefix: d = {continue_to}, and 20 "
-                "coefficients need d >= 21") in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("out, chain_out, error", [
-        ("b.csv", "missing/chain.csv",
-         "--chain-out {tmp}/missing/chain.csv: {tmp}/missing is not a directory"),
-        ("adir", "chain.csv", "--out {tmp}/adir: is a directory"),
-        ("missing/b.csv", "chain.csv",
-         "--out {tmp}/missing/b.csv: {tmp}/missing is not a directory"),
-        ("b.csv", "adir", "--chain-out {tmp}/adir: is a directory"),
-        ("meta", "chain.csv", "--out {tmp}/meta.meta.json: is a directory")])
-    def test_reverse_output_that_cannot_be_written_exit_2(
-            self, tmp_path, capsys, out, chain_out, error):
-        # every output is checked before the first is written
-        (tmp_path / "adir").mkdir()
-        (tmp_path / "meta.meta.json").mkdir()
-        code = main(["reverse", "--target", "exp(-t^2/8)*cos(2t)",
-                     "--nmax", "20", "--out", str(tmp_path / out),
-                     "--continue-to", "400",
-                     "--chain-out", str(tmp_path / chain_out)])
-        assert code == 2
-        assert error.format(tmp=tmp_path) in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["adir", "meta.meta.json"]
-        assert os.listdir(tmp_path / "adir") == []
-
     @pytest.mark.parametrize("argv", [
         ["design", "--family", "g", "--d", "300", "--out", "{dir}"],
         ["propagate", "--chain", "{chain}", "--tmax", "1", "--out", "{dir}"],
@@ -256,6 +238,8 @@ class TestSubcommands:
         ["perturb", "--chain", "{chain}", "--lambda", "0.5", "--seed", "1",
          "--out", "{dir}"],
         ["fit", "--series", "{dir}", "--model", "exp", "--out", "{out}"],
+        ["reverse", "--target", "exp(-t^2/8)*cos(2t)", "--nmax", "20",
+         "--out", "{dir}"],
         ["run", "--config", "{dir}", "--out", "{out}"]],
         ids=lambda argv: f"{argv[0]} {argv[argv.index('{dir}') - 1]}")
     def test_path_that_is_a_directory_exit_2(self, tmp_path, capsys, argv):
