@@ -482,9 +482,12 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
     are not finite, a PropagationError in its slot instead of a series.
     Else the certificate refuses a cut whose bound is above CUT_TOL, and
     the chain is held again at its next rung; the last rung, d, is taken
-    whatever its bound.  Chains of one lam share one Bessel sum: one Miller
-    pass, whose J_2k each chain's own moments meet in fixed-shape chunks,
-    reading the moments in place.  Neither pass mixes its rows, so every
+    whatever its bound.  The largest group held is expanded first; once
+    every chain is held, the groups of the lowest rung go first, so that
+    the chains they refuse meet in one group at their next rung.  Chains
+    of one lam share one Bessel sum: one Miller pass, whose J_2k each
+    chain's own moments meet in fixed-shape chunks, reading the moments
+    in place.  Neither pass mixes its rows, so every
     series equals the one `propagate` gives for its chain alone, to the
     bit, whatever the chains and their order.  At most GROUP_ROWS chains
     are held at once, and after their recursion only their moments are
@@ -493,28 +496,31 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
     n_steps = _step_count(dt, t_max)
     horizon = n_steps * dt
     out: list[CorrelationSeries | PropagationError | None] = []
+    # (lam, n_c) -> (slot, chain, ladder, rung index) of each held chain
     pending: dict[tuple[float, int],
-                  list[tuple[int, LanczosChain, list[int]]]] = {}
+                  list[tuple[int, LanczosChain, list[int], int]]] = {}
     # lam -> (slot, n_c, moments, drift, cut bound) of each certified chain
     groups: dict[float, list[tuple[int, int, np.ndarray, float, float]]] = {}
 
-    def hold(slot: int, chain: LanczosChain, rungs: list[int]) -> None:
-        n_c, *rest = rungs
+    def hold(slot: int, chain: LanczosChain, rungs: list[int],
+             rung: int = 0) -> None:
+        n_c = rungs[rung]
         key = (_prefix_scale(chain.b, n_c), n_c)
-        pending.setdefault(key, []).append((slot, chain, rest))
+        pending.setdefault(key, []).append((slot, chain, rungs, rung))
 
-    def expand_largest() -> None:
-        (lam, n_c), members = max(pending.items(), key=lambda kv: len(kv[1]))
-        del pending[lam, n_c]
+    def expand(key: tuple[float, int]) -> None:
+        lam, n_c = key
+        members = pending.pop(key)
         # the moment count K runs to the Miller start order of lam*T/2, where
         # the Bessel tail is negligible
         z_end = lam * dt * n_steps
         order = max(int(_miller_order(z_end)) // 2,
                     int(_miller_order(z_end / 2)))
         tail = _bessel_tail(order, z_end / 2)
-        prefixes = np.array([c.b[:n_c - 1] for _, c, _ in members])
+        prefixes = np.array([c.b[:n_c - 1] for _, c, _, _ in members])
         mu, edge = _even_moments(prefixes, lam, order)
-        for (slot, chain, rest), mu_i, edge_i in zip(members, mu, edge):
+        for (slot, chain, rungs, rung), mu_i, edge_i in zip(members, mu,
+                                                            edge):
             excess = mu_i - 1.0
             drift = float(excess.max())
             if not drift <= NORM_TOL:            # a NaN is an excess too
@@ -539,8 +545,8 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
             b_cut = b[n_c - 1] if n_c <= b.size else _continued_coupling(b)
             bound = float(4.0 * b_cut * horizon
                           * (np.sqrt(order + 1) * edge_i + tail))
-            if rest and not bound <= CUT_TOL:
-                hold(slot, chain, rest)          # the cut is not certified
+            if rung + 1 < len(rungs) and not bound <= CUT_TOL:
+                hold(slot, chain, rungs, rung + 1)   # the cut is not certified
             else:
                 groups.setdefault(lam, []).append(
                     (slot, n_c, mu_i, drift, bound))
@@ -552,9 +558,13 @@ def propagate_many(chains: Iterable[LanczosChain], dt: float = 0.01,
         hold(len(out), chain, _cut_ladder(chain.b, horizon))
         out.append(None)
         while sum(map(len, pending.values())) >= GROUP_ROWS:
-            expand_largest()
+            expand(max(pending, key=lambda k: len(pending[k])))
+    # the last chains: every group of the lowest rung held goes first, so
+    # that the chains it refuses meet the others refused there, in one
+    # group of their next rung
     while pending:
-        expand_largest()
+        expand(max(pending, key=lambda k: (-min(m[3] for m in pending[k]),
+                                           len(pending[k]))))
     for lam, members in groups.items():
         rows = _cosine_series([mu for _, _, mu, _, _ in members],
                               lam * dt * np.arange(n_steps + 1))

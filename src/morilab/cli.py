@@ -262,10 +262,17 @@ def histogram_rows(records, bin_width: float) -> list[tuple]:
 
 
 def _sha256(path) -> str:
-    # imported here, once every file of a run is written: hashlib maps
-    # OpenSSL, which no other step needs, into the process and each worker
-    import hashlib
-    h = hashlib.sha256()
+    # the interpreter's own SHA-256 (_sha2 from 3.12, _sha256 before),
+    # imported here, once every file of a run is written: hashlib, the
+    # fallback, maps OpenSSL, which no step of a run needs
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    h = sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):
             h.update(block)

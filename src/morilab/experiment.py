@@ -263,6 +263,21 @@ class FamilyRun:
     equilibrated: bool
 
 
+def _run_baseline(args) -> FamilyRun:
+    """Propagate a family's unperturbed chain, find its equilibration and
+    fit its class to it.  The job is (family, config), as a pool maps one
+    argument; a baseline too short to fit is refused as a ValueError that
+    names the family."""
+    fam, cfg = args
+    c0 = propagate(fam.chain, dt=cfg.dt, t_max=cfg.t_max)
+    n_eq0, eq0 = detect_equilibration(c0, cfg.eq_threshold, cfg.eq_window)
+    try:
+        fit0 = fit(c0, fam.model_class, n_eq0)
+    except ValueError as err:
+        raise ValueError(f"baseline {fam.name}: {err}") from err
+    return FamilyRun(fam.name, fam.chain, fam.model_class, c0, fit0, eq0)
+
+
 def _run_block(args) -> list[tuple[TrialRecord, np.ndarray | None, dict | None]]:
     """Perturb a block of one family's trials, propagate them in one call,
     then fit each.  Each trial is drawn once, as the call reads its chain,
@@ -343,38 +358,34 @@ def run_scenario(config: ScenarioConfig) -> tuple[list[TrialRecord],
     into blocks that each fill a recursion of GROUP_ROWS chains, but into
     as many as the workers allow: a smaller block keeps less of the run in
     one process at once.
-    Otherwise parts = workers, so that no process waits for a job.  The
-    summary also carries each family's baseline (`runs`) and the C(t) of
-    its exemplary trials (`exemplars`); every other trial's series is
-    dropped here.
+    Otherwise parts = workers, so that no process waits for a job.
+    Before the blocks, the same processes run one baseline job per family
+    (`_run_baseline`), so that the two baselines run side by side; with
+    more than one process, this one builds the families and hands out
+    jobs, and never propagates, draws or fits.  With one process, both
+    maps run here, in the same order.  The summary also carries each
+    family's baseline (`runs`) and the C(t) of its exemplary trials
+    (`exemplars`); every other trial's series is dropped here.
     """
-    runs = []
-    for fam in build_families(config):
-        c0 = propagate(fam.chain, dt=config.dt, t_max=config.t_max)
-        n_eq0, eq0 = detect_equilibration(c0, config.eq_threshold,
-                                          config.eq_window)
-        try:
-            fit0 = fit(c0, fam.model_class, n_eq0)
-        except ValueError as err:
-            raise ValueError(f"baseline {fam.name}: {err}") from err
-        runs.append(FamilyRun(fam.name, fam.chain, fam.model_class, c0, fit0,
-                              eq0))
-
+    families = build_families(config)
     n_workers = worker_count(config)
     parts = n_workers
-    if len(runs) >= min(n_workers, usable_cpus()):
+    if len(families) >= min(n_workers, usable_cpus()):
         parts = max(1, min(n_workers, config.n_trials // GROUP_ROWS))
     block = math.ceil(config.n_trials / parts)
-    jobs = [(run, index, config, range(lo, min(lo + block, config.n_trials)))
-            for index, run in enumerate(runs)
-            for lo in range(0, config.n_trials, block)]
+    blocks = [range(lo, min(lo + block, config.n_trials))
+              for lo in range(0, config.n_trials, block)]
 
     # the pool forks all its processes at the first submit: no more than
-    # jobs, nor than the CPUs this process may run on
-    n_procs = min(n_workers, len(jobs), usable_cpus())
+    # trial jobs, nor than the CPUs this process may run on
+    n_procs = min(n_workers, len(families) * len(blocks), usable_cpus())
     results = []
     with ProcessPoolExecutor(n_procs) if n_procs > 1 else nullcontext() as pool:
-        for part in (pool.map if pool else map)(_run_block, jobs):
+        pmap = pool.map if pool else map
+        runs = list(pmap(_run_baseline, [(fam, config) for fam in families]))
+        jobs = [(run, index, config, trials)
+                for index, run in enumerate(runs) for trials in blocks]
+        for part in pmap(_run_block, jobs):
             results.extend(part)
             log.info("trials %d/%d", len(results), config.n_trials * len(runs))
 

@@ -835,6 +835,34 @@ class TestPropagateMany:
             assert series.sites == rungs[1]
             assert same_series(series, propagate(chain, dt=0.06, t_max=30.0))
 
+    def test_chains_refused_from_two_first_rungs_meet_at_the_next(
+            self, monkeypatch):
+        # at t_max = 30 on 1000 sites the gdo design and its copy of seed 2
+        # hold one first-rung key, (20.7, 216), and the copy of seed 0
+        # another, (19.9, 216); all three are refused there and share
+        # (38.1, 470).  Both first-rung groups go before any retry, so the
+        # three meet in one recursion at their second rung
+        gdo = oscillating_pair(50, 1000, 2.0, 1.6)[0]
+        chains = [gdo, *(apply_draw(gdo, 0.1, draw_noise(1000, 333, seed)).chain
+                         for seed in (2, 0))]
+        rungs = _cut_ladder(gdo.b, 30.0)
+        keys = [[(_prefix_scale(c.b, n), n) for n in rungs[:2]] for c in chains]
+        assert keys[0] == keys[1] and keys[2][0] != keys[0][0]
+        assert keys[2][1] == keys[0][1]
+        expanded = []
+
+        def counted(b, lam, count):
+            expanded.append((b.shape[0], b.shape[1] + 1))
+            return _even_moments(b, lam, count)
+
+        monkeypatch.setattr(chain_module, "_even_moments", counted)
+        many = propagate_many(chains, dt=0.06, t_max=30.0)
+        assert expanded == [(2, rungs[0]), (1, rungs[0]), (3, rungs[1])]
+        monkeypatch.undo()
+        for chain, series in zip(chains, many):
+            assert series.sites == rungs[1]
+            assert same_series(series, propagate(chain, dt=0.06, t_max=30.0))
+
 
 def terms_at(count: int) -> float:
     """The smallest z on a grid of 1/64 whose Bessel sum runs over

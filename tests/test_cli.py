@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -723,10 +724,16 @@ class TestFailureLocality:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["families"]["g"]["n_nonequilibrated"] == 0
 
-    def test_baseline_too_short_to_fit_is_a_config_error(self, tmp_path,
-                                                          capsys):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_baseline_too_short_to_fit_is_a_config_error(
+            self, monkeypatch, tmp_path, capsys, workers):
+        # with 2 workers, two real processes, even on a runner of one CPU:
+        # the baselines are fitted in the pool's workers, and the refusal
+        # comes back as the same ValueError, before any output is made
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
         path, out = tmp_path / "cfg.json", tmp_path / "out"
-        path.write_text(json.dumps({**self.SHORT_EQ, "eq_threshold": 0.999}))
+        path.write_text(json.dumps({**self.SHORT_EQ, "eq_threshold": 0.999,
+                                    "workers": workers}))
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert "baseline g: need at least 8 samples up to n_eq" in \
             capsys.readouterr().err
@@ -752,6 +759,18 @@ class TestRunCommand:
         assert manifest["workers"] == 1
         for name, digest in manifest["outputs"].items():
             assert cli._sha256(tiny_run / name) == digest
+
+    @pytest.mark.parametrize("missing", [(), ("_sha2",), ("_sha2", "_sha256")])
+    @pytest.mark.parametrize("size", [0, 1, 2 * 65536 + 1])
+    def test_digest_is_hashlibs(self, tmp_path, monkeypatch, missing, size):
+        # the interpreter's own SHA-256, _sha2 (3.12+) or _sha256 (3.10,
+        # 3.11), else hashlib's: files of no bytes, one, and three blocks
+        for name in missing:
+            monkeypatch.setitem(sys.modules, name, None)
+        data = np.random.default_rng(size).bytes(size)
+        (tmp_path / "data").write_bytes(data)
+        assert cli._sha256(tmp_path / "data") == \
+            hashlib.sha256(data).hexdigest()
 
     def test_manifest_records_the_blas(self, tiny_run):
         manifest = json.loads((tiny_run / "manifest.json").read_text())

@@ -81,12 +81,48 @@ def test_every_command_runs_without_scipy(tmp_path):
         "print(hashlib_at_import)\n"
         "print(decimal_after[:3])\n")
     # numpy.ma costs about 10 ms and 0.5 MB to import, and no command needs
-    # it; hashlib maps OpenSSL, which only the manifest's digests need, so
-    # that it stays out of every forked worker; decimal, 0.3 MB, is loaded
+    # it; hashlib maps OpenSSL, which a pooled run's main process never
+    # needs (see the pooled-run test below); decimal, 0.3 MB, is loaded
     # by the first reverse recursion, which the decay run and its plot never
     # reach and the oscillation run does
     assert printed.splitlines()[-4:] == ["[]", "False", "False",
                                          "[False, False, True]"]
+
+
+def test_a_pooled_run_leaves_the_engine_and_openssl_to_the_workers(tmp_path):
+    # with two processes, this one builds the families and hands out jobs:
+    # every baseline and every trial is propagated, drawn and fitted in a
+    # worker, and neither numpy.random (which imports hashlib through
+    # secrets) nor OpenSSL is loaded here.  usable_cpus is patched, so
+    # that a runner of one CPU forks the pool too
+    out = tmp_path / "run"
+    argv = ["run", "--scenario", "decay", "--d", "150", "--trials", "2",
+            "--dt", "0.05", "--tmax", "10", "--nstar", "8", "--workers", "2",
+            "--out", str(out)]
+    printed = run_python(
+        "import json, os, sys\n"
+        "from morilab import experiment\n"
+        "from morilab.cli import main\n"
+        "main_pid = os.getpid()\n"
+        "def in_a_worker(fn):\n"
+        "    def wrapped(*args, **kwargs):\n"
+        "        if os.getpid() == main_pid:\n"
+        "            raise AssertionError(f'{fn.__name__} ran in the main '\n"
+        "                                 'process')\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return wrapped\n"
+        "for name in ('propagate', 'propagate_many', 'fit', 'draw_noise'):\n"
+        "    setattr(experiment, name, in_a_worker(getattr(experiment, name)))\n"
+        "experiment.usable_cpus = lambda: 2\n"
+        f"assert main({argv!r}) == 0\n"
+        "print([m for m in ('_hashlib', 'hashlib', 'numpy.random')\n"
+        "       if m in sys.modules])\n"
+        "import hashlib\n"
+        f"outputs = json.load(open({str(out / 'manifest.json')!r}))['outputs']\n"
+        "print(all(hashlib.sha256(open(os.path.join(\n"
+        f"    {str(out)!r}, name), 'rb').read()).hexdigest() == digest\n"
+        "          for name, digest in outputs.items()), len(outputs))\n")
+    assert printed.splitlines()[-2:] == ["[]", "True 15"]
 
 
 def test_trace_harness_binds_every_name():
